@@ -253,20 +253,18 @@ func BenchmarkAblationRefine(b *testing.B) {
 }
 
 // BenchmarkWireBytesPerRound measures the actual uplink bytes one
-// federated round costs on the live flnet wire protocol, per negotiated
-// codec: two clients push a 10x2048 HD model through real HTTP each
-// iteration and the server's own /v1/stats byte counter is divided by the
-// number of completed rounds. "legacy" is the unenveloped raw-model
-// serialization old clients send; "raw" is the same float32 payload
-// inside the self-describing envelope. The int8 row is the paper's
-// headline: roughly 4x fewer wire bytes per round than raw float32.
+// federated round costs on the live flnet wire protocol, per codec: two
+// clients push a 10x2048 HD model through real HTTP each iteration and
+// the server's own /v1/stats byte counter is divided by the number of
+// completed rounds. "raw" is the float32 payload inside the
+// self-describing envelope. The int8 row is the paper's headline: roughly
+// 4x fewer wire bytes per round than raw float32.
 func BenchmarkWireBytesPerRound(b *testing.B) {
 	const k, d, clientsPerRound = 10, 2048, 2
 	cases := []struct {
 		name  string
-		codec compress.Codec // nil = legacy raw-model format
+		codec compress.Codec
 	}{
-		{"legacy", nil},
 		{"raw", compress.Raw{}},
 		{"float16", compress.Float16{}},
 		{"int8", compress.Int8{}},
@@ -286,10 +284,6 @@ func BenchmarkWireBytesPerRound(b *testing.B) {
 			for i := range clients {
 				clients[i] = &flnet.Client{
 					BaseURL: ts.URL, ID: fmt.Sprintf("bench-%d", i), Codec: c.codec}
-				// observe the codec advertisement before the timed loop
-				if _, err := clients[i].Round(ctx); err != nil {
-					b.Fatal(err)
-				}
 			}
 			m := hdc.NewModel(k, d)
 			rng := rand.New(rand.NewSource(1))

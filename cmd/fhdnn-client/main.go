@@ -11,9 +11,8 @@
 // Requests are retried with exponential backoff (-retries, -retry-base),
 // and the -fault-* flags inject deterministic transport chaos (connection
 // failures, truncated bodies, latency) for rehearsing unreliable links.
-// -codec compresses uploads into the negotiated wire envelope ("raw",
-// "float16", "int8", "topk" or "topk:0.25"); against a server that does
-// not advertise the codec, the client falls back to the legacy format.
+// -codec picks the compression inside the upload's wire envelope ("raw",
+// "float16", "int8", "topk" or "topk:0.25").
 // -poison turns the client Byzantine: it trains honestly, then corrupts
 // the update just before upload ("signflip", "scale:-2", "noise:1",
 // "drift:2") — the adversarial half of the robust-aggregation story,
@@ -59,7 +58,7 @@ func run() error {
 	dim := flag.Int("dim", 2048, "hypervector dimensionality (must match the server)")
 	epochs := flag.Int("epochs", 2, "local refinement epochs E")
 	perClass := flag.Int("per-class", 40, "training examples per class (whole federation)")
-	codecName := flag.String("codec", "", "compress uploads with this codec (raw, float16, int8, topk[:frac]; empty = legacy format)")
+	codecName := flag.String("codec", "raw", "compress uploads with this codec (raw, float16, int8, topk[:frac])")
 	poison := flag.String("poison", "", "turn this client Byzantine: signflip, scale:L, noise:S, drift:L (empty = honest)")
 	loss := flag.Float64("loss", 0, "simulated uplink packet loss rate")
 	snr := flag.Float64("snr", 0, "simulated uplink AWGN SNR in dB (0 = off)")
@@ -96,21 +95,19 @@ func run() error {
 	case *snr > 0:
 		uplink = channel.AWGN{SNRdB: *snr}
 	}
+	codec, err := fedcore.ParseCodec(*codecName)
+	if err != nil {
+		return err
+	}
 	cl := &flnet.Client{
 		BaseURL: *server,
 		ID:      fmt.Sprintf("client-%d", *id),
 		Uplink:  uplink,
+		Codec:   codec,
 	}
-	if *codecName != "" {
-		codec, err := fedcore.ParseCodec(*codecName)
-		if err != nil {
-			return err
-		}
-		cl.Codec = codec
-		n := train.NumClasses * *dim
-		log.Printf("client %d: uploading %s envelopes (%d bytes/update vs %d raw float32)",
-			*id, codec.Name(), fedcore.WireBytes(codec, n), 4*n)
-	}
+	params := train.NumClasses * *dim
+	log.Printf("client %d: uploading %s envelopes (%d bytes/update vs %d raw float32)",
+		*id, codec.Name(), fedcore.WireBytes(codec, params), 4*params)
 	if uplink != nil {
 		cl.Rng = rand.New(rand.NewSource(*seed + int64(*id)))
 		log.Printf("client %d: uplink %s", *id, uplink.Name())
@@ -154,10 +151,10 @@ func run() error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	n, err := lt.Participate(ctx)
+	contributed, err := lt.Participate(ctx)
 	if err != nil {
 		return err
 	}
-	log.Printf("client %d: contributed to %d rounds, server closed", *id, n)
+	log.Printf("client %d: contributed to %d rounds, server closed", *id, contributed)
 	return nil
 }

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"fhdnn/internal/compress"
+	"fhdnn/internal/fedcore"
 	"fhdnn/internal/flnet"
 	"fhdnn/internal/hdc"
 )
@@ -89,43 +90,6 @@ func main() {
 	}
 }
 
-// parseCodecMix turns a comma list ("legacy,raw,float16,int8,topk:0.25")
-// into the per-client codec cycle; nil entries mean the legacy raw-model
-// format.
-func parseCodecMix(spec string) ([]compress.Codec, []string, error) {
-	var mix []compress.Codec
-	var names []string
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		switch {
-		case name == "legacy":
-			mix = append(mix, nil)
-		case name == "raw":
-			mix = append(mix, compress.Raw{})
-		case name == "float16":
-			mix = append(mix, compress.Float16{})
-		case name == "int8":
-			mix = append(mix, compress.Int8{})
-		case strings.HasPrefix(name, "topk:"):
-			frac, err := strconv.ParseFloat(name[len("topk:"):], 64)
-			if err != nil || !(frac > 0) || frac > 1 {
-				return nil, nil, fmt.Errorf("bad topk fraction in codec %q", name)
-			}
-			mix = append(mix, compress.TopK{Frac: frac})
-		default:
-			return nil, nil, fmt.Errorf("unknown codec %q (want legacy, raw, float16, int8, topk:FRAC)", name)
-		}
-		names = append(names, name)
-	}
-	if len(mix) == 0 {
-		return nil, nil, errors.New("empty codec mix")
-	}
-	return mix, names, nil
-}
-
 // isPoisoner deterministically spreads the poisoner fraction evenly over
 // the client index space: client i poisons exactly when the accumulated
 // fraction crosses an integer at i, which yields floor(clients*frac)
@@ -143,7 +107,7 @@ func run() error {
 	classes := flag.Int("classes", 2, "model classes K")
 	dim := flag.Int("dim", 512, "hypervector dimensionality d")
 	poisonFrac := flag.Float64("poison-frac", 0.01, "fraction of clients sending non-finite (quarantine-bound) updates")
-	codecSpec := flag.String("codecs", "legacy,raw,float16,int8", "comma-separated codec cycle assigned to clients round-robin")
+	codecSpec := flag.String("codecs", "raw,float16,int8", "comma-separated codec cycle assigned to clients round-robin (raw, float16, int8, topk[:frac])")
 	urlFlag := flag.String("url", "", "drive this external server instead of an in-process one")
 	out := flag.String("out", "LOADGEN.json", "write the JSON report here ('' to skip)")
 	flag.Parse()
@@ -151,9 +115,14 @@ func run() error {
 	if *clients <= 0 || *rounds <= 0 || *concurrency <= 0 {
 		return errors.New("clients, rounds, and concurrency must be positive")
 	}
-	mix, mixNames, err := parseCodecMix(*codecSpec)
-	if err != nil {
-		return err
+	mixNames := strings.Split(*codecSpec, ",")
+	mix := make([]compress.Codec, len(mixNames))
+	var err error
+	for i, name := range mixNames {
+		mixNames[i] = strings.TrimSpace(name)
+		if mix[i], err = fedcore.ParseCodec(mixNames[i]); err != nil {
+			return err
+		}
 	}
 	clean := 0
 	for i := 0; i < *clients; i++ {
@@ -221,15 +190,13 @@ func run() error {
 					MaxDelay:    2 * time.Second,
 				},
 			}
-			// Prime the codec advertisement so enveloped uploads negotiate.
-			_, _ = c.Round(ctx)
 			m := hdc.NewModel(*classes, *dim)
 			flat := m.Flat()
 			for jb := range jobs {
 				c.ID = "load-" + strconv.Itoa(jb.client)
 				poison := isPoisoner(jb.client, *poisonFrac)
 				if poison {
-					c.Codec = nil // envelopes quantize; carry the NaN verbatim
+					c.Codec = compress.Raw{} // the lossy codecs would quantize the NaN away
 				} else {
 					c.Codec = mix[jb.client%len(mix)]
 				}

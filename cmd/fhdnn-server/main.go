@@ -117,8 +117,7 @@ func run() error {
 	for _, id := range fedcore.AllCodecIDs() {
 		codecNames = append(codecNames, fedcore.CodecName(id))
 	}
-	log.Printf("accepting compressed wire envelopes: %s (plus the legacy raw-model format)",
-		strings.Join(codecNames, ", "))
+	log.Printf("accepting wire envelopes: %s", strings.Join(codecNames, ", "))
 
 	handler := srv.Handler()
 	if *faultRate > 0 || *faultLatency > 0 {

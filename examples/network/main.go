@@ -2,8 +2,8 @@
 // server on a loopback port and run eight FHDnn clients against it over
 // real HTTP — each round the clients download the global HD model, train
 // locally (one-shot bundling + refinement), and upload their prototypes
-// as int8-compressed wire envelopes (negotiated via the X-FHDnn-Codecs
-// handshake, ~4x fewer uplink bytes than raw float32) through a simulated
+// as int8-compressed wire envelopes (~4x fewer uplink bytes than raw
+// float32) through a simulated
 // 20% packet-loss uplink. On top of the lossy radio,
 // every client's HTTP transport injects 30% connection failures plus
 // truncated responses (internal/faults), one client dies after round 2,
@@ -160,7 +160,7 @@ func main() {
 				Retry:  &flnet.RetryPolicy{MaxAttempts: 6, BaseDelay: 5 * time.Millisecond},
 				Uplink: channel.PacketLoss{Rate: 0.2},
 				Rng:    rand.New(rand.NewSource(int64(seed + i))),
-				Codec:  compress.Int8{}, // negotiated int8 wire envelopes
+				Codec:  compress.Int8{}, // int8 wire envelopes
 			}
 			clientCtx := ctx
 			if dieRound, dies := crash[i]; dies {

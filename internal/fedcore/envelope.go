@@ -25,8 +25,8 @@ import (
 //
 // The element count makes the frame self-describing (a receiver that
 // knows its model dimensions cross-checks it; one that does not can still
-// decode), the codec id is what the Content-Type/header handshake
-// negotiates, and the checksum turns line corruption into a typed decode
+// decode), the codec id tells the receiver which compress.Codec packed
+// the payload, and the checksum turns line corruption into a typed decode
 // error that the server's quarantine path can refuse with HTTP 422
 // instead of folding garbage into the global model.
 
@@ -105,7 +105,7 @@ func CodecIDOf(c compress.Codec) (CodecID, bool) {
 	return 0, false
 }
 
-// ParseCodec resolves a handshake name ("raw", "float16", "int8", "topk"
+// ParseCodec resolves a codec spec ("raw", "float16", "int8", "topk"
 // or "topk:0.1" with an explicit kept fraction) to a codec instance.
 func ParseCodec(name string) (compress.Codec, error) {
 	switch {
@@ -119,7 +119,9 @@ func ParseCodec(name string) (compress.Codec, error) {
 		return compress.TopK{Frac: 0.1}, nil
 	case strings.HasPrefix(name, "topk:"):
 		frac, err := strconv.ParseFloat(strings.TrimPrefix(name, "topk:"), 64)
-		if err != nil || frac <= 0 || frac > 1 {
+		// The explicit !(frac > 0) form also rejects NaN, which slips past
+		// a plain frac <= 0 check.
+		if err != nil || !(frac > 0) || frac > 1 {
 			return nil, fmt.Errorf("fedcore: bad topk fraction in %q", name)
 		}
 		return compress.TopK{Frac: frac}, nil

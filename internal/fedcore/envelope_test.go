@@ -189,7 +189,8 @@ func TestParseCodec(t *testing.T) {
 	if c, _ := ParseCodec("topk:0.25"); c.(compress.TopK).Frac != 0.25 {
 		t.Fatal("topk fraction not parsed")
 	}
-	for _, name := range []string{"", "gzip", "topk:0", "topk:2", "topk:x"} {
+	for _, name := range []string{"", "gzip", "topk:x",
+		"topk:NaN", "topk:Inf", "topk:0", "topk:-1", "topk:1.5", "topk:2"} {
 		if _, err := ParseCodec(name); err == nil {
 			t.Fatalf("ParseCodec(%q) accepted", name)
 		}

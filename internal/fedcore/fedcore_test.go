@@ -87,6 +87,9 @@ func TestSampleClients(t *testing.T) {
 	if len(SampleClients(rng, 10, 0.01)) != 1 {
 		t.Fatal("must sample at least one client")
 	}
+	if len(SampleClients(rng, 5, 1.0)) != 5 {
+		t.Fatal("frac=1 must sample everyone")
+	}
 }
 
 func TestClientRNGDeterminism(t *testing.T) {

@@ -7,10 +7,8 @@ package fl
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fhdnn/internal/channel"
-	"fhdnn/internal/fedcore"
 )
 
 // Config holds the federated hyperparameters common to both trainers,
@@ -46,25 +44,6 @@ func (c *Config) Workers() int {
 	return c.Parallel
 }
 
-// WireSizer is optionally implemented by uplink channels whose on-the-wire
-// representation differs from raw float32 (e.g. compressed updates); the
-// trainers use it for traffic accounting when present. It is an alias for
-// fedcore.WireSizer — the round engine owns the accounting rule.
-type WireSizer = fedcore.WireSizer
-
-// updateWireBytes returns the transmitted size of an n-value update over
-// the given uplink at the given raw bytes-per-parameter. It delegates to
-// fedcore so the simulator and the flnet wire share one sizing rule.
-func updateWireBytes(uplink channel.Channel, n, bytesPerParam int) int64 {
-	return fedcore.UpdateWireBytes(uplink, n, bytesPerParam)
-}
-
-// clientRNG derives the deterministic random stream for one client in one
-// round (fedcore.ClientRNG; kept as a local name for the trainers).
-func clientRNG(seed int64, round, id int) *rand.Rand {
-	return fedcore.ClientRNG(seed, round, id)
-}
-
 // Validate checks the configuration and fills defaults.
 func (c *Config) Validate() error {
 	if c.NumClients <= 0 {
@@ -89,11 +68,6 @@ func (c *Config) Validate() error {
 		c.Uplink = channel.Perfect{}
 	}
 	return nil
-}
-
-// SampleClients picks max(1, round(frac*n)) distinct client ids.
-func SampleClients(rng *rand.Rand, n int, frac float64) []int {
-	return fedcore.SampleClients(rng, n, frac)
 }
 
 // RoundMetrics records one communication round.

@@ -35,27 +35,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestSampleClients(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ids := SampleClients(rng, 100, 0.2)
-	if len(ids) != 20 {
-		t.Fatalf("sampled %d clients, want 20", len(ids))
-	}
-	seen := map[int]bool{}
-	for _, id := range ids {
-		if id < 0 || id >= 100 || seen[id] {
-			t.Fatalf("bad client id %d", id)
-		}
-		seen[id] = true
-	}
-	if got := SampleClients(rng, 10, 0.01); len(got) != 1 {
-		t.Fatal("must sample at least one client")
-	}
-	if got := SampleClients(rng, 5, 1.0); len(got) != 5 {
-		t.Fatal("frac=1 must sample everyone")
-	}
-}
-
 func TestHistoryHelpers(t *testing.T) {
 	h := &History{}
 	h.Append(RoundMetrics{Round: 1, TestAccuracy: 0.3, BytesUplinked: 100})

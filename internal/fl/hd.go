@@ -93,7 +93,7 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 		Uplink:        t.Cfg.Uplink,
 		BytesPerParam: t.BytesPerParam,
 		EvalEvery:     t.EvalEvery,
-		SampleRNG:     clientRNG(t.Cfg.Seed, 0, -1),
+		SampleRNG:     fedcore.ClientRNG(t.Cfg.Seed, 0, -1),
 		Agg:           agg,
 		Global:        global.Flat(),
 		// bundled[id] is only ever touched by the one worker handling
@@ -129,7 +129,7 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 		// Clients still bundle full vectors locally, but only the shared
 		// per-round subset travels and is refreshed in the global model.
 		eng.BeginRound = func(round int) {
-			b.Mask = sampleMask(clientRNG(t.Cfg.Seed, round, -2), t.NumClasses*d, t.TransmitFrac)
+			b.Mask = sampleMask(fedcore.ClientRNG(t.Cfg.Seed, round, -2), t.NumClasses*d, t.TransmitFrac)
 		}
 		eng.WireCount = func(fedcore.Update) int { return len(b.Mask) }
 	}

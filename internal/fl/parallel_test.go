@@ -63,18 +63,3 @@ func TestWorkersDefault(t *testing.T) {
 		t.Fatalf("Workers() = %d, want 8", c.Workers())
 	}
 }
-
-func TestClientRNGIndependence(t *testing.T) {
-	a := clientRNG(1, 2, 3)
-	b := clientRNG(1, 2, 3)
-	if a.Int63() != b.Int63() {
-		t.Fatal("same key must give same stream")
-	}
-	// different round or id must diverge immediately with high probability
-	c := clientRNG(1, 3, 3)
-	d := clientRNG(1, 2, 4)
-	base := clientRNG(1, 2, 3).Int63()
-	if c.Int63() == base && d.Int63() == base {
-		t.Fatal("client streams should differ across rounds and ids")
-	}
-}

@@ -14,15 +14,6 @@ type fakeSized struct {
 
 func (f fakeSized) WireBytes(n int) int { return n * f.perValue }
 
-func TestUpdateWireBytes(t *testing.T) {
-	if got := updateWireBytes(channel.Perfect{}, 100, 4); got != 400 {
-		t.Fatalf("default accounting = %d, want 400", got)
-	}
-	if got := updateWireBytes(fakeSized{perValue: 2}, 100, 4); got != 200 {
-		t.Fatalf("WireSizer accounting = %d, want 200", got)
-	}
-}
-
 func TestTrainerUsesWireSizer(t *testing.T) {
 	tr := hdSetup(t, 4, 90)
 	tr.Cfg.Uplink = fakeSized{perValue: 1} // 1 byte per prototype entry

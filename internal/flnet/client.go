@@ -10,8 +10,6 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"fhdnn/internal/channel"
@@ -40,44 +38,10 @@ type Client struct {
 	Uplink channel.Channel
 	// Rng drives the uplink corruption; required when Uplink is set.
 	Rng *rand.Rand
-	// Codec, when set, posts updates as fedcore wire envelopes compressed
-	// with this codec — but only once the server has advertised the codec
-	// name in an X-FHDnn-Codecs response header (observed on Round or
-	// FetchModel). Against a server that never advertises it, the client
-	// silently falls back to the legacy raw-model format, so a new client
-	// interoperates with an old server.
+	// Codec compresses the update inside its fedcore wire envelope; nil
+	// means compress.Raw{}. It must be one of the codecs fedcore assigns a
+	// wire id (raw, float16, int8, topk) — PushUpdate refuses any other.
 	Codec compress.Codec
-
-	// advertised caches the codec names from the most recent
-	// X-FHDnn-Codecs header seen; nil until one is observed.
-	advMu      sync.Mutex
-	advertised map[string]bool
-}
-
-// noteCodecs records the server's codec advertisement from a response
-// header, if present.
-func (c *Client) noteCodecs(h http.Header) {
-	v := h.Get(CodecsHeader)
-	if v == "" {
-		return
-	}
-	set := make(map[string]bool)
-	for _, name := range strings.Split(v, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			set[name] = true
-		}
-	}
-	c.advMu.Lock()
-	c.advertised = set
-	c.advMu.Unlock()
-}
-
-// ServerSupports reports whether the server has advertised the named
-// codec (false until an advertisement has been observed).
-func (c *Client) ServerSupports(name string) bool {
-	c.advMu.Lock()
-	defer c.advMu.Unlock()
-	return c.advertised[name]
 }
 
 func (c *Client) http() *http.Client {
@@ -269,7 +233,6 @@ func (c *Client) Round(ctx context.Context) (RoundInfo, error) {
 		if resp.StatusCode != http.StatusOK {
 			return httpError("round", resp)
 		}
-		c.noteCodecs(resp.Header)
 		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 			return fmt.Errorf("flnet: decode round info: %w", err)
 		}
@@ -295,7 +258,6 @@ func (c *Client) FetchModel(ctx context.Context) (*hdc.Model, int, error) {
 		if resp.StatusCode != http.StatusOK {
 			return httpError("model", resp)
 		}
-		c.noteCodecs(resp.Header)
 		round, err = strconv.Atoi(resp.Header.Get(RoundHeader))
 		if err != nil {
 			return fmt.Errorf("flnet: missing %s header", RoundHeader)
@@ -321,7 +283,8 @@ func (e ErrStaleRound) Error() string {
 }
 
 // ErrQuarantined is returned by PushUpdate when the server refused the
-// payload as unsafe to aggregate (non-finite values or exploded norm).
+// payload as unsafe to aggregate (not a valid envelope, non-finite values
+// or exploded norm).
 // Resending the same bytes cannot succeed; the caller should retrain (or
 // wait for the next round, where a fresh uplink transmission may come
 // through clean).
@@ -353,33 +316,23 @@ func (e ErrThrottled) Error() string {
 // PushUpdate uploads a locally trained model for the given round,
 // applying the configured uplink corruption first. Each retry attempt
 // re-transmits the same corrupted payload (the corruption happened "in
-// the radio", once). When Codec is set and the server has advertised it,
-// the update travels as a compressed wire envelope; otherwise the legacy
-// raw-model serialization is used.
+// the radio", once). The update travels as a fedcore wire envelope
+// compressed with Codec.
 func (c *Client) PushUpdate(ctx context.Context, round int, m *hdc.Model) error {
-	send := m
+	flat := m.Flat()
 	if c.Uplink != nil {
 		if c.Rng == nil {
 			return fmt.Errorf("flnet: Uplink set without Rng")
 		}
-		send = hdc.NewModel(m.K, m.D)
-		send.SetFlat(c.Uplink.Transmit(m.Flat(), c.Rng))
+		flat = c.Uplink.Transmit(flat, c.Rng)
 	}
-	var payload []byte
-	contentType := "application/octet-stream"
-	if id, ok := c.negotiatedCodec(); ok {
-		data, err := fedcore.EncodeEnvelope(c.Codec, send.Flat())
-		if err != nil {
-			return fmt.Errorf("flnet: encode %s envelope: %w", fedcore.CodecName(id), err)
-		}
-		payload = data
-		contentType = EnvelopeContentType
-	} else {
-		var buf bytes.Buffer
-		if _, err := send.WriteTo(&buf); err != nil {
-			return err
-		}
-		payload = buf.Bytes()
+	codec := c.Codec
+	if codec == nil {
+		codec = compress.Raw{}
+	}
+	payload, err := fedcore.EncodeEnvelope(codec, flat)
+	if err != nil {
+		return fmt.Errorf("flnet: encode update envelope: %w", err)
 	}
 	url := fmt.Sprintf("%s/v1/update?round=%d", c.BaseURL, round)
 	return c.withRetry(ctx, func() error {
@@ -387,7 +340,7 @@ func (c *Client) PushUpdate(ctx context.Context, round int, m *hdc.Model) error 
 		if err != nil {
 			return fmt.Errorf("flnet: build update request: %w", err)
 		}
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", EnvelopeContentType)
 		if c.ID != "" {
 			req.Header.Set(ClientHeader, c.ID)
 		}
@@ -415,20 +368,6 @@ func (c *Client) PushUpdate(ctx context.Context, round int, m *hdc.Model) error 
 			return httpError("update", resp)
 		}
 	})
-}
-
-// negotiatedCodec reports whether the client should use its configured
-// Codec for the next upload: the codec must have a wire id and the server
-// must have advertised its name.
-func (c *Client) negotiatedCodec() (fedcore.CodecID, bool) {
-	if c.Codec == nil {
-		return 0, false
-	}
-	id, ok := fedcore.CodecIDOf(c.Codec)
-	if !ok {
-		return 0, false
-	}
-	return id, c.ServerSupports(fedcore.CodecName(id))
 }
 
 // WaitForRound polls until the server reaches at least the given round or

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,43 +17,11 @@ import (
 	"fhdnn/internal/hdc"
 )
 
-func TestServerAdvertisesCodecs(t *testing.T) {
-	_, ts := newTestServer(t, ServerConfig{NumClasses: 2, Dim: 8, MinUpdates: 2})
-	for _, path := range []string{"/v1/round", "/v1/model"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adv := resp.Header.Get(CodecsHeader)
-		drainClose(resp.Body)
-		if adv != "raw,float16,int8,topk" {
-			t.Fatalf("%s advertised %q", path, adv)
-		}
-	}
-	// The client records the advertisement from a Round call.
-	c := &Client{BaseURL: ts.URL, Codec: compress.Int8{}}
-	if _, ok := c.negotiatedCodec(); ok {
-		t.Fatal("codec must not be negotiated before any advertisement")
-	}
-	if _, err := c.Round(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !c.ServerSupports("int8") || !c.ServerSupports("topk") {
-		t.Fatal("advertisement not recorded")
-	}
-	if id, ok := c.negotiatedCodec(); !ok || id != fedcore.CodecInt8 {
-		t.Fatalf("negotiated (%d, %v), want int8", id, ok)
-	}
-}
-
 func TestEnvelopeUpdateAggregation(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2})
 	ctx := context.Background()
 	// raw codec is lossless, so the aggregate must be the exact mean
 	c := &Client{BaseURL: ts.URL, Codec: compress.Raw{}}
-	if _, err := c.Round(ctx); err != nil { // pick up the advertisement
-		t.Fatal(err)
-	}
 
 	u1 := hdc.NewModel(1, 4)
 	u1.SetFlat([]float32{2, 2, 2, 2})
@@ -130,13 +99,10 @@ func TestCorruptedEnvelopeQuarantined(t *testing.T) {
 
 func TestEnvelopeQuarantinedNonFinite(t *testing.T) {
 	// A structurally valid envelope whose decoded params are non-finite
-	// must hit the same quarantine gate as legacy updates.
+	// must hit the non-finite quarantine gate.
 	_, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2})
 	ctx := context.Background()
 	c := &Client{BaseURL: ts.URL, Codec: compress.Raw{}}
-	if _, err := c.Round(ctx); err != nil {
-		t.Fatal(err)
-	}
 	m := hdc.NewModel(1, 4)
 	m.SetFlat([]float32{1, float32(math.NaN()), 3, 4})
 	err := c.PushUpdate(ctx, 1, m)
@@ -146,45 +112,8 @@ func TestEnvelopeQuarantinedNonFinite(t *testing.T) {
 	}
 }
 
-func TestCodecFallsBackOnLegacyServer(t *testing.T) {
-	srv, _ := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 1})
-	// A front proxy that strips the advertisement simulates an old server.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, r)
-		for k, vs := range rec.Header() {
-			if http.CanonicalHeaderKey(k) == http.CanonicalHeaderKey(CodecsHeader) {
-				continue
-			}
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(rec.Code)
-		_, _ = w.Write(rec.Body.Bytes())
-	}))
-	defer legacy.Close()
-
-	ctx := context.Background()
-	c := &Client{BaseURL: legacy.URL, Codec: compress.Int8{}}
-	if _, err := c.Round(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.negotiatedCodec(); ok {
-		t.Fatal("client must not negotiate a codec the server never advertised")
-	}
-	u := hdc.NewModel(1, 4)
-	u.SetFlat([]float32{1, 2, 3, 4})
-	if err := c.PushUpdate(ctx, 1, u); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats(); st.UpdatesByCodec[legacyCodecName] != 1 {
-		t.Fatalf("fallback update not recorded as legacy: %+v", st.UpdatesByCodec)
-	}
-}
-
 // runCodecTraining executes the full HTTP federated loop with every client
-// using the given codec (nil = legacy format) and returns the final test
+// using the given codec and returns the final test
 // accuracy and total uplink bytes the server reports.
 func runCodecTraining(t *testing.T, codec compress.Codec) (float64, int64) {
 	t.Helper()
@@ -215,12 +144,9 @@ func runCodecTraining(t *testing.T, codec compress.Codec) (float64, int64) {
 	wg.Wait()
 	global, _ := srv.Model()
 	st := srv.Stats()
-	if codec != nil {
-		name := codec.Name()
-		if st.UpdatesByCodec[name] != int64(numClients*rounds) {
-			t.Fatalf("%s updates %d, want %d (by codec: %+v)",
-				name, st.UpdatesByCodec[name], numClients*rounds, st.UpdatesByCodec)
-		}
+	if name := codec.Name(); st.UpdatesByCodec[name] != int64(numClients*rounds) {
+		t.Fatalf("%s updates %d, want %d (by codec: %+v)",
+			name, st.UpdatesByCodec[name], numClients*rounds, st.UpdatesByCodec)
 	}
 	return global.Accuracy(testEnc, testLabels), st.BytesReceived
 }
@@ -245,25 +171,25 @@ func TestInt8CodecWireSavings(t *testing.T) {
 	}
 }
 
-// The negotiated envelope must interoperate with legacy clients inside the
-// same round: mixed posts aggregate together.
+// Clients with different codecs — including none, which means raw —
+// aggregate together inside one round, each booked under the codec its
+// envelope carried and at that envelope's wire size.
 func TestMixedCodecRound(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2})
 	ctx := context.Background()
-	envC := &Client{BaseURL: ts.URL, Codec: compress.Raw{}}
-	if _, err := envC.Round(ctx); err != nil {
-		t.Fatal(err)
-	}
-	legacyC := &Client{BaseURL: ts.URL}
 
 	u1 := hdc.NewModel(1, 4)
 	u1.SetFlat([]float32{2, 2, 2, 2})
 	u2 := hdc.NewModel(1, 4)
-	u2.SetFlat([]float32{6, 6, 6, 6})
-	if err := envC.PushUpdate(ctx, 1, u1); err != nil {
+	u2.SetFlat([]float32{6, 6, 6, 6}) // exact in float16
+	if err := (&Client{BaseURL: ts.URL}).PushUpdate(ctx, 1, u1); err != nil {
 		t.Fatal(err)
 	}
-	if err := legacyC.PushUpdate(ctx, 1, u2); err != nil {
+	if st := srv.Stats(); st.UpdatesByCodec["raw"] != 1 ||
+		st.BytesReceived != int64(fedcore.WireBytes(compress.Raw{}, 4)) {
+		t.Fatalf("nil Codec must ship one raw envelope: %+v", st)
+	}
+	if err := (&Client{BaseURL: ts.URL, Codec: compress.Float16{}}).PushUpdate(ctx, 1, u2); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := srv.Model()
@@ -273,7 +199,25 @@ func TestMixedCodecRound(t *testing.T) {
 		}
 	}
 	st := srv.Stats()
-	if st.UpdatesByCodec["raw"] != 1 || st.UpdatesByCodec[legacyCodecName] != 1 {
+	if st.UpdatesByCodec["raw"] != 1 || st.UpdatesByCodec["float16"] != 1 {
 		t.Fatalf("per-codec stats %+v", st.UpdatesByCodec)
+	}
+}
+
+// wirelessCodec is a compress.Codec fedcore has assigned no wire id.
+type wirelessCodec struct{ compress.Raw }
+
+func (wirelessCodec) Name() string { return "wireless" }
+
+func TestPushUpdateRefusesCodecWithoutWireID(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { hits.Add(1) }))
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL, Codec: wirelessCodec{}}
+	if err := c.PushUpdate(context.Background(), 1, hdc.NewModel(1, 4)); err == nil {
+		t.Fatal("a codec without a wire id must be an error, not a downgrade")
+	}
+	if hits.Load() != 0 {
+		t.Fatalf("%d requests sent for an unencodable update", hits.Load())
 	}
 }

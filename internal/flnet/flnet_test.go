@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"fhdnn/internal/channel"
+	"fhdnn/internal/compress"
 	"fhdnn/internal/dataset"
+	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
 	"fhdnn/internal/tensor"
 )
@@ -29,9 +31,9 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// wireSize is the serialized size of a KxD model: 4-byte magic, two
-// int32 dims, 4 bytes per parameter.
-func wireSize(k, d int) int64 { return int64(4 + 8 + 4*k*d) }
+// wireSize is the upload size of a KxD model from a Client with no Codec
+// set: a raw envelope.
+func wireSize(k, d int) int64 { return int64(fedcore.WireBytes(compress.Raw{}, k*d)) }
 
 func TestServerConfigValidation(t *testing.T) {
 	bad := []ServerConfig{
@@ -133,16 +135,30 @@ func TestWrongDimsRejected(t *testing.T) {
 	}
 }
 
+// Any body that is not an envelope is refused on the one quarantine path —
+// including a well-formed bare model serialization, the pre-envelope
+// upload format.
 func TestBadPayloadRejected(t *testing.T) {
-	_, ts := newTestServer(t, ServerConfig{NumClasses: 2, Dim: 8, MinUpdates: 1})
-	resp, err := http.Post(ts.URL+"/v1/update?round=1", "application/octet-stream",
-		bytes.NewReader([]byte("garbage")))
-	if err != nil {
+	srv, ts := newTestServer(t, ServerConfig{NumClasses: 2, Dim: 8, MinUpdates: 1})
+	var bareModel bytes.Buffer
+	if _, err := hdc.NewModel(2, 8).WriteTo(&bareModel); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	bodies := [][]byte{[]byte("garbage"), bareModel.Bytes()}
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/update?round=1", "application/octet-stream",
+			bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp.Body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%q: status %d, want 422", body[:4], resp.StatusCode)
+		}
+	}
+	st := srv.Stats()
+	if st.QuarantinedByReason[QuarantineEnvelope] != int64(len(bodies)) || st.UpdatesAccepted != 0 || srv.Round() != 1 {
+		t.Fatalf("stats %+v at round %d", st, srv.Round())
 	}
 }
 
@@ -330,8 +346,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.UpdatesAccepted != 1 || st.UpdatesRejected != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	// both posts (one accepted, one stale-rejected) crossed the wire:
-	// 2 x (4 magic + 8 dims + 16 payload)
+	// both posts (one accepted, one stale-rejected) crossed the wire
 	if want := 2 * wireSize(1, 4); st.BytesReceived != want {
 		t.Fatalf("bytes %d, want %d", st.BytesReceived, want)
 	}

@@ -19,8 +19,8 @@ import (
 // runRobustFederation drives one lockstep federation over real HTTP: n
 // clients, every round closed only when everyone contributed, clean
 // transports (the chaos here is Byzantine content, not a lossy channel).
-// Clients cycle through the legacy format and every negotiated codec so
-// the robust aggregators are exercised against all wire envelopes.
+// Clients cycle through the nil-Codec default and the dense codecs so the
+// robust aggregators are exercised against lossless and lossy envelopes.
 // Colluding clients train honestly and then corrupt their upload's delta
 // against the downloaded global. Returns the final model's accuracy.
 func runRobustFederation(t *testing.T, agg fedcore.Aggregator, attacker *faults.Poisoner, colluders map[int]bool) float64 {

@@ -14,15 +14,15 @@
 //	                             422 if quarantined, 429 + Retry-After if
 //	                             the shard queue is full, 410 after close
 //
-// An update body is either the legacy hdc model serialization
-// (Content-Type application/octet-stream) or a fedcore wire envelope
-// (Content-Type application/x-fhdnn-envelope) framing any negotiated
-// compress.Codec. The server advertises the codec names it accepts in the
-// X-FHDnn-Codecs response header of /v1/round and /v1/model; clients pick
-// one and fall back to the legacy format when the header is absent.
-// Envelopes that fail validation — bad magic, truncated payload, checksum
-// mismatch, codec errors — are quarantined with HTTP 422, the same path
-// that refuses non-finite updates.
+// Update framing: an update body is a fedcore wire envelope — magic,
+// codec id, element count, CRC32, then the compress.Codec payload — and
+// nothing else; the codec is the client's choice among the ids fedcore
+// registers. A body that is not a valid envelope for the server's
+// NumClasses*Dim — bad magic, truncated payload, wrong element count,
+// checksum mismatch, codec error — is quarantined with HTTP 422, the same
+// refusal that meets non-finite updates. That includes the bare hdc model
+// serialization clients posted before the envelope existed: such a client
+// sees ErrQuarantined on every upload and must be upgraded.
 //
 // Aggregation is hierarchical and streaming (see shard.go): uploads are
 // hash-routed by client identity onto ServerConfig.Shards shard
@@ -61,7 +61,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,28 +78,18 @@ const RoundHeader = "X-FHDnn-Round"
 // the client to its aggregation shard by hashing this identity.
 const ClientHeader = "X-FHDnn-Client"
 
-// CodecsHeader is the response header on /v1/round and /v1/model
-// advertising the comma-separated codec names the server accepts inside
-// wire envelopes.
-const CodecsHeader = "X-FHDnn-Codecs"
-
-// EnvelopeContentType marks a POST /v1/update body framed as a fedcore
-// wire envelope instead of the legacy hdc model serialization.
+// EnvelopeContentType is the Content-Type clients put on POST /v1/update.
+// The server does not read it: the envelope's own magic identifies the
+// body.
 const EnvelopeContentType = "application/x-fhdnn-envelope"
 
-// legacyCodecName keys legacy (unenveloped) updates in the per-codec
-// stats.
-const legacyCodecName = "legacy"
-
-// advertisedCodecs returns the CodecsHeader value.
-func advertisedCodecs() string {
-	ids := fedcore.AllCodecIDs()
-	names := make([]string, len(ids))
-	for i, id := range ids {
-		names[i] = fedcore.CodecName(id)
-	}
-	return strings.Join(names, ",")
-}
+// How long an upload handler waits for its shard's verdict before
+// answering 503 (the shard is wedged or dead but not yet written off),
+// and the Retry-After hint on 429 responses.
+const (
+	defaultUploadTimeout = 30 * time.Second
+	defaultRetryAfter    = time.Second
+)
 
 // ServerConfig sizes the aggregation service.
 type ServerConfig struct {
@@ -142,13 +131,6 @@ type ServerConfig struct {
 	// to partial aggregation. Must comfortably exceed one aggregator Add.
 	// 0 defaults to 2s.
 	CommitTimeout time.Duration
-	// UploadTimeout bounds how long an upload handler waits for its
-	// shard's verdict; exceeding it answers 503 (the shard is wedged or
-	// dead but not yet written off). 0 defaults to 30s.
-	UploadTimeout time.Duration
-	// RetryAfter is the Retry-After hint on 429 responses. 0 defaults
-	// to 1s.
-	RetryAfter time.Duration
 }
 
 // Validate checks the configuration.
@@ -171,8 +153,8 @@ func (c ServerConfig) Validate() error {
 	if c.ShardQueue < 0 {
 		return fmt.Errorf("flnet: negative ShardQueue")
 	}
-	if c.CommitTimeout < 0 || c.UploadTimeout < 0 || c.RetryAfter < 0 {
-		return fmt.Errorf("flnet: negative shard timeout")
+	if c.CommitTimeout < 0 {
+		return fmt.Errorf("flnet: negative CommitTimeout")
 	}
 	return nil
 }
@@ -239,12 +221,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	commitTimeout := cfg.CommitTimeout
+	if commitTimeout == 0 {
+		commitTimeout = 2 * time.Second
+	}
 	s := &Server{
 		cfg:           cfg,
 		aggName:       spec,
-		commitTimeout: defaultDur(cfg.CommitTimeout, 2*time.Second),
-		uploadTimeout: defaultDur(cfg.UploadTimeout, 30*time.Second),
-		retryAfter:    defaultDur(cfg.RetryAfter, time.Second),
+		commitTimeout: commitTimeout,
+		uploadTimeout: defaultUploadTimeout,
+		retryAfter:    defaultRetryAfter,
 		model:         hdc.NewModel(cfg.NumClasses, cfg.Dim),
 		sharded:       sharded,
 		shards:        make([]*shard, shardCount),
@@ -272,13 +258,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		go s.runShard(sh)
 	}
 	return s, nil
-}
-
-func defaultDur(d, fallback time.Duration) time.Duration {
-	if d <= 0 {
-		return fallback
-	}
-	return d
 }
 
 // Model returns a snapshot of the current global model and round.
@@ -343,7 +322,6 @@ func (s *Server) handleRound(w http.ResponseWriter, r *http.Request) {
 		MinUpdates:     s.cfg.MinUpdates,
 		Closed:         s.closed.Load(),
 	}
-	w.Header().Set(CodecsHeader, advertisedCodecs())
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(info); err != nil {
 		// connection-level failure; nothing more to do
@@ -423,22 +401,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(RoundHeader, strconv.Itoa(round))
-	w.Header().Set(CodecsHeader, advertisedCodecs())
 	_, _ = w.Write(buf.Bytes())
-}
-
-// countingReader counts the wire bytes actually consumed from the request
-// body (serialization header + payload), so bytesReceived reflects real
-// uplink traffic rather than a payload-only estimate.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -449,64 +412,38 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	clientID := r.Header.Get(ClientHeader)
 	n := s.cfg.NumClasses * s.cfg.Dim
-	// Limit covers the legacy serialization (12 + 4n) and the worst-case
-	// envelope (top-k at Frac 1: header + 4 + 8n).
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, int64(64+fedcore.EnvelopeOverhead+8*n))}
+	// Limit covers the worst-case envelope (top-k at Frac 1: header + 4 + 8n).
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(64+fedcore.EnvelopeOverhead+8*n)))
+	// Bytes actually consumed, read error or not: real uplink traffic
+	// rather than a payload-only estimate.
+	s.stats.bytesReceived.Add(int64(len(data)))
 
-	// Decode with no lock held; neither path touches round state.
+	// Decode with no lock held; it does not touch round state.
 	var flat []float32
-	codecName := legacyCodecName
-	if r.Header.Get("Content-Type") == EnvelopeContentType {
-		data, rerr := io.ReadAll(body)
-		s.stats.bytesReceived.Add(body.n)
-		var envErr error
-		if rerr != nil {
-			envErr = fmt.Errorf("read body: %w", rerr)
-		} else {
-			var id fedcore.CodecID
-			flat, id, envErr = fedcore.DecodeEnvelope(data, n)
-			codecName = fedcore.CodecName(id)
-		}
-		if envErr != nil {
-			// A mangled envelope — bad magic, truncated payload, checksum
-			// or codec-level failure — is quarantine material just like a
-			// non-finite update: refusing it protects the global model, and
-			// the client knows not to retry the same bytes. Checksum
-			// mismatches get their own stats key: a rising checksum count
-			// points at line corruption, a rising envelope count at a
-			// broken (or hostile) client implementation.
-			reason := QuarantineEnvelope
-			if errors.Is(envErr, fedcore.ErrEnvelopeChecksum) {
-				reason = QuarantineChecksum
-			}
-			s.stats.quarantine(reason)
-			http.Error(w, "flnet: update quarantined: bad envelope: "+envErr.Error(),
-				http.StatusUnprocessableEntity)
-			return
-		}
+	var id fedcore.CodecID
+	if err != nil {
+		err = fmt.Errorf("read body: %w", err)
 	} else {
-		// The strict slice decoder also rejects trailing bytes after the
-		// declared payload — a lossy transport must not smuggle garbage
-		// past the parser.
-		data, rerr := io.ReadAll(body)
-		s.stats.bytesReceived.Add(body.n)
-		var update *hdc.Model
-		merr := rerr
-		if merr == nil {
-			update, merr = hdc.DecodeModel(data)
-		}
-		if merr != nil {
-			http.Error(w, "flnet: bad update payload: "+merr.Error(), http.StatusBadRequest)
-			return
-		}
-		if update.K != s.cfg.NumClasses || update.D != s.cfg.Dim {
-			http.Error(w, fmt.Sprintf("flnet: update dims %dx%d, want %dx%d",
-				update.K, update.D, s.cfg.NumClasses, s.cfg.Dim), http.StatusBadRequest)
-			return
-		}
-		flat = update.Flat()
+		flat, id, err = fedcore.DecodeEnvelope(data, n)
 	}
-	s.routeUpdate(w, wantRound, clientID, codecName, flat)
+	if err != nil {
+		// A body that is not a valid envelope — bad magic, truncated
+		// payload, checksum or codec-level failure — is quarantine material
+		// just like a non-finite update: refusing it protects the global
+		// model, and the client knows not to retry the same bytes. Checksum
+		// mismatches get their own stats key: a rising checksum count
+		// points at line corruption, a rising envelope count at a broken,
+		// outdated or hostile client implementation.
+		reason := QuarantineEnvelope
+		if errors.Is(err, fedcore.ErrEnvelopeChecksum) {
+			reason = QuarantineChecksum
+		}
+		s.stats.quarantine(reason)
+		http.Error(w, "flnet: update quarantined: bad envelope: "+err.Error(),
+			http.StatusUnprocessableEntity)
+		return
+	}
+	s.routeUpdate(w, wantRound, clientID, fedcore.CodecName(id), flat)
 }
 
 // routeUpdate runs the handler-side gates on a decoded update — closed,

@@ -12,7 +12,7 @@ import (
 	"fhdnn/internal/hdc"
 )
 
-// pushAs posts one legacy-format update under the given client identity.
+// pushAs posts one raw-envelope update under the given client identity.
 func pushAs(t *testing.T, url, id string, round int, k, d int, vals []float32) error {
 	t.Helper()
 	m := hdc.NewModel(k, d)
@@ -102,9 +102,9 @@ func TestShardQueueBackpressure(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses: 1, Dim: 4, MinUpdates: 100,
 		Shards: 1, ShardQueue: 1,
-		UploadTimeout: 80 * time.Millisecond,
-		RetryAfter:    3 * time.Second,
 	})
+	srv.uploadTimeout = 80 * time.Millisecond
+	srv.retryAfter = 3 * time.Second
 	srv.KillShard(0) // the queue will never drain
 
 	err := pushAs(t, ts.URL, "c1", 1, 1, 4, []float32{1, 1, 1, 1})

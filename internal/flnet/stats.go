@@ -84,10 +84,10 @@ type ShardStats struct {
 }
 
 // Stats is the JSON body of GET /v1/stats. BytesReceived counts the wire
-// bytes actually consumed from update bodies — for enveloped updates that
-// is the compressed size, so the endpoint directly reports the uplink
-// savings a codec buys. UpdatesByCodec breaks accepted updates down by
-// codec name ("legacy" for unenveloped posts). UpdatesQuarantined is the
+// bytes actually consumed from update bodies — the compressed envelope
+// size, so the endpoint directly reports the uplink savings a codec buys.
+// UpdatesByCodec breaks accepted updates down by the codec name their
+// envelope carried. UpdatesQuarantined is the
 // total across QuarantinedByReason; UpdatesClipped counts updates the
 // aggregation policy rescaled (nonzero only under a fedcore.NormClip
 // policy — a clipped update is still accepted, unlike a quarantined one).

@@ -20,18 +20,12 @@ var (
 	encoderMagic = [4]byte{'F', 'H', 'D', 'E'}
 )
 
-// Typed deserialization failures, matchable with errors.Is. Servers use
-// them to separate malformed uploads (client's fault, reject) from local
-// I/O trouble.
+// Typed deserialization failures, matchable with errors.Is: they separate
+// a malformed checkpoint or download from local I/O trouble.
 var (
-	ErrModelMagic     = errors.New("hdc: bad model magic")
-	ErrModelDims      = errors.New("hdc: implausible model dims")
-	ErrModelTruncated = errors.New("hdc: truncated model payload")
-	ErrModelTrailing  = errors.New("hdc: trailing bytes after model payload")
+	ErrModelMagic = errors.New("hdc: bad model magic")
+	ErrModelDims  = errors.New("hdc: implausible model dims")
 )
-
-// modelHeaderLen is the fixed model prefix: 4-byte magic + two int32 dims.
-const modelHeaderLen = 12
 
 // maxModelElems caps the pre-allocation: a genuine model of >64M entries
 // (256 MB) is outside this library's envelope, and a malformed header must
@@ -53,8 +47,7 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadModel deserializes a model written by WriteTo. It reads from a
-// stream and therefore cannot object to bytes following the payload; use
-// DecodeModel when the full payload boundary is known.
+// stream and therefore cannot object to bytes following the payload.
 func ReadModel(r io.Reader) (*Model, error) {
 	if err := expectMagic(r, modelMagic, "model", ErrModelMagic); err != nil {
 		return nil, err
@@ -71,43 +64,6 @@ func ReadModel(r io.Reader) (*Model, error) {
 	m := NewModel(k, d)
 	if err := readFloats(r, m.Prototypes.Data()); err != nil {
 		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeModel deserializes a complete model payload held in memory. It is
-// stricter than ReadModel: because it knows where the payload ends, a
-// short buffer fails with ErrModelTruncated and extra bytes past the
-// declared dimensions fail with ErrModelTrailing — a lossy or adversarial
-// uplink must not smuggle garbage past the parser. All failures wrap one
-// of the ErrModel* sentinels.
-func DecodeModel(data []byte) (*Model, error) {
-	if len(data) < modelHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes, header needs %d",
-			ErrModelTruncated, len(data), modelHeaderLen)
-	}
-	if [4]byte(data[:4]) != modelMagic {
-		return nil, fmt.Errorf("%w: %q", ErrModelMagic, data[:4])
-	}
-	k := int(int32(binary.LittleEndian.Uint32(data[4:])))
-	d := int(int32(binary.LittleEndian.Uint32(data[8:])))
-	// int64 product: on 32-bit platforms k=d=2^16 wraps k*d to zero.
-	if k <= 0 || d <= 0 || int64(k)*int64(d) > maxModelElems {
-		return nil, fmt.Errorf("%w: %dx%d", ErrModelDims, k, d)
-	}
-	want := modelHeaderLen + 4*k*d
-	if len(data) < want {
-		return nil, fmt.Errorf("%w: %d bytes, dims %dx%d need %d",
-			ErrModelTruncated, len(data), k, d, want)
-	}
-	if len(data) > want {
-		return nil, fmt.Errorf("%w: %d bytes past the %d-byte payload",
-			ErrModelTrailing, len(data)-want, want)
-	}
-	m := NewModel(k, d)
-	dst := m.Prototypes.Data()
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[modelHeaderLen+4*i:]))
 	}
 	return m, nil
 }

@@ -91,60 +91,6 @@ func TestReadModelImplausibleDims(t *testing.T) {
 	}
 }
 
-func TestDecodeModelRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := NewModel(3, 64)
-	for i := range m.Flat() {
-		m.Flat()[i] = float32(rng.NormFloat64())
-	}
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeModel(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != 3 || got.D != 64 || !got.Prototypes.Equal(m.Prototypes, 0) {
-		t.Fatal("DecodeModel round trip corrupted the model")
-	}
-}
-
-func TestDecodeModelTypedErrors(t *testing.T) {
-	m := NewModel(2, 8)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	badMagic := append([]byte(nil), valid...)
-	badMagic[0] = 'X'
-	badDims := append([]byte(nil), valid...)
-	badDims[4], badDims[5], badDims[6], badDims[7] = 0xff, 0xff, 0xff, 0x7f
-
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
-		{"empty", nil, ErrModelTruncated},
-		{"short header", valid[:7], ErrModelTruncated},
-		{"bad magic", badMagic, ErrModelMagic},
-		{"implausible dims", badDims, ErrModelDims},
-		{"truncated payload", valid[:len(valid)-5], ErrModelTruncated},
-		{"trailing bytes", append(append([]byte(nil), valid...), 1, 2, 3), ErrModelTrailing},
-	}
-	for _, tc := range cases {
-		m, err := DecodeModel(tc.data)
-		if m != nil {
-			t.Errorf("%s: got a model back", tc.name)
-		}
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
-		}
-	}
-}
-
 func TestReadModelTypedErrors(t *testing.T) {
 	if _, err := ReadModel(bytes.NewReader([]byte("XXXX12345678"))); !errors.Is(err, ErrModelMagic) {
 		t.Fatalf("bad magic: error %v, want ErrModelMagic", err)
@@ -168,9 +114,6 @@ func TestDimProductOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := append(append([]byte(nil), modelMagic[:]...), dims.Bytes()...)
-	if m, err := DecodeModel(model); !errors.Is(err, ErrModelDims) || m != nil {
-		t.Fatalf("DecodeModel overflowing dims: model %v, err %v", m, err)
-	}
 	if _, err := ReadModel(bytes.NewReader(model)); !errors.Is(err, ErrModelDims) {
 		t.Fatalf("ReadModel overflowing dims: err %v", err)
 	}
