@@ -67,9 +67,13 @@ lint-ci:
 # the race detector with shuffled execution, then the attack/defense
 # matrix (40% colluding poisoners vs every aggregation policy), saved as
 # poison-experiments.txt. See DESIGN.md "Threat model & robust
-# aggregation" and the Byzantine section of EXPERIMENTS.md.
+# aggregation" and the Byzantine section of EXPERIMENTS.md. In between,
+# the whole flnet suite five times over under -race: the shard-token
+# protocol (threshold/deadline/shutdown commits racing upload handlers)
+# is timing-dependent, so one pass proves little.
 chaos:
 	$(GO) test -race -shuffle=on -count=1 -run 'Byzantine|Robust|Poison|Quarantine|NormClip|Colluders|Attack' ./internal/fedcore ./internal/faults ./internal/fl ./internal/flnet
+	$(GO) test -race -shuffle=on -count=5 ./internal/flnet
 	$(GO) run ./cmd/fhdnn poison | tee poison-experiments.txt
 
 # Refresh the tracked kernel baseline (BENCH_pr8.json: per-kernel rows at

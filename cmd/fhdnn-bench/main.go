@@ -173,7 +173,8 @@ type ShardReport struct {
 // shardSweep benchmarks the sharded aggregation tree at 1/2/4/8 shards:
 // serially (same goroutine adds everything — measures the pure fold
 // overhead vs a flat aggregator) and partitioned (one owner goroutine per
-// shard, the concurrency contract the flnet server runs under).
+// shard — the upper bound for the flnet server, whose upload handlers Add
+// into a shard one at a time under that shard's token).
 func shardSweep() (*ShardReport, error) {
 	const n, d = 64, 10000
 	rng := rand.New(rand.NewSource(7))
@@ -236,7 +237,7 @@ func shardSweep() (*ShardReport, error) {
 			for i := 0; i < shards; i++ {
 				i := i
 				wg.Add(1)
-				//fhdnn:allow goroutine one owner goroutine per shard, joined before the fold — the flnet partitioned-ingest contract
+				//fhdnn:allow goroutine one owner goroutine per shard, joined before the fold — the fedcore partitioned-ownership contract
 				go func() {
 					for _, u := range buckets[i] {
 						sh.Shard(i).Add(u)

@@ -103,7 +103,7 @@ func run() error {
 	concurrency := flag.Int("concurrency", 256, "concurrent upload workers")
 	rounds := flag.Int("rounds", 3, "federation rounds to drive")
 	shards := flag.Int("shards", 8, "server aggregation shards (in-process server only)")
-	shardQueue := flag.Int("shard-queue", 0, "per-shard queue depth, 0 = server default (in-process only)")
+	shardQueue := flag.Int("shard-queue", 0, "max uploads waiting on one shard before 429, 0 = server default (in-process only)")
 	classes := flag.Int("classes", 2, "model classes K")
 	dim := flag.Int("dim", 512, "hypervector dimensionality d")
 	poisonFrac := flag.Float64("poison-frac", 0.01, "fraction of clients sending non-finite (quarantine-bound) updates")

@@ -22,12 +22,13 @@
 // minority of poisoned clients that the quarantine gate cannot catch
 // (finite, norm-respecting, but adversarial updates).
 //
-// Scale: -shards splits aggregation across per-shard goroutines (client
-// uploads hash-route by identity, round commits fold the shards), with
-// -shard-queue bounding each shard's ingest queue (full queue answers
-// 429 + Retry-After) and -commit-timeout bounding how long the round
-// commit waits for a straggling shard before degrading to partial
-// aggregation without it.
+// Scale: -shards splits aggregation across token-guarded shards (client
+// uploads hash-route by identity and Add on their own handler goroutine,
+// in parallel across shards on a multi-core host; round commits fold the
+// shards), with -shard-queue bounding how many uploads may wait on one
+// shard (one more answers 429 + Retry-After) and -commit-timeout
+// bounding how long the round commit waits for a straggling shard before
+// degrading to partial aggregation without it.
 //
 // When -rounds is reached the server stops accepting updates and, if
 // -checkpoint is set, writes the final global model there.
@@ -79,8 +80,8 @@ func run() error {
 	deadline := flag.Duration("round-deadline", 0, "force-close a round after this long (0 = wait for min-updates)")
 	maxNorm := flag.Float64("max-update-norm", 0, "quarantine updates with a larger L2 norm (0 = only non-finite)")
 	aggSpec := flag.String("aggregator", "bundle", "aggregation policy: bundle, fedavg, median, trimmed[:frac], clip:bound[:inner]")
-	shards := flag.Int("shards", 1, "aggregation shards (client uploads hash-route to per-shard goroutines)")
-	shardQueue := flag.Int("shard-queue", 0, "per-shard ingest queue depth; full queue answers 429 (0 = default 256)")
+	shards := flag.Int("shards", 1, "aggregation shards, one token-guarded aggregator each (client uploads hash-route by identity)")
+	shardQueue := flag.Int("shard-queue", 0, "max uploads waiting on or inside one shard; one more answers 429 (0 = default 256)")
 	commitTimeout := flag.Duration("commit-timeout", 0, "how long a round commit waits for a shard before declaring it dead (0 = default 2s)")
 	checkpoint := flag.String("checkpoint", "", "write the final model to this file")
 	faultRate := flag.Float64("fault-rate", 0, "inject 503s for this fraction of requests (chaos rehearsal)")

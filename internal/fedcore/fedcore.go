@@ -53,7 +53,7 @@ type Update struct {
 // the Engine), Commit applies the aggregate to the global vector, and
 // Reset clears state for the next round. Implementations are not safe for
 // concurrent use; callers serialize (the Engine aggregates after the
-// worker barrier, flnet.Server under its mutex).
+// worker barrier, flnet.Server under one token per shard).
 type Aggregator interface {
 	Add(u Update)
 	// Len reports how many updates have been added since the last Reset.

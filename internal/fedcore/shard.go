@@ -36,7 +36,8 @@ import (
 // concurrent caller is PARTITIONED ownership: distinct goroutines may
 // each own a distinct shard (via Shard(i)) and Add to it without locks,
 // provided commits are fenced by a barrier that quiesces all shard
-// owners first — exactly what flnet's sharded server does.
+// owners first. flnet's server passes that ownership around with one
+// token per shard, and commits while holding them all.
 
 // Mergeable is implemented by aggregators whose accumulated round state
 // can be folded into another instance of the same concrete type. MergeFrom
@@ -213,9 +214,8 @@ func NewSharded(n int, factory func() Aggregator) (*ShardedAggregator, error) {
 // Shards returns the shard count.
 func (s *ShardedAggregator) Shards() int { return len(s.shards) }
 
-// Shard returns shard i's inner aggregator. A concurrent caller may hand
-// each shard to a dedicated owner goroutine; see the concurrency
-// contract above.
+// Shard returns shard i's inner aggregator. A concurrent caller may give
+// each shard one owner at a time; see the concurrency contract above.
 func (s *ShardedAggregator) Shard(i int) Aggregator { return s.shards[i] }
 
 // ShardIndex is the stable client-identity hash (32-bit FNV-1a) the
@@ -250,7 +250,15 @@ func (s *ShardedAggregator) ShardFor(u Update) int {
 //
 //fhdnn:hotpath called once per client update on the sharded ingest path
 func (s *ShardedAggregator) Add(u Update) {
-	s.shards[s.ShardFor(u)].Add(u)
+	i := s.ShardFor(u)
+	if i < 0 || i >= len(s.shards) {
+		// Cannot fire (ShardFor reduces modulo the shard count), but
+		// ClientID arrives off the wire; the return makes this a diverting
+		// bound check taintindex can prove.
+		invariant.Fail("fedcore: ShardFor returned an index out of range")
+		return
+	}
+	s.shards[i].Add(u)
 }
 
 // Len implements Aggregator: total updates across all shards.

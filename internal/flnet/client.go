@@ -167,7 +167,7 @@ func Retryable(err error) bool {
 	var thr ErrThrottled
 	if errors.As(err, &thr) {
 		// Backpressure, not failure: the same bytes will be accepted once
-		// the shard queue drains, so waiting and resending is correct.
+		// the shard drains, so waiting and resending is correct.
 		return true
 	}
 	var he *HTTPError
@@ -197,7 +197,7 @@ func (c *Client) withRetry(ctx context.Context, fn func() error) error {
 		}
 		// A throttled upload carries the server's Retry-After hint; honor
 		// it as a floor under the backoff so a fleet does not stampede the
-		// shard queue the moment it reopens.
+		// shard the moment it reopens.
 		var floor time.Duration
 		var thr ErrThrottled
 		if errors.As(err, &thr) {
@@ -299,10 +299,11 @@ func (e ErrQuarantined) Error() string {
 }
 
 // ErrThrottled is returned by PushUpdate when the server answered 429:
-// the update's aggregation shard has a full ingest queue. The update is
-// fine — resend it after RetryAfter (the server's Retry-After hint, zero
-// if the server gave none). Under a RetryPolicy, PushUpdate retries this
-// automatically, sleeping at least RetryAfter between attempts.
+// too many uploads are already waiting on the update's aggregation shard.
+// The update is fine — resend it after RetryAfter (the server's
+// Retry-After hint, zero if the server gave none). Under a RetryPolicy,
+// PushUpdate retries this automatically, sleeping at least RetryAfter
+// between attempts.
 type ErrThrottled struct {
 	Round      int
 	RetryAfter time.Duration

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -40,11 +41,20 @@ func TestServerConfigValidation(t *testing.T) {
 		{NumClasses: 0, Dim: 8, MinUpdates: 1},
 		{NumClasses: 2, Dim: 0, MinUpdates: 1},
 		{NumClasses: 2, Dim: 8, MinUpdates: 0},
+		{NumClasses: 2, Dim: 8, MinUpdates: 1, MaxUpdateNorm: -1},
+		// NaN compares false with everything: it must not slip past the
+		// sign check and silently switch the norm gate off.
+		{NumClasses: 2, Dim: 8, MinUpdates: 1, MaxUpdateNorm: math.NaN()},
 	}
 	for i, c := range bad {
 		if _, err := NewServer(c); err == nil {
 			t.Fatalf("config %d should be rejected", i)
 		}
+	}
+	// +Inf is a legal bound no finite update exceeds: the gate is
+	// effectively off, same as 0.
+	if _, err := NewServer(ServerConfig{NumClasses: 2, Dim: 8, MinUpdates: 1, MaxUpdateNorm: math.Inf(1)}); err != nil {
+		t.Fatalf("MaxUpdateNorm +Inf rejected: %v", err)
 	}
 }
 

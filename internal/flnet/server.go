@@ -12,7 +12,8 @@
 //	GET  /v1/stats            -> cumulative counters (rounds, updates, bytes)
 //	POST /v1/update?round=N   -> client update; 409 if N is stale,
 //	                             422 if quarantined, 429 + Retry-After if
-//	                             the shard queue is full, 410 after close
+//	                             the shard is over ShardQueue, 410 after
+//	                             close
 //
 // Update framing: an update body is a fedcore wire envelope — magic,
 // codec id, element count, CRC32, then the compress.Codec payload — and
@@ -24,31 +25,35 @@
 // serialization clients posted before the envelope existed: such a client
 // sees ErrQuarantined on every upload and must be upgraded.
 //
-// Aggregation is hierarchical and streaming (see shard.go): uploads are
-// hash-routed by client identity onto ServerConfig.Shards shard
-// goroutines with bounded queues, each folding updates into its slice of
-// a fedcore.ShardedAggregator as they arrive. A full shard queue answers
-// 429 with a Retry-After hint — backpressure instead of unbounded
-// buffering. A round closes when MinUpdates client models have arrived,
-// or — when a RoundDeadline is configured — when the deadline expires
-// with at least one update pending (partial aggregation; an empty round
-// is carried forward). The commit is a fan-in barrier across the shards;
-// a shard that misses the barrier is declared dead and the round commits
-// without it rather than stalling the federation. Clients may identify
-// themselves with the X-FHDnn-Client header; a second update from the
-// same client in one round is accepted idempotently but not aggregated
-// twice, which makes client-side retries safe. Updates containing
-// non-finite parameters (NaN/Inf, e.g. produced by bit errors on the
-// uplink) or with an L2 norm above MaxUpdateNorm are quarantined with
-// HTTP 422 before they can poison the global model. The commit rule
-// defaults to fedcore.Bundle — the same federated-bundling rule the
-// in-process simulator uses — but ServerConfig.Aggregator swaps in a
-// Byzantine-robust policy (coordinate-wise median, trimmed mean, or
+// Aggregation is hierarchical and streaming (see shard.go), and runs on
+// the upload handler's own goroutine — the server starts none. Uploads
+// are hash-routed by client identity onto ServerConfig.Shards shards,
+// each one slice of a fedcore.ShardedAggregator behind a one-token lock;
+// the handler takes its shard's token and folds the update in as it
+// arrives. More than ShardQueue handlers on one shard answers 429 with a
+// Retry-After hint — backpressure instead of an unbounded pile-up. A
+// round closes when MinUpdates client models have arrived, or — when a
+// RoundDeadline is configured — when the deadline expires with at least
+// one update pending (partial aggregation; an empty round is carried
+// forward). The commit runs on whichever goroutine closes the round and
+// takes every shard's token; a shard whose token stays out is declared
+// dead and the round commits without it rather than stalling the
+// federation.
+//
+// Clients may identify themselves with the X-FHDnn-Client header; a
+// second update from the same client in one round is accepted
+// idempotently but not aggregated twice, which makes client-side retries
+// safe. Updates containing non-finite parameters (NaN/Inf, e.g. produced
+// by bit errors on the uplink) or with an L2 norm above MaxUpdateNorm are
+// quarantined with HTTP 422 before they can poison the global model. The
+// commit rule defaults to fedcore.Bundle — the same federated-bundling
+// rule the in-process simulator uses — but ServerConfig.Aggregator swaps
+// in a Byzantine-robust policy (coordinate-wise median, trimmed mean, or
 // norm-clipping; see fedcore.ParseAggregator) for deployments where a
 // colluding minority of in-bound poisoners would sail straight through
 // the quarantine gates. GET /v1/stats reports the active policy, a
 // per-reason quarantine breakdown, how many updates the policy clipped,
-// and the per-shard queue/drop/commit/death breakdown.
+// and the per-shard depth/drop/commit/death breakdown.
 package flnet
 
 import (
@@ -83,7 +88,7 @@ const ClientHeader = "X-FHDnn-Client"
 // body.
 const EnvelopeContentType = "application/x-fhdnn-envelope"
 
-// How long an upload handler waits for its shard's verdict before
+// How long an upload handler waits for its shard's token before
 // answering 503 (the shard is wedged or dead but not yet written off),
 // and the Retry-After hint on 429 responses.
 const (
@@ -96,6 +101,9 @@ type ServerConfig struct {
 	NumClasses int
 	Dim        int
 	// MinUpdates closes a round once this many client updates arrived.
+	// The round folds at least that many: the handler that adds the
+	// MinUpdates-th update returns its shard's token before it commits,
+	// so an upload racing the close can still land in the same round.
 	MinUpdates int
 	// MaxRounds stops accepting updates after this many rounds
 	// (0 = unlimited).
@@ -118,17 +126,19 @@ type ServerConfig struct {
 	// through ParseAggregator. To shard the tree, set Shards here rather
 	// than passing a fedcore.ShardedAggregator.
 	Aggregator fedcore.Aggregator
-	// Shards splits aggregation across this many shard goroutines, each
-	// owning one slice of a fedcore.ShardedAggregator (clients hash to a
-	// shard by identity). 0 defaults to 1 — the flat single-aggregator
-	// behavior, minus the global round mutex.
+	// Shards splits aggregation across this many token-guarded slices of
+	// a fedcore.ShardedAggregator (clients hash to a shard by identity),
+	// so handlers on different shards Add in parallel — a gain only on a
+	// multi-core host. 0 defaults to 1, the flat single-aggregator
+	// behavior.
 	Shards int
-	// ShardQueue bounds each shard's ingest queue; a full queue answers
-	// 429 with a Retry-After hint. 0 defaults to 256.
+	// ShardQueue bounds how many upload handlers may be waiting on or
+	// inside one shard at once; one more answers 429 with a Retry-After
+	// hint. 0 defaults to 256.
 	ShardQueue int
-	// CommitTimeout bounds how long the round commit waits for one shard
-	// to reach the fan-in barrier before declaring it dead and degrading
-	// to partial aggregation. Must comfortably exceed one aggregator Add.
+	// CommitTimeout bounds how long the round commit waits for one
+	// shard's token before declaring the shard dead and degrading to
+	// partial aggregation. Must comfortably exceed one aggregator Add.
 	// 0 defaults to 2s.
 	CommitTimeout time.Duration
 }
@@ -144,8 +154,8 @@ func (c ServerConfig) Validate() error {
 	if c.RoundDeadline < 0 {
 		return fmt.Errorf("flnet: negative RoundDeadline")
 	}
-	if c.MaxUpdateNorm < 0 {
-		return fmt.Errorf("flnet: negative MaxUpdateNorm")
+	if !(c.MaxUpdateNorm >= 0) { // NaN-proof: a NaN bound would silently disable the gate
+		return fmt.Errorf("flnet: MaxUpdateNorm %v is negative or NaN", c.MaxUpdateNorm)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("flnet: negative Shards")
@@ -160,17 +170,19 @@ func (c ServerConfig) Validate() error {
 }
 
 // Server is the federated aggregation endpoint. It is safe for concurrent
-// use: handlers are lock-free (atomics plus per-shard goroutine
-// ownership); the only mutex fences the global model buffer between the
-// round commit and snapshot reads.
+// use: the handler gates are lock-free (atomics), round state sits
+// behind one token per shard (see shard.go), and the only mutex fences
+// the global model buffer and the round number between the round commit
+// and snapshot reads.
 type Server struct {
 	cfg           ServerConfig
 	aggName       string // canonical inner policy spec, for Stats
+	shardQueue    int64
 	commitTimeout time.Duration
 	uploadTimeout time.Duration
 	retryAfter    time.Duration
 
-	mu    sync.Mutex // guards model only
+	mu    sync.Mutex // guards model, and round against Model snapshots
 	model *hdc.Model
 
 	round         atomic.Int64
@@ -179,19 +191,20 @@ type Server struct {
 
 	sharded  *fedcore.ShardedAggregator
 	shards   []*shard
-	commitCh chan commitReq
-	stopAll  chan struct{}
+	closing  chan struct{} // one-token lock: one round close at a time
+	stopAll  chan struct{} // closed by Shutdown; releases handlers waiting on a token
 	stopOnce sync.Once
 
-	deadlineTimer *time.Timer // owned by the coordinator after NewServer
+	deadlineTimer *time.Timer // owned by the holder of closing after NewServer
 
 	stats *serverStats
 }
 
 // NewServer creates a server with a zero-initialized global model at
-// round 1 and starts its shard and commit-coordinator goroutines (call
-// Shutdown to stop them). If cfg.RoundDeadline is set, the round-1
-// deadline starts ticking immediately.
+// round 1. It starts no goroutine: aggregation and round commits run on
+// the goroutines that call the handler, the deadline timer's, and
+// Shutdown's. If cfg.RoundDeadline is set, the round-1 deadline starts
+// ticking immediately (Shutdown stops it).
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -228,13 +241,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:           cfg,
 		aggName:       spec,
+		shardQueue:    int64(queueCap),
 		commitTimeout: commitTimeout,
 		uploadTimeout: defaultUploadTimeout,
 		retryAfter:    defaultRetryAfter,
 		model:         hdc.NewModel(cfg.NumClasses, cfg.Dim),
 		sharded:       sharded,
 		shards:        make([]*shard, shardCount),
-		commitCh:      make(chan commitReq, shardCount+4),
+		closing:       make(chan struct{}, 1),
 		stopAll:       make(chan struct{}),
 		stats:         newServerStats(),
 	}
@@ -242,21 +256,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			id:    i,
-			queue: make(chan shardAdd, queueCap),
-			ctl:   make(chan parkReq),
-			kill:  make(chan struct{}),
+			token: make(chan struct{}, 1),
 			agg:   sharded.Shard(i),
 			seen:  make(map[string]bool),
 		}
+		s.shards[i].token <- struct{}{}
 	}
-	// The first deadline is armed before the coordinator exists; every
-	// rearm after this happens on the coordinator goroutine, which any
-	// deadline firing reaches through commitCh.
+	// The server is born holding closing: the first deadline is armed
+	// before the token exists, so a timer that fires at once still finds
+	// deadlineTimer written.
 	s.armDeadline()
-	go s.coordinate()
-	for _, sh := range s.shards {
-		go s.runShard(sh)
-	}
+	s.closing <- struct{}{}
 	return s, nil
 }
 
@@ -276,8 +286,8 @@ func (s *Server) Closed() bool { return s.closed.Load() }
 
 // Shutdown closes the current round cleanly: pending updates are
 // aggregated into the global model, the deadline timer is stopped, all
-// further updates are refused with 410 Gone, and the shard and
-// coordinator goroutines exit. It is idempotent and safe to call while
+// further updates are refused with 410 Gone, and handlers still waiting
+// on a shard token are released. It is idempotent and safe to call while
 // handlers are in flight. The context is consulted only for early
 // cancellation.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -285,9 +295,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return err
 	}
 	s.stopOnce.Do(func() {
-		done := make(chan struct{})
-		s.commitCh <- commitReq{reason: commitShutdown, done: done}
-		<-done
+		s.commit(commitShutdown, 0)
 		close(s.stopAll)
 	})
 	return nil
@@ -446,10 +454,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.routeUpdate(w, wantRound, clientID, fedcore.CodecName(id), flat)
 }
 
-// routeUpdate runs the handler-side gates on a decoded update — closed,
-// stale round, quarantine — then enqueues it on its shard and waits for
-// the shard's verdict. A full shard queue is backpressure: 429 with a
-// Retry-After hint, the client's cue to pace itself.
+// routeUpdate runs the lock-free gates on a decoded update — closed,
+// stale round, quarantine — then admits the handler to its shard, takes
+// the shard's token, aggregates inline, and closes the round itself if
+// this update was the MinUpdates-th. Too many handlers on one shard is
+// backpressure: 429 with a Retry-After hint, the client's cue to pace
+// itself.
 func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, codecName string, flat []float32) {
 	if s.closed.Load() {
 		s.stats.updatesRejected.Add(1)
@@ -472,41 +482,20 @@ func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, cod
 		http.Error(w, "flnet: every aggregation shard is dead", http.StatusServiceUnavailable)
 		return
 	}
-	msg := shardAdd{
-		round:    wantRound,
-		clientID: clientID,
-		codec:    codecName,
-		params:   flat,
-		reply:    make(chan addReply, 1),
-	}
-	select {
-	case sh.queue <- msg:
-		sh.depth.Add(1)
-		sh.enqueued.Add(1)
-	default:
+	if sh.depth.Add(1) > s.shardQueue {
+		sh.depth.Add(-1)
 		sh.dropped.Add(1)
 		s.stats.updatesThrottled.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.retryAfter)))
-		http.Error(w, fmt.Sprintf("flnet: shard %d queue full, retry later", sh.id),
+		http.Error(w, fmt.Sprintf("flnet: shard %d busy, retry later", sh.id),
 			http.StatusTooManyRequests)
 		return
 	}
-	timer := time.NewTimer(s.uploadTimeout)
-	defer timer.Stop()
-	select {
-	case rep := <-msg.reply:
-		s.writeVerdict(w, wantRound, rep)
-	case <-s.stopAll:
-		// Server tore down under the in-flight update; prefer a verdict
-		// that raced in over a blanket 410.
-		select {
-		case rep := <-msg.reply:
-			s.writeVerdict(w, wantRound, rep)
-		default:
-			s.stats.updatesRejected.Add(1)
-			http.Error(w, "flnet: training finished", http.StatusGone)
-		}
-	case <-timer.C:
+	sh.enqueued.Add(1)
+	if !sh.take(s.uploadTimeout, s.stopAll) {
+		sh.depth.Add(-1)
+		// Shutdown closes the server before it releases the waiters, so a
+		// stop and a timeout on a finished server both answer 410.
 		if s.closed.Load() {
 			s.stats.updatesRejected.Add(1)
 			http.Error(w, "flnet: training finished", http.StatusGone)
@@ -515,17 +504,24 @@ func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, cod
 		s.stats.shardTimeouts.Add(1)
 		http.Error(w, fmt.Sprintf("flnet: shard %d unresponsive", sh.id),
 			http.StatusServiceUnavailable)
+		return
 	}
-}
-
-func (s *Server) writeVerdict(w http.ResponseWriter, wantRound int, rep addReply) {
-	switch rep.verdict {
-	case vAccepted, vDuplicate:
-		w.WriteHeader(http.StatusAccepted)
-	case vStale:
-		s.staleResponse(w, wantRound, rep.round)
-	case vClosed:
+	status, round, closes := s.aggregate(sh, wantRound, clientID, codecName, flat)
+	sh.token <- struct{}{}
+	sh.depth.Add(-1)
+	if closes {
+		// Token returned first (lock order, see shard.go). Committing before
+		// the 202 keeps the synchronous contract: the triggering client's
+		// answer is not written until the round has advanced.
+		s.commit(commitMinUpdates, round)
+	}
+	switch status {
+	case http.StatusConflict:
+		s.staleResponse(w, wantRound, round)
+	case http.StatusGone:
 		http.Error(w, "flnet: training finished", http.StatusGone)
+	default:
+		w.WriteHeader(status)
 	}
 }
 

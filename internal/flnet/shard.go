@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -8,38 +9,41 @@ import (
 	"fhdnn/internal/fedcore"
 )
 
-// The sharded round pipeline. The flat server serialized every upload on
-// one mutex around one aggregator; here the round state is split across
-// N shard goroutines, each owning one inner aggregator of a
-// fedcore.ShardedAggregator plus that shard's dedupe set. An upload
-// handler decodes and gate-checks the update without any lock, then
-// enqueues it on its shard's bounded queue (full queue -> 429 with
-// Retry-After: ingest backpressure instead of unbounded buffering) and
-// waits for the shard's verdict. The shard goroutine streams the update
-// into its aggregator the moment it is dequeued — aggregation work
-// happens on arrival, spread across shards, not in a batch at round end.
+// The sharded round state. Aggregation runs on the upload handler's own
+// goroutine: the round is split across N shards, each one inner
+// aggregator of a fedcore.ShardedAggregator plus that shard's dedupe set,
+// and each guarded by a one-token lock — a channel of capacity 1 rather
+// than a mutex, because both acquirers need a timeout. A handler decodes
+// and gate-checks its update without any lock, admits itself against
+// ShardQueue (too many handlers already on the shard -> 429 with
+// Retry-After: backpressure instead of an unbounded pile-up), takes its
+// shard's token, streams the update into the shard aggregator, and
+// returns the token. Shards > 1 only buys parallel Adds on a multi-core
+// host; the math is the same for every shard count.
 //
-// Round commit is a fan-in barrier run by a single coordinator
-// goroutine. It parks every live shard (a rendezvous on the shard's
-// unbuffered ctl channel proves the shard is quiescent), folds the shard
+// Round commit runs on whichever goroutine closes the round — the handler
+// that added the MinUpdates-th update, the deadline timer, or Shutdown —
+// one at a time under the closing token. It takes every live shard's
+// token (holding them all proves no Add is in flight), folds the shard
 // aggregators into the global model, resets round state, advances the
-// round, and releases the shards. A shard that does not reach the
-// barrier within CommitTimeout is declared dead: the commit proceeds
-// without it (partial aggregation — the paper's stance that stragglers
-// and failures must not stall the federation), its clients are rerouted
-// to the next live shard, and /v1/stats records the loss. Everything
-// here follows the lockheld discipline: no mutex is ever held across a
-// channel operation; the only lock in the pipeline (Server.mu) fences
-// the model buffer during the fold and during snapshot reads.
+// round, and returns the tokens. A shard whose token cannot be had within
+// CommitTimeout is declared dead: the commit proceeds without it (partial
+// aggregation — the paper's stance that stragglers and failures must not
+// stall the federation), its clients are rerouted to the next live shard,
+// and /v1/stats records the loss.
+//
+// Lock order: closing before shard tokens, shard tokens in index order,
+// Server.mu innermost and never held across a channel operation. A
+// handler therefore returns its shard token before it asks for closing;
+// holding on to it would make a racing deadline commit wait out
+// CommitTimeout on a healthy shard and write it off as dead.
 type shard struct {
 	id       int
-	queue    chan shardAdd // bounded ingest queue; full -> 429
-	ctl      chan parkReq  // unbuffered commit-barrier rendezvous
-	kill     chan struct{} // chaos hook: closing abandons the goroutine
+	token    chan struct{} // capacity 1; holding the token owns agg and seen
 	killOnce sync.Once
-	agg      fedcore.Aggregator // == sharded.Shard(id); owned by the goroutine
-	seen     map[string]bool    // per-round client dedupe, owned by the goroutine
-	dead     atomic.Bool        // set by the commit barrier on timeout
+	agg      fedcore.Aggregator // == sharded.Shard(id)
+	seen     map[string]bool    // per-round client dedupe
+	dead     atomic.Bool        // set by a commit that timed out on the token
 
 	depth      atomic.Int64 // gauges and counters for ShardStats
 	enqueued   atomic.Int64
@@ -51,33 +55,24 @@ type shard struct {
 	pending    atomic.Int64
 }
 
-type verdict int
-
-const (
-	vAccepted verdict = iota
-	vDuplicate
-	vStale
-	vClosed
-)
-
-// shardAdd is one decoded, gate-checked update in flight to its shard.
-type shardAdd struct {
-	round    int
-	clientID string
-	codec    string
-	params   []float32
-	reply    chan addReply // buffered(1): the shard never blocks on a gone handler
-}
-
-type addReply struct {
-	verdict verdict
-	round   int // current round, for stale 409 headers
-}
-
-// parkReq is the commit barrier's rendezvous: receiving one parks the
-// shard goroutine until release is closed.
-type parkReq struct {
-	release chan struct{}
+// take acquires the shard's token, waiting at most wait or until stop is
+// closed (nil never stops). The uncontended path is one non-blocking
+// receive; a timer is built only when the token is out.
+func (sh *shard) take(wait time.Duration, stop <-chan struct{}) bool {
+	select {
+	case <-sh.token:
+		return true
+	default:
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-sh.token:
+		return true
+	case <-t.C:
+	case <-stop:
+	}
+	return false
 }
 
 type commitReason int
@@ -88,148 +83,64 @@ const (
 	commitShutdown
 )
 
-// commitReq asks the coordinator to close a round. done is closed once
-// the request has been handled (committed or skipped as stale).
-type commitReq struct {
-	reason commitReason
-	round  int
-	done   chan struct{}
-}
-
-// runShard is one shard's goroutine: stream updates from the queue into
-// the shard aggregator, park at commit barriers, exit on server stop or
-// a chaos kill.
-func (s *Server) runShard(sh *shard) {
-	for {
-		select {
-		case <-s.stopAll:
-			return
-		case <-sh.kill:
-			return
-		case pr := <-sh.ctl:
-			//fhdnn:allow goleak release is closed unconditionally at the end of every commit; a commit in progress proves the coordinator is alive to finish it
-			<-pr.release
-		case m := <-sh.queue:
-			sh.depth.Add(-1)
-			s.shardHandle(sh, m)
-		}
-	}
-}
-
-// shardHandle applies one queued update: round and duplicate gates, then
-// a streaming Add into the shard aggregator. When this update is the
-// MinUpdates-th of the round it triggers the commit and waits for it, so
-// the triggering client's 202 is not written until the round has
-// advanced — the synchronous contract the flat server had.
+// aggregate applies one update to its shard, whose token the caller
+// holds: round and duplicate gates, then a streaming Add into the shard
+// aggregator. It returns the upload's HTTP status (202, also for an
+// idempotent duplicate; 409 stale; 410 closed), the server's current
+// round, and whether this was the MinUpdates-th update of the round — the
+// caller must then commit it, after returning the token.
 //
-//fhdnn:hotpath per-update aggregation step on the shard goroutine
-func (s *Server) shardHandle(sh *shard, m shardAdd) {
+//fhdnn:hotpath per-update aggregation step on the handler goroutine
+func (s *Server) aggregate(sh *shard, wantRound int, clientID, codec string, params []float32) (status, round int, closes bool) {
 	if s.closed.Load() {
 		s.stats.updatesRejected.Add(1)
-		m.reply <- addReply{verdict: vClosed}
-		return
+		return http.StatusGone, 0, false
 	}
-	round := int(s.round.Load())
-	if m.round != round {
+	round = int(s.round.Load())
+	if wantRound != round {
 		sh.stale.Add(1)
 		s.stats.updatesRejected.Add(1)
-		m.reply <- addReply{verdict: vStale, round: round}
-		return
+		return http.StatusConflict, round, false
 	}
-	if m.clientID != "" {
-		if sh.seen[m.clientID] {
+	if clientID != "" {
+		if sh.seen[clientID] {
 			sh.duplicates.Add(1)
 			s.stats.duplicateUpdates.Add(1)
-			m.reply <- addReply{verdict: vDuplicate}
-			return
+			return http.StatusAccepted, round, false
 		}
-		sh.seen[m.clientID] = true
+		sh.seen[clientID] = true
 	}
-	sh.agg.Add(fedcore.Update{Params: m.params, Round: round, ClientID: m.clientID, Samples: 1})
+	sh.agg.Add(fedcore.Update{Params: params, Round: round, ClientID: clientID, Samples: 1})
 	sh.accepted.Add(1)
 	sh.pending.Add(1)
-	s.stats.accept(m.codec)
-	if n := s.acceptedRound.Add(1); n == int64(s.cfg.MinUpdates) {
-		// This shard saw the threshold update. Ask the coordinator to
-		// commit and wait for it — but keep answering barrier parks while
-		// waiting, in case a racing deadline commit wins and needs this
-		// shard quiescent first.
-		//fhdnn:allow hotalloc one commit handshake allocation per round close, not per update
-		done := make(chan struct{})
-		s.commitCh <- commitReq{reason: commitMinUpdates, round: round, done: done}
-	wait:
-		for {
-			select {
-			case <-done:
-				break wait
-			case <-s.stopAll:
-				// Found by fhdnn-lint goleak: without this arm the wait
-				// could only end through done or a barrier park. If the
-				// coordinator exits on stopAll with this request still
-				// queued (its select chooses stopAll over a ready
-				// commitCh), nobody ever closes done and this shard
-				// goroutine — plus the handler blocked on m.reply — leaks.
-				break wait
-			case pr := <-sh.ctl:
-				//fhdnn:allow goleak release is closed unconditionally at the end of every commit; a commit in progress proves the coordinator is alive to finish it
-				<-pr.release
-			}
-		}
-	}
-	m.reply <- addReply{verdict: vAccepted}
+	s.stats.accept(codec)
+	return http.StatusAccepted, round, s.acceptedRound.Add(1) == int64(s.cfg.MinUpdates)
 }
 
-// coordinate is the single commit executor: every round close — by
-// update threshold, deadline, or shutdown — funnels through here, which
-// is what makes the fan-in barrier race-free without a round mutex.
-func (s *Server) coordinate() {
-	for {
-		select {
-		case <-s.stopAll:
-			// Drain requests that raced the stop: each carries a waiter
-			// (shardHandle's commit-wait loop) whose done must still be
-			// closed. The waiters also watch stopAll now, so this drain is
-			// belt and braces, but it makes shutdown deterministic instead
-			// of relying on every waiter polling the broadcast.
-			for {
-				select {
-				case req := <-s.commitCh:
-					//fhdnn:allow chandisc commit handshake: the requester creates done and transfers close authority to the coordinator with the request
-					close(req.done)
-				default:
-					return
-				}
-			}
-		case req := <-s.commitCh:
-			s.commit(req)
-			//fhdnn:allow chandisc commit handshake: the requester creates done and transfers close authority to the coordinator with the request
-			close(req.done)
-		}
-	}
-}
-
-// commit closes the current round: quiesce the live shards, fold them
-// into the global model, reset round state, advance, release. A shard
-// that misses the barrier is written off as dead and the round commits
-// without it (partial aggregation). Stale requests — the round already
-// advanced, or a deadline fired for a round that closed by threshold —
-// are no-ops.
-func (s *Server) commit(req commitReq) {
-	round := int(s.round.Load())
+// commit closes round (any round, for commitShutdown): take the live
+// shards' tokens, fold them into the global model, reset round state,
+// advance, return the tokens. A shard whose token stays out past
+// CommitTimeout is written off as dead and the round commits without it
+// (partial aggregation). Stale calls — the round already advanced, or a
+// deadline fired for a round that closed by threshold — are no-ops, which
+// is what lets the threshold handler, the deadline timer and Shutdown
+// race for the same round.
+func (s *Server) commit(reason commitReason, round int) {
+	<-s.closing
+	defer func() { s.closing <- struct{}{} }()
 	if s.closed.Load() {
-		if req.reason == commitShutdown {
-			s.stopDeadline()
-		}
 		return
 	}
-	if req.reason != commitShutdown && req.round != round {
+	if reason == commitShutdown {
+		round = int(s.round.Load())
+	} else if round != int(s.round.Load()) {
 		return
 	}
 	if s.acceptedRound.Load() == 0 {
 		// Empty round: carry it forward (the global model must not drift
 		// toward zero just because every client stalled), or close down
 		// with nothing to fold.
-		switch req.reason {
+		switch reason {
 		case commitDeadline:
 			s.armDeadline()
 		case commitShutdown:
@@ -239,64 +150,59 @@ func (s *Server) commit(req commitReq) {
 		return
 	}
 
-	// Fan-in barrier: a successful send on the unbuffered ctl channel
-	// proves the shard goroutine is at its select loop — quiescent, its
-	// aggregator safe to read — and parks it until release. A shard that
-	// does not rendezvous within CommitTimeout is dead: killed, wedged,
-	// or stuck mid-Add; the round must not stall on it.
-	release := make(chan struct{})
+	// A shard whose token does not come back within CommitTimeout is
+	// dead: killed, wedged, or stuck mid-Add; the round must not stall
+	// on it.
 	live := make([]bool, len(s.shards))
 	partial := false
 	for i, sh := range s.shards {
-		if sh.dead.Load() {
+		switch {
+		case sh.dead.Load():
 			partial = true
-			continue
-		}
-		t := time.NewTimer(s.commitTimeout)
-		select {
-		case sh.ctl <- parkReq{release: release}:
+		case sh.take(s.commitTimeout, nil):
 			live[i] = true
-			t.Stop()
-		case <-t.C:
+		default:
 			sh.dead.Store(true)
 			partial = true
 		}
 	}
 
+	// The round advances in the same critical section as the fold, so a
+	// Model() snapshot never pairs the new global with the old round.
+	next := round + 1
 	s.mu.Lock()
 	s.sharded.CommitLive(s.model.Flat(), live)
+	s.acceptedRound.Store(0)
+	s.round.Store(int64(next))
 	s.mu.Unlock()
 
-	for i, sh := range s.shards {
-		if !live[i] {
-			continue // a dead shard's state is left untouched: its goroutine may still hold it
-		}
-		sh.agg.Reset()
-		clear(sh.seen)
-		sh.pending.Store(0)
-		sh.commits.Add(1)
-	}
 	if partial {
 		s.stats.partialCommits.Add(1)
 	}
-	if req.reason == commitDeadline {
+	if reason == commitDeadline {
 		s.stats.roundsForcedByDeadline.Add(1)
 	}
-	s.acceptedRound.Store(0)
-	next := round + 1
-	s.round.Store(int64(next))
-	if req.reason == commitShutdown || (s.cfg.MaxRounds > 0 && next > s.cfg.MaxRounds) {
+	if reason == commitShutdown || (s.cfg.MaxRounds > 0 && next > s.cfg.MaxRounds) {
 		s.closed.Store(true)
 		s.stopDeadline()
 	} else {
 		s.armDeadline()
 	}
-	close(release)
+	for i, sh := range s.shards {
+		if !live[i] {
+			continue // a dead shard's state is left untouched: its token holder may still be using it
+		}
+		sh.agg.Reset()
+		clear(sh.seen)
+		sh.pending.Store(0)
+		sh.commits.Add(1)
+		sh.token <- struct{}{}
+	}
 }
 
-// armDeadline (re)arms the round deadline for the current round. Owned
-// by the coordinator (NewServer arms the first one before any commit
-// request can exist).
+// armDeadline (re)arms the round deadline for the current round. The
+// timer belongs to whoever holds the closing token (NewServer arms the
+// first one before the server is shared).
 func (s *Server) armDeadline() {
 	s.stopDeadline()
 	if s.cfg.RoundDeadline <= 0 || s.closed.Load() {
@@ -304,11 +210,7 @@ func (s *Server) armDeadline() {
 	}
 	round := int(s.round.Load())
 	s.deadlineTimer = time.AfterFunc(s.cfg.RoundDeadline, func() {
-		req := commitReq{reason: commitDeadline, round: round, done: make(chan struct{})}
-		select {
-		case s.commitCh <- req:
-		case <-s.stopAll:
-		}
+		s.commit(commitDeadline, round)
 	})
 }
 
@@ -346,12 +248,12 @@ func (s *Server) routeShard(clientID string) *shard {
 	return nil
 }
 
-// KillShard abandons shard i's goroutine without any cleanup — the chaos
-// hook for fault-tolerance tests and the loadgen harness. The shard's
-// queued and future uploads time out or get rerouted; the next commit
-// barrier discovers the death (CommitTimeout) and degrades the round to
-// partial aggregation. Idempotent.
+// KillShard takes shard i's token and never returns it — the chaos hook
+// for fault-tolerance tests. Uploads routed to the shard time out; the
+// next commit discovers the death (CommitTimeout), degrades the round to
+// partial aggregation and reroutes the shard's clients. Waits for an Add
+// or commit in flight on the shard; idempotent.
 func (s *Server) KillShard(i int) {
 	sh := s.shards[i]
-	sh.killOnce.Do(func() { close(sh.kill) })
+	sh.killOnce.Do(func() { <-sh.token })
 }

@@ -1,13 +1,20 @@
 package flnet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fhdnn/internal/compress"
 	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
 )
@@ -94,41 +101,45 @@ func TestShardedServerBitIdentity(t *testing.T) {
 	}
 }
 
-// A full shard queue is backpressure, not failure: the upload that found
-// the shard wedged times out with 503, the next one bounces off the full
-// queue with 429 + Retry-After, and the client surfaces that as
-// ErrThrottled carrying the server's hint.
+// Too many handlers on one shard is backpressure, not failure: with
+// ShardQueue 1 the first upload parks waiting for the killed shard's
+// token, the second bounces off the admission bound with 429 +
+// Retry-After — surfaced by the client as ErrThrottled carrying the
+// server's hint — and the first times out with 503.
 func TestShardQueueBackpressure(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses: 1, Dim: 4, MinUpdates: 100,
 		Shards: 1, ShardQueue: 1,
 	})
-	srv.uploadTimeout = 80 * time.Millisecond
+	srv.uploadTimeout = 500 * time.Millisecond
 	srv.retryAfter = 3 * time.Second
-	srv.KillShard(0) // the queue will never drain
+	srv.KillShard(0) // the token never comes back
 
-	err := pushAs(t, ts.URL, "c1", 1, 1, 4, []float32{1, 1, 1, 1})
-	var he *HTTPError
-	if !errors.As(err, &he) || he.StatusCode != 503 {
-		t.Fatalf("first push against a dead shard: want 503, got %v", err)
-	}
-	err = pushAs(t, ts.URL, "c2", 1, 1, 4, []float32{1, 1, 1, 1})
+	first := make(chan error, 1)
+	go func() { first <- pushAs(t, ts.URL, "c1", 1, 1, 4, []float32{1, 1, 1, 1}) }()
+	waitFor(t, func() bool { return srv.Stats().PerShard[0].Depth == 1 })
+
+	err := pushAs(t, ts.URL, "c2", 1, 1, 4, []float32{1, 1, 1, 1})
 	var thr ErrThrottled
 	if !errors.As(err, &thr) {
-		t.Fatalf("second push with a full queue: want ErrThrottled, got %v", err)
+		t.Fatalf("second push over the admission bound: want ErrThrottled, got %v", err)
 	}
 	if thr.RetryAfter != 3*time.Second {
 		t.Fatalf("Retry-After hint = %v, want 3s", thr.RetryAfter)
+	}
+	if Retryable(thr) != true {
+		t.Fatal("ErrThrottled must be retryable")
+	}
+	var he *HTTPError
+	if err := <-first; !errors.As(err, &he) || he.StatusCode != 503 {
+		t.Fatalf("first push against a dead shard: want 503, got %v", err)
 	}
 	st := srv.Stats()
 	if st.ShardTimeouts != 1 || st.UpdatesThrottled != 1 {
 		t.Fatalf("timeouts/throttled = %d/%d, want 1/1", st.ShardTimeouts, st.UpdatesThrottled)
 	}
-	if st.PerShard[0].Dropped != 1 {
-		t.Fatalf("shard 0 dropped = %d, want 1", st.PerShard[0].Dropped)
-	}
-	if Retryable(thr) != true {
-		t.Fatal("ErrThrottled must be retryable")
+	if ps := st.PerShard[0]; ps.Dropped != 1 || ps.Enqueued != 1 || ps.Depth != 0 {
+		t.Fatalf("shard 0 dropped/enqueued/depth = %d/%d/%d, want 1/1/0", ps.Dropped, ps.Enqueued, ps.Depth)
 	}
 }
 
@@ -222,87 +233,204 @@ func TestStatsPerShardBreakdown(t *testing.T) {
 	}
 }
 
-// Regression test for the shutdown race found by fhdnn-lint goleak: the
-// commit-wait loop in shardHandle used to select only on done and
-// sh.ctl, so a shard that triggered the MinUpdates commit wedged forever
-// if the coordinator exited on stopAll with the request still queued —
-// leaking the shard goroutine and the upload handler blocked on m.reply.
-// The server here is built white-box with NO coordinator running, which
-// is exactly the state after that racy interleaving; the wait loop must
-// release through its stopAll arm.
-func TestShutdownRaceDoesNotWedgeShard(t *testing.T) {
-	s := &Server{
-		cfg:      ServerConfig{NumClasses: 2, Dim: 4, MinUpdates: 1},
-		commitCh: make(chan commitReq, 4),
-		stopAll:  make(chan struct{}),
-		stats:    newServerStats(),
+// postDirect drives the update handler on the caller's goroutine — no
+// network, so no goroutine but the caller's is involved — and returns the
+// status code.
+func postDirect(srv *Server, id string, round int, vals []float32) int {
+	body, err := fedcore.EncodeEnvelope(compress.Raw{}, vals)
+	if err != nil {
+		panic(err)
 	}
-	s.round.Store(1)
-	sh := &shard{
-		ctl:  make(chan parkReq),
-		agg:  &fedcore.Median{},
-		seen: make(map[string]bool),
-	}
-	m := shardAdd{
-		round:    1,
-		clientID: "client-0",
-		params:   []float32{1, 2, 3, 4, 5, 6, 7, 8},
-		reply:    make(chan addReply, 1),
-	}
-	handled := make(chan struct{})
-	go func() {
-		// MinUpdates-th update of the round: enqueues the commit request,
-		// then enters the wait loop.
-		s.shardHandle(sh, m)
-		close(handled)
-	}()
+	req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/update?round=%d", round), bytes.NewReader(body))
+	req.Header.Set(ClientHeader, id)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec.Code
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.commitCh) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("commit request never enqueued")
-		}
-		time.Sleep(time.Millisecond)
+// The server owns no goroutine: aggregation and the round commit run on
+// the handler's, so neither a served round nor a server that is never
+// Shutdown leaves one behind. (Goroutines of earlier tests may still be
+// winding down, so the count may fall but must not rise.)
+func TestServerStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := NewServer(ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The coordinator is gone; nobody will ever close req.done.
-	close(s.stopAll)
-
-	select {
-	case r := <-m.reply:
-		if r.verdict != vAccepted {
-			t.Fatalf("verdict = %v, want vAccepted", r.verdict)
+	for i, id := range []string{idForShard(0, 4), idForShard(1, 4)} {
+		if code := postDirect(srv, id, 1, modelWith(1, 4, float32(i)).Flat()); code != http.StatusAccepted {
+			t.Fatalf("push %d: status %d", i, code)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("shard goroutine wedged in the commit-wait loop after stopAll")
 	}
-	select {
-	case <-handled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("shardHandle never returned after stopAll")
+	if srv.Round() != 2 {
+		t.Fatalf("round = %d, want 2", srv.Round())
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("a running server holds %d goroutines", n-before)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("a shut-down server holds %d goroutines", n-before)
 	}
 }
 
-// The coordinator's stopAll arm drains requests that raced the stop and
-// closes their done channels, so waiters are released deterministically
-// instead of relying on the stopAll broadcast alone. Works for both
-// select outcomes: if coordinate picks the request first, commit() is a
-// no-op on a closed server and done is closed on the normal path.
-func TestCoordinateDrainReleasesQueuedRequests(t *testing.T) {
-	s := &Server{
-		commitCh: make(chan commitReq, 4),
-		stopAll:  make(chan struct{}),
-		stats:    newServerStats(),
+// An upload answered 503 is gone: when its shard recovers the update is
+// not folded behind the client's back, so the client's retry cannot
+// double-count and ShardTimeouts never overlaps UpdatesAccepted.
+func TestTimedOutUploadIsNeverFolded(t *testing.T) {
+	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2})
+	srv.uploadTimeout = 50 * time.Millisecond
+	sh := srv.shards[0]
+	<-sh.token // wedge the shard: somebody is stuck mid-Add
+	err := pushAs(t, ts.URL, "slow", 1, 1, 4, []float32{100, 100, 100, 100})
+	var he *HTTPError
+	if !errors.As(err, &he) || he.StatusCode != 503 {
+		t.Fatalf("push against a wedged shard: want 503, got %v", err)
 	}
-	s.round.Store(1)
-	s.closed.Store(true)
-	done := make(chan struct{})
-	s.commitCh <- commitReq{reason: commitMinUpdates, round: 1, done: done}
-	close(s.stopAll)
-	go s.coordinate()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("queued commit request was not drained on shutdown")
+	sh.token <- struct{}{} // the shard recovers
+
+	if err := pushAs(t, ts.URL, "a", 1, 1, 4, []float32{2, 2, 2, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pushAs(t, ts.URL, "b", 1, 1, 4, []float32{4, 4, 4, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if srv.Round() != 2 {
+		t.Fatalf("round = %d, want 2", srv.Round())
+	}
+	m, _ := srv.Model()
+	for i, v := range m.Flat() {
+		if v != 3 { // mean(2, 4): the 503'd 100s never arrived
+			t.Fatalf("global[%d] = %v, want 3", i, v)
+		}
+	}
+	if st := srv.Stats(); st.UpdatesAccepted != 2 || st.ShardTimeouts != 1 {
+		t.Fatalf("accepted/timeouts = %d/%d, want 2/1", st.UpdatesAccepted, st.ShardTimeouts)
+	}
+}
+
+// The threshold handler and the deadline timer race to close the same
+// round, hundreds of times: whoever wins, the round advances exactly once,
+// every 202'd update is in that round's bundle exactly once, every other
+// upload was told 409, and no healthy shard is written off.
+func TestThresholdDeadlineRace(t *testing.T) {
+	const rounds, clients, shards, d = 200, 4, 2, 8
+	const deadline = 3 * time.Millisecond
+	srv, err := NewServer(ServerConfig{
+		NumClasses: 1, Dim: d, MinUpdates: clients, Shards: shards, RoundDeadline: deadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	rng := rand.New(rand.NewSource(1))
+	var accepted, stale, deadlineRounds int64
+	for r := 1; r <= rounds; r++ {
+		// The last client straddles the deadline, so both closers get
+		// their turn and some rounds are a genuine photo finish.
+		lastDelay := time.Duration(rng.Int63n(int64(2 * deadline)))
+		codes := make([]int, clients)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				if c == clients-1 {
+					time.Sleep(lastDelay)
+				}
+				codes[c] = postDirect(srv, fmt.Sprintf("c%d", c), r, modelWith(1, d, float32(r*clients+c)).Flat())
+			}(c)
+		}
+		wg.Wait()
+
+		var sum float64
+		n := 0
+		for c, code := range codes {
+			switch code {
+			case http.StatusAccepted:
+				sum += float64(r*clients + c)
+				n++
+			case http.StatusConflict:
+				stale++
+			default:
+				t.Fatalf("round %d client %d: status %d, want 202 or 409", r, c, code)
+			}
+		}
+		accepted += int64(n)
+		if n < clients {
+			deadlineRounds++ // short of MinUpdates: only the deadline can have closed it
+		}
+		m, got := srv.Model()
+		if got != r+1 {
+			t.Fatalf("after round %d's uploads the server is at round %d, want %d", r, got, r+1)
+		}
+		want := float32(sum * (1 / float64(n)))
+		for i, v := range m.Flat() {
+			if v != want {
+				t.Fatalf("round %d global[%d] = %v, want %v (mean of the %d accepted)", r, i, v, want, n)
+			}
+		}
+	}
+	st := srv.Stats()
+	if st.UpdatesAccepted != accepted || st.UpdatesRejected != stale {
+		t.Fatalf("accepted/rejected = %d/%d, want %d/%d", st.UpdatesAccepted, st.UpdatesRejected, accepted, stale)
+	}
+	if st.DeadShards != 0 || st.PartialCommits != 0 || st.ShardTimeouts != 0 {
+		t.Fatalf("healthy shards written off: %+v", st)
+	}
+	for _, ps := range st.PerShard {
+		if ps.Commits != rounds {
+			t.Fatalf("shard %d saw %d commits for %d rounds", ps.Shard, ps.Commits, rounds)
+		}
+	}
+	forced := st.RoundsForcedByDeadline
+	if forced < deadlineRounds || forced > rounds {
+		t.Fatalf("forced = %d, want between %d (rounds closed short) and %d", forced, deadlineRounds, rounds)
+	}
+	t.Logf("%d rounds: %d closed by deadline, %d by threshold", rounds, forced, rounds-forced)
+}
+
+// A model snapshot must carry the round it belongs to. Every round here
+// commits the constant r, so the global at round r+1 is all r; a fetch
+// that pairs the new global with the old round would send a client off to
+// train from round r+1's model and upload into round r.
+func TestModelSnapshotConsistent(t *testing.T) {
+	const rounds, d = 1000, 4096
+	srv, err := NewServer(ServerConfig{NumClasses: 1, Dim: d, MinUpdates: 1, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	stop := make(chan struct{})
+	var mismatched atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if m, round := srv.Model(); m.Flat()[0] != float32(round-1) {
+					mismatched.Add(1)
+				}
+			}
+		}()
+	}
+	for r := 1; r <= rounds; r++ {
+		if code := postDirect(srv, "c", r, modelWith(1, d, float32(r)).Flat()); code != http.StatusAccepted {
+			t.Fatalf("round %d: status %d", r, code)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := mismatched.Load(); n != 0 {
+		t.Fatalf("%d snapshots paired a global model with the wrong round", n)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 )
 
 // serverStats is the dedicated stats block: every counter a /v1/stats
-// scrape reads lives here, off the model mutex and off the shard hot
-// path. Scalar counters are atomics; the two per-key maps sit behind
-// their own tiny mutex that is only ever held across map ops (never
-// across channel or I/O work), so a scrape can never contend with shard
-// aggregation or a round commit.
+// scrape reads lives here, off the model mutex and off the shard tokens.
+// Scalar counters are atomics; the two per-key maps sit behind their own
+// tiny mutex that is only ever held across map ops (never across channel
+// or I/O work), so a scrape can never contend with shard aggregation or a
+// round commit.
 type serverStats struct {
 	updatesAccepted        atomic.Int64
 	updatesRejected        atomic.Int64
@@ -65,20 +65,20 @@ func (st *serverStats) snapshotMaps() (byReason, byCodec map[string]int64) {
 	return byReason, byCodec
 }
 
-// ShardStats is the per-shard block inside Stats: queue depth and drop
-// counts expose where backpressure is biting, commit counts how often the
-// shard reached the round barrier, and Dead marks a shard the commit
-// fan-in has written off (its updates degrade the round to partial
-// aggregation instead of stalling it).
+// ShardStats is the per-shard block inside Stats: depth and drop counts
+// expose where backpressure is biting, commit counts how many round
+// commits folded the shard, and Dead marks a shard a commit has written
+// off because its token never came back (its updates degrade the round to
+// partial aggregation instead of stalling it).
 type ShardStats struct {
 	Shard      int   `json:"shard"`
-	Depth      int64 `json:"depth"`    // updates sitting in the queue right now
-	Enqueued   int64 `json:"enqueued"` // updates ever queued
+	Depth      int64 `json:"depth"`    // handlers waiting on or inside the shard right now
+	Enqueued   int64 `json:"enqueued"` // uploads ever admitted past the 429 gate
 	Accepted   int64 `json:"accepted"`
 	Stale      int64 `json:"stale"`
 	Duplicates int64 `json:"duplicates"`
-	Dropped    int64 `json:"dropped"` // queue-full rejections (429)
-	Commits    int64 `json:"commits"` // round barriers this shard reached
+	Dropped    int64 `json:"dropped"` // over-ShardQueue rejections (429)
+	Commits    int64 `json:"commits"` // round commits that folded this shard
 	Pending    int64 `json:"pending"` // accepted updates awaiting the next commit
 	Dead       bool  `json:"dead"`
 }
@@ -93,13 +93,12 @@ type ShardStats struct {
 // policy — a clipped update is still accepted, unlike a quarantined one).
 //
 // The sharding block: Shards is the configured shard count, UpdatesThrottled
-// counts 429 queue-full rejections, ShardTimeouts counts uploads whose
-// shard never answered within the upload timeout (a timed-out upload may
-// still be processed later, so under shard failure the per-outcome
-// counters can overlap with this one), PartialCommits counts rounds
-// committed with at least one dead shard excluded, DeadShards is how many
-// shards the commit barrier has written off, and PerShard carries the
-// per-shard queue/drop/commit breakdown.
+// counts 429 over-ShardQueue rejections, ShardTimeouts counts uploads
+// answered 503 because their shard's token never came free within the
+// upload timeout (such an upload is never aggregated), PartialCommits
+// counts rounds committed with at least one dead shard excluded,
+// DeadShards is how many shards a commit has written off, and PerShard
+// carries the per-shard depth/drop/commit breakdown.
 type Stats struct {
 	Round                  int              `json:"round"`
 	Aggregator             string           `json:"aggregator"`
