@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race debugguard fasttest vet lint lint-json lint-timing lint-ci bench bench-smoke chaos loadgen check ci
+.PHONY: build test race debugguard vet lint lint-json lint-timing lint-ci bench chaos loadgen check ci
 
 build:
 	$(GO) build ./...
@@ -24,14 +24,6 @@ race:
 debugguard:
 	$(GO) test -race -tags fhdnndebug -count=1 ./internal/tensor/
 
-# The fhdnnfast build tag swaps the SSE saxpyQuad microkernel for an
-# AVX2/FMA one: faster, deterministic within the build, but NOT
-# bit-identical to the default build (fused multiply-adds round once).
-# Tests that compare kernels against scalar references re-baseline or
-# skip via tensor.FastKernels(); everything else must still pass.
-fasttest:
-	$(GO) test -tags fhdnnfast -count=1 ./...
-
 # Repo-specific static analysis: determinism, goroutine discipline, wire
 # error handling, print/panic hygiene, float32 kernel discipline, plus the
 # dataflow rules (aliasing, lockheld, hotalloc, ctxflow). See DESIGN.md
@@ -53,8 +45,7 @@ lint-timing:
 	@$(GO) run ./cmd/fhdnn-lint -timing -budget 10s ./... 2> fhdnn-lint-timing.txt; \
 	st=$$?; cat fhdnn-lint-timing.txt; exit $$st
 
-# The lint invocation CI runs (in the test matrix leg only — the
-# analyzer loads the release build view whatever the build tags):
+# The lint invocation CI runs (in the test matrix job only):
 # machine-readable findings (including suppressed ones) to
 # fhdnn-lint.json, the per-rule timing report to fhdnn-lint-timing.txt,
 # and the 10s sweep budget enforced; both files are uploaded as artifacts.
@@ -76,19 +67,12 @@ chaos:
 	$(GO) test -race -shuffle=on -count=5 ./internal/flnet
 	$(GO) run ./cmd/fhdnn poison | tee poison-experiments.txt
 
-# Refresh the tracked kernel baseline (BENCH_pr8.json: per-kernel rows at
-# workers 1/2/4/8 with speedups and scaling factors, shard sweep embedded)
-# and the standalone sharded aggregation sweep (BENCH_pr7.json), then run
-# the full benchmark suite. BENCH_pr3.json is the frozen PR-3 baseline;
-# per-PR trajectory lives in BENCH_pr8.json from here on.
+# The repo's benchmark (workloads and metric bounds in BENCHMARK.json,
+# reports under bench/out/), then every go test benchmark: the compute
+# kernels beside their naive baselines, and the paper experiments.
 bench:
-	$(GO) run ./cmd/fhdnn-bench -out BENCH_pr8.json -shard-out BENCH_pr7.json
+	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
-
-# Quick CI variant: one-worker baseline plus the workers=2 point, no
-# BENCH file refresh of the full sweep needed.
-bench-smoke:
-	$(GO) run ./cmd/fhdnn-bench -workers 1,2 -out BENCH_pr8.json
 
 # Load-harness smoke: 1k clients over real HTTP against a 4-shard
 # in-process server with a mixed codec cycle and 2% poisoners, under the
@@ -100,7 +84,7 @@ loadgen:
 		-codecs raw,float16,int8,topk:0.25 -out loadgen-report.json
 
 # Everything a change must pass before review.
-check: build vet lint race debugguard fasttest
+check: build vet lint race debugguard
 
 # What CI runs on every PR.
-ci: vet lint race debugguard fasttest
+ci: vet lint race debugguard

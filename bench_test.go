@@ -7,17 +7,10 @@
 package fhdnn_test
 
 import (
-	"context"
-	"fmt"
-	"math/rand"
-	"net/http/httptest"
 	"os"
 	"testing"
 
-	"fhdnn/internal/compress"
 	"fhdnn/internal/experiments"
-	"fhdnn/internal/flnet"
-	"fhdnn/internal/hdc"
 )
 
 func benchScale() experiments.Scale {
@@ -250,64 +243,6 @@ func BenchmarkAblationRefine(b *testing.B) {
 		acc = rows[1].Accuracy
 	}
 	b.ReportMetric(acc, "acc@E=4")
-}
-
-// BenchmarkWireBytesPerRound measures the actual uplink bytes one
-// federated round costs on the live flnet wire protocol, per codec: two
-// clients push a 10x2048 HD model through real HTTP each iteration and
-// the server's own /v1/stats byte counter is divided by the number of
-// completed rounds. "raw" is the float32 payload inside the
-// self-describing envelope. The int8 row is the paper's headline: roughly
-// 4x fewer wire bytes per round than raw float32.
-func BenchmarkWireBytesPerRound(b *testing.B) {
-	const k, d, clientsPerRound = 10, 2048, 2
-	cases := []struct {
-		name  string
-		codec compress.Codec
-	}{
-		{"raw", compress.Raw{}},
-		{"float16", compress.Float16{}},
-		{"int8", compress.Int8{}},
-		{"topk", compress.TopK{Frac: 0.1}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			srv, err := flnet.NewServer(flnet.ServerConfig{
-				NumClasses: k, Dim: d, MinUpdates: clientsPerRound})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			ctx := context.Background()
-			clients := make([]*flnet.Client, clientsPerRound)
-			for i := range clients {
-				clients[i] = &flnet.Client{
-					BaseURL: ts.URL, ID: fmt.Sprintf("bench-%d", i), Codec: c.codec}
-			}
-			m := hdc.NewModel(k, d)
-			rng := rand.New(rand.NewSource(1))
-			flat := m.Flat()
-			for i := range flat {
-				flat[i] = float32(rng.NormFloat64())
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				round := srv.Round()
-				for _, cl := range clients {
-					if err := cl.PushUpdate(ctx, round, m); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			st := srv.Stats()
-			if st.Round != b.N+1 {
-				b.Fatalf("completed %d rounds, want %d", st.Round-1, b.N)
-			}
-			b.ReportMetric(float64(st.BytesReceived)/float64(b.N), "wire-bytes/round")
-		})
-	}
 }
 
 // BenchmarkAblationExtractor compares random-conv and SimCLR-pretrained

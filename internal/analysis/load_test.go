@@ -7,8 +7,8 @@ import (
 )
 
 // Tests for the loader's build-tag handling. The analyzer type-checks one
-// view of the module — build.Default, i.e. the release build with neither
-// fhdnnfast nor fhdnndebug set — and every rule runs over exactly that
+// view of the module — build.Default, i.e. the release build without
+// fhdnndebug set — and every rule runs over exactly that
 // view. These tests pin both halves of that contract: tag-excluded files
 // must not leak findings into the sweep, and the release-view file that
 // replaces them must still be seen (so a gap can't hide behind a tag).
@@ -53,16 +53,15 @@ func loadedFiles(t *testing.T, root, importPath string) []string {
 }
 
 func TestLoaderPicksReleaseViewOfTaggedFiles(t *testing.T) {
-	// kernel.go and kernel_fast.go are the repo's fhdnnfast pattern: two
-	// implementations of one symbol, selected by tag. The loader must
-	// take the !fhdnnfast file plus the untagged file and nothing else —
-	// the fhdnnfast and fhdnndebug files belong to builds the analyzer
-	// does not model.
+	// kernel.go and kernel_debug.go are the repo's fhdnndebug pattern:
+	// two implementations of one symbol, selected by tag. The loader must
+	// take the !fhdnndebug file plus the untagged file and nothing else —
+	// the fhdnndebug files belong to a build the analyzer does not model.
 	root := writeModule(t, map[string]string{
-		"internal/tensor/tensor.go":      "package tensor\n\nfunc Dot(a, b []float32) float32 { return Kernel(a, b) }\n",
-		"internal/tensor/kernel.go":      "//go:build !fhdnnfast\n\npackage tensor\n\nfunc Kernel(a, b []float32) float32 {\n\tvar s float32\n\tfor i := range a {\n\t\ts += a[i] * b[i]\n\t}\n\treturn s\n}\n",
-		"internal/tensor/kernel_fast.go": "//go:build fhdnnfast\n\npackage tensor\n\nfunc Kernel(a, b []float32) float32 { return 0 }\n",
-		"internal/tensor/guard_debug.go": "//go:build fhdnndebug\n\npackage tensor\n\nfunc init() { panic(\"debug guard\") }\n",
+		"internal/tensor/tensor.go":       "package tensor\n\nfunc Dot(a, b []float32) float32 { return Kernel(a, b) }\n",
+		"internal/tensor/kernel.go":       "//go:build !fhdnndebug\n\npackage tensor\n\nfunc Kernel(a, b []float32) float32 {\n\tvar s float32\n\tfor i := range a {\n\t\ts += a[i] * b[i]\n\t}\n\treturn s\n}\n",
+		"internal/tensor/kernel_debug.go": "//go:build fhdnndebug\n\npackage tensor\n\nfunc Kernel(a, b []float32) float32 { return 0 }\n",
+		"internal/tensor/guard_debug.go":  "//go:build fhdnndebug\n\npackage tensor\n\nfunc init() { panic(\"debug guard\") }\n",
 	})
 	got := loadedFiles(t, root, "probe/internal/tensor")
 	want := map[string]bool{"tensor.go": true, "kernel.go": true}
@@ -92,13 +91,13 @@ func TestLoaderSkipsTestFiles(t *testing.T) {
 
 func TestSweepFollowsReleaseView(t *testing.T) {
 	// End-to-end over Run: the same unchecked decode exists in both the
-	// fhdnnfast file and the release file. Only the release copy may be
+	// fhdnndebug file and the release file. Only the release copy may be
 	// reported — exactly one finding, attributed to decode.go — proving
 	// rules neither double-count tag twins nor silently skip the
 	// release-view file.
 	root := writeModule(t, map[string]string{
-		"internal/compress/decode.go":      "//go:build !fhdnnfast\n\npackage compress\n\nfunc Decode(data []byte) []float32 {\n\tif len(data) < 4 {\n\t\treturn nil\n\t}\n\tn := int(data[0]) | int(data[1])<<8\n\treturn make([]float32, n)\n}\n",
-		"internal/compress/decode_fast.go": "//go:build fhdnnfast\n\npackage compress\n\nfunc Decode(data []byte) []float32 {\n\tif len(data) < 4 {\n\t\treturn nil\n\t}\n\tn := int(data[0]) | int(data[1])<<8\n\treturn make([]float32, n)\n}\n",
+		"internal/compress/decode.go":       "//go:build !fhdnndebug\n\npackage compress\n\nfunc Decode(data []byte) []float32 {\n\tif len(data) < 4 {\n\t\treturn nil\n\t}\n\tn := int(data[0]) | int(data[1])<<8\n\treturn make([]float32, n)\n}\n",
+		"internal/compress/decode_debug.go": "//go:build fhdnndebug\n\npackage compress\n\nfunc Decode(data []byte) []float32 {\n\tif len(data) < 4 {\n\t\treturn nil\n\t}\n\tn := int(data[0]) | int(data[1])<<8\n\treturn make([]float32, n)\n}\n",
 	})
 	res, err := Run(root, []string{"./..."}, []string{RuleTaintAlloc})
 	if err != nil {
@@ -113,14 +112,14 @@ func TestSweepFollowsReleaseView(t *testing.T) {
 }
 
 func TestSweepIgnoresHazardBehindTag(t *testing.T) {
-	// The inverse: a hazard that exists only under fhdnnfast is invisible
+	// The inverse: a hazard that exists only under fhdnndebug is invisible
 	// to the release-view sweep. This is the documented blind spot — tag
 	// builds are linted by their own CI legs running the same binary, not
 	// by widening the default view — and this test keeps the behavior
 	// deliberate rather than accidental.
 	root := writeModule(t, map[string]string{
-		"internal/compress/decode.go":     "package compress\n\nfunc Size(data []byte) int {\n\tif len(data) < 4 {\n\t\treturn 0\n\t}\n\treturn int(data[0]) | int(data[1])<<8\n}\n",
-		"internal/compress/alloc_fast.go": "//go:build fhdnnfast\n\npackage compress\n\nfunc Alloc(data []byte) []float32 { return make([]float32, Size(data)) }\n",
+		"internal/compress/decode.go":      "package compress\n\nfunc Size(data []byte) int {\n\tif len(data) < 4 {\n\t\treturn 0\n\t}\n\treturn int(data[0]) | int(data[1])<<8\n}\n",
+		"internal/compress/alloc_debug.go": "//go:build fhdnndebug\n\npackage compress\n\nfunc Alloc(data []byte) []float32 { return make([]float32, Size(data)) }\n",
 	})
 	res, err := Run(root, []string{"./..."}, []string{RuleTaintAlloc, RuleTaintIndex, RuleTaintLoop})
 	if err != nil {

@@ -15,6 +15,12 @@ import (
 )
 
 // Codec compresses a flat model update into bytes and back.
+//
+// A non-finite input never decodes to a finite value: an update holding a
+// NaN or +-Inf entry decodes with a non-finite value at that entry or at
+// every entry, so a lossy codec cannot carry a corrupted update past the
+// server's non-finite quarantine. (TopK ships only k entries; it keeps
+// the non-finite ones first.)
 type Codec interface {
 	// Encode serializes the update.
 	Encode(update []float32) []byte
@@ -177,21 +183,26 @@ type Int8 struct{}
 // Name implements Codec.
 func (Int8) Name() string { return "int8" }
 
-// Encode stores a float32 scale followed by one int8 code per value.
+// Encode stores a float32 scale followed by one int8 code per value. An
+// update with a NaN or +-Inf entry gets a NaN scale, so every value
+// decodes to NaN.
 func (Int8) Encode(update []float32) []byte {
 	maxAbs := float64(0)
 	for _, v := range update {
-		if a := math.Abs(float64(v)); a > maxAbs {
+		if a := magnitude(v); a > maxAbs {
 			maxAbs = a
 		}
+	}
+	out := make([]byte, 4+len(update))
+	if math.IsInf(maxAbs, 1) {
+		putU32(out, math.Float32bits(float32(math.NaN())))
+		return out
 	}
 	scale := float32(1)
 	if maxAbs > 0 {
 		scale = float32(maxAbs / 127)
 	}
-	out := make([]byte, 4+len(update))
-	bits := math.Float32bits(scale)
-	out[0], out[1], out[2], out[3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
+	putU32(out, math.Float32bits(scale))
 	for i, v := range update {
 		q := int32(math.Round(float64(v) / float64(scale)))
 		if q > 127 {
@@ -222,7 +233,9 @@ func (Int8) Decode(data []byte, n int) ([]float32, error) {
 
 // TopK transmits only the k largest-magnitude entries (as index/value
 // pairs); the receiver fills the rest with zeros. Frac is the kept
-// fraction (e.g. 0.1 keeps 10% of the weights).
+// fraction (e.g. 0.1 keeps 10% of the weights). NaN ranks as the largest
+// magnitude, level with +-Inf, so a non-finite entry is kept and shipped
+// verbatim.
 type TopK struct {
 	Frac float64
 }
@@ -244,8 +257,7 @@ func (c TopK) Encode(update []float32) []byte {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		av := math.Abs(float64(update[idx[a]]))
-		bv := math.Abs(float64(update[idx[b]]))
+		av, bv := magnitude(update[idx[a]]), magnitude(update[idx[b]])
 		if av != bv {
 			return av > bv
 		}
@@ -260,6 +272,16 @@ func (c TopK) Encode(update []float32) []byte {
 		putU32(out[8+8*i:], math.Float32bits(update[j]))
 	}
 	return out
+}
+
+// magnitude is |v| with NaN mapped to +Inf: a key that orders every
+// float32 (TopK's comparison stays a strict weak order) and is +Inf
+// exactly for the non-finite ones.
+func magnitude(v float32) float64 {
+	if v != v {
+		return math.Inf(1)
+	}
+	return math.Abs(float64(v))
 }
 
 // Decode implements Codec. Encode always emits strictly increasing

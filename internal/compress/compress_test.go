@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"encoding/hex"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -181,6 +183,66 @@ func TestTopKDeterministicTieBreak(t *testing.T) {
 	b := TopK{Frac: 0.5}.Encode(u)
 	if string(a) != string(b) {
 		t.Fatal("topk must be deterministic under ties")
+	}
+}
+
+// A non-finite input entry never decodes to a finite value: it comes
+// back non-finite at its own index, or the whole update does.
+func TestNonFiniteSurvivesRoundTrip(t *testing.T) {
+	inf := float32(math.Inf(1))
+	finite := func(v float32) bool { return v-v == 0 }
+	for _, c := range []Codec{Raw{}, Float16{}, Int8{}, TopK{Frac: 0.5}} {
+		for _, bad := range []float32{float32(math.NaN()), inf, -inf} {
+			for at := 0; at < 4; at++ {
+				u := []float32{1, -2, 3, 4}
+				u[at] = bad
+				got, _, err := RoundTrip(c, u)
+				if err != nil {
+					t.Fatalf("%s, %v at %d: %v", c.Name(), bad, at, err)
+				}
+				everywhere := true
+				for _, v := range got {
+					everywhere = everywhere && !finite(v)
+				}
+				if finite(got[at]) && !everywhere {
+					t.Fatalf("%s, %v at %d decoded to the finite %v", c.Name(), bad, at, got)
+				}
+			}
+		}
+	}
+}
+
+// NaN ranks as the largest magnitude: it is kept, and it does not
+// displace the true top entry the way an unordered comparison did.
+func TestTopKKeepsNaN(t *testing.T) {
+	got, _, err := RoundTrip(TopK{Frac: 0.5}, []float32{1, -2, float32(math.NaN()), 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0 || got[1] != 0 || got[2] == got[2] || got[3] != 4 {
+		t.Fatalf("topk kept %v, want [0 0 NaN 4]", got)
+	}
+}
+
+// The payload of a finite update is part of the wire contract: these
+// bytes were recorded before the non-finite handling went in.
+func TestLossyPayloadGolden(t *testing.T) {
+	small := randomUpdate(rand.New(rand.NewSource(99)), 16)
+	large := randomUpdate(rand.New(rand.NewSource(99)), 4096)
+	for _, tc := range []struct {
+		codec    Codec
+		small    string
+		largeCRC uint32
+	}{
+		{Int8{}, "03c9a43a24a9e5ca7af6557f400e7d03bea20872", 0x1dacd8f3},
+		{TopK{Frac: 0.25}, "040000000400000090ea1c3e07000000717f233e0a000000807c213e0f000000a725133e", 0x625f4d0d},
+	} {
+		if got := hex.EncodeToString(tc.codec.Encode(small)); got != tc.small {
+			t.Fatalf("%s payload %s, want %s", tc.codec.Name(), got, tc.small)
+		}
+		if got := crc32.ChecksumIEEE(tc.codec.Encode(large)); got != tc.largeCRC {
+			t.Fatalf("%s payload crc %#x, want %#x", tc.codec.Name(), got, tc.largeCRC)
+		}
 	}
 }
 

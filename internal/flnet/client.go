@@ -424,7 +424,10 @@ func httpError(op string, resp *http.Response) error {
 // closes. It implements the paper's local update (one-shot bundling on
 // first participation, then E refinement epochs).
 type LocalTrainer struct {
-	Client  *Client
+	Client *Client
+	// Encoded holds one hypervector per row and Labels that row's class.
+	// The server's model must have Encoded's row length as its D and a
+	// class for every label; Participate checks each fetched model.
 	Encoded *tensor.Tensor
 	Labels  []int
 	Epochs  int
@@ -447,8 +450,29 @@ type LocalTrainer struct {
 	bundledOnce bool
 }
 
+// checkModel verifies that a model fetched from the server fits this
+// device's data. The server chooses K and D; training on a model of
+// another shape would slice Encoded by the wrong row length and index
+// prototypes the model does not have.
+func (lt *LocalTrainer) checkModel(global *hdc.Model) error {
+	if d := lt.Encoded.Dim(1); global.D != d {
+		return fmt.Errorf("flnet: participate: server model has D=%d, local hypervectors have D=%d", global.D, d)
+	}
+	for _, y := range lt.Labels {
+		if y < 0 || y >= global.K {
+			return fmt.Errorf("flnet: participate: local label %d is outside the server model's %d classes", y, global.K)
+		}
+	}
+	return nil
+}
+
 // Participate runs rounds until the server closes or ctx is done. It
 // returns the number of rounds this client contributed to.
+//
+// A fetched model whose D differs from Encoded's row length, or whose K
+// does not cover every entry of Labels, ends participation at once with
+// a descriptive error: no retry and no upload, since a misconfigured
+// peer does not heal.
 //
 // The loop is built for unreliable deployments: transient transport
 // errors and 5xx responses are absorbed (backing off up to
@@ -538,6 +562,9 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 			continue
 		}
 		failures = 0
+		if err := lt.checkModel(global); err != nil {
+			return contributed, err
+		}
 		local := global.Clone()
 		if !lt.bundledOnce {
 			local.OneShotTrain(lt.Encoded, lt.Labels)

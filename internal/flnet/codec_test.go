@@ -98,17 +98,47 @@ func TestCorruptedEnvelopeQuarantined(t *testing.T) {
 }
 
 func TestEnvelopeQuarantinedNonFinite(t *testing.T) {
-	// A structurally valid envelope whose decoded params are non-finite
-	// must hit the non-finite quarantine gate.
-	_, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2})
-	ctx := context.Background()
-	c := &Client{BaseURL: ts.URL, Codec: compress.Raw{}}
-	m := hdc.NewModel(1, 4)
-	m.SetFlat([]float32{1, float32(math.NaN()), 3, 4})
-	err := c.PushUpdate(ctx, 1, m)
-	var quar ErrQuarantined
-	if !errors.As(err, &quar) {
-		t.Fatalf("non-finite envelope update: %v, want ErrQuarantined", err)
+	// A structurally valid envelope whose input held a non-finite entry
+	// must hit the non-finite quarantine gate whatever the codec: a lossy
+	// codec may not turn the NaN into a finite value on the way. With
+	// MinUpdates 1 an update that slipped through would commit at once.
+	inf := float32(math.Inf(1))
+	bad := map[string]float32{"NaN": float32(math.NaN()), "+Inf": inf, "-Inf": -inf}
+	for _, spec := range []string{"raw", "float16", "int8", "topk:0.5"} {
+		codec, err := fedcore.ParseCodec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 1})
+		c := &Client{BaseURL: ts.URL, Codec: codec}
+		var want int64
+		for name, v := range bad {
+			for _, at := range []int{0, 1, 3} {
+				flat := []float32{1, -2, 3, 4}
+				flat[at] = v
+				m := hdc.NewModel(1, 4)
+				m.SetFlat(flat)
+				err := c.PushUpdate(context.Background(), 1, m)
+				var quar ErrQuarantined
+				if !errors.As(err, &quar) {
+					t.Fatalf("%s, %s at %d: %v, want ErrQuarantined", spec, name, at, err)
+				}
+				want++
+				st := srv.Stats()
+				if got := st.QuarantinedByReason[QuarantineNonFinite]; got != want || st.UpdatesAccepted != 0 {
+					t.Fatalf("%s, %s at %d: %d nonfinite quarantines, want %d (stats %+v)", spec, name, at, got, want, st)
+				}
+			}
+		}
+		global, round := srv.Model()
+		if round != 1 {
+			t.Fatalf("%s: round = %d, want 1", spec, round)
+		}
+		for i, v := range global.Flat() {
+			if v != 0 {
+				t.Fatalf("%s: global[%d] = %v, want the untouched 0", spec, i, v)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"fhdnn/internal/faults"
 	"fhdnn/internal/hdc"
+	"fhdnn/internal/tensor"
 )
 
 func modelWith(k, d int, fill float32) *hdc.Model {
@@ -280,15 +281,15 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // upload bounces 409 and it must refetch, retrain, and land in the next
 // round.
 func TestParticipateStaleRoundRetry(t *testing.T) {
-	srv, ts := newTestServer(t, ServerConfig{NumClasses: 4, Dim: 256, MinUpdates: 1, MaxRounds: 2})
-	shards, labels, _, _, _, _ := encodedClusters(t, 1)
+	shards, labels, _, _, k, d := encodedClusters(t, 1)
+	srv, ts := newTestServer(t, ServerConfig{NumClasses: k, Dim: d, MinUpdates: 1, MaxRounds: 2})
 
 	var raced atomic.Bool
 	interloper := roundTripFunc(func(req *http.Request) (*http.Response, error) {
 		if req.Method == http.MethodPost && raced.CompareAndSwap(false, true) {
 			// advance the round under the trainer's feet
 			rival := &Client{BaseURL: ts.URL}
-			if err := rival.PushUpdate(req.Context(), srv.Round(), hdc.NewModel(4, 256)); err != nil {
+			if err := rival.PushUpdate(req.Context(), srv.Round(), hdc.NewModel(k, d)); err != nil {
 				t.Errorf("interloper push: %v", err)
 			}
 		}
@@ -329,11 +330,12 @@ func TestParticipateStaleRoundRetry(t *testing.T) {
 // rejoined from its new epoch, not deadlock the client waiting for a
 // round number the new server will never reach.
 func TestParticipateSurvivesServerRestart(t *testing.T) {
-	first, err := NewServer(ServerConfig{NumClasses: 4, Dim: 256, MinUpdates: 2})
+	shards, labels, _, _, k, d := encodedClusters(t, 1)
+	first, err := NewServer(ServerConfig{NumClasses: k, Dim: d, MinUpdates: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := NewServer(ServerConfig{NumClasses: 4, Dim: 256, MinUpdates: 2, MaxRounds: 1})
+	second, err := NewServer(ServerConfig{NumClasses: k, Dim: d, MinUpdates: 2, MaxRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +349,6 @@ func TestParticipateSurvivesServerRestart(t *testing.T) {
 	})
 	ts := newRawServer(t, mux)
 
-	shards, labels, _, _, _, _ := encodedClusters(t, 1)
 	lt := &LocalTrainer{
 		Client:  &Client{BaseURL: ts, ID: "restarter"},
 		Encoded: shards[0], Labels: labels[0], Epochs: 1, Poll: 2 * time.Millisecond,
@@ -367,7 +368,7 @@ func TestParticipateSurvivesServerRestart(t *testing.T) {
 	// Round 1 on the first server: trainer + helper close it. The
 	// trainer then contributes to round 2 and waits at lastRound=2.
 	waitFor(t, func() bool { return first.Stats().UpdatesAccepted == 1 })
-	if err := helper.PushUpdate(ctx, 1, hdc.NewModel(4, 256)); err != nil {
+	if err := helper.PushUpdate(ctx, 1, hdc.NewModel(k, d)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return first.Stats().UpdatesAccepted == 3 })
@@ -375,7 +376,7 @@ func TestParticipateSurvivesServerRestart(t *testing.T) {
 	// "Restart": swap in a fresh server at round 1 < the trainer's 2.
 	swapped.Store(true)
 	waitFor(t, func() bool { return second.Stats().UpdatesAccepted == 1 })
-	if err := helper.PushUpdate(ctx, 1, hdc.NewModel(4, 256)); err != nil {
+	if err := helper.PushUpdate(ctx, 1, hdc.NewModel(k, d)); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -388,6 +389,40 @@ func TestParticipateSurvivesServerRestart(t *testing.T) {
 	// rounds 1 and 2 on the first server, round 1 on the second
 	if contributed != 3 {
 		t.Fatalf("contributed %d rounds, want 3", contributed)
+	}
+}
+
+// A server whose model does not fit the device's data — another D, or
+// fewer classes than the local labels name — ends Participate with an
+// error before anything is trained or uploaded.
+func TestParticipateRejectsMismatchedModel(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		k, d   int
+		labels []int
+	}{
+		{"server D larger", 3, 16, []int{0, 1, 2}},
+		{"server D smaller", 3, 4, []int{0, 1, 2}},
+		{"label >= K", 2, 8, []int{0, 1, 2}},
+		{"negative label", 3, 8, []int{0, -1, 2}},
+	} {
+		srv, ts := newTestServer(t, ServerConfig{NumClasses: tc.k, Dim: tc.d, MinUpdates: 1})
+		lt := &LocalTrainer{
+			Client:  &Client{BaseURL: ts.URL, ID: "misfit"},
+			Encoded: tensor.New(3, 8),
+			Labels:  tc.labels,
+			Epochs:  1,
+			Poll:    2 * time.Millisecond,
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		contributed, err := lt.Participate(ctx)
+		cancel()
+		if err == nil || errors.Is(err, context.DeadlineExceeded) || contributed != 0 {
+			t.Fatalf("%s: Participate = %d, %v; want an immediate shape error", tc.name, contributed, err)
+		}
+		if st := srv.Stats(); st.UpdatesAccepted != 0 || st.BytesReceived != 0 {
+			t.Fatalf("%s: an upload reached the server: %+v", tc.name, st)
+		}
 	}
 }
 

@@ -21,8 +21,8 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // naiveEncodeBatch replicates the pre-blocking batch encoder — a
-// single-accumulator matrix-vector product per sample — as the tracked
-// baseline for the batched path (see cmd/fhdnn-bench).
+// single-accumulator matrix-vector product per sample — as the
+// baseline for the batched path.
 func naiveEncodeBatch(e *Encoder, z *tensor.Tensor, out *tensor.Tensor) {
 	batch := z.Dim(0)
 	phi := e.Phi.Data()

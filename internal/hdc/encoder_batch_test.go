@@ -21,9 +21,6 @@ func withWorkers(t *testing.T, n int) {
 // count. This is what lets callers mix the two paths freely (e.g. clients
 // encoding one sample at inference, batches in training).
 func TestEncodeBatchMatchesEncodeBitExact(t *testing.T) {
-	if tensor.FastKernels() {
-		t.Skip("fhdnnfast: the batch path's FMA matmul is documented as not bit-identical to the scalar single-sample MatVec path")
-	}
 	rng := rand.New(rand.NewSource(20))
 	for _, binarize := range []bool{true, false} {
 		e := NewEncoder(rand.New(rand.NewSource(21)), 257, 33)

@@ -1,5 +1,3 @@
-//go:build !fhdnnfast
-
 package tensor
 
 // saxpyQuad computes, for every j in [0, n4):

@@ -2,10 +2,6 @@
 // for the contract. Uses only SSE1/SSE2 instructions (the Go amd64
 // baseline), MULPS + ADDPS per lane — never FMA — so every lane reproduces
 // the scalar float32 multiply-round-add-round chain bit for bit.
-// The fhdnnfast build swaps in the AVX2/FMA kernel from
-// axpy_fast_amd64.s instead, which is faster but not bit-identical.
-
-//go:build !fhdnnfast
 
 #include "textflag.h"
 

@@ -7,8 +7,7 @@ import (
 
 // naiveMatMulInto replicates the pre-blocking kernel (i-k-j AXPY with a
 // zero-skip) so the blocked kernels are benchmarked against a stable
-// baseline. cmd/fhdnn-bench uses the same replica to compute the tracked
-// speedups in BENCH_pr3.json.
+// baseline.
 func naiveMatMulInto(c, a, b []float32, m, k, n int) {
 	for i := range c[:m*n] {
 		c[i] = 0

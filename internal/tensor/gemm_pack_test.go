@@ -47,11 +47,8 @@ func refTransBInto(c, a, b []float32, m, k, n int, accum bool) {
 }
 
 // TestPackedTransBBitIdenticalAcrossWorkers pins the packed kernel's
-// determinism contract for worker counts 1..8, overwrite and accumulate:
-// against the scalar ascending-k reference chain in default builds, and
-// against the kernel's own one-worker result always (the fhdnnfast FMA
-// build keeps cross-worker identity while dropping scalar-reference
-// identity).
+// determinism contract for worker counts 1..8, overwrite and accumulate,
+// against the scalar ascending-k reference chain.
 func TestPackedTransBBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, shapes := range [][][3]int{packShapes, scalarShapes} {
@@ -66,16 +63,6 @@ func TestPackedTransBBitIdenticalAcrossWorkers(t *testing.T) {
 					want.CopyFrom(seed)
 				}
 				refTransBInto(want.data, a.data, bt.data, m, k, n, accum)
-				if FastKernels() {
-					old := SetWorkers(1)
-					if accum {
-						want.CopyFrom(seed)
-						MatMulTransBAccum(want, a, bt)
-					} else {
-						MatMulTransBInto(want, a, bt)
-					}
-					SetWorkers(old)
-				}
 				for w := 1; w <= 8; w++ {
 					old := SetWorkers(w)
 					got := New(m, n)

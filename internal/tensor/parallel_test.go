@@ -107,19 +107,6 @@ func TestBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 				wantAcc.data[i*n+j] = s
 			}
 		}
-		if FastKernels() {
-			// The fhdnnfast FMA microkernel is documented as not
-			// bit-identical to the scalar chain; what still holds — and is
-			// asserted below — is bit-identity across worker counts.
-			// Re-baseline the saxpyQuad-backed kernels (MatMul and the
-			// packed TransB) at one worker.
-			old := SetWorkers(1)
-			MatMulInto(wantMM, a, b)
-			wantAcc.CopyFrom(acc)
-			MatMulAccum(wantAcc, a, b)
-			MatMulTransBInto(wantTB, a, bt)
-			SetWorkers(old)
-		}
 		for _, w := range []int{1, 2, 3, 8} {
 			func() {
 				old := SetWorkers(w)
@@ -265,11 +252,6 @@ func TestWorkerPoolConcurrentHammer(t *testing.T) {
 	bt := Randn(rng, 1, 41, 29)
 	x := Randn(rng, 1, 29).data
 	want := refMatMul(a, b)
-	if FastKernels() {
-		// FMA build: not bit-identical to the scalar reference, but still
-		// deterministic across workers — baseline against the kernel itself.
-		MatMulInto(want, a, b)
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
