@@ -157,13 +157,7 @@ func (f *FHDnn) EncodeDataset(ds *dataset.Dataset) *tensor.Tensor {
 // Predict classifies one image tensor [1, C, H, W] (or a batch, returning
 // per-row classes).
 func (f *FHDnn) Predict(x *tensor.Tensor) []int {
-	enc := f.Encoder.EncodeBatch(f.Extractor.Features(x))
-	n := enc.Dim(0)
-	out := make([]int, n)
-	for s := 0; s < n; s++ {
-		out[s], _ = f.Model.Predict(enc.Data()[s*f.Cfg.HDDim : (s+1)*f.Cfg.HDDim])
-	}
-	return out
+	return f.Model.PredictBatch(f.Encoder.EncodeBatch(f.Extractor.Features(x)))
 }
 
 // Accuracy measures classification accuracy on a dataset.

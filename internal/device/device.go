@@ -127,7 +127,10 @@ func HDEncodeFLOPs(d, n int) float64 { return 2 * float64(d) * float64(n) }
 
 // HDTrainFLOPs counts one-shot bundling plus refine epochs for `samples`
 // examples over k classes: each refine epoch computes k cosine
-// similarities per sample and possibly two prototype updates.
+// similarities per sample (2*k*d) and possibly two prototype updates
+// (2*d). That is what hdc.Model executes: its similarity kernel runs the k
+// dot chains plus one chain for |h|^2 per sample and caches the prototype
+// norms, which only a misprediction's update loop re-sums.
 func HDTrainFLOPs(d, k, samples, refineEpochs int) float64 {
 	bundle := float64(samples) * float64(d)
 	perEpoch := float64(samples) * (2*float64(k)*float64(d) + 2*float64(d))

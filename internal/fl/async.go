@@ -140,13 +140,12 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 		// client c trains from its snapshot
 		local := hdc.NewModel(t.NumClasses, d)
 		local.SetFlat(baseFlat[c])
-		enc, labels := gatherShard(t.Encoded, t.Labels, t.Part[c])
 		if !bundled[c] {
-			local.OneShotTrain(enc, labels)
+			local.OneShotTrainRows(t.Encoded, t.Labels, t.Part[c])
 			bundled[c] = true
 		}
 		for e := 0; e < t.LocalEpochs; e++ {
-			if wrong := local.RefineEpoch(enc, labels); wrong == 0 {
+			if wrong := local.RefineEpochRows(t.Encoded, t.Labels, t.Part[c]); wrong == 0 {
 				break
 			}
 		}
@@ -180,18 +179,6 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 	}
 	res.Model = global
 	return res
-}
-
-// gatherShard copies one client's hypervectors.
-func gatherShard(encoded *tensor.Tensor, labels []int, idx []int) (*tensor.Tensor, []int) {
-	d := encoded.Dim(1)
-	out := tensor.New(len(idx), d)
-	y := make([]int, len(idx))
-	for bi, i := range idx {
-		copy(out.Data()[bi*d:(bi+1)*d], encoded.Data()[i*d:(i+1)*d])
-		y[bi] = labels[i]
-	}
-	return out, y
 }
 
 // FinalAccuracy returns the last traced accuracy (0 with an empty trace).

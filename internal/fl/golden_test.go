@@ -1,0 +1,94 @@
+package fl
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"fhdnn/internal/dataset"
+	"fhdnn/internal/hdc"
+)
+
+// goldenSetup is a deliberately hard little problem (overlapping classes,
+// real-valued hypervectors, non-IID shards) so that every round refines:
+// the runs below mispredict and move prototypes hundreds of times.
+func goldenSetup() *HDTrainer {
+	const seed = 77
+	rng := rand.New(rand.NewSource(seed))
+	gen := func(perClass int, sampleSeed int64) *dataset.Dataset {
+		return dataset.GenerateVectors(dataset.VectorConfig{
+			Name: "golden", Classes: 5, Features: 16, PerClass: perClass,
+			ClassStd: 1, SampleStd: 1.6, Seed: sampleSeed})
+	}
+	train, test := gen(60, seed), gen(20, seed)
+	enc := hdc.NewEncoder(rng, 512, 16)
+	enc.Binarize = false
+	return &HDTrainer{
+		Cfg:        Config{NumClients: 6, ClientFraction: 0.5, LocalEpochs: 2, BatchSize: 10, Rounds: 8, Seed: seed, Parallel: 2},
+		Encoded:    enc.EncodeBatch(train.X),
+		Labels:     train.Labels,
+		TestEnc:    enc.EncodeBatch(test.X),
+		TestLabels: test.Labels,
+		NumClasses: 5,
+		Part:       dataset.PartitionDirichlet(train.Labels, 6, 0.5, rng),
+	}
+}
+
+// modelSum is FNV-1a over the little-endian float32 bits of the model.
+func modelSum(m *hdc.Model) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, v := range m.Flat() {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// The values below were recorded on the commit before the one-pass
+// similarity kernel and the row-indexed client batches (per-class Cosine
+// loop, gather-then-refine). The kernel's contract is that they never move.
+func TestHDTrainerGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		adaptive bool
+		sum      uint64
+		acc      []float64
+	}{
+		{"fixed", false, 0x64a743ef718a1702, []float64{0.57, 0.81, 0.82, 0.84, 0.84, 0.83, 0.82, 0.8}},
+		{"adaptive", true, 0xbe823f8fcd5459d7, []float64{0.73, 0.81, 0.83, 0.84, 0.85, 0.85, 0.84, 0.84}},
+	} {
+		tr := goldenSetup()
+		tr.Adaptive, tr.AdaptiveLR = tc.adaptive, 0.5
+		hist, model := tr.Run()
+		if got := modelSum(model); got != tc.sum || !reflect.DeepEqual(hist.Accuracies(), tc.acc) {
+			t.Errorf("%s: final global %#x, accuracies %#v; recorded %#x, %#v",
+				tc.name, got, hist.Accuracies(), tc.sum, tc.acc)
+		}
+	}
+}
+
+func TestAsyncHDTrainerGolden(t *testing.T) {
+	base := goldenSetup()
+	tr := &AsyncHDTrainer{
+		Encoded: base.Encoded, Labels: base.Labels,
+		TestEnc: base.TestEnc, TestLabels: base.TestLabels,
+		NumClasses: base.NumClasses, Part: base.Part,
+		Delay:   []float64{10, 12, 15, 11, 13, 29},
+		Horizon: 100, LocalEpochs: 2, StalenessAlpha: 0.5, EvalEvery: 10, Seed: 77,
+	}
+	res := tr.Run()
+	var acc []float64
+	for _, p := range res.Trace {
+		acc = append(acc, p.Accuracy)
+	}
+	const wantSum, wantMerges = uint64(0x4699d12e13d3ac83), 43
+	wantAcc := []float64{0.2, 0.83, 0.84, 0.81, 0.81, 0.79, 0.75, 0.78, 0.76, 0.78}
+	if got := modelSum(res.Model); got != wantSum || res.Merges != wantMerges || !reflect.DeepEqual(acc, wantAcc) {
+		t.Errorf("final global %#x after %d merges, accuracies %#v; recorded %#x after %d, %#v",
+			got, res.Merges, acc, wantSum, wantMerges, wantAcc)
+	}
+}

@@ -155,11 +155,11 @@ func sampleMask(rng *rand.Rand, n int, frac float64) []int {
 // bundling on the client's first participation, then E epochs of iterative
 // refinement. Batch size B plays no role — HD training is per-example and
 // order-insensitive in the bundling step, which is why the paper reports B
-// has no influence on FHDnn.
+// has no influence on FHDnn. The client's examples are read in place, as
+// rows idx of t.Encoded.
 func (t *HDTrainer) trainClient(local *hdc.Model, id int, idx []int, bundled []bool) {
-	enc, labels := t.gather(idx)
 	if !bundled[id] {
-		local.OneShotTrain(enc, labels)
+		local.OneShotTrainRows(t.Encoded, t.Labels, idx)
 		bundled[id] = true
 	}
 	for e := 0; e < t.Cfg.LocalEpochs; e++ {
@@ -169,24 +169,12 @@ func (t *HDTrainer) trainClient(local *hdc.Model, id int, idx []int, bundled []b
 			if lr == 0 {
 				lr = 1
 			}
-			wrong = local.RefineEpochAdaptive(enc, labels, lr)
+			wrong = local.RefineEpochAdaptiveRows(t.Encoded, t.Labels, idx, lr)
 		} else {
-			wrong = local.RefineEpoch(enc, labels)
+			wrong = local.RefineEpochRows(t.Encoded, t.Labels, idx)
 		}
 		if wrong == 0 {
 			break
 		}
 	}
-}
-
-// gather builds the [len(idx), d] batch of this client's hypervectors.
-func (t *HDTrainer) gather(idx []int) (*tensor.Tensor, []int) {
-	d := t.Encoded.Dim(1)
-	out := tensor.New(len(idx), d)
-	labels := make([]int, len(idx))
-	for bi, i := range idx {
-		copy(out.Data()[bi*d:(bi+1)*d], t.Encoded.Data()[i*d:(i+1)*d])
-		labels[bi] = t.Labels[i]
-	}
-	return out, labels
 }

@@ -95,22 +95,14 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkPredict(b *testing.B) {
+// similarityFixture is the paper-size job of one client or one evaluation:
+// K=10 prototypes, d=10000, n bipolar hypervectors, a one-shot-trained
+// model. The ...Naive benchmarks run the three-pass Cosine loop kept as
+// the oracle in kernel_test.go.
+func similarityFixture(b *testing.B, n int) (*Model, *tensor.Tensor, []int) {
+	b.Helper()
+	const d, k = 10000, 10
 	rng := rand.New(rand.NewSource(3))
-	m := NewModel(10, 10000)
-	for k := 0; k < 10; k++ {
-		copy(m.Class(k), RandomBipolar(rng, 10000))
-	}
-	h := RandomBipolar(rng, 10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(h)
-	}
-}
-
-func BenchmarkRefineEpoch(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	const n, d, k = 100, 4096, 10
 	enc := tensor.New(n, d)
 	labels := make([]int, n)
 	for s := 0; s < n; s++ {
@@ -119,6 +111,53 @@ func BenchmarkRefineEpoch(b *testing.B) {
 	}
 	m := NewModel(k, d)
 	m.OneShotTrain(enc, labels)
+	return m, enc, labels
+}
+
+func BenchmarkPredictNaive(b *testing.B) {
+	m, enc, _ := similarityFixture(b, 100)
+	h := enc.Data()[:m.D]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oraclePredict(m, h)
+	}
+}
+
+func BenchmarkPredict(b *testing.B) {
+	m, enc, _ := similarityFixture(b, 100)
+	h := enc.Data()[:m.D]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Predict(h)
+	}
+}
+
+func BenchmarkAccuracyNaive(b *testing.B) {
+	m, enc, labels := similarityFixture(b, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oracleAccuracy(m, enc, labels)
+	}
+}
+
+func BenchmarkAccuracy(b *testing.B) {
+	m, enc, labels := similarityFixture(b, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Accuracy(enc, labels)
+	}
+}
+
+func BenchmarkRefineEpochNaive(b *testing.B) {
+	m, enc, labels := similarityFixture(b, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oracleRefineEpoch(m, enc, labels)
+	}
+}
+
+func BenchmarkRefineEpoch(b *testing.B) {
+	m, enc, labels := similarityFixture(b, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.RefineEpoch(enc, labels)
