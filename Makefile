@@ -26,8 +26,9 @@ debugguard:
 
 # Repo-specific static analysis: determinism, goroutine discipline, wire
 # error handling, print/panic hygiene, float32 kernel discipline, plus the
-# dataflow rules (aliasing, lockheld, hotalloc, ctxflow). See DESIGN.md
-# "Static analysis & enforced invariants".
+# dataflow rules (aliasing, hotalloc) and the wire-taint rules (taintalloc,
+# taintindex, taintloop). See DESIGN.md "Static analysis & enforced
+# invariants".
 lint:
 	$(GO) run ./cmd/fhdnn-lint ./...
 
@@ -37,17 +38,17 @@ lint-json:
 	$(GO) run ./cmd/fhdnn-lint -json -suppressed ./... | tee fhdnn-lint.json
 
 # Per-rule wall-time report on stderr, captured to a file for the CI
-# artifact. The call graph, channel inventory and taint fixpoint are
-# built once and shared across the module-wide rules; -budget makes the
-# 10s whole-repo ceiling a hard failure, so timing regressions land as
-# red CI instead of a slowly rotting artifact.
+# artifact. The call graph and taint fixpoint are built once and shared
+# across the module-wide rules (hotalloc, taintalloc, taintindex,
+# taintloop); -budget makes the 10s whole-repo ceiling a hard failure, so
+# timing regressions land as red CI instead of a slowly rotting artifact.
 lint-timing:
 	@$(GO) run ./cmd/fhdnn-lint -timing -budget 10s ./... 2> fhdnn-lint-timing.txt; \
 	st=$$?; cat fhdnn-lint-timing.txt; exit $$st
 
-# The lint invocation CI runs (in the test matrix job only):
-# machine-readable findings (including suppressed ones) to
-# fhdnn-lint.json, the per-rule timing report to fhdnn-lint-timing.txt,
+# The lint invocation CI runs (in the test matrix job only): the rules of
+# `make lint`, with machine-readable findings (including suppressed ones)
+# to fhdnn-lint.json, the per-rule timing report to fhdnn-lint-timing.txt,
 # and the 10s sweep budget enforced; both files are uploaded as artifacts.
 lint-ci:
 	@$(GO) run ./cmd/fhdnn-lint -json -suppressed -timing -budget 10s ./... \
@@ -58,12 +59,14 @@ lint-ci:
 # the race detector with shuffled execution, then the attack/defense
 # matrix (40% colluding poisoners vs every aggregation policy), saved as
 # poison-experiments.txt. See DESIGN.md "Threat model & robust
-# aggregation" and the Byzantine section of EXPERIMENTS.md. In between,
-# the whole flnet suite five times over under -race: the shard-token
-# protocol (threshold/deadline/shutdown commits racing upload handlers)
-# is timing-dependent, so one pass proves little.
+# aggregation" and the Byzantine section of EXPERIMENTS.md. The first
+# run also carries the goroutine-leak tests (NoGoroutines: flnet starts
+# none; the fedcore engine and tensor.ParallelFor join every worker). In
+# between, the whole flnet suite five times over under -race: the
+# shard-token protocol (threshold/deadline/shutdown commits racing upload
+# handlers) is timing-dependent, so one pass proves little.
 chaos:
-	$(GO) test -race -shuffle=on -count=1 -run 'Byzantine|Robust|Poison|Quarantine|NormClip|Colluders|Attack' ./internal/fedcore ./internal/faults ./internal/fl ./internal/flnet
+	$(GO) test -race -shuffle=on -count=1 -run 'Byzantine|Robust|Poison|Quarantine|NormClip|Colluders|Attack|NoGoroutines' ./internal/fedcore ./internal/faults ./internal/fl ./internal/flnet ./internal/tensor
 	$(GO) test -race -shuffle=on -count=5 ./internal/flnet
 	$(GO) run ./cmd/fhdnn poison | tee poison-experiments.txt
 

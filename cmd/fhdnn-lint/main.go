@@ -1,4 +1,4 @@
-// Command fhdnn-lint enforces the repo's determinism, concurrency and
+// Command fhdnn-lint enforces the repo's determinism, kernel and
 // wire-safety invariants (see internal/analysis for the rule set). It is
 // built only on the standard library and runs as a required CI step.
 //
@@ -24,13 +24,12 @@
 //	64|b findings; b is a bitmask of the rules that fired:
 //	     1 determinism, 2 goroutine, 4 wire-error, 8 print-panic,
 //	     16 float64, 32 malformed/stale //fhdnn:allow directive,
-//	     128 any dataflow, concurrency or taint rule (aliasing,
-//	     lockheld, hotalloc, ctxflow, goleak, chandisc, wgproto,
-//	     atomicmix, taintalloc, taintindex, taintloop)
+//	     128 any dataflow or taint rule (aliasing, hotalloc,
+//	     taintalloc, taintindex, taintloop)
 //
 // Unix exit codes are eight bits and 64|1|2|4|8|16|32 uses seven of
-// them, so the dataflow, concurrency and taint rules share the last
-// bit; use -json for per-rule attribution.
+// them, so the dataflow and taint rules share the last bit; use -json
+// for per-rule attribution.
 package main
 
 import (
@@ -53,13 +52,7 @@ var ruleBits = map[string]int{
 	analysis.RuleFloat64:     16,
 	analysis.RuleAllow:       32,
 	analysis.RuleAliasing:    128,
-	analysis.RuleLockHeld:    128,
 	analysis.RuleHotAlloc:    128,
-	analysis.RuleCtxFlow:     128,
-	analysis.RuleGoLeak:      128,
-	analysis.RuleChanDisc:    128,
-	analysis.RuleWgProto:     128,
-	analysis.RuleAtomicMix:   128,
 	analysis.RuleTaintAlloc:  128,
 	analysis.RuleTaintIndex:  128,
 	analysis.RuleTaintLoop:   128,

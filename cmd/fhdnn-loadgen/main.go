@@ -180,7 +180,7 @@ func run() error {
 		w := w
 		latencies[w] = make([]time.Duration, 0, (*clients / *concurrency + 1)**rounds)
 		//fhdnn:allow goroutine bounded upload-worker pool; joined per round through the dispatch WaitGroup and drained by closing jobs
-		go func() { //fhdnn:allow wgproto Add(*clients) precedes every job send and Done only runs after a receive, so Add happens-before each Done through the jobs channel
+		go func() {
 			c := &flnet.Client{
 				BaseURL:    baseURL,
 				HTTPClient: httpc,

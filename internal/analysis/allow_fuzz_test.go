@@ -17,7 +17,7 @@ import (
 // of other kinds.
 func FuzzParseAllows(f *testing.F) {
 	f.Add("determinism benchmark-only timing helper")
-	f.Add("lockheld")
+	f.Add("taintloop")
 	f.Add("bogus-rule some reason")
 	f.Add("hotalloc amortized append // trailing comment")
 	f.Add("float64 précision déterministe")

@@ -15,9 +15,9 @@
 //	             internal/fedcore (the packages whose outputs must be
 //	             bit-reproducible for a fixed seed).
 //	goroutine    no naked go statements outside the internal/tensor
-//	             worker pool and internal/flnet; data-parallel fan-out
-//	             must route through tensor.ParallelFor, which bounds
-//	             concurrency and preserves bit-identical results.
+//	             worker pool; data-parallel fan-out must route through
+//	             tensor.ParallelFor, which bounds concurrency and
+//	             preserves bit-identical results.
 //	wire-error   every dropped error on the serialization/HTTP path:
 //	             all error returns inside internal/compress,
 //	             internal/fedcore, internal/flnet and internal/link, and
@@ -42,16 +42,10 @@
 //	             same field path, or slices derived from one base array.
 //	             The blocked kernels are undefined on overlapping
 //	             buffers.
-//	lockheld     no sync.Mutex/RWMutex held across a blocking call
-//	             (net/http, channel ops, Engine.Run, time.Sleep) in
-//	             internal/flnet, internal/fedcore, internal/faults.
-//	             defer mu.Unlock() does not end the held region.
 //	hotalloc     functions annotated //fhdnn:hotpath, and everything
 //	             reachable from them in the call graph, must not
 //	             allocate (make/new/append/boxing conversions/fmt);
 //	             panic and invariant.Fail* arguments are exempt.
-//	ctxflow      no context.Background()/TODO() inside a flnet/faults
-//	             function that already receives a context.Context.
 //
 // The wire-taint rules run on the interprocedural taint engine
 // (taint.go): wire sources are []byte / io.Reader parameters of the
@@ -82,7 +76,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 	"time"
@@ -92,8 +85,9 @@ import (
 // Version identifies the analyzer generation; v2 added the dataflow
 // rules (aliasing, lockheld, hotalloc, ctxflow); v3 the concurrency
 // rules (goleak, chandisc, wgproto, atomicmix); v4 the interprocedural
-// wire-taint rules (taintalloc, taintindex, taintloop).
-const Version = "4.0.0"
+// wire-taint rules (taintalloc, taintindex, taintloop); v5 retired
+// goleak, chandisc, wgproto, atomicmix, lockheld and ctxflow.
+const Version = "5.0.0"
 
 // Rule names, in exit-code bit order (see cmd/fhdnn-lint).
 const (
@@ -106,14 +100,7 @@ const (
 	RuleAllow = "allow"
 	// Dataflow rules (share one exit-code bit, see cmd/fhdnn-lint).
 	RuleAliasing = "aliasing"
-	RuleLockHeld = "lockheld"
 	RuleHotAlloc = "hotalloc"
-	RuleCtxFlow  = "ctxflow"
-	// Concurrency rules (share the dataflow exit-code bit).
-	RuleGoLeak    = "goleak"
-	RuleChanDisc  = "chandisc"
-	RuleWgProto   = "wgproto"
-	RuleAtomicMix = "atomicmix"
 	// Wire-taint rules (interprocedural, taint.go; share the dataflow
 	// exit-code bit).
 	RuleTaintAlloc = "taintalloc"
@@ -124,8 +111,7 @@ const (
 // AllRules lists every diagnostic rule in canonical order.
 var AllRules = []string{
 	RuleDeterminism, RuleGoroutine, RuleWireError, RulePrintPanic, RuleFloat64,
-	RuleAliasing, RuleLockHeld, RuleHotAlloc, RuleCtxFlow,
-	RuleGoLeak, RuleChanDisc, RuleWgProto, RuleAtomicMix,
+	RuleAliasing, RuleHotAlloc,
 	RuleTaintAlloc, RuleTaintIndex, RuleTaintLoop,
 }
 
@@ -162,17 +148,15 @@ type Result struct {
 	Timing []RuleTiming
 }
 
-// modulePass carries the expensive module-wide artifacts shared by the
-// call-graph rules (hotalloc, goleak, atomicmix). Built once per Run —
-// the call graph spans every loaded package so closures and inventories
-// never stop at a package boundary, and building it per rule would
-// triple the dominant cost of a whole-repo lint.
+// modulePass carries the module-wide call graph shared by the
+// call-graph rules (hotalloc and the taint engine). Built once per Run —
+// the graph spans every loaded package so closures never stop at a
+// package boundary, and building it per rule would double the dominant
+// cost of a whole-repo lint.
 type modulePass struct {
-	l      *loader
-	all    []*pkg // every loaded package, sorted by import path
-	graph  *callGraph
-	chans  *chanInventory
-	goOnly map[*types.Func]bool
+	l     *loader
+	all   []*pkg // every loaded package, sorted by import path
+	graph *callGraph
 }
 
 func newModulePass(l *loader) *modulePass {
@@ -185,14 +169,7 @@ func newModulePass(l *loader) *modulePass {
 	for _, path := range paths {
 		all = append(all, l.pkgs[path])
 	}
-	g := buildCallGraph(all)
-	return &modulePass{
-		l:      l,
-		all:    all,
-		graph:  g,
-		chans:  buildChanInventory(all),
-		goOnly: g.goroutineOnly(),
-	}
+	return &modulePass{l: l, all: all, graph: buildCallGraph(all)}
 }
 
 // Run lints the module rooted at root. Patterns are package directory
@@ -261,12 +238,12 @@ func Run(root string, patterns []string, rules []string) (*Result, error) {
 		})
 	}
 
-	// Module-wide rules share one call graph + channel inventory: the
-	// build is the dominant fixed cost and tripling it would break the
-	// whole-repo latency budget (see the -timing flag).
+	// Module-wide rules share one call graph: the build is the dominant
+	// fixed cost and doubling it would strain the whole-repo latency
+	// budget (see the -timing flag).
 	needTaint := enabled[RuleTaintAlloc] || enabled[RuleTaintIndex] || enabled[RuleTaintLoop]
 	var mp *modulePass
-	if enabled[RuleHotAlloc] || enabled[RuleGoLeak] || enabled[RuleAtomicMix] || needTaint {
+	if enabled[RuleHotAlloc] || needTaint {
 		timed("callgraph", func() { mp = newModulePass(l) })
 	}
 	moduleRule := func(name string, run func() map[*pkg][]Diagnostic) {
@@ -280,8 +257,6 @@ func Run(root string, patterns []string, rules []string) (*Result, error) {
 		})
 	}
 	moduleRule(RuleHotAlloc, func() map[*pkg][]Diagnostic { return checkHotAlloc(mp, loaded) })
-	moduleRule(RuleGoLeak, func() map[*pkg][]Diagnostic { return checkGoLeak(mp, loaded) })
-	moduleRule(RuleAtomicMix, func() map[*pkg][]Diagnostic { return checkAtomicMix(mp, loaded) })
 
 	// The taint engine runs once (summaries + fixpoint + findings) as its
 	// own timed stage; the three rule rows then just slice its output, so
@@ -337,12 +312,8 @@ var ruleFuncs = []namedRule{
 	{RulePrintPanic, checkPrintPanic},
 	{RuleFloat64, checkFloat64},
 	{RuleAliasing, checkAliasing},
-	{RuleLockHeld, checkLockHeld},
-	{RuleCtxFlow, checkCtxFlow},
-	{RuleChanDisc, checkChanDisc},
-	{RuleWgProto, checkWgProto},
-	// hotalloc, goleak and atomicmix are module-wide (call-graph /
-	// inventory closures) and run separately in Run, not per package.
+	// hotalloc and the taint rules are module-wide (call-graph closures)
+	// and run separately in Run, not per package.
 }
 
 // AllowPrefix starts a suppression directive comment.

@@ -33,21 +33,6 @@ type cgNode struct {
 	decl    *ast.FuncDecl
 	pkg     *pkg
 	callees []*types.Func // deduplicated, source order then dispatch order
-	// spawns are the goroutine-launch sites in this function's body: the
-	// go statements it executes, with the spawned function resolved when
-	// it is a direct call of a module function (nil target for function
-	// literals and calls through function values — the literal's body is
-	// carried instead).
-	spawns []spawnSite
-}
-
-// spawnSite is one go statement: the statement node for positions, plus
-// either the resolved module function it launches or the function
-// literal whose body runs on the new goroutine.
-type spawnSite struct {
-	stmt   *ast.GoStmt
-	target *types.Func  // non-nil for `go s.run(...)` launching a module func
-	lit    *ast.FuncLit // non-nil for `go func() {...}()`
 }
 
 // callGraph is the module call graph.
@@ -58,19 +43,12 @@ type callGraph struct {
 	// consumers (the taint engine) that resolve interface dispatch after
 	// construction.
 	concrete []*types.Named
-	// callers is the reverse edge map (deduplicated), built alongside the
-	// forward edges so goroutine-context classification can ask "who can
-	// run me" without a second walk.
-	callers map[*types.Func][]*types.Func
 }
 
 // buildCallGraph constructs the graph over the given packages (callers
 // are drawn from these; callees may resolve anywhere in the module).
 func buildCallGraph(pkgs []*pkg) *callGraph {
-	g := &callGraph{
-		nodes:   make(map[*types.Func]*cgNode),
-		callers: make(map[*types.Func][]*types.Func),
-	}
+	g := &callGraph{nodes: make(map[*types.Func]*cgNode)}
 
 	// Module named types, for interface-dispatch expansion.
 	var concrete []*types.Named
@@ -108,83 +86,10 @@ func buildCallGraph(pkgs []*pkg) *callGraph {
 				g.nodes[fn] = node
 				g.order = append(g.order, fn)
 				collectCallees(node, p.Info, concrete)
-				collectSpawns(node, p.Info)
 			}
-		}
-	}
-	for _, caller := range g.order {
-		for _, callee := range g.nodes[caller].callees {
-			g.callers[callee] = append(g.callers[callee], caller)
 		}
 	}
 	return g
-}
-
-// collectSpawns records the go statements of one function body, resolving
-// each to the module function it launches (direct calls) or the function
-// literal that runs (closures). References inside the spawned literal are
-// already edges of the enclosing node via collectCallees.
-func collectSpawns(node *cgNode, info *types.Info) {
-	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-		gs, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		site := spawnSite{stmt: gs}
-		if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-			site.lit = lit
-		} else {
-			site.target = calleeOf(info, gs.Call)
-		}
-		node.spawns = append(node.spawns, site)
-		return true
-	})
-}
-
-// goroutineOnly classifies every graph node: a function runs *only* on
-// module-spawned goroutines when it is the direct target of a go
-// statement, or when it has at least one referencer and every referencer
-// is itself goroutine-only. A single reference from ordinary code — a
-// plain call, a method value registered as an HTTP handler, an interface
-// dispatch — demotes the function, because its body then also executes
-// outside any goroutine lifecycle the analyzer reasons about.
-//
-// Computed as a greatest fixpoint: optimistically mark every referenced
-// function plus the spawn targets, then repeatedly demote nodes with an
-// unmarked referencer until stable. Cycles of mutually-recursive
-// goroutine helpers stay marked, which is the desired answer.
-func (g *callGraph) goroutineOnly() map[*types.Func]bool {
-	spawned := make(map[*types.Func]bool)
-	for _, fn := range g.order {
-		for _, sp := range g.nodes[fn].spawns {
-			if sp.target != nil {
-				spawned[sp.target] = true
-			}
-		}
-	}
-	only := make(map[*types.Func]bool)
-	for _, fn := range g.order {
-		if spawned[fn] || len(g.callers[fn]) > 0 {
-			only[fn] = true
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, fn := range g.order {
-			if !only[fn] || spawned[fn] {
-				continue
-			}
-			for _, caller := range g.callers[fn] {
-				if !only[caller] {
-					delete(only, fn)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return only
 }
 
 // collectCallees walks the function body in source order recording every

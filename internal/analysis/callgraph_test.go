@@ -115,82 +115,3 @@ func TestCallGraphRepo(t *testing.T) {
 		}
 	}
 }
-
-// TestSpawnSites pins the spawn-edge collection on the fixture relay:
-// a go statement launching a function literal carries the literal (nil
-// target), and a direct method launch resolves the module function.
-func TestSpawnSites(t *testing.T) {
-	l, err := newLoader(fixtureRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.load("fixture/internal/flnet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := buildCallGraph([]*pkg{p})
-
-	pump := lookupMethod(t, p, "relay", "pump")
-	spawnPump := lookupFunc(t, p, "SpawnPump")
-	spawnLit := lookupFunc(t, p, "SpawnLit")
-
-	named := g.nodes[spawnPump].spawns
-	if len(named) != 1 {
-		t.Fatalf("SpawnPump: got %d spawn sites, want 1", len(named))
-	}
-	if named[0].target != pump || named[0].lit != nil {
-		t.Errorf("SpawnPump spawn: target=%v lit=%v, want target=(*relay).pump lit=nil",
-			named[0].target, named[0].lit)
-	}
-	if named[0].stmt == nil {
-		t.Error("SpawnPump spawn: go statement not recorded")
-	}
-
-	lits := g.nodes[spawnLit].spawns
-	if len(lits) != 1 {
-		t.Fatalf("SpawnLit: got %d spawn sites, want 1", len(lits))
-	}
-	if lits[0].lit == nil || lits[0].target != nil {
-		t.Errorf("SpawnLit spawn: target=%v lit=%v, want a literal with nil target",
-			lits[0].target, lits[0].lit)
-	}
-
-	if len(g.nodes[pump].spawns) != 0 {
-		t.Error("pump spawns nothing; its spawn list should be empty")
-	}
-}
-
-// TestGoroutineOnly pins the greatest-fixpoint classification: direct
-// spawn targets and their exclusively-goroutine helpers stay marked,
-// while one ordinary caller demotes a helper.
-func TestGoroutineOnly(t *testing.T) {
-	l, err := newLoader(fixtureRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.load("fixture/internal/flnet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := buildCallGraph([]*pkg{p})
-	only := g.goroutineOnly()
-
-	pump := lookupMethod(t, p, "relay", "pump")
-	forward := lookupMethod(t, p, "relay", "forward")
-	shared := lookupMethod(t, p, "relay", "shared")
-	spawnPump := lookupFunc(t, p, "SpawnPump")
-	useShared := lookupFunc(t, p, "UseShared")
-
-	if !only[pump] {
-		t.Error("pump is the direct target of a go statement; it must stay marked")
-	}
-	if !only[forward] {
-		t.Error("forward is reached only from pump; the fixpoint must keep it marked")
-	}
-	if only[shared] {
-		t.Error("shared is also called from UseShared on the caller's stack; it must be demoted")
-	}
-	if only[spawnPump] || only[useShared] {
-		t.Error("SpawnPump/UseShared run on the caller's stack; neither may be marked")
-	}
-}

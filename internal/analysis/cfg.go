@@ -5,10 +5,11 @@ import (
 	"go/token"
 )
 
-// cfg.go builds the intraprocedural control-flow graph the dataflow rules
-// (aliasing, lockheld) run on. The graph is statement-level: every basic
-// block holds a sequence of "atoms" — simple statements and the head
-// expressions of control statements — in execution order, and edges
+// cfg.go builds the intraprocedural control-flow graph that aliasing's
+// reaching definitions and the taint engine's dominating-guard sanitizer
+// run on. The graph is statement-level: every basic block holds a
+// sequence of "atoms" — simple statements and the head expressions of
+// control statements — in execution order, and edges
 // connect blocks along every possible control path (both branches of an
 // if, loop back-edges, every switch/select arm, returns to the exit
 // block).
@@ -32,17 +33,13 @@ type funcCFG struct {
 	blocks []*block
 	entry  *block
 	exit   *block
-	// commAtoms marks select CommClause communication statements: the
-	// select head already models their blocking, so lockheld must not
-	// re-flag the send/receive inside the clause.
-	commAtoms map[ast.Node]bool
 }
 
 // buildCFG constructs the CFG of a function body. The exit block is the
 // unique sink: returns, panics falling off the end, and (conservatively)
 // goto statements all flow there.
 func buildCFG(body *ast.BlockStmt) *funcCFG {
-	g := &funcCFG{commAtoms: make(map[ast.Node]bool)}
+	g := &funcCFG{}
 	b := &cfgBuilder{g: g}
 	g.entry = b.newBlock()
 	g.exit = b.newBlock()
@@ -233,15 +230,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.SelectStmt:
 		label := b.takeLabel()
-		// The select statement itself is the head atom: lockheld treats a
-		// select with no default clause as a blocking point.
-		b.add(s)
+		// Each arm's communication statement is its head atom, so a
+		// `v := <-ch` arm defines v for reaching definitions.
 		b.caseClauses(label, s.Body.List, func(c ast.Stmt) ([]ast.Node, []ast.Stmt, bool) {
 			cc := c.(*ast.CommClause)
 			if cc.Comm == nil {
 				return nil, cc.Body, true
 			}
-			b.g.commAtoms[cc.Comm] = true
 			return []ast.Node{cc.Comm}, cc.Body, false
 		}, false)
 
@@ -349,8 +344,9 @@ func (g *funcCFG) preds() [][]*block {
 // set of block indices that dominate block i (every path from entry to i
 // passes through them; a block dominates itself). Blocks unreachable from
 // the entry dominate nothing and are dominated by everything, which is
-// the conventional bottom for the standard forward fixpoint below — the
-// wgproto rule never queries them because no executed atom lives there.
+// the conventional bottom for the standard forward fixpoint below — dead
+// code never runs, so the taint sanitizer treating it as guarded by every
+// comparison is harmless.
 //
 // The algorithm is the classic iterative one: dom(entry) = {entry},
 // dom(b) = {b} ∪ ⋂ dom(p) over predecessors p, iterated to fixpoint.
@@ -413,41 +409,4 @@ func (g *funcCFG) dominators() []map[int]bool {
 		}
 	}
 	return dom
-}
-
-// atomPoint locates an atom in the graph, returning its block and index
-// within the block (nil, -1 when the node is not an atom). Matching is by
-// node identity; shared shallow sub-expressions are not atoms themselves.
-func (g *funcCFG) atomPoint(n ast.Node) (*block, int) {
-	for _, b := range g.blocks {
-		for i, a := range b.atoms {
-			if a == n {
-				return b, i
-			}
-		}
-	}
-	return nil, -1
-}
-
-// exitReachable marks, per block, whether the exit block is reachable
-// from it. A false entry means control entering that block can never
-// return from the function — the goleak rule's definition of a trapped
-// goroutine region.
-func (g *funcCFG) exitReachable() []bool {
-	// Reverse reachability from exit over the predecessor graph.
-	preds := g.preds()
-	out := make([]bool, len(g.blocks))
-	stack := []*block{g.exit}
-	out[g.exit.idx] = true
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range preds[b.idx] {
-			if !out[p.idx] {
-				out[p.idx] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return out
 }

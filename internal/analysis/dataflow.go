@@ -118,16 +118,6 @@ func reachingDefs(g *funcCFG, info *types.Info, ftype *ast.FuncType, recv *ast.F
 	return rd
 }
 
-// at returns the definition state holding immediately before atom
-// atomIdx of block b executes.
-func (rd *reachDefs) at(b *block, atomIdx int) defState {
-	st := rd.in[b.idx].clone()
-	for i := 0; i < atomIdx && i < len(b.atoms); i++ {
-		rd.transfer(st, b.atoms[i])
-	}
-	return st
-}
-
 // transfer applies one atom's effect to st in place.
 func (rd *reachDefs) transfer(st defState, atom ast.Node) {
 	switch n := atom.(type) {
@@ -226,93 +216,6 @@ func (rd *reachDefs) lhsVar(id *ast.Ident) *types.Var {
 		return v
 	}
 	return nil
-}
-
-// --- Channel definitions -------------------------------------------------
-//
-// The concurrency rules (goleak, chandisc) reason about channels by the
-// *variable object* that holds them: a local `done := make(chan ...)`, a
-// struct field `s.stopAll`, a parameter. The types.Var is the def: two
-// expressions denote "the same channel" for these rules exactly when they
-// resolve to the same object. Channels that travel through other values —
-// a field of a message received from another channel — deliberately do
-// NOT unify with their origin: whether the peer holding the origin is
-// still alive is the unprovable part, and the rules treat such channels
-// as having no in-scope counterparty.
-
-// chanVarOf resolves a channel-typed expression to its defining variable
-// object: the *types.Var of a plain identifier (local, parameter,
-// package-level) or of the field in a selector chain. Returns nil for
-// anything else (map/slice elements, call results, literals).
-func chanVarOf(info *types.Info, e ast.Expr) *types.Var {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if v, ok := info.Uses[x].(*types.Var); ok {
-			return v
-		}
-		if v, ok := info.Defs[x].(*types.Var); ok {
-			return v
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok {
-			if v, ok := sel.Obj().(*types.Var); ok && v.IsField() {
-				return v
-			}
-		}
-		if v, ok := info.Uses[x.Sel].(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
-}
-
-// chanInventory is the module-wide channel ledger: which channel defs are
-// ever closed, and which are ever send targets. A def that is closed
-// somewhere and never sent to is a quit channel — the only way it can
-// release a receiver is the broadcast close, which is exactly the
-// shutdown-signal shape (stopAll, kill, ctx.Done).
-type chanInventory struct {
-	closed map[*types.Var][]token.Pos // close sites per def
-	sent   map[*types.Var]bool        // defs that appear as send targets
-}
-
-// buildChanInventory scans every loaded package once.
-func buildChanInventory(pkgs []*pkg) *chanInventory {
-	inv := &chanInventory{
-		closed: make(map[*types.Var][]token.Pos),
-		sent:   make(map[*types.Var]bool),
-	}
-	for _, p := range pkgs {
-		info := p.Info
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SendStmt:
-					if v := chanVarOf(info, n.Chan); v != nil {
-						inv.sent[v] = true
-					}
-				case *ast.CallExpr:
-					if isBuiltin(info, n, "close") && len(n.Args) == 1 {
-						if v := chanVarOf(info, n.Args[0]); v != nil {
-							inv.closed[v] = append(inv.closed[v], n.Pos())
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return inv
-}
-
-// isQuit reports whether the def is a close-only broadcast channel.
-func (inv *chanInventory) isQuit(v *types.Var) bool {
-	return v != nil && len(inv.closed[v]) > 0 && !inv.sent[v]
-}
-
-// isClosed reports whether the def is closed anywhere in the module.
-func (inv *chanInventory) isClosed(v *types.Var) bool {
-	return v != nil && len(inv.closed[v]) > 0
 }
 
 // eachAtom invokes fn for every atom in the graph along with the state

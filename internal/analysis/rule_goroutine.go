@@ -4,19 +4,17 @@ import "go/ast"
 
 // goroutine: unbounded `go` statements are how a refactor quietly
 // replaces the deterministic, bounded worker pool with a thundering herd.
-// Only two places in the repo are entitled to spawn goroutines:
-//
-//   - internal/tensor, which owns the shared semaphore pool behind
-//     ParallelFor (bounded, nest-safe, bit-identical for every worker
-//     count);
-//   - internal/flnet, whose request handling and chaos-hardened client
-//     loops are inherently concurrent network code.
+// Only internal/tensor, which owns the shared semaphore pool behind
+// ParallelFor (bounded, nest-safe, bit-identical for every worker count),
+// is entitled to spawn goroutines. internal/flnet gets no exemption: it
+// runs on net/http's goroutines and starts none of its own
+// (TestServerStartsNoGoroutines pins this).
 //
 // Everything else either routes data-parallel fan-out through
 // tensor.ParallelFor or carries an //fhdnn:allow goroutine annotation
 // explaining why bounded fan-out does not fit (e.g. an HTTP server's
 // accept loop).
-var goroutinePkgs = []string{"internal/tensor", "internal/flnet"}
+var goroutinePkgs = []string{"internal/tensor"}
 
 func checkGoroutines(l *loader, p *pkg) []Diagnostic {
 	if relIn(p, goroutinePkgs...) {

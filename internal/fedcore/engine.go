@@ -110,8 +110,8 @@ func (e *Engine) Run() {
 		received := make([]*Update, len(ids))
 
 		// Sized for the whole round so the dispatch loop below never
-		// blocks on a slow worker (found by fhdnn-lint chandisc: an
-		// unbuffered jobs channel turns every send into a rendezvous).
+		// blocks on a slow worker (an unbuffered jobs channel turns every
+		// send into a rendezvous).
 		jobs := make(chan int, len(ids))
 		var wg sync.WaitGroup
 		for w := 0; w < e.Workers(); w++ {

@@ -3,7 +3,9 @@ package fedcore
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"fhdnn/internal/channel"
 	"fhdnn/internal/compress"
@@ -146,6 +148,27 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		if g1[i] != g4[i] {
 			t.Fatalf("global[%d] differs: %v vs %v", i, g1[i], g4[i])
 		}
+	}
+}
+
+// The worker pool joins before aggregation: every goroutine Run starts
+// has exited by the time it returns, even with more sampled clients than
+// workers. A worker exits just after its wg.Done, so the count is polled
+// briefly; goroutines of earlier tests may still be winding down, so it
+// may fall but must not rise.
+func TestEngineRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, stats, _ := toyEngine(4, 0, nil)
+	e.Clients, e.Fraction, e.Rounds = 16, 1, 2
+	e.Run()
+	if len(*stats) != 2 || (*stats)[1].Participants != 16 {
+		t.Fatalf("rounds = %+v, want 2 rounds of 16 participants", *stats)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("Engine.Run left %d goroutines behind", n-before)
 	}
 }
 

@@ -3,8 +3,11 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Naive reference kernels: the pre-blocking triple loops, with the same
@@ -223,6 +226,31 @@ func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// ParallelFor joins every goroutine it spawns before returning, including
+// when a nested call finds the pool saturated and runs its chunks inline.
+// A worker exits just after its wg.Done, so the count is polled briefly;
+// goroutines of earlier tests may still be winding down, so it may fall
+// but must not rise.
+func TestParallelForLeavesNoGoroutines(t *testing.T) {
+	withWorkers(t, 4)
+	before := runtime.NumGoroutine()
+	var visits atomic.Int64
+	ParallelFor(8, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ParallelFor(16, func(lo, hi int) { visits.Add(int64(hi - lo)) })
+		}
+	})
+	if got := visits.Load(); got != 8*16 {
+		t.Fatalf("nested ParallelFor visited %d indices, want %d", got, 8*16)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("ParallelFor left %d goroutines behind", n-before)
 	}
 }
 
