@@ -128,9 +128,13 @@ func HDEncodeFLOPs(d, n int) float64 { return 2 * float64(d) * float64(n) }
 // HDTrainFLOPs counts one-shot bundling plus refine epochs for `samples`
 // examples over k classes: each refine epoch computes k cosine
 // similarities per sample (2*k*d) and possibly two prototype updates
-// (2*d). That is what hdc.Model executes: its similarity kernel runs the k
-// dot chains plus one chain for |h|^2 per sample and caches the prototype
-// norms, which only a misprediction's update loop re-sums.
+// (2*d). That is what hdc.Model executes per sample: its similarity kernel
+// runs the k dot chains (two classes per SIMD instruction on amd64, the
+// same FLOPs) plus the h·h chain, and a misprediction's update loop
+// re-sums the two touched norms. Once per call, not per sample, it also
+// copies the k x d prototypes into float64 class lanes and sums their
+// norms in the same pass (2*k*d); that is 1/samples of the similarity
+// term and is not billed.
 func HDTrainFLOPs(d, k, samples, refineEpochs int) float64 {
 	bundle := float64(samples) * float64(d)
 	perEpoch := float64(samples) * (2*float64(k)*float64(d) + 2*float64(d))

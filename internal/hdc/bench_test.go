@@ -38,7 +38,7 @@ func naiveEncodeBatch(e *Encoder, z *tensor.Tensor, out *tensor.Tensor) {
 			h[i] = sum
 		}
 		if e.Binarize {
-			signInPlace(h)
+			Sign(h)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func (e *Encoder) EncodeInto(dst, z []float32) {
 	}
 	tensor.MatVecInto(dst, e.Phi, z)
 	if e.Binarize {
-		signInPlace(dst)
+		Sign(dst)
 	}
 }
 
@@ -137,17 +137,7 @@ func (e *Encoder) EncodeBatchInto(dst, z *tensor.Tensor) {
 	}
 	tensor.MatMulInto(dst, z, e.phiT)
 	if e.Binarize {
-		signInPlace(dst.Data())
-	}
-}
-
-func signInPlace(h []float32) {
-	for i, v := range h {
-		if v >= 0 {
-			h[i] = 1
-		} else {
-			h[i] = -1
-		}
+		Sign(dst.Data())
 	}
 }
 

@@ -151,12 +151,14 @@ func kernelFixture(seed int64, k, d, n int, hostile bool) (*Model, *tensor.Tenso
 }
 
 var (
-	kernelClasses = []int{1, 2, 3, 4, 5, 7, 10, 17}
+	kernelClasses = []int{1, 2, 3, 4, 5, 7, 9, 10, 11, 17, 20}
 	kernelDims    = []int{1, 3, 64, 10000}
 )
 
 // forEachKernelShape runs fn over K x D x {clean, hostile}; the d=10000
-// rows keep n small so the suite stays quick.
+// rows keep n small so the suite stays quick. Between them the class
+// counts run every lane-pair count of both class-lane kernels; K=11 puts
+// one class past a sweep and K=20 is exactly two.
 func forEachKernelShape(t *testing.T, fn func(t *testing.T, m *Model, enc *tensor.Tensor, labels []int)) {
 	for _, k := range kernelClasses {
 		for _, d := range kernelDims {
@@ -196,6 +198,50 @@ func TestKernelMatchesCosineOracle(t *testing.T) {
 		for s, p := range preds {
 			if wc, _ := oraclePredict(m, enc.Data()[s*m.D:(s+1)*m.D]); p != wc {
 				t.Fatalf("row %d: PredictBatch = %d, oracle %d", s, p, wc)
+			}
+		}
+	})
+}
+
+// TestSimilarityKernelMatchesPortable pins the class-lane kernels against
+// their portable twins, sweep by sweep: the lane copy and the prototype
+// norms of laneFill, and every dot product and h·h of laneSweep. On
+// architectures without assembly both sides are the twin.
+func TestSimilarityKernelMatchesPortable(t *testing.T) {
+	forEachKernelShape(t, func(t *testing.T, m *Model, enc *tensor.Tensor, _ []int) {
+		ln := m.lanes()
+		defer putLanes(ln)
+		k, d, kp := m.K, m.D, ln.kp
+		for lo := 0; lo+1 < k; lo += sweepClasses {
+			pairs := min(k-lo, sweepClasses) / 2
+			cs, sq := make([]float64, kp*d), make([]float64, 2*pairs)
+			laneFillGo(sq, cs[lo:], m.Flat()[lo*d:], d, kp, pairs)
+			for j := range sq {
+				for i := 0; i < d; i++ {
+					if g, w := ln.cs[i*kp+lo+j], cs[i*kp+lo+j]; !sameFloat(g, w) {
+						t.Fatalf("class %d entry %d: lane %v, portable %v", lo+j, i, g, w)
+					}
+				}
+				if g, w := ln.norms[lo+j], math.Sqrt(sq[j]); !sameFloat(g, w) {
+					t.Fatalf("class %d: norm %v, portable %v", lo+j, g, w)
+				}
+			}
+		}
+		for s := 0; s < enc.Dim(0); s++ {
+			h := enc.Data()[s*d : (s+1)*d]
+			for lo := 0; lo < kp; lo += sweepClasses {
+				pairs := min(kp-lo, sweepClasses) / 2
+				got, want := make([]float64, 2*pairs), make([]float64, 2*pairs)
+				ghh, whh := laneSweep(got, ln.cs[lo:], h, kp, pairs), laneSweepGo(want, ln.cs[lo:], h, kp, pairs)
+				if !sameFloat(ghh, whh) {
+					t.Fatalf("row %d sweep %d: h·h = %v, portable %v", s, lo, ghh, whh)
+				}
+				for j := range got {
+					if !sameFloat(got[j], want[j]) {
+						t.Fatalf("row %d class %d: dot = %v (%#x), portable %v (%#x)",
+							s, lo+j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+					}
+				}
 			}
 		}
 	})
@@ -318,6 +364,9 @@ func TestAccuracyChecksLabelsLength(t *testing.T) {
 }
 
 func TestRefineDoesNotAllocateSerial(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the class lanes come from a sync.Pool, which drops Puts at random under the race detector; the 0 allocs/op contract is asserted in non-race runs")
+	}
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	m, enc, labels := kernelFixture(2, 10, 256, 40, false)
 	rows := rand.New(rand.NewSource(3)).Perm(40)[:25]

@@ -41,82 +41,26 @@ func (m *Model) BundleInto(k int, h []float32) {
 	Bundle(m.Class(k), h)
 }
 
-// maxStackClasses bounds the class count whose similarity scratch lives in
-// a fixed-size array of the calling frame; larger models allocate it once
-// per call.
-const maxStackClasses = 16
-
-// simScratch is the per-call workspace of the similarity kernel: the
-// cached prototype norms and one similarity per class.
-type simScratch [2 * maxStackClasses]float64
-
-// scratch cuts the norm and similarity vectors for m out of buf.
-func (m *Model) scratch(buf *simScratch) (norms, sims []float64) {
-	if m.K <= maxStackClasses {
-		return buf[:m.K], buf[maxStackClasses : maxStackClasses+m.K]
-	}
-	s := make([]float64, 2*m.K)
-	return s[:m.K], s[m.K:]
-}
-
-// classNorms fills norms[k] with the L2 norm of prototype k.
-func (m *Model) classNorms(norms []float64) {
-	for k := range norms {
-		norms[k] = Norm(m.Class(k))
-	}
-}
-
-// simBlock is the number of prototypes the similarity kernel sweeps at
-// once: with the chain for h itself that is six independent float64 sums
-// in flight, enough to hide the add latency one chain alone would wait on,
-// and K=10 (every dataset in the paper) is exactly two sweeps.
-const simBlock = 5
-
-// dotBlock returns the inner products of c0..c4 with h, and of h with
-// itself, in one sweep. Every sum is its own float64 chain in ascending
-// index order, so each is bit-identical to Dot (and hh to the square of
-// Norm); the chains only share the loads of h and overlap in the pipeline.
-func dotBlock(c0, c1, c2, c3, c4, h []float32) (s [simBlock]float64, hh float64) {
-	c0, c1, c2, c3, c4 = c0[:len(h)], c1[:len(h)], c2[:len(h)], c3[:len(h)], c4[:len(h)]
-	var s0, s1, s2, s3, s4 float64
-	for i, v := range h {
-		x := float64(v)
-		s0 += float64(c0[i]) * x
-		s1 += float64(c1[i]) * x
-		s2 += float64(c2[i]) * x
-		s3 += float64(c3[i]) * x
-		s4 += float64(c4[i]) * x
-		hh += x * x
-	}
-	return [simBlock]float64{s0, s1, s2, s3, s4}, hh
-}
-
-// similarities is the HD similarity kernel: it writes the cosine similarity
-// of h with every prototype into sims, given norms[k] = Norm(Class(k)).
-// Prototypes are swept simBlock at a time (the last block repeats its final
-// row); a zero prototype or a zero h has similarity 0.
+// similarities is the HD similarity kernel: it returns the cosine
+// similarity of h with every prototype, given ln = m.lanes(), written into
+// dots (kp entries, the first K returned). A zero prototype or a zero h has
+// similarity 0.
 //
 //fhdnn:hotpath
-func (m *Model) similarities(sims, norms []float64, h []float32) {
+func (m *Model) similarities(ln *classLanes, dots []float64, h []float32) []float64 {
 	if len(h) != m.D {
 		panic(fmt.Sprintf("hdc: hypervector length %d, model dimension %d", len(h), m.D))
 	}
-	last := m.K - 1
-	var hh float64
-	for k := 0; k <= last; k += simBlock {
-		var s [simBlock]float64
-		s, hh = dotBlock(m.Class(k), m.Class(min(k+1, last)), m.Class(min(k+2, last)),
-			m.Class(min(k+3, last)), m.Class(min(k+4, last)), h)
-		copy(sims[k:], s[:])
-	}
-	hn := math.Sqrt(hh)
-	for k, n := range norms {
+	hn := math.Sqrt(laneDots(dots, ln.cs, h, ln.kp))
+	sims := dots[:m.K]
+	for k, n := range ln.norms {
 		if n == 0 || hn == 0 {
 			sims[k] = 0
 		} else {
 			sims[k] /= n * hn
 		}
 	}
+	return sims
 }
 
 // best returns the winning class of a similarity vector: the first
@@ -134,42 +78,41 @@ func best(sims []float64) (class int, sim float64) {
 // Predict returns the class whose prototype has the highest cosine
 // similarity with h, along with that similarity.
 func (m *Model) Predict(h []float32) (class int, sim float64) {
-	var buf simScratch
-	norms, sims := m.scratch(&buf)
-	m.classNorms(norms)
-	m.similarities(sims, norms, h)
-	return best(sims)
+	ln := m.lanes()
+	class, sim = best(m.similarities(ln, ln.dots, h))
+	putLanes(ln)
+	return class, sim
 }
 
 // Similarities returns the cosine similarity of h against every prototype.
 func (m *Model) Similarities(h []float32) []float64 {
-	var buf simScratch
-	norms, _ := m.scratch(&buf)
-	m.classNorms(norms)
+	ln := m.lanes()
 	out := make([]float64, m.K)
-	m.similarities(out, norms, h)
+	copy(out, m.similarities(ln, ln.dots, h))
+	putLanes(ln)
 	return out
 }
 
-// PredictBatch classifies every row of encoded. The prototype norms are
-// computed once and the rows are split over the tensor worker pool.
+// PredictBatch classifies every row of encoded. The class lanes and norms
+// are built once and the rows are split over the tensor worker pool.
 func (m *Model) PredictBatch(encoded *tensor.Tensor) []int {
 	n := encoded.Dim(0)
 	if encoded.Len() != n*m.D {
 		panic("hdc: PredictBatch encoded width mismatch")
 	}
-	var buf simScratch
-	norms, _ := m.scratch(&buf)
-	m.classNorms(norms)
+	ln := m.lanes()
 	out := make([]int, n)
 	tensor.ParallelFor(n, func(lo, hi int) {
-		var buf simScratch
-		_, sims := m.scratch(&buf)
+		var buf [2 * sweepClasses]float64
+		dots := buf[:]
+		if ln.kp > len(buf) {
+			dots = make([]float64, ln.kp)
+		}
 		for s := lo; s < hi; s++ {
-			m.similarities(sims, norms, encoded.Data()[s*m.D:(s+1)*m.D])
-			out[s], _ = best(sims)
+			out[s], _ = best(m.similarities(ln, dots, encoded.Data()[s*m.D:(s+1)*m.D]))
 		}
 	})
+	putLanes(ln)
 	return out
 }
 
@@ -223,49 +166,50 @@ func (m *Model) RefineEpoch(encoded *tensor.Tensor, labels []int) int {
 // of row r. A nil rows means every row.
 func (m *Model) RefineEpochRows(encoded *tensor.Tensor, labels, rows []int) int {
 	n := m.checkRows("RefineEpoch", encoded, labels, rows)
-	var buf simScratch
-	norms, sims := m.scratch(&buf)
-	m.classNorms(norms)
-	return m.refine(encoded.Data(), labels, rows, n, norms, sims)
+	ln := m.lanes()
+	wrong := m.refine(ln, encoded.Data(), labels, rows, n)
+	putLanes(ln)
+	return wrong
 }
 
-// refine is the RefineEpoch loop. norms holds the prototype norms on entry
-// and move keeps it current.
+// refine is the RefineEpoch loop. ln holds the class lanes and norms on
+// entry and move keeps them current.
 //
 //fhdnn:hotpath
-func (m *Model) refine(data []float32, labels, rows []int, n int, norms, sims []float64) int {
+func (m *Model) refine(ln *classLanes, data []float32, labels, rows []int, n int) int {
 	wrong := 0
 	for s := 0; s < n; s++ {
 		r := rowAt(rows, s)
 		h := data[r*m.D : (r+1)*m.D]
-		m.similarities(sims, norms, h)
-		pred, _ := best(sims)
+		pred, _ := best(m.similarities(ln, ln.dots, h))
 		y := labels[r]
 		if pred == y {
 			continue
 		}
 		wrong++
-		m.move(norms, y, pred, 1, 1, h)
+		m.move(ln, y, pred, 1, 1, h)
 	}
 	return wrong
 }
 
 // move applies one refinement step, c_y += up*h and c_pred -= down*h, and
-// refreshes the two cached norms: the squared norms are summed as the new
-// entries are written, in the ascending order Norm uses, so norms stays
-// bit-identical to a recomputation. A unit step multiplies exactly, so the
-// fixed rule's +-h is this with up = down = 1.
-func (m *Model) move(norms []float64, y, pred int, up, down float32, h []float32) {
+// refreshes the two touched class lanes and norms from the float32 entries
+// it has just written: the squared norms are summed in the ascending order
+// Norm uses, so ln stays bit-identical to a rebuild. A unit step
+// multiplies exactly, so the fixed rule's +-h is this with up = down = 1.
+func (m *Model) move(ln *classLanes, y, pred int, up, down float32, h []float32) {
 	correct, bad := m.Class(y)[:len(h)], m.Class(pred)[:len(h)]
+	cs, kp := ln.cs[:len(h)*ln.kp], ln.kp
 	var cc, bb float64
 	for i, v := range h {
 		correct[i] += up * v
 		bad[i] -= down * v
-		c, b := correct[i], bad[i]
-		cc += float64(c) * float64(c)
-		bb += float64(b) * float64(b)
+		c, b := float64(correct[i]), float64(bad[i])
+		cs[i*kp+y], cs[i*kp+pred] = c, b
+		cc += c * c
+		bb += b * b
 	}
-	norms[y], norms[pred] = math.Sqrt(cc), math.Sqrt(bb)
+	ln.norms[y], ln.norms[pred] = math.Sqrt(cc), math.Sqrt(bb)
 }
 
 // RefineEpochAdaptive performs one pass of similarity-weighted refinement
@@ -287,21 +231,21 @@ func (m *Model) RefineEpochAdaptive(encoded *tensor.Tensor, labels []int, lr flo
 // every row.
 func (m *Model) RefineEpochAdaptiveRows(encoded *tensor.Tensor, labels, rows []int, lr float32) int {
 	n := m.checkRows("RefineEpochAdaptive", encoded, labels, rows)
-	var buf simScratch
-	norms, sims := m.scratch(&buf)
-	m.classNorms(norms)
-	return m.refineAdaptive(encoded.Data(), labels, rows, n, lr, norms, sims)
+	ln := m.lanes()
+	wrong := m.refineAdaptive(ln, encoded.Data(), labels, rows, n, lr)
+	putLanes(ln)
+	return wrong
 }
 
-// refineAdaptive is the RefineEpochAdaptive loop; norms as in refine.
+// refineAdaptive is the RefineEpochAdaptive loop; ln as in refine.
 //
 //fhdnn:hotpath
-func (m *Model) refineAdaptive(data []float32, labels, rows []int, n int, lr float32, norms, sims []float64) int {
+func (m *Model) refineAdaptive(ln *classLanes, data []float32, labels, rows []int, n int, lr float32) int {
 	wrong := 0
 	for s := 0; s < n; s++ {
 		r := rowAt(rows, s)
 		h := data[r*m.D : (r+1)*m.D]
-		m.similarities(sims, norms, h)
+		sims := m.similarities(ln, ln.dots, h)
 		pred, top := 0, sims[0]
 		for k, sim := range sims {
 			if sim > top {
@@ -313,7 +257,7 @@ func (m *Model) refineAdaptive(data []float32, labels, rows []int, n int, lr flo
 			continue
 		}
 		wrong++
-		m.move(norms, y, pred, lr*float32(1-sims[y]), lr*float32(1-sims[pred]), h)
+		m.move(ln, y, pred, lr*float32(1-sims[y]), lr*float32(1-sims[pred]), h)
 	}
 	return wrong
 }
