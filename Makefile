@@ -63,7 +63,7 @@ lint-ci:
 # run also carries the goroutine-leak tests (NoGoroutines: flnet starts
 # none; the fedcore engine and tensor.ParallelFor join every worker). In
 # between, the whole flnet suite five times over under -race: the
-# shard-token protocol (threshold/deadline/shutdown commits racing upload
+# aggregator-token protocol (threshold/deadline/shutdown commits racing upload
 # handlers) is timing-dependent, so one pass proves little.
 chaos:
 	$(GO) test -race -shuffle=on -count=1 -run 'Byzantine|Robust|Poison|Quarantine|NormClip|Colluders|Attack|NoGoroutines' ./internal/fedcore ./internal/faults ./internal/fl ./internal/flnet ./internal/tensor
@@ -77,13 +77,13 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
 
-# Load-harness smoke: 1k clients over real HTTP against a 4-shard
+# Load-harness smoke: 1k clients over real HTTP against the
 # in-process server with a mixed codec cycle and 2% poisoners, under the
 # race detector. CI runs this and uploads the JSON report as an artifact;
 # the full-scale run is `go run ./cmd/fhdnn-loadgen` (100k clients).
 loadgen:
 	$(GO) run -race ./cmd/fhdnn-loadgen -clients 1000 -concurrency 64 -rounds 2 \
-		-shards 4 -dim 256 -poison-frac 0.02 \
+		-dim 256 -poison-frac 0.02 \
 		-codecs raw,float16,int8,topk:0.25 -out loadgen-report.json
 
 # Everything a change must pass before review.

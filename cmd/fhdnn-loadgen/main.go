@@ -1,6 +1,6 @@
 // Command fhdnn-loadgen stress-drives a flnet aggregation server with a
 // large simulated client fleet over real HTTP — the load harness for the
-// sharded round pipeline. It spins up an in-process server (or targets
+// round pipeline. It spins up an in-process server (or targets
 // an external one with -url), then pushes one update per client per
 // round through a bounded worker pool, mixing wire codecs and optionally
 // lacing in a poisoner fraction whose non-finite updates exercise the
@@ -10,9 +10,9 @@
 //
 // The run reports rounds/sec, upload-latency percentiles (p50/p95/p99/
 // max), bytes per round, and the server's final stats snapshot —
-// including the per-shard breakdown — as JSON:
+// including the aggregation queue's gauges — as JSON:
 //
-//	go run ./cmd/fhdnn-loadgen -clients 100000 -shards 8 -rounds 3 -out LOADGEN.json
+//	go run ./cmd/fhdnn-loadgen -clients 100000 -rounds 3 -out LOADGEN.json
 //
 // Against an external server (-url), configure that server with
 // -min-updates equal to the clean (non-poisoner) client count so each
@@ -102,8 +102,6 @@ func run() error {
 	clients := flag.Int("clients", 100000, "simulated clients (one update per client per round)")
 	concurrency := flag.Int("concurrency", 256, "concurrent upload workers")
 	rounds := flag.Int("rounds", 3, "federation rounds to drive")
-	shards := flag.Int("shards", 8, "server aggregation shards (in-process server only)")
-	shardQueue := flag.Int("shard-queue", 0, "max uploads waiting on one shard before 429, 0 = server default (in-process only)")
 	classes := flag.Int("classes", 2, "model classes K")
 	dim := flag.Int("dim", 512, "hypervector dimensionality d")
 	poisonFrac := flag.Float64("poison-frac", 0.01, "fraction of clients sending non-finite (quarantine-bound) updates")
@@ -134,7 +132,7 @@ func run() error {
 		return errors.New("poison-frac leaves no clean clients to close a round")
 	}
 
-	// Target server: external, or an in-process sharded one on loopback.
+	// Target server: external, or an in-process one on loopback.
 	baseURL := *urlFlag
 	var srv *flnet.Server
 	var httpSrv *http.Server
@@ -144,8 +142,6 @@ func run() error {
 			Dim:        *dim,
 			MinUpdates: clean,
 			MaxRounds:  *rounds,
-			Shards:     *shards,
-			ShardQueue: *shardQueue,
 		})
 		if err != nil {
 			return err
@@ -158,7 +154,7 @@ func run() error {
 		//fhdnn:allow goroutine long-running HTTP serve loop for the in-process target; torn down via Close at the end of the run
 		go func() { _ = httpSrv.Serve(ln) }()
 		baseURL = "http://" + ln.Addr().String()
-		fmt.Printf("in-process server at %s: %d shards, min %d updates/round\n", baseURL, *shards, clean)
+		fmt.Printf("in-process server at %s: min %d updates/round\n", baseURL, clean)
 	}
 
 	// One shared transport sized for the pool, so uploads reuse
@@ -295,7 +291,7 @@ func run() error {
 		Clients:     *clients,
 		Concurrency: *concurrency,
 		Rounds:      *rounds,
-		Shards:      *shards,
+		Shards:      stats.Shards,
 		Classes:     *classes,
 		Dim:         *dim,
 		PoisonFrac:  *poisonFrac,

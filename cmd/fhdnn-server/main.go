@@ -22,13 +22,12 @@
 // minority of poisoned clients that the quarantine gate cannot catch
 // (finite, norm-respecting, but adversarial updates).
 //
-// Scale: -shards splits aggregation across token-guarded shards (client
-// uploads hash-route by identity and Add on their own handler goroutine,
-// in parallel across shards on a multi-core host; round commits fold the
-// shards), with -shard-queue bounding how many uploads may wait on one
-// shard (one more answers 429 + Retry-After) and -commit-timeout
-// bounding how long the round commit waits for a straggling shard before
-// degrading to partial aggregation without it.
+// Backpressure: every upload folds into one aggregator on its own
+// handler goroutine, behind one token. Too many uploads waiting on it
+// answer 429 + Retry-After; an aggregator the round commit cannot reach
+// is written off, the round carries the previous global forward, and
+// later uploads answer 503 (see DESIGN.md, "Backpressure & round
+// commit").
 //
 // When -rounds is reached the server stops accepting updates and, if
 // -checkpoint is set, writes the final global model there.
@@ -80,9 +79,6 @@ func run() error {
 	deadline := flag.Duration("round-deadline", 0, "force-close a round after this long (0 = wait for min-updates)")
 	maxNorm := flag.Float64("max-update-norm", 0, "quarantine updates with a larger L2 norm (0 = only non-finite)")
 	aggSpec := flag.String("aggregator", "bundle", "aggregation policy: bundle, fedavg, median, trimmed[:frac], clip:bound[:inner]")
-	shards := flag.Int("shards", 1, "aggregation shards, one token-guarded aggregator each (client uploads hash-route by identity)")
-	shardQueue := flag.Int("shard-queue", 0, "max uploads waiting on or inside one shard; one more answers 429 (0 = default 256)")
-	commitTimeout := flag.Duration("commit-timeout", 0, "how long a round commit waits for a shard before declaring it dead (0 = default 2s)")
 	checkpoint := flag.String("checkpoint", "", "write the final model to this file")
 	faultRate := flag.Float64("fault-rate", 0, "inject 503s for this fraction of requests (chaos rehearsal)")
 	faultLatency := flag.Duration("fault-latency", 0, "inject this much latency per request")
@@ -101,9 +97,6 @@ func run() error {
 		RoundDeadline: *deadline,
 		MaxUpdateNorm: *maxNorm,
 		Aggregator:    agg,
-		Shards:        *shards,
-		ShardQueue:    *shardQueue,
-		CommitTimeout: *commitTimeout,
 	})
 	if err != nil {
 		return err
@@ -112,8 +105,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	log.Printf("aggregating %dx%d HD models at http://%s (min %d updates/round, %d rounds, deadline %v, %s aggregation across %d shard(s))",
-		*classes, *dim, ln.Addr(), *minUpdates, *rounds, *deadline, fedcore.AggregatorName(agg), *shards)
+	log.Printf("aggregating %dx%d HD models at http://%s (min %d updates/round, %d rounds, deadline %v, %s aggregation)",
+		*classes, *dim, ln.Addr(), *minUpdates, *rounds, *deadline, fedcore.AggregatorName(agg))
 	codecNames := make([]string, 0, len(fedcore.AllCodecIDs()))
 	for _, id := range fedcore.AllCodecIDs() {
 		codecNames = append(codecNames, fedcore.CodecName(id))
@@ -178,7 +171,7 @@ func run() error {
 		st.UpdatesAccepted, st.UpdatesRejected, st.UpdatesQuarantined,
 		st.DuplicateUpdates, st.RoundsForcedByDeadline, st.BytesReceived)
 	if st.UpdatesThrottled > 0 || st.ShardTimeouts > 0 || st.PartialCommits > 0 || st.DeadShards > 0 {
-		log.Printf("shard health: %d throttled (429), %d shard timeouts, %d partial commits, %d dead shard(s)",
+		log.Printf("aggregator health: %d throttled (429), %d token timeouts (503), %d partial commits, %d dead",
 			st.UpdatesThrottled, st.ShardTimeouts, st.PartialCommits, st.DeadShards)
 	}
 	if len(st.QuarantinedByReason) > 0 {

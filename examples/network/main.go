@@ -54,7 +54,6 @@ import (
 
 func main() {
 	aggSpec := flag.String("aggregator", "bundle", "server commit rule: bundle, fedavg, median, trimmed[:frac], clip:bound[:inner]")
-	shards := flag.Int("shards", 2, "server aggregation shards (uploads hash-route to token-guarded per-shard aggregators)")
 	poisonSpec := flag.String("poison", "", "arm colluding clients with this attack: signflip, scale:L, noise:S, drift:L")
 	poisonFrac := flag.Float64("poisoners", 0.4, "fraction of clients that collude (only with -poison)")
 	flag.Parse()
@@ -98,7 +97,7 @@ func main() {
 	srv, err := flnet.NewServer(flnet.ServerConfig{
 		NumClasses: 10, Dim: hdDim, MinUpdates: numClients, MaxRounds: rounds,
 		RoundDeadline: 2 * time.Second, MaxUpdateNorm: 1e9,
-		Aggregator: agg, Shards: *shards,
+		Aggregator: agg,
 	})
 	if err != nil {
 		log.Fatal(err)

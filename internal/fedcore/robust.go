@@ -1,7 +1,6 @@
 package fedcore
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -263,7 +262,7 @@ func AggregatorName(a Aggregator) string {
 // maps to. Callers that need to distinguish a bad -aggregator flag from
 // other failures match it with errors.As.
 type PolicyError struct {
-	Spec   string // the spec handed to ParseAggregator (or "sharded" for constructor misuse)
+	Spec   string // the spec handed to ParseAggregator (or "sharded" for NewSharded misuse)
 	Reason string
 }
 
@@ -271,7 +270,7 @@ func (e *PolicyError) Error() string {
 	return fmt.Sprintf("fedcore: bad aggregator spec %q: %s", e.Spec, e.Reason)
 }
 
-const specGrammar = "want bundle, fedavg, median, trimmed[:frac], clip:bound[:inner], sharded:n:inner"
+const specGrammar = "want bundle, fedavg, median, trimmed[:frac], clip:bound[:inner]"
 
 // ParseAggregator resolves a server aggregation-policy spec:
 //
@@ -282,7 +281,6 @@ const specGrammar = "want bundle, fedavg, median, trimmed[:frac], clip:bound[:in
 //	trimmed:FRAC      trimmed mean with an explicit per-end fraction
 //	clip:BOUND        NormClip(bundle, BOUND)
 //	clip:BOUND:SPEC   NormClip over any inner spec, e.g. clip:100:median
-//	sharded:N:SPEC    N-way ShardedAggregator over any mergeable inner spec
 //
 // Every malformed spec — including the empty string — returns a
 // *PolicyError; the caller owns defaulting.
@@ -320,35 +318,6 @@ func ParseAggregator(spec string) (Aggregator, error) {
 			}
 		}
 		return &NormClip{Inner: inner, Bound: bound}, nil
-	case strings.HasPrefix(spec, "sharded:"):
-		rest := strings.TrimPrefix(spec, "sharded:")
-		nStr, innerSpec, ok := strings.Cut(rest, ":")
-		n, err := strconv.Atoi(nStr)
-		if !ok || innerSpec == "" || err != nil || n <= 0 {
-			return nil, &PolicyError{Spec: spec, Reason: "want sharded:N:inner with a positive shard count"}
-		}
-		// Validate the inner spec once up front so the factory below is
-		// infallible, then reparse per shard for independent instances.
-		if _, err := ParseAggregator(innerSpec); err != nil {
-			return nil, err
-		}
-		sh, err := NewSharded(n, func() Aggregator {
-			a, err := ParseAggregator(innerSpec)
-			if err != nil {
-				invariant.Failf("fedcore: validated spec %q failed to reparse: %v", innerSpec, err)
-			}
-			return a
-		})
-		if err != nil {
-			// Re-anchor constructor errors (e.g. non-mergeable inner) to
-			// the full spec the caller typed.
-			var pe *PolicyError
-			if errors.As(err, &pe) {
-				return nil, &PolicyError{Spec: spec, Reason: pe.Reason}
-			}
-			return nil, err
-		}
-		return sh, nil
 	}
 	return nil, &PolicyError{Spec: spec, Reason: "unknown aggregator (" + specGrammar + ")"}
 }

@@ -285,10 +285,7 @@ func TestParseAggregator(t *testing.T) {
 		"clip:2.5:trimmed:0.3": "clip:2.5:trimmed:0.3",
 		// The clip decorator nests: outer clip over an inner clip over a
 		// robust core.
-		"clip:8:clip:2:median":          "clip:8:clip:2:median",
-		"sharded:4:bundle":              "sharded:4:bundle",
-		"sharded:1:fedavg":              "sharded:1:fedavg",
-		"sharded:8:clip:3:trimmed:0.25": "sharded:8:clip:3:trimmed:0.25",
+		"clip:8:clip:2:median": "clip:8:clip:2:median",
 	}
 	for spec, want := range good {
 		a, err := ParseAggregator(spec)
@@ -299,12 +296,36 @@ func TestParseAggregator(t *testing.T) {
 			t.Fatalf("AggregatorName(ParseAggregator(%q)) = %q, want %q", spec, got, want)
 		}
 	}
+	// A sharded tree is built with NewSharded, not parsed; its name still
+	// carries the inner spec in canonical form.
+	for _, tc := range []struct {
+		n           int
+		inner, want string
+	}{
+		{4, "bundle", "sharded:4:bundle"},
+		{1, "fedavg", "sharded:1:fedavg"},
+		{8, "clip:3:trimmed:0.25", "sharded:8:clip:3:trimmed:0.25"},
+	} {
+		sh, err := NewSharded(tc.n, func() Aggregator {
+			a, err := ParseAggregator(tc.inner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		})
+		if err != nil {
+			t.Fatalf("NewSharded(%d, %q): %v", tc.n, tc.inner, err)
+		}
+		if got := AggregatorName(sh); got != tc.want {
+			t.Fatalf("AggregatorName(NewSharded(%d, %q)) = %q, want %q", tc.n, tc.inner, got, tc.want)
+		}
+	}
 }
 
 // Every malformed spec must return a typed *PolicyError — never panic,
 // never a silent fallback. The table walks the edge cases: empty spec,
 // out-of-range or non-finite trim fractions, zero/negative/non-finite
-// clip bounds, malformed nesting, and bad shard grammar.
+// clip bounds, malformed nesting, and the retired sharded grammar.
 func TestParseAggregatorRejectsTyped(t *testing.T) {
 	bad := []string{
 		"",     // empty spec: callers own defaulting now
@@ -315,9 +336,7 @@ func TestParseAggregatorRejectsTyped(t *testing.T) {
 		"clip:10:krum",          // bad inner spec
 		"clip:2:clip:x:median",  // nested clip with a bad inner bound
 		"clip:2:clip:-1:median", // nested clip with a negative inner bound
-		"sharded", "sharded:", "sharded:4", "sharded:4:", "sharded:0:bundle",
-		"sharded:-2:bundle", "sharded:x:bundle", "sharded:4:krum",
-		"sharded:2:sharded:2:bundle", // the tree does not nest
+		"sharded:4:bundle",      // the tree is built with NewSharded, never parsed
 	}
 	for _, spec := range bad {
 		a, err := ParseAggregator(spec)

@@ -6,9 +6,7 @@ import (
 	"fhdnn/internal/invariant"
 )
 
-// Hierarchical (sharded) aggregation. One Aggregator behind one lock is
-// the scaling ceiling of the flat server: every client upload serializes
-// on the same accumulator. A ShardedAggregator splits the round across N
+// Hierarchical (sharded) aggregation. A ShardedAggregator splits the round across N
 // inner aggregators — clients are routed to a shard by a stable hash of
 // their identity — and folds the shards into a root at commit time
 // through the same Add/Commit contract, so the tree changes where
@@ -36,8 +34,9 @@ import (
 // concurrent caller is PARTITIONED ownership: distinct goroutines may
 // each own a distinct shard (via Shard(i)) and Add to it without locks,
 // provided commits are fenced by a barrier that quiesces all shard
-// owners first. flnet's server passes that ownership around with one
-// token per shard, and commits while holding them all.
+// owners first — for example one token per shard, all held for the
+// commit. (flnet's server does not shard: it keeps one aggregator behind
+// one token, because its round cost is the uplink, not the fold.)
 
 // Mergeable is implemented by aggregators whose accumulated round state
 // can be folded into another instance of the same concrete type. MergeFrom
@@ -218,10 +217,10 @@ func (s *ShardedAggregator) Shards() int { return len(s.shards) }
 // each shard one owner at a time; see the concurrency contract above.
 func (s *ShardedAggregator) Shard(i int) Aggregator { return s.shards[i] }
 
-// ShardIndex is the stable client-identity hash (32-bit FNV-1a) the
+// shardIndex is the stable client-identity hash (32-bit FNV-1a) the
 // sharded tree routes by: the same id always lands on the same of n
 // shards, so per-shard client dedupe state stays local to one shard.
-func ShardIndex(id string, n int) int {
+func shardIndex(id string, n int) int {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -238,7 +237,7 @@ func ShardIndex(id string, n int) int {
 // set, else by the numeric simulation Client id, else shard 0.
 func (s *ShardedAggregator) ShardFor(u Update) int {
 	if u.ClientID != "" {
-		return ShardIndex(u.ClientID, len(s.shards))
+		return shardIndex(u.ClientID, len(s.shards))
 	}
 	if u.Client >= 0 {
 		return u.Client % len(s.shards)

@@ -85,7 +85,7 @@ func TestShardedBitIdenticalAcrossEngineWorkers(t *testing.T) {
 	defer tensor.SetWorkers(tensor.Workers())
 	run := func(workers int) []float32 {
 		tensor.SetWorkers(workers)
-		agg, err := ParseAggregator("sharded:4:median")
+		agg, err := NewSharded(4, func() Aggregator { return &Median{} })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,19 +128,19 @@ func TestShardedRouting(t *testing.T) {
 	}
 	// Stable: the same identity always lands on the same shard.
 	for _, id := range []string{"", "a", "edge-007", "poisoner"} {
-		first := ShardIndex(id, 4)
+		first := shardIndex(id, 4)
 		if first < 0 || first >= 4 {
-			t.Fatalf("ShardIndex(%q, 4) = %d, out of range", id, first)
+			t.Fatalf("shardIndex(%q, 4) = %d, out of range", id, first)
 		}
 		for i := 0; i < 10; i++ {
-			if got := ShardIndex(id, 4); got != first {
-				t.Fatalf("ShardIndex(%q) unstable: %d then %d", id, first, got)
+			if got := shardIndex(id, 4); got != first {
+				t.Fatalf("shardIndex(%q) unstable: %d then %d", id, first, got)
 			}
 		}
 	}
 	// ClientID wins over the numeric id; numeric id routes by modulo.
-	if got := sh.ShardFor(Update{ClientID: "x", Client: 1}); got != ShardIndex("x", 4) {
-		t.Fatalf("ShardFor with ClientID routed to %d, want hash shard %d", got, ShardIndex("x", 4))
+	if got := sh.ShardFor(Update{ClientID: "x", Client: 1}); got != shardIndex("x", 4) {
+		t.Fatalf("ShardFor with ClientID routed to %d, want hash shard %d", got, shardIndex("x", 4))
 	}
 	if got := sh.ShardFor(Update{Client: 7}); got != 3 {
 		t.Fatalf("ShardFor(Client 7) = %d, want 3", got)

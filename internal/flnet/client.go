@@ -167,7 +167,7 @@ func Retryable(err error) bool {
 	var thr ErrThrottled
 	if errors.As(err, &thr) {
 		// Backpressure, not failure: the same bytes will be accepted once
-		// the shard drains, so waiting and resending is correct.
+		// the queue drains, so waiting and resending is correct.
 		return true
 	}
 	var he *HTTPError
@@ -197,7 +197,7 @@ func (c *Client) withRetry(ctx context.Context, fn func() error) error {
 		}
 		// A throttled upload carries the server's Retry-After hint; honor
 		// it as a floor under the backoff so a fleet does not stampede the
-		// shard the moment it reopens.
+		// aggregator the moment it reopens.
 		var floor time.Duration
 		var thr ErrThrottled
 		if errors.As(err, &thr) {
@@ -299,7 +299,7 @@ func (e ErrQuarantined) Error() string {
 }
 
 // ErrThrottled is returned by PushUpdate when the server answered 429:
-// too many uploads are already waiting on the update's aggregation shard.
+// too many uploads are already waiting on the server's aggregator.
 // The update is fine — resend it after RetryAfter (the server's
 // Retry-After hint, zero if the server gave none). Under a RetryPolicy,
 // PushUpdate retries this automatically, sleeping at least RetryAfter

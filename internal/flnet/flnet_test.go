@@ -42,6 +42,8 @@ func TestServerConfigValidation(t *testing.T) {
 		{NumClasses: 2, Dim: 0, MinUpdates: 1},
 		{NumClasses: 2, Dim: 8, MinUpdates: 0},
 		{NumClasses: 2, Dim: 8, MinUpdates: 1, MaxUpdateNorm: -1},
+		// A negative MaxRounds would silently mean "unlimited".
+		{NumClasses: 2, Dim: 8, MinUpdates: 1, MaxRounds: -1},
 		// NaN compares false with everything: it must not slip past the
 		// sign check and silently switch the norm gate off.
 		{NumClasses: 2, Dim: 8, MinUpdates: 1, MaxUpdateNorm: math.NaN()},
@@ -362,5 +364,13 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Round != 2 {
 		t.Fatalf("round %d", st.Round)
+	}
+	// One aggregator: the per-shard block has exactly one entry, which
+	// saw both uploads, accepted one, and folded it in one commit.
+	if st.Shards != 1 || len(st.PerShard) != 1 || st.DeadShards != 0 {
+		t.Fatalf("shards = %d, perShard = %+v, dead = %d", st.Shards, st.PerShard, st.DeadShards)
+	}
+	if ps := st.PerShard[0]; ps.Enqueued != 1 || ps.Accepted != 1 || ps.Commits != 1 || ps.Pending != 0 || ps.Depth != 0 || ps.Dead {
+		t.Fatalf("queue stats %+v", ps)
 	}
 }

@@ -12,8 +12,8 @@
 //	GET  /v1/stats            -> cumulative counters (rounds, updates, bytes)
 //	POST /v1/update?round=N   -> client update; 409 if N is stale,
 //	                             422 if quarantined, 429 + Retry-After if
-//	                             the shard is over ShardQueue, 410 after
-//	                             close
+//	                             too many uploads are queued, 503 if the
+//	                             aggregator is wedged, 410 after close
 //
 // Update framing: an update body is a fedcore wire envelope — magic,
 // codec id, element count, CRC32, then the compress.Codec payload — and
@@ -25,20 +25,18 @@
 // serialization clients posted before the envelope existed: such a client
 // sees ErrQuarantined on every upload and must be upgraded.
 //
-// Aggregation is hierarchical and streaming (see shard.go), and runs on
-// the upload handler's own goroutine — the server starts none. Uploads
-// are hash-routed by client identity onto ServerConfig.Shards shards,
-// each one slice of a fedcore.ShardedAggregator behind a one-token lock;
-// the handler takes its shard's token and folds the update in as it
-// arrives. More than ShardQueue handlers on one shard answers 429 with a
-// Retry-After hint — backpressure instead of an unbounded pile-up. A
-// round closes when MinUpdates client models have arrived, or — when a
-// RoundDeadline is configured — when the deadline expires with at least
-// one update pending (partial aggregation; an empty round is carried
-// forward). The commit runs on whichever goroutine closes the round and
-// takes every shard's token; a shard whose token stays out is declared
-// dead and the round commits without it rather than stalling the
-// federation.
+// Aggregation is streaming (see shard.go) and runs on the upload
+// handler's own goroutine — the server starts none. One aggregator sits
+// behind a one-token lock; the handler takes the token and folds the
+// update in as it arrives. Too many handlers waiting on the token answers
+// 429 with a Retry-After hint — backpressure instead of an unbounded
+// pile-up. A round closes when MinUpdates client models have arrived, or
+// — when a RoundDeadline is configured — when the deadline expires with
+// at least one update pending (partial aggregation; an empty round is
+// carried forward). The commit runs on whichever goroutine closes the
+// round and takes the token; if the token stays out the aggregator is
+// written off as dead and the round carries the previous global forward
+// rather than stalling the federation.
 //
 // Clients may identify themselves with the X-FHDnn-Client header; a
 // second update from the same client in one round is accepted
@@ -53,7 +51,7 @@
 // colluding minority of in-bound poisoners would sail straight through
 // the quarantine gates. GET /v1/stats reports the active policy, a
 // per-reason quarantine breakdown, how many updates the policy clipped,
-// and the per-shard depth/drop/commit/death breakdown.
+// and the aggregation queue's depth/drop/commit/death gauges.
 package flnet
 
 import (
@@ -72,15 +70,13 @@ import (
 
 	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
-	"fhdnn/internal/invariant"
 )
 
 // RoundHeader is the response header carrying the server's current round.
 const RoundHeader = "X-FHDnn-Round"
 
 // ClientHeader is the optional request header identifying the sending
-// client; the server deduplicates updates per (client, round) and routes
-// the client to its aggregation shard by hashing this identity.
+// client; the server deduplicates updates per (client, round).
 const ClientHeader = "X-FHDnn-Client"
 
 // EnvelopeContentType is the Content-Type clients put on POST /v1/update.
@@ -88,12 +84,17 @@ const ClientHeader = "X-FHDnn-Client"
 // body.
 const EnvelopeContentType = "application/x-fhdnn-envelope"
 
-// How long an upload handler waits for its shard's token before
-// answering 503 (the shard is wedged or dead but not yet written off),
-// and the Retry-After hint on 429 responses.
+// How long an upload handler waits for the aggregator token before
+// answering 503 (the aggregator is wedged but not yet written off), the
+// Retry-After hint on 429 responses, how many handlers may wait on or
+// hold the token before one more answers 429, and how long a round
+// commit waits for the token before writing the aggregator off. The
+// commit timeout must comfortably exceed one aggregator Add.
 const (
 	defaultUploadTimeout = 30 * time.Second
 	defaultRetryAfter    = time.Second
+	defaultShardQueue    = 256
+	defaultCommitWait    = 2 * time.Second
 )
 
 // ServerConfig sizes the aggregation service.
@@ -102,11 +103,11 @@ type ServerConfig struct {
 	Dim        int
 	// MinUpdates closes a round once this many client updates arrived.
 	// The round folds at least that many: the handler that adds the
-	// MinUpdates-th update returns its shard's token before it commits,
+	// MinUpdates-th update returns the aggregator token before it commits,
 	// so an upload racing the close can still land in the same round.
 	MinUpdates int
 	// MaxRounds stops accepting updates after this many rounds
-	// (0 = unlimited).
+	// (0 = unlimited; negative is rejected).
 	MaxRounds int
 	// RoundDeadline forcibly closes a round this long after it opens,
 	// aggregating whatever arrived even if fewer than MinUpdates. A
@@ -122,25 +123,9 @@ type ServerConfig struct {
 	// rule with another server policy — fedcore.Median, TrimmedMean, or
 	// NormClip for Byzantine robustness (see fedcore.ParseAggregator for
 	// the spec grammar). The instance donates its canonical policy spec:
-	// the server re-instantiates it once per shard, so it must round-trip
-	// through ParseAggregator. To shard the tree, set Shards here rather
-	// than passing a fedcore.ShardedAggregator.
+	// the server builds its own fresh aggregator from that spec, so it
+	// must round-trip through ParseAggregator.
 	Aggregator fedcore.Aggregator
-	// Shards splits aggregation across this many token-guarded slices of
-	// a fedcore.ShardedAggregator (clients hash to a shard by identity),
-	// so handlers on different shards Add in parallel — a gain only on a
-	// multi-core host. 0 defaults to 1, the flat single-aggregator
-	// behavior.
-	Shards int
-	// ShardQueue bounds how many upload handlers may be waiting on or
-	// inside one shard at once; one more answers 429 with a Retry-After
-	// hint. 0 defaults to 256.
-	ShardQueue int
-	// CommitTimeout bounds how long the round commit waits for one
-	// shard's token before declaring the shard dead and degrading to
-	// partial aggregation. Must comfortably exceed one aggregator Add.
-	// 0 defaults to 2s.
-	CommitTimeout time.Duration
 }
 
 // Validate checks the configuration.
@@ -151,27 +136,21 @@ func (c ServerConfig) Validate() error {
 	if c.MinUpdates <= 0 {
 		return fmt.Errorf("flnet: MinUpdates must be positive")
 	}
+	if c.MaxRounds < 0 {
+		return fmt.Errorf("flnet: negative MaxRounds")
+	}
 	if c.RoundDeadline < 0 {
 		return fmt.Errorf("flnet: negative RoundDeadline")
 	}
 	if !(c.MaxUpdateNorm >= 0) { // NaN-proof: a NaN bound would silently disable the gate
 		return fmt.Errorf("flnet: MaxUpdateNorm %v is negative or NaN", c.MaxUpdateNorm)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("flnet: negative Shards")
-	}
-	if c.ShardQueue < 0 {
-		return fmt.Errorf("flnet: negative ShardQueue")
-	}
-	if c.CommitTimeout < 0 {
-		return fmt.Errorf("flnet: negative CommitTimeout")
-	}
 	return nil
 }
 
 // Server is the federated aggregation endpoint. It is safe for concurrent
 // use: the handler gates are lock-free (atomics), round state sits
-// behind one token per shard (see shard.go), and the only mutex fences
+// behind one token (see shard.go), and the only mutex fences
 // the global model buffer and the round number between the round commit
 // and snapshot reads.
 type Server struct {
@@ -189,8 +168,11 @@ type Server struct {
 	closed        atomic.Bool
 	acceptedRound atomic.Int64 // updates accepted into the open round
 
-	sharded  *fedcore.ShardedAggregator
-	shards   []*shard
+	agg      fedcore.Aggregator
+	token    chan struct{}   // capacity 1; holding the token owns agg and seen
+	seen     map[string]bool // per-round client dedupe
+	dead     atomic.Bool     // set by a commit that timed out on the token
+	queue    queueStats
 	closing  chan struct{} // one-token lock: one round close at a time
 	stopAll  chan struct{} // closed by Shutdown; releases handlers waiting on a token
 	stopOnce sync.Once
@@ -209,59 +191,31 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shardCount := cfg.Shards
-	if shardCount == 0 {
-		shardCount = 1
-	}
-	queueCap := cfg.ShardQueue
-	if queueCap == 0 {
-		queueCap = 256
-	}
 	spec := "bundle"
 	if cfg.Aggregator != nil {
 		spec = fedcore.AggregatorName(cfg.Aggregator)
 	}
-	if _, err := fedcore.ParseAggregator(spec); err != nil {
-		return nil, fmt.Errorf("flnet: aggregator does not round-trip its spec %q: %w", spec, err)
-	}
-	sharded, err := fedcore.NewSharded(shardCount, func() fedcore.Aggregator {
-		a, perr := fedcore.ParseAggregator(spec)
-		if perr != nil {
-			invariant.Failf("flnet: validated aggregator spec %q failed to reparse: %v", spec, perr)
-		}
-		return a
-	})
+	agg, err := fedcore.ParseAggregator(spec)
 	if err != nil {
-		return nil, err
-	}
-	commitTimeout := cfg.CommitTimeout
-	if commitTimeout == 0 {
-		commitTimeout = 2 * time.Second
+		return nil, fmt.Errorf("flnet: aggregator does not round-trip its spec %q: %w", spec, err)
 	}
 	s := &Server{
 		cfg:           cfg,
 		aggName:       spec,
-		shardQueue:    int64(queueCap),
-		commitTimeout: commitTimeout,
+		shardQueue:    defaultShardQueue,
+		commitTimeout: defaultCommitWait,
 		uploadTimeout: defaultUploadTimeout,
 		retryAfter:    defaultRetryAfter,
 		model:         hdc.NewModel(cfg.NumClasses, cfg.Dim),
-		sharded:       sharded,
-		shards:        make([]*shard, shardCount),
+		agg:           agg,
+		token:         make(chan struct{}, 1),
+		seen:          make(map[string]bool),
 		closing:       make(chan struct{}, 1),
 		stopAll:       make(chan struct{}),
 		stats:         newServerStats(),
 	}
 	s.round.Store(1)
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			id:    i,
-			token: make(chan struct{}, 1),
-			agg:   sharded.Shard(i),
-			seen:  make(map[string]bool),
-		}
-		s.shards[i].token <- struct{}{}
-	}
+	s.token <- struct{}{}
 	// The server is born holding closing: the first deadline is armed
 	// before the token exists, so a timer that fires at once still finds
 	// deadlineTimer written.
@@ -287,7 +241,7 @@ func (s *Server) Closed() bool { return s.closed.Load() }
 // Shutdown closes the current round cleanly: pending updates are
 // aggregated into the global model, the deadline timer is stopped, all
 // further updates are refused with 410 Gone, and handlers still waiting
-// on a shard token are released. It is idempotent and safe to call while
+// on the aggregator token are released. It is idempotent and safe to call while
 // handlers are in flight. The context is consulted only for early
 // cancellation.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -320,13 +274,9 @@ type roundInfo struct {
 }
 
 func (s *Server) handleRound(w http.ResponseWriter, r *http.Request) {
-	var pending int64
-	for _, sh := range s.shards {
-		pending += sh.pending.Load()
-	}
 	info := roundInfo{
 		Round:          int(s.round.Load()),
-		UpdatesPending: int(pending),
+		UpdatesPending: int(s.queue.pending.Load()),
 		MinUpdates:     s.cfg.MinUpdates,
 		Closed:         s.closed.Load(),
 	}
@@ -351,34 +301,35 @@ const (
 // Stats returns a snapshot of the cumulative counters.
 func (s *Server) Stats() Stats {
 	byReason, byCodec := s.stats.snapshotMaps()
-	per := make([]ShardStats, len(s.shards))
+	q := &s.queue
+	per := ShardStats{
+		Depth:      q.depth.Load(),
+		Enqueued:   q.enqueued.Load(),
+		Accepted:   q.accepted.Load(),
+		Stale:      q.stale.Load(),
+		Duplicates: q.duplicates.Load(),
+		Dropped:    q.dropped.Load(),
+		Commits:    q.commits.Load(),
+		Pending:    q.pending.Load(),
+		Dead:       s.dead.Load(),
+	}
 	dead := 0
-	for i, sh := range s.shards {
-		per[i] = ShardStats{
-			Shard:      i,
-			Depth:      sh.depth.Load(),
-			Enqueued:   sh.enqueued.Load(),
-			Accepted:   sh.accepted.Load(),
-			Stale:      sh.stale.Load(),
-			Duplicates: sh.duplicates.Load(),
-			Dropped:    sh.dropped.Load(),
-			Commits:    sh.commits.Load(),
-			Pending:    sh.pending.Load(),
-			Dead:       sh.dead.Load(),
-		}
-		if per[i].Dead {
-			dead++
-		}
+	if per.Dead {
+		dead = 1
+	}
+	var clipped int64
+	if c, ok := s.agg.(interface{ Clipped() int64 }); ok {
+		clipped = c.Clipped()
 	}
 	return Stats{
 		Round:                  int(s.round.Load()),
 		Aggregator:             s.aggName,
-		Shards:                 len(s.shards),
+		Shards:                 1,
 		UpdatesAccepted:        s.stats.updatesAccepted.Load(),
 		UpdatesRejected:        s.stats.updatesRejected.Load(),
 		UpdatesQuarantined:     s.stats.updatesQuarantined.Load(),
 		QuarantinedByReason:    byReason,
-		UpdatesClipped:         s.sharded.Clipped(),
+		UpdatesClipped:         clipped,
 		DuplicateUpdates:       s.stats.duplicateUpdates.Load(),
 		UpdatesThrottled:       s.stats.updatesThrottled.Load(),
 		ShardTimeouts:          s.stats.shardTimeouts.Load(),
@@ -387,7 +338,7 @@ func (s *Server) Stats() Stats {
 		DeadShards:             dead,
 		BytesReceived:          s.stats.bytesReceived.Load(),
 		UpdatesByCodec:         byCodec,
-		PerShard:               per,
+		PerShard:               []ShardStats{per},
 		Closed:                 s.closed.Load(),
 	}
 }
@@ -455,9 +406,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeUpdate runs the lock-free gates on a decoded update — closed,
-// stale round, quarantine — then admits the handler to its shard, takes
-// the shard's token, aggregates inline, and closes the round itself if
-// this update was the MinUpdates-th. Too many handlers on one shard is
+// stale round, quarantine — then admits the handler to the aggregation
+// queue, takes the token, aggregates inline, and closes the round itself
+// if this update was the MinUpdates-th. Too many handlers in the queue is
 // backpressure: 429 with a Retry-After hint, the client's cue to pace
 // itself.
 func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, codecName string, flat []float32) {
@@ -476,24 +427,23 @@ func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, cod
 		http.Error(w, "flnet: update quarantined: "+detail, http.StatusUnprocessableEntity)
 		return
 	}
-	sh := s.routeShard(clientID)
-	if sh == nil {
+	if s.dead.Load() {
 		s.stats.shardTimeouts.Add(1)
 		http.Error(w, "flnet: every aggregation shard is dead", http.StatusServiceUnavailable)
 		return
 	}
-	if sh.depth.Add(1) > s.shardQueue {
-		sh.depth.Add(-1)
-		sh.dropped.Add(1)
+	q := &s.queue
+	if q.depth.Add(1) > s.shardQueue {
+		q.depth.Add(-1)
+		q.dropped.Add(1)
 		s.stats.updatesThrottled.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.retryAfter)))
-		http.Error(w, fmt.Sprintf("flnet: shard %d busy, retry later", sh.id),
-			http.StatusTooManyRequests)
+		http.Error(w, "flnet: aggregator busy, retry later", http.StatusTooManyRequests)
 		return
 	}
-	sh.enqueued.Add(1)
-	if !sh.take(s.uploadTimeout, s.stopAll) {
-		sh.depth.Add(-1)
+	q.enqueued.Add(1)
+	if !s.take(s.uploadTimeout, s.stopAll) {
+		q.depth.Add(-1)
 		// Shutdown closes the server before it releases the waiters, so a
 		// stop and a timeout on a finished server both answer 410.
 		if s.closed.Load() {
@@ -502,13 +452,12 @@ func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, cod
 			return
 		}
 		s.stats.shardTimeouts.Add(1)
-		http.Error(w, fmt.Sprintf("flnet: shard %d unresponsive", sh.id),
-			http.StatusServiceUnavailable)
+		http.Error(w, "flnet: aggregator unresponsive", http.StatusServiceUnavailable)
 		return
 	}
-	status, round, closes := s.aggregate(sh, wantRound, clientID, codecName, flat)
-	sh.token <- struct{}{}
-	sh.depth.Add(-1)
+	status, round, closes := s.aggregate(wantRound, clientID, codecName, flat)
+	s.token <- struct{}{}
+	q.depth.Add(-1)
 	if closes {
 		// Token returned first (lock order, see shard.go). Committing before
 		// the 202 keeps the synchronous contract: the triggering client's

@@ -2,50 +2,41 @@ package flnet
 
 import (
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"fhdnn/internal/fedcore"
 )
 
-// The sharded round state. Aggregation runs on the upload handler's own
-// goroutine: the round is split across N shards, each one inner
-// aggregator of a fedcore.ShardedAggregator plus that shard's dedupe set,
-// and each guarded by a one-token lock — a channel of capacity 1 rather
-// than a mutex, because both acquirers need a timeout. A handler decodes
-// and gate-checks its update without any lock, admits itself against
-// ShardQueue (too many handlers already on the shard -> 429 with
-// Retry-After: backpressure instead of an unbounded pile-up), takes its
-// shard's token, streams the update into the shard aggregator, and
-// returns the token. Shards > 1 only buys parallel Adds on a multi-core
-// host; the math is the same for every shard count.
+// The round state. Aggregation runs on the upload handler's own
+// goroutine: the round lives in one aggregator plus its dedupe set,
+// guarded by a one-token lock — a channel of capacity 1 rather than a
+// mutex, because both acquirers need a timeout. A handler decodes and
+// gate-checks its update without any lock, admits itself against
+// shardQueue (too many handlers already waiting -> 429 with Retry-After:
+// backpressure instead of an unbounded pile-up), takes the token,
+// streams the update into the aggregator, and returns the token.
 //
 // Round commit runs on whichever goroutine closes the round — the handler
 // that added the MinUpdates-th update, the deadline timer, or Shutdown —
-// one at a time under the closing token. It takes every live shard's
-// token (holding them all proves no Add is in flight), folds the shard
-// aggregators into the global model, resets round state, advances the
-// round, and returns the tokens. A shard whose token cannot be had within
-// CommitTimeout is declared dead: the commit proceeds without it (partial
-// aggregation — the paper's stance that stragglers and failures must not
-// stall the federation), its clients are rerouted to the next live shard,
-// and /v1/stats records the loss.
+// one at a time under the closing token. It takes the aggregator's token
+// (holding it proves no Add is in flight), commits the aggregator into
+// the global model, resets round state, advances the round, and returns
+// the token. If the token cannot be had within commitTimeout the
+// aggregator is written off as dead: the round carries the previous
+// global forward (the paper's stance that a failure must not stall the
+// federation), later uploads are answered 503, and /v1/stats records the
+// loss.
 //
-// Lock order: closing before shard tokens, shard tokens in index order,
-// Server.mu innermost and never held across a channel operation. A
-// handler therefore returns its shard token before it asks for closing;
-// holding on to it would make a racing deadline commit wait out
-// CommitTimeout on a healthy shard and write it off as dead.
-type shard struct {
-	id       int
-	token    chan struct{} // capacity 1; holding the token owns agg and seen
-	killOnce sync.Once
-	agg      fedcore.Aggregator // == sharded.Shard(id)
-	seen     map[string]bool    // per-round client dedupe
-	dead     atomic.Bool        // set by a commit that timed out on the token
+// Lock order: closing, then the aggregator token, then Server.mu
+// innermost and never held across a channel operation. A handler
+// therefore returns the token before it asks for closing; holding on to
+// it would make a racing deadline commit wait out commitTimeout and write
+// a healthy aggregator off as dead.
 
-	depth      atomic.Int64 // gauges and counters for ShardStats
+// queueStats are the gauges and counters behind Stats.PerShard.
+type queueStats struct {
+	depth      atomic.Int64
 	enqueued   atomic.Int64
 	accepted   atomic.Int64
 	stale      atomic.Int64
@@ -55,19 +46,19 @@ type shard struct {
 	pending    atomic.Int64
 }
 
-// take acquires the shard's token, waiting at most wait or until stop is
-// closed (nil never stops). The uncontended path is one non-blocking
+// take acquires the aggregator token, waiting at most wait or until stop
+// is closed (nil never stops). The uncontended path is one non-blocking
 // receive; a timer is built only when the token is out.
-func (sh *shard) take(wait time.Duration, stop <-chan struct{}) bool {
+func (s *Server) take(wait time.Duration, stop <-chan struct{}) bool {
 	select {
-	case <-sh.token:
+	case <-s.token:
 		return true
 	default:
 	}
 	t := time.NewTimer(wait)
 	defer t.Stop()
 	select {
-	case <-sh.token:
+	case <-s.token:
 		return true
 	case <-t.C:
 	case <-stop:
@@ -83,48 +74,48 @@ const (
 	commitShutdown
 )
 
-// aggregate applies one update to its shard, whose token the caller
-// holds: round and duplicate gates, then a streaming Add into the shard
-// aggregator. It returns the upload's HTTP status (202, also for an
-// idempotent duplicate; 409 stale; 410 closed), the server's current
-// round, and whether this was the MinUpdates-th update of the round — the
-// caller must then commit it, after returning the token.
+// aggregate applies one update to the aggregator, whose token the caller
+// holds: round and duplicate gates, then a streaming Add. It returns the
+// upload's HTTP status (202, also for an idempotent duplicate; 409 stale;
+// 410 closed), the server's current round, and whether this was the
+// MinUpdates-th update of the round — the caller must then commit it,
+// after returning the token.
 //
 //fhdnn:hotpath per-update aggregation step on the handler goroutine
-func (s *Server) aggregate(sh *shard, wantRound int, clientID, codec string, params []float32) (status, round int, closes bool) {
+func (s *Server) aggregate(wantRound int, clientID, codec string, params []float32) (status, round int, closes bool) {
 	if s.closed.Load() {
 		s.stats.updatesRejected.Add(1)
 		return http.StatusGone, 0, false
 	}
 	round = int(s.round.Load())
 	if wantRound != round {
-		sh.stale.Add(1)
+		s.queue.stale.Add(1)
 		s.stats.updatesRejected.Add(1)
 		return http.StatusConflict, round, false
 	}
 	if clientID != "" {
-		if sh.seen[clientID] {
-			sh.duplicates.Add(1)
+		if s.seen[clientID] {
+			s.queue.duplicates.Add(1)
 			s.stats.duplicateUpdates.Add(1)
 			return http.StatusAccepted, round, false
 		}
-		sh.seen[clientID] = true
+		s.seen[clientID] = true
 	}
-	sh.agg.Add(fedcore.Update{Params: params, Round: round, ClientID: clientID, Samples: 1})
-	sh.accepted.Add(1)
-	sh.pending.Add(1)
+	s.agg.Add(fedcore.Update{Params: params, Round: round, ClientID: clientID, Samples: 1})
+	s.queue.accepted.Add(1)
+	s.queue.pending.Add(1)
 	s.stats.accept(codec)
 	return http.StatusAccepted, round, s.acceptedRound.Add(1) == int64(s.cfg.MinUpdates)
 }
 
-// commit closes round (any round, for commitShutdown): take the live
-// shards' tokens, fold them into the global model, reset round state,
-// advance, return the tokens. A shard whose token stays out past
-// CommitTimeout is written off as dead and the round commits without it
-// (partial aggregation). Stale calls — the round already advanced, or a
-// deadline fired for a round that closed by threshold — are no-ops, which
-// is what lets the threshold handler, the deadline timer and Shutdown
-// race for the same round.
+// commit closes round (any round, for commitShutdown): take the token,
+// commit the aggregator into the global model, reset round state,
+// advance, return the token. If the token stays out past commitTimeout
+// the aggregator is written off as dead and the round advances with the
+// previous global carried forward. Stale calls — the round already
+// advanced, or a deadline fired for a round that closed by threshold —
+// are no-ops, which is what lets the threshold handler, the deadline
+// timer and Shutdown race for the same round.
 func (s *Server) commit(reason commitReason, round int) {
 	<-s.closing
 	defer func() { s.closing <- struct{}{} }()
@@ -150,35 +141,27 @@ func (s *Server) commit(reason commitReason, round int) {
 		return
 	}
 
-	// A shard whose token does not come back within CommitTimeout is
-	// dead: killed, wedged, or stuck mid-Add; the round must not stall
-	// on it.
-	live := make([]bool, len(s.shards))
-	partial := false
-	for i, sh := range s.shards {
-		switch {
-		case sh.dead.Load():
-			partial = true
-		case sh.take(s.commitTimeout, nil):
-			live[i] = true
-		default:
-			sh.dead.Store(true)
-			partial = true
-		}
+	// A token that does not come back within commitTimeout means the
+	// aggregator is wedged or stuck mid-Add; the round must not stall on
+	// it. Deadness is sticky: the token holder may still be using the
+	// aggregator, so it is never touched again.
+	live := !s.dead.Load() && s.take(s.commitTimeout, nil)
+	if !live {
+		s.dead.Store(true)
+		s.stats.partialCommits.Add(1)
 	}
 
-	// The round advances in the same critical section as the fold, so a
-	// Model() snapshot never pairs the new global with the old round.
+	// The round advances in the same critical section as the commit, so
+	// a Model() snapshot never pairs the new global with the old round.
 	next := round + 1
 	s.mu.Lock()
-	s.sharded.CommitLive(s.model.Flat(), live)
+	if live {
+		s.agg.Commit(s.model.Flat())
+	}
 	s.acceptedRound.Store(0)
 	s.round.Store(int64(next))
 	s.mu.Unlock()
 
-	if partial {
-		s.stats.partialCommits.Add(1)
-	}
 	if reason == commitDeadline {
 		s.stats.roundsForcedByDeadline.Add(1)
 	}
@@ -188,15 +171,12 @@ func (s *Server) commit(reason commitReason, round int) {
 	} else {
 		s.armDeadline()
 	}
-	for i, sh := range s.shards {
-		if !live[i] {
-			continue // a dead shard's state is left untouched: its token holder may still be using it
-		}
-		sh.agg.Reset()
-		clear(sh.seen)
-		sh.pending.Store(0)
-		sh.commits.Add(1)
-		sh.token <- struct{}{}
+	if live {
+		s.agg.Reset()
+		clear(s.seen)
+		s.queue.pending.Store(0)
+		s.queue.commits.Add(1)
+		s.token <- struct{}{}
 	}
 }
 
@@ -219,41 +199,4 @@ func (s *Server) stopDeadline() {
 		s.deadlineTimer.Stop()
 		s.deadlineTimer = nil
 	}
-}
-
-// routeShard picks the shard for a client identity: its stable hash
-// shard, or — when that shard is dead — the next live one, so a shard
-// failure degrades routing instead of blackholing its clients. Deadness
-// is sticky, which keeps the rerouted assignment (and with it per-round
-// dedupe) stable. Returns nil when every shard is dead.
-func (s *Server) routeShard(clientID string) *shard {
-	n := len(s.shards)
-	if n == 0 {
-		// Also keeps ShardIndex's modulo off a zero divisor.
-		return nil
-	}
-	i := fedcore.ShardIndex(clientID, n)
-	if i < 0 || i >= n {
-		// ShardIndex reduces modulo n, so this cannot fire — but clientID
-		// is an attacker-chosen header, and an explicit range check keeps
-		// the hash→index contract local instead of trusting it across the
-		// package boundary (and keeps taintindex provable).
-		return nil
-	}
-	for probe := 0; probe < n; probe++ {
-		if sh := s.shards[(i+probe)%n]; !sh.dead.Load() {
-			return sh
-		}
-	}
-	return nil
-}
-
-// KillShard takes shard i's token and never returns it — the chaos hook
-// for fault-tolerance tests. Uploads routed to the shard time out; the
-// next commit discovers the death (CommitTimeout), degrades the round to
-// partial aggregation and reroutes the shard's clients. Waits for an Add
-// or commit in flight on the shard; idempotent.
-func (s *Server) KillShard(i int) {
-	sh := s.shards[i]
-	sh.killOnce.Do(func() { <-sh.token })
 }

@@ -28,92 +28,18 @@ func pushAs(t *testing.T, url, id string, round int, k, d int, vals []float32) e
 	return c.PushUpdate(context.Background(), round, m)
 }
 
-// idForShard finds a client identity that hashes onto the target shard.
-func idForShard(target, shards int) string {
-	for i := 0; ; i++ {
-		id := fmt.Sprintf("client-%d", i)
-		if fedcore.ShardIndex(id, shards) == target {
-			return id
-		}
-	}
-}
-
-// Tentpole acceptance: the committed global model is bit-identical across
-// shard counts, over the real HTTP path, for both a mean policy (bundle,
-// integer-valued updates where float64 accumulation is exact) and a
-// sorting policy (median, arbitrary floats, exactly permutation
-// invariant). Upload order is shuffled differently per shard count, so
-// this also proves order independence end to end.
-func TestShardedServerBitIdentity(t *testing.T) {
-	const k, d, nClients = 2, 16, 12
-	type policy struct {
-		name    string
-		build   func() fedcore.Aggregator
-		integer bool
-	}
-	policies := []policy{
-		{"bundle", nil, true},
-		{"median", func() fedcore.Aggregator { return &fedcore.Median{} }, false},
-	}
-	for _, pol := range policies {
-		rng := rand.New(rand.NewSource(42))
-		updates := make([][]float32, nClients)
-		for i := range updates {
-			vals := make([]float32, k*d)
-			for j := range vals {
-				if pol.integer {
-					vals[j] = float32(rng.Intn(41) - 20)
-				} else {
-					vals[j] = float32(rng.NormFloat64())
-				}
-			}
-			updates[i] = vals
-		}
-		var want []float32
-		for _, shards := range []int{1, 4, 7} {
-			cfg := ServerConfig{NumClasses: k, Dim: d, MinUpdates: nClients, Shards: shards}
-			if pol.build != nil {
-				cfg.Aggregator = pol.build()
-			}
-			srv, ts := newTestServer(t, cfg)
-			order := rand.New(rand.NewSource(int64(shards))).Perm(nClients)
-			for _, i := range order {
-				if err := pushAs(t, ts.URL, fmt.Sprintf("edge-%03d", i), 1, k, d, updates[i]); err != nil {
-					t.Fatalf("%s/%d shards: push %d: %v", pol.name, shards, i, err)
-				}
-			}
-			if srv.Round() != 2 {
-				t.Fatalf("%s/%d shards: round = %d, want 2", pol.name, shards, srv.Round())
-			}
-			m, _ := srv.Model()
-			got := m.Flat()
-			if want == nil {
-				want = append([]float32(nil), got...)
-				continue
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%s/%d shards: global[%d] = %v, differs from 1-shard %v",
-						pol.name, shards, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-// Too many handlers on one shard is backpressure, not failure: with
-// ShardQueue 1 the first upload parks waiting for the killed shard's
-// token, the second bounces off the admission bound with 429 +
+// Too many handlers waiting on the aggregator is backpressure, not
+// failure: with a queue bound of 1 the first upload parks waiting for the
+// wedged token, the second bounces off the admission bound with 429 +
 // Retry-After — surfaced by the client as ErrThrottled carrying the
 // server's hint — and the first times out with 503.
 func TestShardQueueBackpressure(t *testing.T) {
-	srv, ts := newTestServer(t, ServerConfig{
-		NumClasses: 1, Dim: 4, MinUpdates: 100,
-		Shards: 1, ShardQueue: 1,
-	})
+	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 100})
+	srv.shardQueue = 1
 	srv.uploadTimeout = 500 * time.Millisecond
 	srv.retryAfter = 3 * time.Second
-	srv.KillShard(0) // the token never comes back
+	<-srv.token // wedge the aggregator: somebody is stuck mid-Add
+	defer func() { srv.token <- struct{}{} }()
 
 	first := make(chan error, 1)
 	go func() { first <- pushAs(t, ts.URL, "c1", 1, 1, 4, []float32{1, 1, 1, 1}) }()
@@ -132,104 +58,56 @@ func TestShardQueueBackpressure(t *testing.T) {
 	}
 	var he *HTTPError
 	if err := <-first; !errors.As(err, &he) || he.StatusCode != 503 {
-		t.Fatalf("first push against a dead shard: want 503, got %v", err)
+		t.Fatalf("first push against a wedged aggregator: want 503, got %v", err)
 	}
 	st := srv.Stats()
 	if st.ShardTimeouts != 1 || st.UpdatesThrottled != 1 {
 		t.Fatalf("timeouts/throttled = %d/%d, want 1/1", st.ShardTimeouts, st.UpdatesThrottled)
 	}
 	if ps := st.PerShard[0]; ps.Dropped != 1 || ps.Enqueued != 1 || ps.Depth != 0 {
-		t.Fatalf("shard 0 dropped/enqueued/depth = %d/%d/%d, want 1/1/0", ps.Dropped, ps.Enqueued, ps.Depth)
+		t.Fatalf("queue dropped/enqueued/depth = %d/%d/%d, want 1/1/0", ps.Dropped, ps.Enqueued, ps.Depth)
 	}
 }
 
-// Chaos acceptance: killing a shard mid-round must degrade the round to
-// partial aggregation, not stall it. The deadline commit writes the dead
-// shard off (its pending update is lost), folds the surviving shards,
-// advances the round, records the death in /v1/stats — and the dead
-// shard's clients are rerouted to a live shard next round.
-func TestDeadShardDegradesToPartialAggregation(t *testing.T) {
-	const shards = 4
+// Chaos acceptance: an aggregator wedged mid-round must not stall the
+// federation. The deadline commit cannot get the token, writes the
+// aggregator off (its pending update is lost), carries the previous
+// global forward, advances the round and records the death in /v1/stats;
+// every later upload is answered 503.
+func TestDeadAggregatorCarriesGlobalForward(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses: 1, Dim: 4, MinUpdates: 100,
-		Shards:        shards,
 		RoundDeadline: 300 * time.Millisecond,
-		CommitTimeout: 100 * time.Millisecond,
 	})
-	victim := 2
-	victimID := idForShard(victim, shards)
-	liveA := idForShard((victim+1)%shards, shards)
-	liveB := idForShard((victim+2)%shards, shards)
+	// Written under the round-close token, so the armed deadline's commit
+	// is ordered after the write.
+	<-srv.closing
+	srv.commitTimeout = 50 * time.Millisecond
+	srv.closing <- struct{}{}
+	if err := pushAs(t, ts.URL, "a", 1, 1, 4, []float32{2, 2, 2, 2}); err != nil {
+		t.Fatal(err)
+	}
+	<-srv.token // wedge the aggregator; the token never comes back
 
-	// One update lands on the doomed shard, two on live shards.
-	if err := pushAs(t, ts.URL, victimID, 1, 1, 4, []float32{100, 100, 100, 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pushAs(t, ts.URL, liveA, 1, 1, 4, []float32{2, 2, 2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pushAs(t, ts.URL, liveB, 1, 1, 4, []float32{4, 4, 4, 4}); err != nil {
-		t.Fatal(err)
-	}
-	srv.KillShard(victim)
-
-	// The round deadline fires, the barrier times out on the dead shard,
-	// and the round commits without it instead of stalling.
 	waitFor(t, func() bool { return srv.Round() == 2 })
-
 	m, _ := srv.Model()
 	for i, v := range m.Flat() {
-		if v != 3 { // mean(2, 4): the dead shard's 100s were excluded
-			t.Fatalf("partial global[%d] = %v, want 3", i, v)
+		if v != 0 {
+			t.Fatalf("global[%d] = %v, want the previous global 0 carried forward", i, v)
 		}
 	}
 	st := srv.Stats()
-	if st.DeadShards != 1 || !st.PerShard[victim].Dead {
-		t.Fatalf("stats must record the dead shard: %+v", st.PerShard)
-	}
-	if st.PartialCommits < 1 || st.RoundsForcedByDeadline < 1 {
-		t.Fatalf("partial/forced = %d/%d, want >= 1 each",
-			st.PartialCommits, st.RoundsForcedByDeadline)
+	if st.PartialCommits != 1 || st.DeadShards != 1 || !st.PerShard[0].Dead {
+		t.Fatalf("partial/dead = %d/%d (%+v), want 1/1", st.PartialCommits, st.DeadShards, st.PerShard)
 	}
 
-	// The dead shard's clients reroute to the next live shard and keep
-	// contributing.
-	if err := pushAs(t, ts.URL, victimID, 2, 1, 4, []float32{5, 5, 5, 5}); err != nil {
-		t.Fatalf("rerouted client refused after shard death: %v", err)
+	err := pushAs(t, ts.URL, "b", 2, 1, 4, []float32{5, 5, 5, 5})
+	var he *HTTPError
+	if !errors.As(err, &he) || he.StatusCode != 503 {
+		t.Fatalf("push to a dead aggregator: want 503, got %v", err)
 	}
-	if got := srv.Stats().UpdatesAccepted; got != 4 {
-		t.Fatalf("UpdatesAccepted = %d, want 4 (rerouted update counted)", got)
-	}
-}
-
-// Per-shard stats surface where updates landed and committed.
-func TestStatsPerShardBreakdown(t *testing.T) {
-	srv, ts := newTestServer(t, ServerConfig{
-		NumClasses: 1, Dim: 4, MinUpdates: 2, Shards: 3})
-	a, b := idForShard(0, 3), idForShard(1, 3)
-	if err := pushAs(t, ts.URL, a, 1, 1, 4, []float32{1, 1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := pushAs(t, ts.URL, b, 1, 1, 4, []float32{3, 3, 3, 3}); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if st.Shards != 3 || len(st.PerShard) != 3 {
-		t.Fatalf("shards = %d, perShard = %d entries", st.Shards, len(st.PerShard))
-	}
-	if st.PerShard[0].Accepted != 1 || st.PerShard[1].Accepted != 1 || st.PerShard[2].Accepted != 0 {
-		t.Fatalf("per-shard accepted: %+v", st.PerShard)
-	}
-	for i, ps := range st.PerShard {
-		if ps.Commits != 1 {
-			t.Fatalf("shard %d commits = %d, want 1 (barrier reached)", i, ps.Commits)
-		}
-		if ps.Pending != 0 || ps.Depth != 0 {
-			t.Fatalf("shard %d pending/depth = %d/%d after commit", i, ps.Pending, ps.Depth)
-		}
-	}
-	if srv.Round() != 2 {
-		t.Fatalf("round = %d, want 2", srv.Round())
+	if st := srv.Stats(); st.ShardTimeouts != 1 || st.UpdatesAccepted != 1 {
+		t.Fatalf("timeouts/accepted = %d/%d, want 1/1", st.ShardTimeouts, st.UpdatesAccepted)
 	}
 }
 
@@ -254,11 +132,11 @@ func postDirect(srv *Server, id string, round int, vals []float32) int {
 // winding down, so the count may fall but must not rise.)
 func TestServerStartsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	srv, err := NewServer(ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2, Shards: 4})
+	srv, err := NewServer(ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, id := range []string{idForShard(0, 4), idForShard(1, 4)} {
+	for i, id := range []string{"a", "b"} {
 		if code := postDirect(srv, id, 1, modelWith(1, 4, float32(i)).Flat()); code != http.StatusAccepted {
 			t.Fatalf("push %d: status %d", i, code)
 		}
@@ -277,20 +155,19 @@ func TestServerStartsNoGoroutines(t *testing.T) {
 	}
 }
 
-// An upload answered 503 is gone: when its shard recovers the update is
+// An upload answered 503 is gone: when the aggregator recovers the update is
 // not folded behind the client's back, so the client's retry cannot
 // double-count and ShardTimeouts never overlaps UpdatesAccepted.
 func TestTimedOutUploadIsNeverFolded(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 2})
 	srv.uploadTimeout = 50 * time.Millisecond
-	sh := srv.shards[0]
-	<-sh.token // wedge the shard: somebody is stuck mid-Add
+	<-srv.token // wedge the aggregator: somebody is stuck mid-Add
 	err := pushAs(t, ts.URL, "slow", 1, 1, 4, []float32{100, 100, 100, 100})
 	var he *HTTPError
 	if !errors.As(err, &he) || he.StatusCode != 503 {
-		t.Fatalf("push against a wedged shard: want 503, got %v", err)
+		t.Fatalf("push against a wedged aggregator: want 503, got %v", err)
 	}
-	sh.token <- struct{}{} // the shard recovers
+	srv.token <- struct{}{} // the aggregator recovers
 
 	if err := pushAs(t, ts.URL, "a", 1, 1, 4, []float32{2, 2, 2, 2}); err != nil {
 		t.Fatal(err)
@@ -315,12 +192,12 @@ func TestTimedOutUploadIsNeverFolded(t *testing.T) {
 // The threshold handler and the deadline timer race to close the same
 // round, hundreds of times: whoever wins, the round advances exactly once,
 // every 202'd update is in that round's bundle exactly once, every other
-// upload was told 409, and no healthy shard is written off.
+// upload was told 409, and the healthy aggregator is never written off.
 func TestThresholdDeadlineRace(t *testing.T) {
-	const rounds, clients, shards, d = 200, 4, 2, 8
+	const rounds, clients, d = 200, 4, 8
 	const deadline = 3 * time.Millisecond
 	srv, err := NewServer(ServerConfig{
-		NumClasses: 1, Dim: d, MinUpdates: clients, Shards: shards, RoundDeadline: deadline})
+		NumClasses: 1, Dim: d, MinUpdates: clients, RoundDeadline: deadline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,12 +255,10 @@ func TestThresholdDeadlineRace(t *testing.T) {
 		t.Fatalf("accepted/rejected = %d/%d, want %d/%d", st.UpdatesAccepted, st.UpdatesRejected, accepted, stale)
 	}
 	if st.DeadShards != 0 || st.PartialCommits != 0 || st.ShardTimeouts != 0 {
-		t.Fatalf("healthy shards written off: %+v", st)
+		t.Fatalf("healthy aggregator written off: %+v", st)
 	}
-	for _, ps := range st.PerShard {
-		if ps.Commits != rounds {
-			t.Fatalf("shard %d saw %d commits for %d rounds", ps.Shard, ps.Commits, rounds)
-		}
+	if c := st.PerShard[0].Commits; c != rounds {
+		t.Fatalf("aggregator saw %d commits for %d rounds", c, rounds)
 	}
 	forced := st.RoundsForcedByDeadline
 	if forced < deadlineRounds || forced > rounds {
@@ -398,7 +273,7 @@ func TestThresholdDeadlineRace(t *testing.T) {
 // train from round r+1's model and upload into round r.
 func TestModelSnapshotConsistent(t *testing.T) {
 	const rounds, d = 1000, 4096
-	srv, err := NewServer(ServerConfig{NumClasses: 1, Dim: d, MinUpdates: 1, Shards: 4})
+	srv, err := NewServer(ServerConfig{NumClasses: 1, Dim: d, MinUpdates: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,33 +306,5 @@ func TestModelSnapshotConsistent(t *testing.T) {
 	wg.Wait()
 	if n := mismatched.Load(); n != 0 {
 		t.Fatalf("%d snapshots paired a global model with the wrong round", n)
-	}
-}
-
-// routeShard must survive hostile identities and degenerate shard
-// states: with no shards there is nothing to reduce the hash modulo,
-// and a fully dead fleet must route to nil rather than spin or panic.
-// The client identity is an attacker-chosen header, so this is the
-// wire-taint boundary for shard routing.
-func TestRouteShardDegenerateStates(t *testing.T) {
-	empty := &Server{}
-	if sh := empty.routeShard("client-1"); sh != nil {
-		t.Fatal("zero shards must route to nil")
-	}
-	s := &Server{shards: []*shard{{id: 0}, {id: 1}, {id: 2}}}
-	for _, id := range []string{"", "client-1", "\x00\xff arbitrary header bytes"} {
-		sh := s.routeShard(id)
-		if sh == nil {
-			t.Fatalf("live fleet must route %q somewhere", id)
-		}
-		if want := fedcore.ShardIndex(id, 3); sh.id != want {
-			t.Fatalf("%q routed to shard %d, want its hash shard %d", id, sh.id, want)
-		}
-	}
-	for _, sh := range s.shards {
-		sh.dead.Store(true)
-	}
-	if sh := s.routeShard("client-1"); sh != nil {
-		t.Fatal("all-dead fleet must route to nil")
 	}
 }

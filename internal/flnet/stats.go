@@ -6,10 +6,10 @@ import (
 )
 
 // serverStats is the dedicated stats block: every counter a /v1/stats
-// scrape reads lives here, off the model mutex and off the shard tokens.
+// scrape reads lives here, off the model mutex and off the aggregator token.
 // Scalar counters are atomics; the two per-key maps sit behind their own
 // tiny mutex that is only ever held across map ops (never across channel
-// or I/O work), so a scrape can never contend with shard aggregation or a
+// or I/O work), so a scrape can never contend with aggregation or a
 // round commit.
 type serverStats struct {
 	updatesAccepted        atomic.Int64
@@ -65,20 +65,21 @@ func (st *serverStats) snapshotMaps() (byReason, byCodec map[string]int64) {
 	return byReason, byCodec
 }
 
-// ShardStats is the per-shard block inside Stats: depth and drop counts
-// expose where backpressure is biting, commit counts how many round
-// commits folded the shard, and Dead marks a shard a commit has written
-// off because its token never came back (its updates degrade the round to
-// partial aggregation instead of stalling it).
+// ShardStats is the aggregation-queue block inside Stats (the server has
+// one aggregator, so PerShard has one entry, Shard 0): depth and drop
+// counts expose where backpressure is biting, commit counts how many
+// round commits folded the aggregator, and Dead marks an aggregator a
+// commit has written off because its token never came back (the round
+// carries the previous global forward instead of stalling).
 type ShardStats struct {
 	Shard      int   `json:"shard"`
-	Depth      int64 `json:"depth"`    // handlers waiting on or inside the shard right now
+	Depth      int64 `json:"depth"`    // handlers waiting on or holding the token right now
 	Enqueued   int64 `json:"enqueued"` // uploads ever admitted past the 429 gate
 	Accepted   int64 `json:"accepted"`
 	Stale      int64 `json:"stale"`
 	Duplicates int64 `json:"duplicates"`
-	Dropped    int64 `json:"dropped"` // over-ShardQueue rejections (429)
-	Commits    int64 `json:"commits"` // round commits that folded this shard
+	Dropped    int64 `json:"dropped"` // over-queue-bound rejections (429)
+	Commits    int64 `json:"commits"` // round commits that folded the aggregator
 	Pending    int64 `json:"pending"` // accepted updates awaiting the next commit
 	Dead       bool  `json:"dead"`
 }
@@ -92,13 +93,14 @@ type ShardStats struct {
 // aggregation policy rescaled (nonzero only under a fedcore.NormClip
 // policy — a clipped update is still accepted, unlike a quarantined one).
 //
-// The sharding block: Shards is the configured shard count, UpdatesThrottled
-// counts 429 over-ShardQueue rejections, ShardTimeouts counts uploads
-// answered 503 because their shard's token never came free within the
-// upload timeout (such an upload is never aggregated), PartialCommits
-// counts rounds committed with at least one dead shard excluded,
-// DeadShards is how many shards a commit has written off, and PerShard
-// carries the per-shard depth/drop/commit breakdown.
+// The backpressure block: Shards is always 1 (one aggregator),
+// UpdatesThrottled counts 429 over-queue-bound rejections, ShardTimeouts
+// counts uploads answered 503 because the aggregator token never came
+// free within the upload timeout or the aggregator is dead (such an
+// upload is never aggregated), PartialCommits counts rounds committed
+// with the dead aggregator excluded, DeadShards is 1 once a commit has
+// written the aggregator off, and PerShard carries its one
+// depth/drop/commit entry.
 type Stats struct {
 	Round                  int              `json:"round"`
 	Aggregator             string           `json:"aggregator"`
