@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race debugguard vet lint lint-json lint-timing lint-ci bench chaos loadgen check ci
+.PHONY: build test race debugguard vet lint lint-json lint-timing lint-ci bench chaos check ci
 
 build:
 	$(GO) build ./...
@@ -72,19 +72,10 @@ chaos:
 
 # The repo's benchmark (workloads and metric bounds in BENCHMARK.json,
 # reports under bench/out/), then every go test benchmark: the compute
-# kernels beside their naive baselines, and the paper experiments.
+# kernels beside their naive baselines.
 bench:
 	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
-
-# Load-harness smoke: 1k clients over real HTTP against the
-# in-process server with a mixed codec cycle and 2% poisoners, under the
-# race detector. CI runs this and uploads the JSON report as an artifact;
-# the full-scale run is `go run ./cmd/fhdnn-loadgen` (100k clients).
-loadgen:
-	$(GO) run -race ./cmd/fhdnn-loadgen -clients 1000 -concurrency 64 -rounds 2 \
-		-dim 256 -poison-frac 0.02 \
-		-codecs raw,float16,int8,topk:0.25 -out loadgen-report.json
 
 # Everything a change must pass before review.
 check: build vet lint race debugguard

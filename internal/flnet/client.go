@@ -209,7 +209,8 @@ func (c *Client) withRetry(ctx context.Context, fn func() error) error {
 	}
 }
 
-// RoundInfo mirrors the server's GET /v1/round response.
+// RoundInfo is the JSON body of GET /v1/round: the server encodes it and
+// the client decodes it.
 type RoundInfo struct {
 	Round          int  `json:"round"`
 	UpdatesPending int  `json:"updatesPending"`

@@ -265,16 +265,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// roundInfo is the JSON body of GET /v1/round.
-type roundInfo struct {
-	Round          int  `json:"round"`
-	UpdatesPending int  `json:"updatesPending"`
-	MinUpdates     int  `json:"minUpdates"`
-	Closed         bool `json:"closed"`
-}
-
 func (s *Server) handleRound(w http.ResponseWriter, r *http.Request) {
-	info := roundInfo{
+	info := RoundInfo{
 		Round:          int(s.round.Load()),
 		UpdatesPending: int(s.queue.pending.Load()),
 		MinUpdates:     s.cfg.MinUpdates,

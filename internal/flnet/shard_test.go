@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -66,6 +67,94 @@ func TestShardQueueBackpressure(t *testing.T) {
 	}
 	if ps := st.PerShard[0]; ps.Dropped != 1 || ps.Enqueued != 1 || ps.Depth != 0 {
 		t.Fatalf("queue dropped/enqueued/depth = %d/%d/%d, want 1/1/0", ps.Dropped, ps.Enqueued, ps.Depth)
+	}
+}
+
+// A crowd bounced off the admission bound must wait out the server's
+// Retry-After hint, not its own 1 ms backoff, and still land in the round
+// exactly once when the aggregator frees up. Two clean clients fill the
+// queue behind a wedged token, the other six answer 429; the poisoner's NaN
+// is refused by the quarantine gate before it is ever queued. Raw and
+// float16 clients alternate, on small integers both codecs carry exactly.
+func TestThrottledClientsRetryPastBackpressure(t *testing.T) {
+	const clients, d = 8, 4
+	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: d, MinUpdates: clients})
+	srv.shardQueue = 2
+	<-srv.token // wedge the aggregator: somebody is stuck mid-Add
+
+	retry := &RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond}
+	// Each client's transport runs on that client's goroutine.
+	var throttled [clients]bool
+	var took [clients]time.Duration
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		vals := make([]float32, d)
+		for j := range vals {
+			vals[j] = float32(i + j)
+		}
+		var codec compress.Codec = compress.Raw{}
+		if i%2 == 1 {
+			codec = compress.Float16{}
+		}
+		flagging := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			resp, err := http.DefaultTransport.RoundTrip(req)
+			if err == nil && resp.StatusCode == http.StatusTooManyRequests {
+				throttled[i] = true
+			}
+			return resp, err
+		})
+		c := &Client{BaseURL: ts.URL, ID: fmt.Sprintf("c%d", i), Codec: codec, Retry: retry,
+			HTTPClient: &http.Client{Transport: flagging}}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m := hdc.NewModel(1, d)
+			m.SetFlat(vals)
+			start := time.Now()
+			errs[i] = c.PushUpdate(context.Background(), 1, m)
+			took[i] = time.Since(start)
+		}(i)
+	}
+	poison := modelWith(1, d, 1)
+	poison.Flat()[1] = float32(math.NaN())
+	poisonErr := (&Client{BaseURL: ts.URL, ID: "poisoner", Retry: retry}).PushUpdate(context.Background(), 1, poison)
+
+	waitFor(t, func() bool { return srv.Stats().UpdatesThrottled >= clients-2 })
+	srv.token <- struct{}{} // the aggregator recovers
+	wg.Wait()
+
+	var q ErrQuarantined
+	if !errors.As(poisonErr, &q) {
+		t.Fatalf("NaN poisoner: want ErrQuarantined, got %v", poisonErr)
+	}
+	nThrottled := 0
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("clean client %d: %v", i, err)
+		}
+		if throttled[i] {
+			nThrottled++
+			if took[i] < time.Second {
+				t.Fatalf("throttled client %d retried after %v, under the 1s Retry-After floor", i, took[i])
+			}
+		}
+	}
+	if nThrottled < clients-2 {
+		t.Fatalf("%d clients saw a 429, want at least %d", nThrottled, clients-2)
+	}
+	st := srv.Stats()
+	if st.UpdatesAccepted != clients || st.DuplicateUpdates != 0 {
+		t.Fatalf("accepted/duplicates = %d/%d, want %d/0", st.UpdatesAccepted, st.DuplicateUpdates, clients)
+	}
+	m, round := srv.Model()
+	if round != 2 {
+		t.Fatalf("round = %d, want 2", round)
+	}
+	for j, v := range m.Flat() {
+		if want := float32(clients-1)/2 + float32(j); v != want {
+			t.Fatalf("global[%d] = %v, want the exact mean %v", j, v, want)
+		}
 	}
 }
 
