@@ -49,13 +49,17 @@ type Engine struct {
 	// Train runs local training for one sampled client and returns its
 	// update; ok=false skips the client (e.g. an empty shard). worker
 	// identifies the pool slot for worker-local state (model replicas).
+	// u.Params may alias trainer memory: over a perfect uplink it reaches
+	// Agg.Add as is, so it must stay untouched until AfterCommit, and may
+	// be reused from then on.
 	Train func(worker, round, id int, rng *rand.Rand) (u Update, ok bool)
 	// WireCount, when set, overrides the per-update element count charged
 	// to traffic accounting (partial transmissions).
 	WireCount func(u Update) int
 	// AfterCommit, when set, runs after the aggregate is committed to
-	// Global and before evaluation (e.g. pushing flat weights back into a
-	// network's parameter tensors).
+	// Global and the aggregator Reset, and before evaluation (e.g. pushing
+	// flat weights back into a network's parameter tensors, or recycling
+	// the round's Train buffers).
 	AfterCommit func(round int)
 	// Evaluate measures global test accuracy.
 	Evaluate func() float64
@@ -92,6 +96,9 @@ func (e *Engine) Run() {
 	if uplink == nil {
 		uplink = channel.Perfect{}
 	}
+	// Perfect.Transmit would only copy the update; the Train buffer lives
+	// until AfterCommit, which is as long as the aggregator needs it.
+	_, perfect := uplink.(channel.Perfect)
 	bpp := e.BytesPerParam
 	if bpp == 0 {
 		bpp = 4
@@ -129,7 +136,9 @@ func (e *Engine) Run() {
 					if e.DropoutProb > 0 && rng.Float64() < e.DropoutProb {
 						continue // update lost in transit
 					}
-					u.Params = uplink.Transmit(u.Params, rng)
+					if !perfect {
+						u.Params = uplink.Transmit(u.Params, rng)
+					}
 					u.Round = round
 					u.Client = id
 					received[ji] = &u

@@ -31,7 +31,8 @@ import (
 type Update struct {
 	// Params is the flat parameter vector (or, for asynchronous
 	// aggregation, the delta against the snapshot the client trained
-	// from).
+	// from). Under the Engine it may alias trainer memory and is valid
+	// until AfterCommit; see Engine.Train.
 	Params []float32
 	// Round is the communication round the update belongs to.
 	Round int

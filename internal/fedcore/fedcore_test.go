@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,6 +127,68 @@ func toyEngine(workers int, dropout float64, uplink channel.Channel) (*Engine, *
 		OnRound:  func(st RoundStats) { stats = append(stats, st) },
 	}
 	return e, &stats, global
+}
+
+// recordAgg bundles like Bundle and keeps every update it was given,
+// across Reset.
+type recordAgg struct {
+	Bundle
+	adds []Update
+}
+
+func (a *recordAgg) Add(u Update) {
+	a.adds = append(a.adds, u)
+	a.Bundle.Add(u)
+}
+
+// Over a perfect uplink (the default) the aggregator gets Train's own
+// buffer, which is why Train must leave it alone until AfterCommit; any
+// other uplink hands over a fresh copy and leaves Train's buffer as it was.
+func TestEngineUplinkBufferOwnership(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		uplink channel.Channel
+		alias  bool
+	}{
+		{"default", nil, true},
+		{"perfect", channel.Perfect{}, true},
+		{"awgn", channel.AWGN{SNRdB: 10}, false},
+	} {
+		e, _, _ := toyEngine(2, 0, tc.uplink)
+		agg := &recordAgg{}
+		e.Agg = agg
+		var mu sync.Mutex
+		trained := map[int][]float32{} // client -> the buffer Train returned this round
+		train := e.Train
+		e.Train = func(worker, round, id int, rng *rand.Rand) (Update, bool) {
+			u, ok := train(worker, round, id, rng)
+			mu.Lock()
+			trained[id] = u.Params
+			mu.Unlock()
+			return u, ok
+		}
+		checked := 0
+		e.AfterCommit = func(round int) {
+			for _, u := range agg.adds {
+				buf := trained[u.Client]
+				if same := &u.Params[0] == &buf[0]; same != tc.alias {
+					t.Errorf("%s: round %d client %d: Add got Train's buffer = %v, want %v", tc.name, round, u.Client, same, tc.alias)
+				}
+				for i, v := range buf {
+					if v != float32(u.Client+round) {
+						t.Errorf("%s: round %d client %d: Train's buffer[%d] = %v after the uplink, want %d", tc.name, round, u.Client, i, v, u.Client+round)
+					}
+				}
+				checked++
+			}
+			agg.adds = agg.adds[:0]
+			clear(trained)
+		}
+		e.Run()
+		if checked == 0 {
+			t.Fatalf("%s: no update reached the aggregator", tc.name)
+		}
+	}
 }
 
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {

@@ -36,8 +36,8 @@ import (
 // committed global vector is bit-identical for every Add order and (under
 // the Engine) every worker count. Storage note: like AsyncStaleness, Add
 // retains u.Params until Reset; callers must not reuse the slice within a
-// round (the Engine and flnet server both hand over freshly built
-// slices).
+// round (the Engine hands over the uplink's copy or Train's own buffer,
+// untouched until AfterCommit; the flnet server a freshly decoded slice).
 
 // Median is the coordinate-wise median aggregator. With an even number of
 // updates the two middle values are averaged in float64.

@@ -107,6 +107,10 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 	baseVersion := make([]int, n)
 	baseFlat := make([][]float32, n)
 	bundled := make([]bool, n)
+	// Scratch for one event, reused by every event: agg retains the delta
+	// only until its Reset, which follows each merge.
+	local := hdc.NewModel(t.NumClasses, d)
+	delta := make([]float32, t.NumClasses*d)
 
 	h := &eventHeap{}
 	heap.Init(h)
@@ -138,7 +142,6 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 		c := ev.client
 
 		// client c trains from its snapshot
-		local := hdc.NewModel(t.NumClasses, d)
 		local.SetFlat(baseFlat[c])
 		if !bundled[c] {
 			local.OneShotTrainRows(t.Encoded, t.Labels, t.Part[c])
@@ -153,7 +156,6 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 		// merge the delta with staleness discount (fedcore.AsyncStaleness)
 		gFlat := global.Flat()
 		lFlat := local.Flat()
-		delta := make([]float32, len(gFlat))
 		for i := range delta {
 			delta[i] = lFlat[i] - baseFlat[c][i]
 		}

@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fhdnn/internal/channel"
@@ -215,6 +216,50 @@ func TestHDFederatedBytesAccounting(t *testing.T) {
 		if r.BytesUplinked != perClient*int64(r.Participants) {
 			t.Fatalf("round %d: bytes %d, want %d x %d", r.Round, r.BytesUplinked, perClient, r.Participants)
 		}
+	}
+}
+
+// A round allocates no whole model per update: HDTrainer recycles its
+// client replicas (made in the first round only) and a perfect uplink
+// passes each update through uncopied. What is left is per round (the
+// Bundle accumulator, evaluation), a fraction of a model per update.
+func TestHDTrainerRoundDoesNotAllocateModels(t *testing.T) {
+	if raceEnabled {
+		t.Skip("hdc's pooled kernel scratch re-allocates under the race detector; the bound is asserted in non-race runs")
+	}
+	const k, d, clients, rounds = 10, 2048, 20, 10
+	rng := rand.New(rand.NewSource(5))
+	gen := func(perClass int) *dataset.Dataset {
+		return dataset.GenerateVectors(dataset.VectorConfig{
+			Name: "a", Classes: k, Features: 16, PerClass: perClass, ClassStd: 2, SampleStd: 1, Seed: 5})
+	}
+	train, test := gen(20), gen(2)
+	enc := hdc.NewEncoder(rng, d, 16)
+	tr := &HDTrainer{
+		Cfg: Config{NumClients: clients, ClientFraction: 1, LocalEpochs: 2, BatchSize: 10,
+			Rounds: rounds, Seed: 5, Parallel: 2},
+		Encoded:    enc.EncodeBatch(train.X),
+		Labels:     train.Labels,
+		TestEnc:    enc.EncodeBatch(test.X),
+		TestLabels: test.Labels,
+		NumClasses: k,
+		Part:       dataset.PartitionIID(train.Len(), clients, rng),
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hist, _ := tr.Run()
+	runtime.ReadMemStats(&after)
+	updates := 0
+	for _, r := range hist.Rounds {
+		updates += r.Participants
+	}
+	if updates != clients*rounds {
+		t.Fatalf("%d updates, want %d", updates, clients*rounds)
+	}
+	perUpdate := float64(after.TotalAlloc-before.TotalAlloc) / float64(updates)
+	t.Logf("%.0f B allocated per update", perUpdate)
+	if model := float64(4 * k * d); perUpdate >= model/2 {
+		t.Fatalf("%.0f B allocated per update, want under half a %.0f B model", perUpdate, model)
 	}
 }
 

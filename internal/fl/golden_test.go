@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fhdnn/internal/dataset"
+	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
 )
 
@@ -67,6 +68,48 @@ func TestHDTrainerGolden(t *testing.T) {
 		if got := modelSum(model); got != tc.sum || !reflect.DeepEqual(hist.Accuracies(), tc.acc) {
 			t.Errorf("%s: final global %#x, accuracies %#v; recorded %#x, %#v",
 				tc.name, got, hist.Accuracies(), tc.sum, tc.acc)
+		}
+	}
+}
+
+// Replica safety: HDTrainer recycles its client replicas between rounds,
+// and Median retains every row it is given until Reset, so a replica handed
+// out again while the aggregator still held it would move these sums. The
+// tamper hook scales each update in place on the client's own replica. The
+// values were recorded before replicas were recycled, and hold at every
+// worker count.
+func TestHDTrainerReplicaGolden(t *testing.T) {
+	scale := func(_, id int, params, _ []float32) {
+		f := float32(1 + id%3)
+		for i := range params {
+			params[i] *= f
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		median bool
+		tamper bool
+		sum    uint64
+		acc    []float64
+	}{
+		{"median", true, false, 0x59b7be70959705ae, []float64{0.58, 0.61, 0.83, 0.79, 0.81, 0.79, 0.8, 0.78}},
+		{"tamper", false, true, 0x959a98859fe1f66a, []float64{0.59, 0.69, 0.81, 0.81, 0.81, 0.81, 0.81, 0.81}},
+	} {
+		for _, workers := range []int{1, 3} {
+			tr := goldenSetup()
+			tr.Cfg.Parallel = workers
+			tr.Cfg.DropoutProb = 0.2
+			if tc.median {
+				tr.Agg = &fedcore.Median{}
+			}
+			if tc.tamper {
+				tr.TamperUpdate = scale
+			}
+			hist, model := tr.Run()
+			if got := modelSum(model); got != tc.sum || !reflect.DeepEqual(hist.Accuracies(), tc.acc) {
+				t.Errorf("%s/parallel=%d: final global %#x, accuracies %#v; recorded %#x, %#v",
+					tc.name, workers, got, hist.Accuracies(), tc.sum, tc.acc)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fl
 import (
 	"math/rand"
 	"sort"
+	"sync"
 
 	"fhdnn/internal/dataset"
 	"fhdnn/internal/fedcore"
@@ -61,7 +62,9 @@ type HDTrainer struct {
 	// hook (see internal/faults.Poisoner) the poisoning experiments use
 	// to turn a chosen subset of clients Byzantine. global is the
 	// read-only flat global vector the client trained from, the
-	// reference a delta-level attack corrupts against.
+	// reference a delta-level attack corrupts against. params is a
+	// recycled client replica that is handed to another client after the
+	// round commits, so the hook must not retain it.
 	TamperUpdate func(round, id int, params, global []float32)
 }
 
@@ -77,6 +80,15 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 	d := t.Encoded.Dim(1)
 	global := hdc.NewModel(t.NumClasses, d)
 	bundled := make([]bool, t.Cfg.NumClients) // has the client one-shot trained yet?
+
+	// Client models are recycled: an update's Params is its replica's
+	// storage, which the aggregator may hold until the round commits, so
+	// replicas[:used] stay out of circulation until AfterCommit. Every
+	// replica is overwritten from the global model before training, so
+	// which client gets which replica changes nothing.
+	var mu sync.Mutex
+	var replicas []*hdc.Model
+	used := 0
 
 	agg := t.Agg
 	if agg == nil {
@@ -103,7 +115,14 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 			if len(idx) == 0 {
 				return fedcore.Update{}, false
 			}
-			local := global.Clone()
+			mu.Lock()
+			if used == len(replicas) {
+				replicas = append(replicas, hdc.NewModel(t.NumClasses, d))
+			}
+			local := replicas[used]
+			used++
+			mu.Unlock()
+			copy(local.Flat(), global.Flat())
 			t.trainClient(local, id, idx, bundled)
 			u := fedcore.Update{Params: local.Flat(), Samples: len(idx)}
 			if t.TamperUpdate != nil {
@@ -111,7 +130,9 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 			}
 			return u, true
 		},
-		Evaluate: func() float64 { return global.Accuracy(t.TestEnc, t.TestLabels) },
+		// The workers have joined and the aggregator has been Reset.
+		AfterCommit: func(int) { used = 0 },
+		Evaluate:    func() float64 { return global.Accuracy(t.TestEnc, t.TestLabels) },
 		OnRound: func(st fedcore.RoundStats) {
 			hist.Append(RoundMetrics{
 				Round:         st.Round,
