@@ -20,13 +20,16 @@ race:
 
 # The fhdnndebug build tag swaps a runtime aliasing guard into the tensor
 # Into/Accum kernels (unsafe pointer-range overlap check, panics at the
-# offending call site). Release builds get a no-op stub.
+# offending call site). Release builds get a no-op stub. The guard is the
+# repo's only aliasing check, so it runs over every package that owns or
+# drives an Into/Accum call site: every production call site in nn and
+# hdc executes under it, not just tensor's own tests.
 debugguard:
-	$(GO) test -race -tags fhdnndebug -count=1 ./internal/tensor/
+	$(GO) test -race -tags fhdnndebug -count=1 ./internal/tensor ./internal/nn ./internal/hdc ./internal/core ./internal/fl
 
 # Repo-specific static analysis: determinism, goroutine discipline, wire
 # error handling, print/panic hygiene, float32 kernel discipline, plus the
-# dataflow rules (aliasing, hotalloc) and the wire-taint rules (taintalloc,
+# call-graph rule (hotalloc) and the wire-taint rules (taintalloc,
 # taintindex, taintloop). See DESIGN.md "Static analysis & enforced
 # invariants".
 lint:

@@ -24,11 +24,11 @@
 //	64|b findings; b is a bitmask of the rules that fired:
 //	     1 determinism, 2 goroutine, 4 wire-error, 8 print-panic,
 //	     16 float64, 32 malformed/stale //fhdnn:allow directive,
-//	     128 any dataflow or taint rule (aliasing, hotalloc,
-//	     taintalloc, taintindex, taintloop)
+//	     128 any call-graph or taint rule (hotalloc, taintalloc,
+//	     taintindex, taintloop)
 //
 // Unix exit codes are eight bits and 64|1|2|4|8|16|32 uses seven of
-// them, so the dataflow and taint rules share the last bit; use -json
+// them, so the call-graph and taint rules share the last bit; use -json
 // for per-rule attribution.
 package main
 
@@ -42,8 +42,9 @@ import (
 	"fhdnn/internal/analysis"
 )
 
-// ruleBits maps each rule to its exit-code bit. The dataflow rules share
-// bit 128: the lower bits are spoken for and exit codes stop at 255.
+// ruleBits maps each rule to its exit-code bit. The call-graph and taint
+// rules share bit 128: the lower bits are spoken for and exit codes stop
+// at 255.
 var ruleBits = map[string]int{
 	analysis.RuleDeterminism: 1,
 	analysis.RuleGoroutine:   2,
@@ -51,7 +52,6 @@ var ruleBits = map[string]int{
 	analysis.RulePrintPanic:  8,
 	analysis.RuleFloat64:     16,
 	analysis.RuleAllow:       32,
-	analysis.RuleAliasing:    128,
 	analysis.RuleHotAlloc:    128,
 	analysis.RuleTaintAlloc:  128,
 	analysis.RuleTaintIndex:  128,

@@ -22,7 +22,7 @@ func FuzzParseAllows(f *testing.F) {
 	f.Add("hotalloc amortized append // trailing comment")
 	f.Add("float64 précision déterministe")
 	f.Add("  \t weird junk")
-	f.Add(`aliasing reason with "quotes" and \ backslashes`)
+	f.Add(`taintindex reason with "quotes" and \ backslashes`)
 	f.Fuzz(func(t *testing.T, dir string) {
 		if strings.ContainsAny(dir, "\n\r") {
 			t.Skip("directives are single-line comments")

@@ -33,23 +33,22 @@
 //	             changes rounding and silently breaks the bit-equality
 //	             contract between serial and parallel execution.
 //
-// The dataflow rules below run on an intraprocedural CFG with reaching
-// definitions (cfg.go, dataflow.go) and a module-wide static call graph
+// The *Into/*Accum kernels' non-overlap contract is not a rule here: the
+// exact runtime guard (internal/tensor, -tags fhdnndebug) checks it at
+// every call.
+//
+// The call-graph rule below runs on a module-wide static call graph
 // (callgraph.go):
 //
-//	aliasing     no *Into/*Accum kernel call (internal/tensor, nn, hdc)
-//	             whose dst argument may alias an input — same variable,
-//	             same field path, or slices derived from one base array.
-//	             The blocked kernels are undefined on overlapping
-//	             buffers.
 //	hotalloc     functions annotated //fhdnn:hotpath, and everything
 //	             reachable from them in the call graph, must not
 //	             allocate (make/new/append/boxing conversions/fmt);
 //	             panic and invariant.Fail* arguments are exempt.
 //
 // The wire-taint rules run on the interprocedural taint engine
-// (taint.go): wire sources are []byte / io.Reader parameters of the
-// exported decode surface in compress/fedcore/flnet/hdc and the
+// (taint.go), over an intraprocedural CFG with dominators (cfg.go) and
+// the same call graph: wire sources are []byte / io.Reader parameters of
+// the exported decode surface in compress/fedcore/flnet/hdc and the
 // http.Request/Response reads in flnet; summaries propagate taint
 // across the call graph; a dominating comparison against a trusted cap
 // sanitizes:
@@ -86,8 +85,9 @@ import (
 // rules (aliasing, lockheld, hotalloc, ctxflow); v3 the concurrency
 // rules (goleak, chandisc, wgproto, atomicmix); v4 the interprocedural
 // wire-taint rules (taintalloc, taintindex, taintloop); v5 retired
-// goleak, chandisc, wgproto, atomicmix, lockheld and ctxflow.
-const Version = "5.0.0"
+// goleak, chandisc, wgproto, atomicmix, lockheld and ctxflow; v6 retired
+// aliasing and its reaching-definitions layer.
+const Version = "6.0.0"
 
 // Rule names, in exit-code bit order (see cmd/fhdnn-lint).
 const (
@@ -98,11 +98,10 @@ const (
 	RuleFloat64     = "float64"
 	// RuleAllow reports malformed or unused suppression directives.
 	RuleAllow = "allow"
-	// Dataflow rules (share one exit-code bit, see cmd/fhdnn-lint).
-	RuleAliasing = "aliasing"
+	// Call-graph rule (shares one exit-code bit with the taint rules, see
+	// cmd/fhdnn-lint).
 	RuleHotAlloc = "hotalloc"
-	// Wire-taint rules (interprocedural, taint.go; share the dataflow
-	// exit-code bit).
+	// Wire-taint rules (interprocedural, taint.go).
 	RuleTaintAlloc = "taintalloc"
 	RuleTaintIndex = "taintindex"
 	RuleTaintLoop  = "taintloop"
@@ -111,7 +110,7 @@ const (
 // AllRules lists every diagnostic rule in canonical order.
 var AllRules = []string{
 	RuleDeterminism, RuleGoroutine, RuleWireError, RulePrintPanic, RuleFloat64,
-	RuleAliasing, RuleHotAlloc,
+	RuleHotAlloc,
 	RuleTaintAlloc, RuleTaintIndex, RuleTaintLoop,
 }
 
@@ -311,7 +310,6 @@ var ruleFuncs = []namedRule{
 	{RuleWireError, checkWireErrors},
 	{RulePrintPanic, checkPrintPanic},
 	{RuleFloat64, checkFloat64},
-	{RuleAliasing, checkAliasing},
 	// hotalloc and the taint rules are module-wide (call-graph closures)
 	// and run separately in Run, not per package.
 }

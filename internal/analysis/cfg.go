@@ -5,14 +5,13 @@ import (
 	"go/token"
 )
 
-// cfg.go builds the intraprocedural control-flow graph that aliasing's
-// reaching definitions and the taint engine's dominating-guard sanitizer
-// run on. The graph is statement-level: every basic block holds a
-// sequence of "atoms" — simple statements and the head expressions of
-// control statements — in execution order, and edges
-// connect blocks along every possible control path (both branches of an
-// if, loop back-edges, every switch/select arm, returns to the exit
-// block).
+// cfg.go builds the intraprocedural control-flow graph that the taint
+// engine's dominating-guard sanitizer runs on. The graph is
+// statement-level: every basic block holds a sequence of "atoms" — simple
+// statements and the head expressions of control statements — in
+// execution order, and edges connect blocks along every possible control
+// path (both branches of an if, loop back-edges, every switch/select arm,
+// returns to the exit block).
 //
 // Atoms are deliberately shallow: a control statement contributes only
 // the expression evaluated at its head (an if contributes its Cond, a
@@ -231,7 +230,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	case *ast.SelectStmt:
 		label := b.takeLabel()
 		// Each arm's communication statement is its head atom, so a
-		// `v := <-ch` arm defines v for reaching definitions.
+		// `v := <-ch` arm's definition of v is seen by the taint transfer.
 		b.caseClauses(label, s.Body.List, func(c ast.Stmt) ([]ast.Node, []ast.Stmt, bool) {
 			cc := c.(*ast.CommClause)
 			if cc.Comm == nil {

@@ -4,36 +4,25 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"testing"
 )
 
-// typecheckFunc parses and type-checks a single-file package (stdlib
-// imports only) and returns the named function's declaration.
-func typecheckFunc(t *testing.T, src, name string) (*token.FileSet, *ast.FuncDecl, *types.Info) {
+// parseFunc parses a single-file package and returns the named
+// function's declaration. The CFG is purely syntactic, so no type
+// information is needed.
+func parseFunc(t *testing.T, src, name string) *ast.FuncDecl {
 	t.Helper()
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments)
+	file, err := parser.ParseFile(token.NewFileSet(), "src.go", src, 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{}
-	if _, err := conf.Check("p", fset, []*ast.File{file}, info); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range file.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
-			return fset, fd, info
+			return fd
 		}
 	}
 	t.Fatalf("function %s not found", name)
-	return nil, nil, nil
+	return nil
 }
 
 // reachableFrom collects the blocks reachable from b.
@@ -95,7 +84,7 @@ outer:
 done:
 	return total
 }`
-	_, fd, _ := typecheckFunc(t, src, "f")
+	fd := parseFunc(t, src, "f")
 	g := buildCFG(fd.Body)
 
 	reach := reachableFrom(g.entry)
@@ -148,7 +137,7 @@ func f() int {
 	return 1
 	return 2
 }`
-	_, fd, _ := typecheckFunc(t, src, "f")
+	fd := parseFunc(t, src, "f")
 	g := buildCFG(fd.Body)
 	atoms := 0
 	for _, b := range g.blocks {
@@ -156,95 +145,6 @@ func f() int {
 	}
 	if atoms != 2 {
 		t.Fatalf("expected both return atoms in the graph, got %d", atoms)
-	}
-}
-
-// TestReachingDefsJoin checks that a definition reaching through both
-// branches of an if joins to the union, and that the aliasing base
-// resolution chases the resulting chain.
-func TestReachingDefsJoin(t *testing.T) {
-	src := `package p
-func f(a, b, c []float32, cond bool) []float32 {
-	x := a
-	if cond {
-		x = b
-	}
-	y := x
-	return y
-}`
-	_, fd, info := typecheckFunc(t, src, "f")
-	g := buildCFG(fd.Body)
-	rd := reachingDefs(g, info, fd.Type, fd.Recv)
-
-	var retState defState
-	var retNode ast.Expr
-	rd.eachAtom(func(b *block, i int, st defState) {
-		if ret, ok := b.atoms[i].(*ast.ReturnStmt); ok {
-			retState = st.clone()
-			retNode = ret.Results[0]
-		}
-	})
-	if retNode == nil {
-		t.Fatal("return atom not found")
-	}
-
-	ac := &aliasCtx{info: info, st: retState}
-	yBases := ac.bases(retNode, make(map[*types.Var]bool))
-	lookup := func(name string) ast.Expr {
-		for _, f := range fd.Type.Params.List {
-			for _, id := range f.Names {
-				if id.Name == name {
-					return id
-				}
-			}
-		}
-		t.Fatalf("param %s not found", name)
-		return nil
-	}
-	// y may alias a (straight path) and b (branch), but never c.
-	for name, want := range map[string]bool{"a": true, "b": true, "c": false} {
-		p := lookup(name)
-		pb := ac.bases(p, make(map[*types.Var]bool))
-		if got := basesOverlap(yBases, pb); got != want {
-			t.Errorf("overlap(y, %s) = %v, want %v", name, got, want)
-		}
-	}
-}
-
-// TestReachingDefsCycle guards the definition-cycle case (x = x[1:]):
-// base resolution must terminate and still root x at itself.
-func TestReachingDefsCycle(t *testing.T) {
-	src := `package p
-func f(a []float32) {
-	x := a
-	for len(x) > 1 {
-		x = x[1:]
-	}
-	_ = x
-}`
-	_, fd, info := typecheckFunc(t, src, "f")
-	g := buildCFG(fd.Body)
-	rd := reachingDefs(g, info, fd.Type, fd.Recv)
-
-	checked := false
-	rd.eachAtom(func(b *block, i int, st defState) {
-		as, ok := b.atoms[i].(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 {
-			return
-		}
-		if id, ok := as.Lhs[0].(*ast.Ident); !ok || id.Name != "_" {
-			return
-		}
-		ac := &aliasCtx{info: info, st: st}
-		xb := ac.bases(as.Rhs[0], make(map[*types.Var]bool))
-		ab := ac.bases(fd.Type.Params.List[0].Names[0], make(map[*types.Var]bool))
-		if !basesOverlap(xb, ab) {
-			t.Error("x should still alias a after the reslicing loop")
-		}
-		checked = true
-	})
-	if !checked {
-		t.Fatal("blank-assign atom not found")
 	}
 }
 
@@ -298,7 +198,7 @@ func f(cond bool, n int) {
 	}
 	after()
 }`
-	_, fd, _ := typecheckFunc(t, src, "f")
+	fd := parseFunc(t, src, "f")
 	g := buildCFG(fd.Body)
 	dom := g.dominators()
 

@@ -421,7 +421,7 @@ func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, cod
 	}
 	if s.dead.Load() {
 		s.stats.shardTimeouts.Add(1)
-		http.Error(w, "flnet: every aggregation shard is dead", http.StatusServiceUnavailable)
+		http.Error(w, "flnet: the aggregator is dead", http.StatusServiceUnavailable)
 		return
 	}
 	q := &s.queue

@@ -195,6 +195,9 @@ func TestDeadAggregatorCarriesGlobalForward(t *testing.T) {
 	if !errors.As(err, &he) || he.StatusCode != 503 {
 		t.Fatalf("push to a dead aggregator: want 503, got %v", err)
 	}
+	if want := "flnet: the aggregator is dead"; he.Body != want {
+		t.Fatalf("503 body = %q, want %q", he.Body, want)
+	}
 	if st := srv.Stats(); st.ShardTimeouts != 1 || st.UpdatesAccepted != 1 {
 		t.Fatalf("timeouts/accepted = %d/%d, want 1/1", st.ShardTimeouts, st.UpdatesAccepted)
 	}

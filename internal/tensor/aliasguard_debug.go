@@ -7,13 +7,15 @@ import (
 	"unsafe"
 )
 
-// guardNoAlias panics if dst overlaps either input slice. It backs the
-// static aliasing rule in internal/analysis with a runtime check for the
-// cases static analysis cannot see (slices arriving through interfaces,
-// reflection, or cgo): build with -tags fhdnndebug and any overlapping
-// Into/Accum call fails loudly at the call site instead of silently
-// reading half-written output. Release builds compile the stub in
-// aliasguard_release.go instead, so the hot kernels pay nothing.
+// guardNoAlias panics if dst overlaps either input slice. It is the one
+// check of the Into/Accum non-overlap contract, and it is exact: it
+// compares the actual element ranges, so disjoint halves of one
+// allocation pass and slices arriving through interfaces or reflection
+// are still seen. Build with -tags fhdnndebug (make debugguard runs every
+// package with a production call site that way) and any overlapping call
+// fails loudly at the call site instead of silently reading half-written
+// output. Release builds compile the stub in aliasguard_release.go
+// instead, so the hot kernels pay nothing.
 func guardNoAlias(op string, dst, s1, s2 []float32) {
 	if overlaps(dst, s1) {
 		panic(fmt.Sprintf("tensor: %s dst overlaps first input (dst %p len %d); Into/Accum kernels require non-overlapping buffers", op, unsafe.SliceData(dst), len(dst)))

@@ -93,6 +93,23 @@ func TestGuardNoAliasMatVecTrans(t *testing.T) {
 	MatVecTransInto(buf[:4], a, buf[4:8])
 }
 
+// TestGuardNoAliasPooling checks the guard on the pooling kernels: out
+// overlapping img panics, disjoint halves of one allocation pass.
+func TestGuardNoAliasPooling(t *testing.T) {
+	// One 1x4x4 image pools 2x2/2 to four outputs; one 2x2x2 image
+	// averages to two.
+	buf := make([]float32, 20)
+	mustPanicWith(t, "MaxPool2DInto dst overlaps first input", func() {
+		MaxPool2DInto(buf[:16], 1, 4, 4, 2, 2, buf[12:16], nil)
+	})
+	MaxPool2DInto(buf[:16], 1, 4, 4, 2, 2, buf[16:20], nil)
+
+	mustPanicWith(t, "GlobalAvgPoolInto dst overlaps first input", func() {
+		GlobalAvgPoolInto(buf[:8], 2, 2, 2, buf[6:8])
+	})
+	GlobalAvgPoolInto(buf[:8], 2, 2, 2, buf[8:10])
+}
+
 // TestGuardPackScratchDisjoint drives the packed TransB path (shape above
 // transBPackCutoff) under the debug guard: the pool scratch must never
 // overlap the operands or the destination, so a clean large multiply is

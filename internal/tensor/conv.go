@@ -125,6 +125,7 @@ func MaxPool2DInto(img []float32, c, h, w, k, stride int, out []float32, argmax 
 	if argmax != nil && len(argmax) != len(out) {
 		panic(fmt.Sprintf("tensor: MaxPool2DInto argmax length %d, want %d", len(argmax), len(out)))
 	}
+	guardNoAlias("MaxPool2DInto", out, img, nil)
 	for ch := 0; ch < c; ch++ {
 		chOff := ch * h * w
 		for oy := 0; oy < outH; oy++ {
@@ -167,6 +168,7 @@ func GlobalAvgPoolInto(img []float32, c, h, w int, out []float32) {
 	if len(out) != c {
 		panic(fmt.Sprintf("tensor: GlobalAvgPoolInto out length %d, want %d", len(out), c))
 	}
+	guardNoAlias("GlobalAvgPoolInto", out, img, nil)
 	plane := h * w
 	inv := 1.0 / float32(plane)
 	for ch := 0; ch < c; ch++ {
