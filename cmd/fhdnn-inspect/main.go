@@ -76,13 +76,14 @@ func inspect(path string) error {
 		fmt.Printf("%s: HD encoder, d=%d n=%d binarize=%v (%d bytes)\n",
 			path, e.D, e.N, e.Binarize, len(data))
 	default:
-		return fmt.Errorf("unknown magic %q (want FHDM or FHDE)", data[:4])
+		return fmt.Errorf("unknown magic %q (want FHDN, FHDM or FHDE)", data[:4])
 	}
 	return nil
 }
 
 // skipNNCheckpoint reads past an nn parameter checkpoint, returning the
-// tensor and scalar counts.
+// tensor and scalar counts. bytes.Reader.Seek accepts offsets past the
+// end, so a param length that overruns the file is checked first.
 func skipNNCheckpoint(r *bytes.Reader) (tensors, values int, err error) {
 	hdr := make([]byte, 8)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -95,7 +96,10 @@ func skipNNCheckpoint(r *bytes.Reader) (tensors, values int, err error) {
 			return 0, 0, fmt.Errorf("param %d length: %w", i, err)
 		}
 		n := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		if _, err := r.Seek(int64(4*n), io.SeekCurrent); err != nil {
+		if 4*int64(n) > int64(r.Len()) {
+			return 0, 0, fmt.Errorf("param %d payload truncated", i)
+		}
+		if _, err := r.Seek(4*int64(n), io.SeekCurrent); err != nil {
 			return 0, 0, err
 		}
 		values += n

@@ -30,13 +30,20 @@ func (f *FHDnn) Save(w io.Writer) error {
 
 // Load restores state written by Save into this FHDnn. The receiver must
 // have been assembled with the same extractor architecture and Config;
-// dimension mismatches are rejected.
+// dimension mismatches are rejected. Every section is read into
+// temporaries first and committed only when all three succeed, so a
+// failed Load leaves the receiver unchanged.
 func (f *FHDnn) Load(r io.Reader) error {
 	ext, ok := f.Extractor.(*NetworkExtractor)
 	if !ok {
 		return fmt.Errorf("core: Load requires a NetworkExtractor, got %T", f.Extractor)
 	}
-	if err := nn.LoadParams(r, ext.Net.Params()); err != nil {
+	params := ext.Net.Params()
+	staged := make([]*nn.Param, len(params))
+	for i, p := range params {
+		staged[i] = &nn.Param{Name: p.Name, W: p.W.Clone()}
+	}
+	if err := nn.LoadParams(r, staged); err != nil {
 		return fmt.Errorf("core: load extractor: %w", err)
 	}
 	enc, err := hdc.ReadEncoder(r)
@@ -53,6 +60,7 @@ func (f *FHDnn) Load(r io.Reader) error {
 	if model.K != f.Model.K || model.D != f.Model.D {
 		return fmt.Errorf("core: model dims %dx%d, want %dx%d", model.K, model.D, f.Model.K, f.Model.D)
 	}
+	nn.CopyParams(params, staged)
 	f.Encoder = enc
 	f.Model = model
 	return nil

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
+
+	"fhdnn/internal/nn"
 )
 
 func TestFHDnnSaveLoadRoundTrip(t *testing.T) {
@@ -64,5 +67,58 @@ func TestFHDnnLoadTruncated(t *testing.T) {
 	g := testFHDnn(22)
 	if err := g.Load(bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated checkpoint must fail")
+	}
+}
+
+// TestFHDnnLoadFailureLeavesReceiverUnchanged cuts a checkpoint inside
+// each of its three sections (extractor, encoder, model) and asserts a
+// failed Load changes nothing: the receiver keeps its extractor weights
+// bit for bit, its encoder and model, and so its predictions.
+func TestFHDnnLoadFailureLeavesReceiverUnchanged(t *testing.T) {
+	train, test, _ := testData(t, 23, 3)
+	f := testFHDnn(23)
+	f.TrainCentralized(train, 1)
+	var ext, enc, full bytes.Buffer
+	if err := nn.SaveParams(&ext, f.Extractor.(*NetworkExtractor).Net.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Encoder.WriteTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Save(&full); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		section string
+		cut     int
+	}{
+		{"extractor", ext.Len() / 2},
+		{"encoder", ext.Len() + enc.Len()/2},
+		{"model", full.Len() - 100},
+	} {
+		g := testFHDnn(98)
+		g.TrainCentralized(train, 1)
+		params := g.Extractor.(*NetworkExtractor).Net.Params()
+		wantW := nn.FlattenParams(params)
+		wantPred := g.Predict(test.X)
+		encoder, model := g.Encoder, g.Model
+		if err := g.Load(bytes.NewReader(full.Bytes()[:c.cut])); err == nil {
+			t.Fatalf("%s cut: truncated checkpoint loaded", c.section)
+		}
+		if g.Encoder != encoder || g.Model != model {
+			t.Errorf("%s cut: failed Load replaced the encoder or model", c.section)
+		}
+		for i, w := range nn.FlattenParams(params) {
+			if math.Float32bits(w) != math.Float32bits(wantW[i]) {
+				t.Errorf("%s cut: extractor weight %d changed by a failed Load", c.section, i)
+				break
+			}
+		}
+		for i, p := range g.Predict(test.X) {
+			if p != wantPred[i] {
+				t.Errorf("%s cut: prediction %d changed by a failed Load", c.section, i)
+				break
+			}
+		}
 	}
 }

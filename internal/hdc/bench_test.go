@@ -20,29 +20,6 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// naiveEncodeBatch replicates the pre-blocking batch encoder — a
-// single-accumulator matrix-vector product per sample — as the
-// baseline for the batched path.
-func naiveEncodeBatch(e *Encoder, z *tensor.Tensor, out *tensor.Tensor) {
-	batch := z.Dim(0)
-	phi := e.Phi.Data()
-	for s := 0; s < batch; s++ {
-		row := z.Data()[s*e.N : (s+1)*e.N]
-		h := out.Data()[s*e.D : (s+1)*e.D]
-		for i := 0; i < e.D; i++ {
-			prow := phi[i*e.N : (i+1)*e.N]
-			sum := float32(0)
-			for j, v := range prow {
-				sum += v * row[j]
-			}
-			h[i] = sum
-		}
-		if e.Binarize {
-			Sign(h)
-		}
-	}
-}
-
 func encodeBatchFixture(b *testing.B) (*Encoder, *tensor.Tensor) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -58,7 +35,7 @@ func BenchmarkEncodeBatchNaive(b *testing.B) {
 	out := tensor.New(64, e.D)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		naiveEncodeBatch(e, z, out)
+		oracleEncodeBatch(e, z, out)
 	}
 }
 
@@ -68,15 +45,6 @@ func BenchmarkEncodeBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.EncodeBatchInto(out, z)
-	}
-}
-
-func BenchmarkDecodeBatch(b *testing.B) {
-	e, z := encodeBatchFixture(b)
-	h := e.EncodeBatch(z)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.DecodeBatch(h)
 	}
 }
 

@@ -3,9 +3,8 @@ package hdc
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
-
-	"fhdnn/internal/tensor"
 )
 
 // FuzzReadModel ensures that arbitrary byte streams never panic the model
@@ -47,7 +46,7 @@ func FuzzReadModel(f *testing.F) {
 
 // FuzzReadEncoder mirrors FuzzReadModel for the encoder format.
 func FuzzReadEncoder(f *testing.F) {
-	e := &Encoder{D: 4, N: 2, Phi: tensor.New(4, 2), Binarize: true}
+	e := NewEncoder(rand.New(rand.NewSource(1)), 4, 2)
 	var buf bytes.Buffer
 	if _, err := e.WriteTo(&buf); err != nil {
 		f.Fatal(err)
@@ -59,7 +58,7 @@ func FuzzReadEncoder(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got.D <= 0 || got.N <= 0 || got.Phi.Len() != got.D*got.N {
+		if got.D <= 0 || got.N <= 0 || got.phiT.Len() != got.D*got.N {
 			t.Fatalf("accepted inconsistent encoder %dx%d", got.D, got.N)
 		}
 	})

@@ -12,8 +12,11 @@ import (
 func TestEncoderRowsUnitNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	e := NewEncoder(rng, 50, 10)
+	row := make([]float32, e.N)
 	for i := 0; i < e.D; i++ {
-		row := e.Phi.Data()[i*e.N : (i+1)*e.N]
+		for j := range row {
+			row[j] = e.phiT.Data()[j*e.D+i]
+		}
 		if n := Norm(row); math.Abs(n-1) > 1e-5 {
 			t.Fatalf("row %d norm %v, want 1", i, n)
 		}

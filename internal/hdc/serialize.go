@@ -69,7 +69,8 @@ func ReadModel(r io.Reader) (*Model, error) {
 }
 
 // WriteTo serializes the encoder (projection matrix and flags). It
-// implements io.WriterTo.
+// implements io.WriterTo. The wire payload is Phi (d x n) row-major,
+// gathered from the stored transpose into one buffer and one Write.
 func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
 	if _, err := w.Write(encoderMagic[:]); err != nil {
 		return 0, fmt.Errorf("hdc: write encoder header: %w", err)
@@ -87,8 +88,18 @@ func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
 		return n, fmt.Errorf("hdc: write encoder flags: %w", err)
 	}
 	n++
-	nn, err := writeFloats(w, e.Phi.Data())
-	return n + nn, err
+	buf := make([]byte, 4*e.D*e.N)
+	pt := e.phiT.Data()
+	for j := 0; j < e.N; j++ {
+		for i, v := range pt[j*e.D : (j+1)*e.D] {
+			binary.LittleEndian.PutUint32(buf[4*(i*e.N+j):], math.Float32bits(v))
+		}
+	}
+	nn, err := w.Write(buf)
+	if err != nil {
+		return n + int64(nn), fmt.Errorf("hdc: write payload: %w", err)
+	}
+	return n + int64(nn), nil
 }
 
 // ReadEncoder deserializes an encoder written by WriteTo.
@@ -108,11 +119,19 @@ func ReadEncoder(r io.Reader) (*Encoder, error) {
 	if _, err := io.ReadFull(r, flag[:]); err != nil {
 		return nil, fmt.Errorf("hdc: read encoder flags: %w", err)
 	}
-	e := &Encoder{D: d, N: n, Phi: tensor.New(d, n), Binarize: flag[0] == 1}
-	if err := readFloats(r, e.Phi.Data()); err != nil {
-		return nil, err
+	// Phi arrives row-major; scatter one row at a time into the stored
+	// transpose so a load never holds two copies of the projection.
+	e := &Encoder{D: d, N: n, phiT: tensor.New(n, d), Binarize: flag[0] == 1}
+	pt := e.phiT.Data()
+	buf := make([]byte, 4*n)
+	for i := 0; i < d; i++ {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("hdc: read payload: %w", err)
+		}
+		for j := 0; j < n; j++ {
+			pt[j*d+i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
+		}
 	}
-	e.initDerived()
 	return e, nil
 }
 

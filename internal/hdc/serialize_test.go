@@ -2,9 +2,14 @@ package hdc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
+
+	"fhdnn/internal/tensor"
 )
 
 func TestModelSerializationRoundTrip(t *testing.T) {
@@ -48,7 +53,7 @@ func TestEncoderSerializationRoundTrip(t *testing.T) {
 	if got.D != e.D || got.N != e.N || got.Binarize != e.Binarize {
 		t.Fatalf("metadata mismatch: %+v", got)
 	}
-	if !got.Phi.Equal(e.Phi, 0) {
+	if !got.phiT.Equal(e.phiT, 0) {
 		t.Fatal("projection corrupted in round trip")
 	}
 	// behavioural check: identical encodings
@@ -60,6 +65,60 @@ func TestEncoderSerializationRoundTrip(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("deserialized encoder behaves differently")
+		}
+	}
+}
+
+// hashFloats is the FNV-1a hash of v's little-endian float32 bits.
+func hashFloats(v []float32) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestEncoderFormatGolden pins the FHDE format and what an encoder read
+// back from it computes. The hashes were recorded when the encoder still
+// stored Phi row-major and encoded through matrix-vector kernels: the
+// bytes of WriteTo (d x n row-major on the wire) must not change, and an
+// encoder restored from them must encode and decode bit-identically.
+func TestEncoderFormatGolden(t *testing.T) {
+	const (
+		wireLen    = 4 + 8 + 1 + 4*257*33
+		decodeHash = 0xacc86fe3b2ae4570
+	)
+	for _, c := range []struct {
+		binarize     bool
+		wire, encode uint64
+	}{
+		{true, 0xb316fdc71c7b6f97, 0x5a0c36151878f458},
+		{false, 0x59993f60c5a00d20, 0xeccef7bdc93d8578},
+	} {
+		e := NewEncoder(rand.New(rand.NewSource(21)), 257, 33)
+		e.Binarize = c.binarize
+		var buf bytes.Buffer
+		if _, err := e.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(buf.Bytes())
+		if buf.Len() != wireLen || h.Sum64() != c.wire {
+			t.Fatalf("binarize=%v: WriteTo %d bytes hash %#x, want %d bytes hash %#x",
+				c.binarize, buf.Len(), h.Sum64(), wireLen, c.wire)
+		}
+		got, err := ReadEncoder(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z := tensor.Randn(rand.New(rand.NewSource(22)), 1, 9, got.N)
+		if hash := hashFloats(got.EncodeBatch(z).Data()); hash != c.encode {
+			t.Errorf("binarize=%v: encode hash %#x, want %#x", c.binarize, hash, c.encode)
+		}
+		if hash := hashFloats(got.Decode(decodeInput(got.D))); hash != decodeHash {
+			t.Errorf("binarize=%v: decode hash %#x, want %#x", c.binarize, hash, uint64(decodeHash))
 		}
 	}
 }

@@ -43,7 +43,8 @@ func SaveParams(w io.Writer, params []*Param) error {
 
 // LoadParams reads a checkpoint written by SaveParams into params. The
 // parameter list must describe the identical architecture: count and
-// per-parameter lengths are validated.
+// per-parameter lengths are validated. Every payload is read before any
+// parameter is written, so a failed load leaves params unchanged.
 func LoadParams(r io.Reader, params []*Param) error {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -59,6 +60,7 @@ func LoadParams(r io.Reader, params []*Param) error {
 	if got := int(binary.LittleEndian.Uint32(count[:])); got != len(params) {
 		return fmt.Errorf("nn: checkpoint has %d params, model has %d", got, len(params))
 	}
+	payloads := make([][]byte, len(params))
 	for i, p := range params {
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -68,12 +70,14 @@ func LoadParams(r io.Reader, params []*Param) error {
 			return fmt.Errorf("nn: param %d (%s) has %d values in checkpoint, want %d",
 				i, p.Name, got, p.W.Len())
 		}
-		buf := make([]byte, 4*p.W.Len())
-		if _, err := io.ReadFull(r, buf); err != nil {
+		payloads[i] = make([]byte, 4*p.W.Len())
+		if _, err := io.ReadFull(r, payloads[i]); err != nil {
 			return fmt.Errorf("nn: read param %d payload: %w", i, err)
 		}
+	}
+	for i, p := range params {
 		for j := range p.W.Data() {
-			p.W.Data()[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
+			p.W.Data()[j] = math.Float32frombits(binary.LittleEndian.Uint32(payloads[i][4*j:]))
 		}
 	}
 	return nil

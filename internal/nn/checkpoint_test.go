@@ -97,3 +97,25 @@ func TestLoadParamsTruncated(t *testing.T) {
 		t.Fatal("expected error for truncated checkpoint")
 	}
 }
+
+// TestLoadParamsFailureLeavesParamsUnchanged cuts a checkpoint inside its
+// last parameter's payload: the earlier parameters, whose payloads are
+// intact, must not be written by the failed load.
+func TestLoadParamsFailureLeavesParamsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	src := NewSequential(NewLinear(rng, 4, 4), NewLinear(rng, 4, 3))
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, src.Params()); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewSequential(NewLinear(rng, 4, 4), NewLinear(rng, 4, 3))
+	want := FlattenParams(dst.Params())
+	if err := LoadParams(bytes.NewReader(buf.Bytes()[:buf.Len()-3]), dst.Params()); err == nil {
+		t.Fatal("expected error for truncated checkpoint")
+	}
+	for i, v := range FlattenParams(dst.Params()) {
+		if v != want[i] {
+			t.Fatalf("weight %d changed by a failed load", i)
+		}
+	}
+}

@@ -30,16 +30,6 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	}
 }
 
-func BenchmarkMatVec(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := Randn(rng, 1, 4096, 512)
-	x := Randn(rng, 1, 512).Data()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatVec(a, x)
-	}
-}
-
 func BenchmarkIm2Col(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	g := ConvGeom{InC: 16, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}

@@ -81,9 +81,9 @@ func gemmRows(c, a, b []float32, rlo, rhi, k, n int, accum bool) {
 	}
 }
 
-// gemmTransB computes C = A*B^T (or += when accum): A is m x k, B is n x k
-// (row j of B is column j of B^T), C is m x n. It backs Linear and Conv2D
-// forward passes, input gradients, and the contrastive loss.
+// gemmTransB computes C = A*B^T: A is m x k, B is n x k (row j of B is
+// column j of B^T), C is m x n. It backs Linear and Conv2D forward passes,
+// input gradients, the contrastive loss and HD decoding.
 //
 // Above a size cutoff, B is transposed into a pooled k x n scratch tile
 // (see pack.go) and the multiply runs through the AXPY-layout kernel and
@@ -91,29 +91,23 @@ func gemmRows(c, a, b []float32, rlo, rhi, k, n int, accum bool) {
 // the same single ascending-k accumulator chain, so they are bit-identical
 // to each other, to the naive triple loop, and across worker counts; the
 // cutoff is purely a throughput knob.
-func gemmTransB(c, a, b []float32, m, k, n int, accum bool) {
+func gemmTransB(c, a, b []float32, m, k, n int) {
 	if m >= transBPackMinRows && m*n*k >= transBPackCutoff {
 		pb := getPackBuf(k * n)
 		bt := pb.data[:k*n]
 		guardNoAlias("gemmTransB pack scratch", bt, a, b)
 		guardNoAlias("gemmTransB pack scratch", bt, c, nil)
 		packTransB(bt, b, k, n)
-		if Workers() <= 1 || m < 2 || m*n*k < parallelCutoff {
-			gemmRows(c, a, bt, 0, m, k, n, accum)
-		} else {
-			ParallelFor(m, func(lo, hi int) {
-				gemmRows(c, a, bt, lo, hi, k, n, accum)
-			})
-		}
+		gemm(c, a, bt, m, k, n, false)
 		putPackBuf(pb)
 		return
 	}
 	if Workers() <= 1 || m < 2 || m*n*k < parallelCutoff {
-		gemmTransBRows(c, a, b, 0, m, k, n, accum)
+		gemmTransBRows(c, a, b, 0, m, k, n)
 		return
 	}
 	ParallelFor(m, func(lo, hi int) {
-		gemmTransBRows(c, a, b, lo, hi, k, n, accum)
+		gemmTransBRows(c, a, b, lo, hi, k, n)
 	})
 }
 
@@ -122,7 +116,7 @@ func gemmTransB(c, a, b []float32, m, k, n int, accum bool) {
 // wide through array pointers. It remains the small-shape path: below
 // transBPackCutoff the pack + pool round trip of the tiled path costs more
 // than it saves.
-func gemmTransBRows(c, a, b []float32, rlo, rhi, k, n int, accum bool) {
+func gemmTransBRows(c, a, b []float32, rlo, rhi, k, n int) {
 	i := rlo
 	for ; i+2 <= rhi; i += 2 {
 		a0 := a[(i+0)*k : (i+0)*k+k]
@@ -137,12 +131,6 @@ func gemmTransBRows(c, a, b []float32, rlo, rhi, k, n int, accum bool) {
 			b3 := b[(j+3)*k : (j+3)*k+k]
 			var s00, s01, s02, s03 float32
 			var s10, s11, s12, s13 float32
-			if accum {
-				cw0 := (*[4]float32)(c0[j:])
-				cw1 := (*[4]float32)(c1[j:])
-				s00, s01, s02, s03 = cw0[0], cw0[1], cw0[2], cw0[3]
-				s10, s11, s12, s13 = cw1[0], cw1[1], cw1[2], cw1[3]
-			}
 			kk := 0
 			for ; kk+4 <= k; kk += 4 {
 				pa0 := (*[4]float32)(a0[kk:])
@@ -186,9 +174,6 @@ func gemmTransBRows(c, a, b []float32, rlo, rhi, k, n int, accum bool) {
 		for ; j < n; j++ {
 			brow := b[j*k : j*k+k]
 			var s0, s1 float32
-			if accum {
-				s0, s1 = c0[j], c1[j]
-			}
 			for kk, bv := range brow {
 				s0 += float32(a0[kk] * bv)
 				s1 += float32(a1[kk] * bv)
@@ -206,10 +191,6 @@ func gemmTransBRows(c, a, b []float32, rlo, rhi, k, n int, accum bool) {
 			b2 := b[(j+2)*k : (j+2)*k+k]
 			b3 := b[(j+3)*k : (j+3)*k+k]
 			var s0, s1, s2, s3 float32
-			if accum {
-				cw := (*[4]float32)(crow[j:])
-				s0, s1, s2, s3 = cw[0], cw[1], cw[2], cw[3]
-			}
 			for kk, av := range arow {
 				s0 += float32(av * b0[kk])
 				s1 += float32(av * b1[kk])
@@ -222,9 +203,6 @@ func gemmTransBRows(c, a, b []float32, rlo, rhi, k, n int, accum bool) {
 		for ; j < n; j++ {
 			brow := b[j*k : j*k+k]
 			var s float32
-			if accum {
-				s = crow[j]
-			}
 			for kk, bv := range brow {
 				s += float32(arow[kk] * bv)
 			}
@@ -336,77 +314,6 @@ func gemmTransARows(c, a, b []float32, rlo, rhi, m, k, n int, accum bool) {
 				bi += n
 			}
 			crow[j] = s
-		}
-	}
-}
-
-// matVecRows computes y[i] = dot(A[i,:], x) for rows [lo, hi). Four rows are
-// processed per pass over x; each row keeps its own single accumulator chain.
-func matVecRows(y, a, x []float32, lo, hi, n int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		r0 := a[(i+0)*n : (i+0)*n+n]
-		r1 := a[(i+1)*n : (i+1)*n+n]
-		r2 := a[(i+2)*n : (i+2)*n+n]
-		r3 := a[(i+3)*n : (i+3)*n+n]
-		var s0, s1, s2, s3 float32
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			px := (*[4]float32)(x[j:])
-			p0 := (*[4]float32)(r0[j:])
-			p1 := (*[4]float32)(r1[j:])
-			p2 := (*[4]float32)(r2[j:])
-			p3 := (*[4]float32)(r3[j:])
-			for t := 0; t < 4; t++ {
-				xv := px[t]
-				s0 += float32(p0[t] * xv)
-				s1 += float32(p1[t] * xv)
-				s2 += float32(p2[t] * xv)
-				s3 += float32(p3[t] * xv)
-			}
-		}
-		for ; j < n; j++ {
-			xv := x[j]
-			s0 += float32(r0[j] * xv)
-			s1 += float32(r1[j] * xv)
-			s2 += float32(r2[j] * xv)
-			s3 += float32(r3[j] * xv)
-		}
-		y[i], y[i+1], y[i+2], y[i+3] = s0, s1, s2, s3
-	}
-	for ; i < hi; i++ {
-		row := a[i*n : i*n+n]
-		var s float32
-		for j, xv := range x {
-			s += float32(row[j] * xv)
-		}
-		y[i] = s
-	}
-}
-
-// matVecTransCols computes y[j] = sum_i x[i]*A[i,j] for columns [jlo, jhi).
-// The i-reduction per column is serial and ascending, so column ownership
-// can move between workers without changing bits.
-func matVecTransCols(y, a, x []float32, jlo, jhi, n int) {
-	for j := jlo; j < jhi; j++ {
-		y[j] = 0
-	}
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := a[i*n : i*n+n]
-		j := jlo
-		for ; j+4 <= jhi; j += 4 {
-			yw := (*[4]float32)(y[j:])
-			rw := (*[4]float32)(row[j:])
-			yw[0] += float32(xv * rw[0])
-			yw[1] += float32(xv * rw[1])
-			yw[2] += float32(xv * rw[2])
-			yw[3] += float32(xv * rw[3])
-		}
-		for ; j < jhi; j++ {
-			y[j] += float32(xv * row[j])
 		}
 	}
 }

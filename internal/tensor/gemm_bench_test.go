@@ -72,15 +72,3 @@ func BenchmarkMatMulTransAInto256(b *testing.B) {
 		MatMulTransAInto(dst, x, y)
 	}
 }
-
-func BenchmarkMatVecInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	a := Randn(rng, 1, 2048, 512)
-	x := Randn(rng, 1, 512).data
-	y := make([]float32, 2048)
-	b.SetBytes((2048*512 + 512 + 2048) * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatVecInto(y, a, x)
-	}
-}

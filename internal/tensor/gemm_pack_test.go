@@ -31,13 +31,10 @@ var scalarShapes = [][3]int{
 	{1, 7, 1}, {3, 5, 2}, {2, 3, 130}, {17, 23, 31}, {70, 3, 70}, {3, 4096, 2},
 }
 
-func refTransBInto(c, a, b []float32, m, k, n int, accum bool) {
+func refTransBInto(c, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s float32
-			if accum {
-				s = c[i*n+j]
-			}
 			for kk := 0; kk < k; kk++ {
 				s += float32(a[i*k+kk] * b[j*k+kk])
 			}
@@ -47,8 +44,8 @@ func refTransBInto(c, a, b []float32, m, k, n int, accum bool) {
 }
 
 // TestPackedTransBBitIdenticalAcrossWorkers pins the packed kernel's
-// determinism contract for worker counts 1..8, overwrite and accumulate,
-// against the scalar ascending-k reference chain.
+// determinism contract for worker counts 1..8 against the scalar
+// ascending-k reference chain.
 func TestPackedTransBBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, shapes := range [][][3]int{packShapes, scalarShapes} {
@@ -56,29 +53,14 @@ func TestPackedTransBBitIdenticalAcrossWorkers(t *testing.T) {
 			m, k, n := sh[0], sh[1], sh[2]
 			a := Randn(rng, 1, m, k)
 			bt := Randn(rng, 1, n, k)
-			seed := Randn(rng, 1, m, n)
-			for _, accum := range []bool{false, true} {
-				want := New(m, n)
-				if accum {
-					want.CopyFrom(seed)
-				}
-				refTransBInto(want.data, a.data, bt.data, m, k, n, accum)
-				for w := 1; w <= 8; w++ {
-					old := SetWorkers(w)
-					got := New(m, n)
-					if accum {
-						got.CopyFrom(seed)
-						MatMulTransBAccum(got, a, bt)
-					} else {
-						MatMulTransBInto(got, a, bt)
-					}
-					SetWorkers(old)
-					name := "MatMulTransBInto"
-					if accum {
-						name = "MatMulTransBAccum"
-					}
-					bitsEqual(t, name, got.data, want.data)
-				}
+			want := New(m, n)
+			refTransBInto(want.data, a.data, bt.data, m, k, n)
+			for w := 1; w <= 8; w++ {
+				old := SetWorkers(w)
+				got := New(m, n)
+				MatMulTransBInto(got, a, bt)
+				SetWorkers(old)
+				bitsEqual(t, "MatMulTransBInto", got.data, want.data)
 			}
 		}
 	}
@@ -109,8 +91,8 @@ func TestPackTransBLayout(t *testing.T) {
 }
 
 // TestPackedTransBZeroAllocsSerial asserts the sync.Pool scratch makes the
-// packed path allocation-free in steady state on the serial path, for
-// both overwrite and accumulate, including a shape with tails.
+// packed path allocation-free in steady state on the serial path,
+// including a shape with tails.
 func TestPackedTransBZeroAllocsSerial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; the 0 allocs/op contract is asserted in non-race runs")
@@ -127,9 +109,6 @@ func TestPackedTransBZeroAllocsSerial(t *testing.T) {
 		dst := New(m, n)
 		if allocs := testing.AllocsPerRun(10, func() { MatMulTransBInto(dst, a, bt) }); allocs != 0 {
 			t.Errorf("packed MatMulTransBInto %v: %v allocs/op, want 0", sh, allocs)
-		}
-		if allocs := testing.AllocsPerRun(10, func() { MatMulTransBAccum(dst, a, bt) }); allocs != 0 {
-			t.Errorf("packed MatMulTransBAccum %v: %v allocs/op, want 0", sh, allocs)
 		}
 	}
 }
@@ -162,6 +141,6 @@ func BenchmarkMatMulTransBNaive256(b *testing.B) {
 	b.SetBytes(3 * 256 * 256 * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refTransBInto(dst.Data(), x.Data(), y.Data(), 256, 256, 256, false)
+		refTransBInto(dst.Data(), x.Data(), y.Data(), 256, 256, 256)
 	}
 }

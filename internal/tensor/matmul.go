@@ -67,16 +67,8 @@ func checkMatMulTransA(a, b *Tensor) (m, k, n int) {
 	return m, k, b.Dim(1)
 }
 
-// MatMulTransA computes C = A^T * B where A is k x m and B is k x n,
-// producing m x n. Used for weight gradients.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulTransA(a, b)
-	c := New(m, n)
-	gemmTransA(c.data, a.data, b.data, m, k, n, false)
-	return c
-}
-
-// MatMulTransAInto computes C = A^T * B into dst (m x n), overwriting it.
+// MatMulTransAInto computes C = A^T * B into dst (m x n), overwriting it,
+// where A is k x m and B is k x n. Used for weight gradients.
 //
 //fhdnn:hotpath weight-gradient kernel on the backward pass
 func MatMulTransAInto(dst, a, b *Tensor) {
@@ -108,99 +100,22 @@ func checkMatMulTransB(a, b *Tensor) (m, k, n int) {
 }
 
 // MatMulTransB computes C = A * B^T where A is m x k and B is n x k,
-// producing m x n. Used for input gradients and all dot-product-shaped
-// forwards (Linear, Conv2D-over-im2col, HD batch encoding).
+// producing m x n. Used for input gradients, dot-product-shaped forwards
+// (Linear, Conv2D-over-im2col) and HD decoding.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulTransB(a, b)
 	c := New(m, n)
-	gemmTransB(c.data, a.data, b.data, m, k, n, false)
+	gemmTransB(c.data, a.data, b.data, m, k, n)
 	return c
 }
 
 // MatMulTransBInto computes C = A * B^T into dst (m x n), overwriting it.
 // It performs no allocation when the pool has a single worker.
 //
-//fhdnn:hotpath dot-product kernel behind Linear, Conv2D and HD encoding
+//fhdnn:hotpath dot-product kernel behind Linear and Conv2D
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMulTransB(a, b)
 	checkDst("MatMulTransBInto", dst, m, n)
 	guardNoAlias("MatMulTransBInto", dst.data, a.data, b.data)
-	gemmTransB(dst.data, a.data, b.data, m, k, n, false)
-}
-
-// MatMulTransBAccum computes C += A * B^T into dst (m x n).
-//
-//fhdnn:hotpath dot-product kernel behind Linear, Conv2D and HD encoding
-func MatMulTransBAccum(dst, a, b *Tensor) {
-	m, k, n := checkMatMulTransB(a, b)
-	checkDst("MatMulTransBAccum", dst, m, n)
-	guardNoAlias("MatMulTransBAccum", dst.data, a.data, b.data)
-	gemmTransB(dst.data, a.data, b.data, m, k, n, true)
-}
-
-// MatVec computes y = A*x for a 2-D tensor A (m x n) and a vector x of
-// length n, returning a vector of length m.
-func MatVec(a *Tensor, x []float32) []float32 {
-	y := make([]float32, a.Dim(0))
-	MatVecInto(y, a, x)
-	return y
-}
-
-// MatVecInto computes y = A*x into dst, which must have length m. It
-// performs no allocation when the pool has a single worker.
-//
-//fhdnn:hotpath single-sample HD encode kernel
-func MatVecInto(dst []float32, a *Tensor, x []float32) {
-	if a.NumDims() != 2 {
-		panic("tensor: MatVec requires a 2-D matrix")
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	if len(x) != n {
-		panic(fmt.Sprintf("tensor: MatVec vector length %d, want %d", len(x), n))
-	}
-	if len(dst) != m {
-		panic(fmt.Sprintf("tensor: MatVec dst length %d, want %d", len(dst), m))
-	}
-	guardNoAlias("MatVecInto", dst, a.data, x)
-	if Workers() <= 1 || m < 8 || m*n < parallelCutoff {
-		matVecRows(dst, a.data, x, 0, m, n)
-		return
-	}
-	ParallelFor(m, func(lo, hi int) {
-		matVecRows(dst, a.data, x, lo, hi, n)
-	})
-}
-
-// MatVecTrans computes y = A^T*x for a 2-D tensor A (m x n) and a vector x
-// of length m, returning a vector of length n.
-func MatVecTrans(a *Tensor, x []float32) []float32 {
-	y := make([]float32, a.Dim(1))
-	MatVecTransInto(y, a, x)
-	return y
-}
-
-// MatVecTransInto computes y = A^T*x into dst, which must have length n.
-// Existing contents of dst are overwritten. It performs no allocation when
-// the pool has a single worker.
-//
-//fhdnn:hotpath single-sample HD decode kernel
-func MatVecTransInto(dst []float32, a *Tensor, x []float32) {
-	if a.NumDims() != 2 {
-		panic("tensor: MatVecTrans requires a 2-D matrix")
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	if len(x) != m {
-		panic(fmt.Sprintf("tensor: MatVecTrans vector length %d, want %d", len(x), m))
-	}
-	if len(dst) != n {
-		panic(fmt.Sprintf("tensor: MatVecTrans dst length %d, want %d", len(dst), n))
-	}
-	guardNoAlias("MatVecTransInto", dst, a.data, x)
-	if Workers() <= 1 || n < 8 || m*n < parallelCutoff {
-		matVecTransCols(dst, a.data, x, 0, n, n)
-		return
-	}
-	ParallelFor(n, func(jlo, jhi int) {
-		matVecTransCols(dst, a.data, x, jlo, jhi, n)
-	})
+	gemmTransB(dst.data, a.data, b.data, m, k, n)
 }
