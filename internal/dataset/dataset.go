@@ -216,7 +216,7 @@ func renderSample(rng *rand.Rand, proto []float32, cfg ImageConfig) []float32 {
 			sy := (y + dy + size) % size
 			for x := 0; x < size; x++ {
 				sx := (x + dx + size) % size
-				v := proto[base+sy*size+sx]*gain + float32(rng.NormFloat64()*cfg.Noise)
+				v := float32(proto[base+sy*size+sx]*gain) + float32(rng.NormFloat64()*cfg.Noise)
 				out[base+y*size+x] = v
 			}
 		}

@@ -101,7 +101,7 @@ func WriteIDXImages(w io.Writer, x *tensor.Tensor) error {
 		if v > 1 {
 			v = 1
 		}
-		raw[i] = byte(v*255 + 0.5)
+		raw[i] = byte(float32(v*255) + 0.5)
 	}
 	_, err := w.Write(raw)
 	return err

@@ -211,7 +211,7 @@ func (a *AsyncStaleness) Commit(global []float32) {
 	for _, u := range a.pending {
 		w := float32(a.Weight(u.Staleness))
 		for i, d := range u.Params {
-			global[i] += w * d
+			global[i] += float32(w * d)
 		}
 	}
 }

@@ -137,7 +137,7 @@ func (re *RecordEncoder) Encode(x []float32) []float32 {
 		id := re.Items.Get(i)
 		lvl := re.Levels.Level(float64(v))
 		for j := 0; j < d; j++ {
-			acc[j] += id[j] * lvl[j]
+			acc[j] += float32(id[j] * lvl[j])
 		}
 	}
 	if re.Binarize {

@@ -79,8 +79,8 @@ func oracleRefineEpochAdaptive(m *Model, encoded *tensor.Tensor, labels []int, l
 		correct := m.Class(y)
 		bad := m.Class(pred)
 		for i, v := range h {
-			correct[i] += up * v
-			bad[i] -= down * v
+			correct[i] += float32(up * v)
+			bad[i] -= float32(down * v)
 		}
 	}
 	return wrong

@@ -202,8 +202,8 @@ func (m *Model) move(ln *classLanes, y, pred int, up, down float32, h []float32)
 	cs, kp := ln.cs[:len(h)*ln.kp], ln.kp
 	var cc, bb float64
 	for i, v := range h {
-		correct[i] += up * v
-		bad[i] -= down * v
+		correct[i] += float32(up * v)
+		bad[i] -= float32(down * v)
 		c, b := float64(correct[i]), float64(bad[i])
 		cs[i*kp+y], cs[i*kp+pred] = c, b
 		cc += c * c

@@ -167,7 +167,7 @@ func (p *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			outBase := (s*c + ch) * outH * outW
 			for oy := 0; oy < outH; oy++ {
 				for ox := 0; ox < outW; ox++ {
-					g := grad.Data()[outBase+oy*outW+ox] * inv
+					g := float32(grad.Data()[outBase+oy*outW+ox] * inv)
 					for ky := 0; ky < p.K; ky++ {
 						row := inBase + (oy*p.K+ky)*w + ox*p.K
 						for kx := 0; kx < p.K; kx++ {

@@ -182,7 +182,7 @@ func NTXent(z *tensor.Tensor, temperature float64) (float64, *tensor.Tensor) {
 		inv := float32(1 / norms[i])
 		out := dZ.Data()[i*d : (i+1)*d]
 		for j := range u {
-			out[j] = (du[j] - u[j]*float32(dot)) * inv
+			out[j] = (du[j] - float32(u[j]*float32(dot))) * inv
 		}
 	}
 	return loss, dZ

@@ -277,7 +277,7 @@ func TestResNetTrainingReducesLoss(t *testing.T) {
 			val = 1
 		}
 		for i := 0; i < 64; i++ {
-			x.Data()[s*64+i] = val + float32(rng.NormFloat64())*0.3
+			x.Data()[s*64+i] = val + float32(float32(rng.NormFloat64())*0.3)
 		}
 	}
 	opt := NewSGD(0.05, 0.9, 0)

@@ -84,8 +84,8 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 			is := float32(1 / math.Sqrt(variance+float64(bn.Eps)))
 			invStd[c] = is
-			runningMean[c] = (1-bn.Momentum)*runningMean[c] + bn.Momentum*float32(mean)
-			runningVar[c] = (1-bn.Momentum)*runningVar[c] + bn.Momentum*float32(variance)
+			runningMean[c] = float32((1-bn.Momentum)*runningMean[c]) + float32(bn.Momentum*float32(mean))
+			runningVar[c] = float32((1-bn.Momentum)*runningVar[c]) + float32(bn.Momentum*float32(variance))
 			g, b := bn.gamma.W.Data()[c], bn.beta.W.Data()[c]
 			mf := float32(mean)
 			for s := 0; s < n; s++ {
@@ -93,7 +93,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				for i := base; i < base+plane; i++ {
 					xh := (x.Data()[i] - mf) * is
 					xhat.Data()[i] = xh
-					out.Data()[i] = g*xh + b
+					out.Data()[i] = float32(g*xh) + b
 				}
 			}
 		}
@@ -109,7 +109,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for s := 0; s < n; s++ {
 			base := (s*bn.C + c) * plane
 			for i := base; i < base+plane; i++ {
-				out.Data()[i] = g*(x.Data()[i]-mf)*is + b
+				out.Data()[i] = float32(g*(x.Data()[i]-mf)*is) + b
 			}
 		}
 	}
@@ -147,7 +147,7 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for i := base; i < base+plane; i++ {
 				dy := grad.Data()[i]
 				xh := bn.lastXHat.Data()[i]
-				gradIn.Data()[i] = k * (m*dy - sd - xh*sdx)
+				gradIn.Data()[i] = k * (float32(m*dy) - sd - float32(xh*sdx))
 			}
 		}
 	}

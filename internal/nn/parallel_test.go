@@ -175,7 +175,7 @@ func TestParallelTrainingStillLearns(t *testing.T) {
 			v = 1
 		}
 		for i := 0; i < 36; i++ {
-			x.Data()[s*36+i] = v + float32(rng.NormFloat64())*0.2
+			x.Data()[s*36+i] = v + float32(float32(rng.NormFloat64())*0.2)
 		}
 	}
 	opt := NewSGD(0.05, 0.9, 0)

@@ -33,9 +33,9 @@ func (o *SGD) Step(params []*Param) {
 			for i := range w {
 				gi := g[i]
 				if wd != 0 && !p.NoDecay {
-					gi += wd * w[i]
+					gi += float32(wd * w[i])
 				}
-				w[i] -= lr * gi
+				w[i] -= float32(lr * gi)
 			}
 			continue
 		}
@@ -48,9 +48,9 @@ func (o *SGD) Step(params []*Param) {
 		for i := range w {
 			gi := g[i]
 			if wd != 0 && !p.NoDecay {
-				gi += wd * w[i]
+				gi += float32(wd * w[i])
 			}
-			vd[i] = mu*vd[i] - lr*gi
+			vd[i] = float32(mu*vd[i]) - float32(lr*gi)
 			w[i] += vd[i]
 		}
 	}

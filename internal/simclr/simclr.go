@@ -60,7 +60,7 @@ func Augment(rng *rand.Rand, img []float32, channels, size int, cfg AugmentConfi
 				if flip {
 					sx = size - 1 - sx
 				}
-				v := img[base+sy*size+sx]*gain + float32(rng.NormFloat64()*cfg.NoiseStd)
+				v := float32(img[base+sy*size+sx]*gain) + float32(rng.NormFloat64()*cfg.NoiseStd)
 				out[base+y*size+x] = v
 			}
 		}

@@ -83,7 +83,7 @@ func TestGuardNoAliasPooling(t *testing.T) {
 // TestGuardPackScratchDisjoint drives the packed TransB path (shape above
 // transBPackCutoff) under the debug guard: the pool scratch must never
 // overlap the operands or the destination, so a clean large multiply is
-// the assertion — the guard inside gemmTransB panics if packing ever
+// the assertion — the guard inside gemmBlock panics if packing ever
 // hands out aliased scratch.
 func TestGuardPackScratchDisjoint(t *testing.T) {
 	a := New(64, 64)

@@ -38,7 +38,7 @@ func naiveConv(img []float32, g ConvGeom, w []float32, outC int) []float32 {
 								continue
 							}
 							wIdx := ((oc*g.InC+c)*g.KH+ky)*g.KW + kx
-							s += img[c*g.InH*g.InW+iy*g.InW+ix] * w[wIdx]
+							s += float32(img[c*g.InH*g.InW+iy*g.InW+ix] * w[wIdx])
 						}
 					}
 				}

@@ -1,16 +1,14 @@
 package tensor
 
-// Blocked, register-tiled GEMM kernels. All three layouts (plain, A^T, B^T)
-// share the same structure: output rows are distributed over the shared
-// worker pool in contiguous blocks, and the k-reduction for every output
-// element is a single serial accumulator chain in ascending k order. That
-// last property is the determinism guarantee: the chain is the same whether
-// an element is computed by an unrolled kernel, an edge loop, or a different
-// worker, so results are bit-identical to the naive triple loop for every
-// worker count and every (m, n, k) shape. Multiplies are written as
-// float32(a*b) — the explicit conversion forces IEEE rounding of the
-// product, so implementations that would otherwise fuse multiply-add (e.g.
-// arm64 FMA) produce the same bits as those that do not.
+// GEMM kernels. Every output element is reduced by a single serial
+// accumulator chain in ascending k order, started from +0 or from C. That
+// is the determinism guarantee: the chain is the same whether an element
+// is computed by the microkernel, an edge tile, or a different worker, so
+// results are bit-identical to the naive triple loop for every worker
+// count and every (m, n, k) shape. Multiplies are written as float32(a*b)
+// — the explicit conversion forces IEEE rounding of the product, so
+// implementations that would otherwise fuse multiply-add (e.g. arm64 FMA)
+// produce the same bits as those that do not.
 //
 // Two gc-specific constraints shape the code: 16 float32 accumulators spill
 // on amd64 (16 XMM registers shared with operand streams), so tiles keep at
@@ -22,84 +20,98 @@ const (
 	// parallelCutoff is the approximate multiply-add count below which
 	// dispatching to the worker pool costs more than it saves.
 	parallelCutoff = 32 * 1024
+
+	tileM     = 4   // rows of C per microkernel call
+	tileN     = 16  // columns of C per call: one packed strip
+	panelCols = 256 // columns of B per packed panel: 16 strips
+
+	// transBPackCutoff and transBPackMinRows gate the packed path of
+	// gemmTransB: below m*k*n = 16Ki multiply-adds, or under 4 rows of A
+	// (the m=1 case is a matrix-vector product in disguise), the pack
+	// costs more than it saves and the 2x4-register-tile kernel runs.
+	transBPackCutoff  = 16 * 1024
+	transBPackMinRows = tileM
 )
 
-// gemm computes C = A*B (or C += A*B when accum) for row-major flat slices:
-// A is m x k, B is k x n, C is m x n.
-func gemm(c, a, b []float32, m, k, n int, accum bool) {
-	if Workers() <= 1 || m < 2 || m*n*k < parallelCutoff {
-		gemmRows(c, a, b, 0, m, k, n, accum)
+// gemm computes C = A*B, or C += A*B when accum. A is m x k and C is
+// m x n, both row-major; B is k x n with element (kk, j) at
+// b[kk*rs+j*cs], so (n, 1) reads a row-major B and (1, k) a row-major
+// B^T. Every product goes through the one microkernel, tile4x16, over
+// panels of B packed by gemmBlock. Workers own whole panels when there
+// are at least as many panels as workers, whole 4-row blocks of C
+// otherwise; neither split touches a chain.
+func gemm(c, a, b []float32, m, k, n, rs, cs int, accum bool) {
+	if m == 0 || n == 0 {
 		return
 	}
-	ParallelFor(m, func(lo, hi int) {
-		gemmRows(c, a, b, lo, hi, k, n, accum)
-	})
+	panels := (n + panelCols - 1) / panelCols
+	w := Workers()
+	switch {
+	case w <= 1 || m*n*k < parallelCutoff:
+		gemmBlock(c, a, b, 0, m, 0, panels, k, n, rs, cs, accum)
+	case panels >= w:
+		ParallelFor(panels, func(lo, hi int) {
+			gemmBlock(c, a, b, 0, m, lo, hi, k, n, rs, cs, accum)
+		})
+	default:
+		ParallelFor((m+tileM-1)/tileM, func(lo, hi int) {
+			gemmBlock(c, a, b, lo*tileM, min(hi*tileM, m), 0, panels, k, n, rs, cs, accum)
+		})
+	}
 }
 
-// gemmRows computes rows [rlo, rhi) of C = A*B. Each output row is built by
-// streaming four rows of B at a time against four A coefficients; four
-// output elements are in flight per step, so their (independent) accumulator
-// chains hide the float-add latency that would serialize a single chain.
-// Per element the adds still happen in ascending k order.
-func gemmRows(c, a, b []float32, rlo, rhi, k, n int, accum bool) {
-	for i := rlo; i < rhi; i++ {
-		arow := a[i*k : i*k+k]
-		crow := c[i*n : i*n+n]
-		if !accum {
-			for j := range crow {
-				crow[j] = 0
+// gemmBlock computes rows [rlo, rhi) of panels [plo, phi) of C. It packs
+// each panel once, then sweeps it with 4x16 tiles, row blocks outer and
+// strips inner, so four rows of A stay in L1 while the strips stream
+// from L2. A tile that overhangs C (rows past the last multiple of 4,
+// columns past n) runs on scratch: a zero-padded copy of the leftover
+// rows of A and one 4x16 tile of C, copied in and out.
+func gemmBlock(c, a, b []float32, rlo, rhi, plo, phi, k, n, rs, cs int, accum bool) {
+	pw := min(panelCols, (n+tileN-1)/tileN*tileN) * k
+	buf := getPanelBuf(pw + tileM*k + tileM*tileN)
+	guardNoAlias("gemm panel scratch", buf.data, a, b)
+	guardNoAlias("gemm panel scratch", buf.data, c, nil)
+	pk, ea, ec := buf.data[:pw], buf.data[pw:pw+tileM*k], buf.data[pw+tileM*k:]
+	tail := rhi - (rhi-rlo)%tileM
+	clear(ea)
+	copy(ea, a[tail*k:rhi*k])
+	for p := plo; p < phi; p++ {
+		j0 := p * panelCols
+		cols := min(panelCols, n-j0)
+		packPanel(pk, b, k, rs, cs, j0, cols)
+		for i := rlo; i < rhi; i += tileM {
+			rows, ai := min(tileM, rhi-i), a[i*k:]
+			if rows < tileM {
+				ai = ea
 			}
-		}
-		n4 := n &^ 3
-		kk := 0
-		for ; kk+4 <= k; kk += 4 {
-			av := (*[4]float32)(arow[kk:])
-			av0, av1, av2, av3 := av[0], av[1], av[2], av[3]
-			b0 := b[(kk+0)*n : (kk+0)*n+n]
-			b1 := b[(kk+1)*n : (kk+1)*n+n]
-			b2 := b[(kk+2)*n : (kk+2)*n+n]
-			b3 := b[(kk+3)*n : (kk+3)*n+n]
-			if n4 > 0 {
-				saxpyQuad(crow, b0, b1, b2, b3, av, n4)
-			}
-			for j := n4; j < n; j++ {
-				s := crow[j]
-				s += float32(av0 * b0[j])
-				s += float32(av1 * b1[j])
-				s += float32(av2 * b2[j])
-				s += float32(av3 * b3[j])
-				crow[j] = s
-			}
-		}
-		for ; kk < k; kk++ {
-			av := arow[kk]
-			brow := b[kk*n : kk*n+n]
-			for j, bv := range brow {
-				crow[j] += float32(av * bv)
+			for s := 0; s*tileN < cols; s++ {
+				j, w, bs := j0+s*tileN, min(tileN, cols-s*tileN), pk[s*k*tileN:]
+				if rows == tileM && w == tileN {
+					tile4x16(c[i*n+j:], n, ai, bs, k, accum)
+					continue
+				}
+				for r := 0; r < rows; r++ {
+					copy(ec[r*tileN:r*tileN+w], c[(i+r)*n+j:])
+				}
+				tile4x16(ec, tileN, ai, bs, k, accum)
+				for r := 0; r < rows; r++ {
+					copy(c[(i+r)*n+j:(i+r)*n+j+w], ec[r*tileN:])
+				}
 			}
 		}
 	}
+	panelPool.Put(buf)
 }
 
 // gemmTransB computes C = A*B^T: A is m x k, B is n x k (row j of B is
 // column j of B^T), C is m x n. It backs Linear and Conv2D forward passes,
-// input gradients, the contrastive loss and HD decoding.
-//
-// Above a size cutoff, B is transposed into a pooled k x n scratch tile
-// (see pack.go) and the multiply runs through the AXPY-layout kernel and
-// its saxpyQuad microkernel. Both paths reduce every output element by
-// the same single ascending-k accumulator chain, so they are bit-identical
-// to each other, to the naive triple loop, and across worker counts; the
+// input gradients, the contrastive loss and HD decoding. Above the size
+// cutoff it is gemm reading B by strides (1, k); below it the 2x4 kernel
+// runs. Both reduce every element by the same ascending-k chain, so the
 // cutoff is purely a throughput knob.
 func gemmTransB(c, a, b []float32, m, k, n int) {
 	if m >= transBPackMinRows && m*n*k >= transBPackCutoff {
-		pb := getPackBuf(k * n)
-		bt := pb.data[:k*n]
-		guardNoAlias("gemmTransB pack scratch", bt, a, b)
-		guardNoAlias("gemmTransB pack scratch", bt, c, nil)
-		packTransB(bt, b, k, n)
-		gemm(c, a, bt, m, k, n, false)
-		putPackBuf(pb)
+		gemm(c, a, b, m, k, n, 1, k, false)
 		return
 	}
 	if Workers() <= 1 || m < 2 || m*n*k < parallelCutoff {
@@ -113,9 +125,7 @@ func gemmTransB(c, a, b []float32, m, k, n int) {
 
 // gemmTransBRows computes rows [rlo, rhi) of C = A*B^T with 2x4 register
 // tiles (eight independent accumulator chains) and the k loop unrolled four
-// wide through array pointers. It remains the small-shape path: below
-// transBPackCutoff the pack + pool round trip of the tiled path costs more
-// than it saves.
+// wide through array pointers: the small-shape path of gemmTransB.
 func gemmTransBRows(c, a, b []float32, rlo, rhi, k, n int) {
 	i := rlo
 	for ; i+2 <= rhi; i += 2 {

@@ -21,7 +21,7 @@ func naiveMatMulInto(c, a, b []float32, m, k, n int) {
 			}
 			brow := b[kk*n : (kk+1)*n]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float32(av * bv)
 			}
 		}
 	}

@@ -13,16 +13,20 @@ import (
 
 // packShapes all route through the packed path (m >= transBPackMinRows,
 // m*k*n >= transBPackCutoff) and include tails in every dimension: m, k,
-// and n each take values that are not multiples of the 4-wide tiles.
+// and n each take values that are not multiples of the 4x16 tile.
 var packShapes = [][3]int{
 	{4, 64, 64},    // minimum row count for packing
 	{64, 64, 64},   // everything a multiple of the tiles
 	{61, 67, 59},   // odd everywhere
-	{33, 129, 5},   // n below one saxpyQuad window plus tail
-	{7, 31, 130},   // wide n with a 2-element tail
-	{127, 4, 97},   // k exactly one unroll step
-	{5, 257, 33},   // k tail of 1 after 64 unrolled steps
-	{128, 33, 127}, // packTile straddling: k and n just over/under 32
+	{33, 129, 5},   // n below one strip
+	{7, 31, 130},   // wide n with a 2-column tail strip
+	{127, 4, 97},   // short k
+	{5, 257, 33},   // one leftover row, k tail of 1
+	{128, 33, 127}, // n one short of eight strips
+	{5, 40, 255},   // one panel, last strip one column short
+	{4, 40, 256},   // exactly one panel
+	{6, 40, 257},   // second panel of one column
+	{9, 24, 1100},  // five panels: more than 1..4 workers, fewer than 8
 }
 
 // scalarShapes stay below the packing thresholds and keep the legacy
@@ -66,23 +70,35 @@ func TestPackedTransBBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPackTransBLayout pins the scratch layout directly: bt[kk*n+j] must
-// equal b[j*k+kk] for every element, for shapes around the packTile edge
-// and at every worker count (the parallel pack owns disjoint kk bands).
-func TestPackTransBLayout(t *testing.T) {
+// TestPackPanelLayout pins the scratch layout for both B layouts:
+// strip-major, pk[(s*k+kk)*16+jj] = B(kk, j0+s*16+jj), with the columns
+// past the panel's last one zero.
+func TestPackPanelLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, sh := range [][2]int{{1, 1}, {3, 5}, {32, 32}, {31, 33}, {64, 65}, {130, 257}} {
+	for _, sh := range [][2]int{{1, 1}, {3, 5}, {16, 7}, {17, 33}, {255, 2}, {300, 3}} {
 		n, k := sh[0], sh[1]
-		b := Randn(rng, 1, n, k)
-		for _, w := range []int{1, 3, 8} {
-			withWorkers(t, w)
-			bt := make([]float32, k*n)
-			packTransB(bt, b.data, k, n)
-			for j := 0; j < n; j++ {
-				for kk := 0; kk < k; kk++ {
-					if bt[kk*n+j] != b.data[j*k+kk] {
-						t.Fatalf("n=%d k=%d workers=%d: bt[%d,%d] = %v, want %v",
-							n, k, w, kk, j, bt[kk*n+j], b.data[j*k+kk])
+		src := Randn(rng, 1, n*k).data
+		for _, layout := range []struct {
+			name   string
+			rs, cs int
+		}{{"B", n, 1}, {"B^T", 1, k}} {
+			for j0 := 0; j0 < n; j0 += panelCols {
+				cols := min(panelCols, n-j0)
+				strips := (cols + tileN - 1) / tileN
+				pk := Randn(rng, 1, strips*k*tileN).data // stale contents must be overwritten
+				packPanel(pk, src, k, layout.rs, layout.cs, j0, cols)
+				for s := 0; s < strips; s++ {
+					for kk := 0; kk < k; kk++ {
+						for jj := 0; jj < tileN; jj++ {
+							var want float32
+							if j := j0 + s*tileN + jj; j < n {
+								want = src[kk*layout.rs+j*layout.cs]
+							}
+							if got := pk[(s*k+kk)*tileN+jj]; got != want {
+								t.Fatalf("%s n=%d k=%d panel %d: strip %d row %d col %d = %v, want %v",
+									layout.name, n, k, j0/panelCols, s, kk, jj, got, want)
+							}
+						}
 					}
 				}
 			}
@@ -111,27 +127,6 @@ func TestPackedTransBZeroAllocsSerial(t *testing.T) {
 			t.Errorf("packed MatMulTransBInto %v: %v allocs/op, want 0", sh, allocs)
 		}
 	}
-}
-
-// TestPackBufGrowsAndRecycles covers the pool wrapper: an undersized
-// buffer is regrown, a big-enough one is reused as-is.
-func TestPackBufGrowsAndRecycles(t *testing.T) {
-	pb := getPackBuf(16)
-	if cap(pb.data) < 16 {
-		t.Fatalf("getPackBuf(16): cap %d", cap(pb.data))
-	}
-	pb.data = pb.data[:16]
-	putPackBuf(pb)
-	pb2 := getPackBuf(8)
-	if cap(pb2.data) < 8 {
-		t.Fatalf("getPackBuf(8) after put: cap %d", cap(pb2.data))
-	}
-	pb3 := getPackBuf(1 << 12)
-	if cap(pb3.data) < 1<<12 {
-		t.Fatalf("getPackBuf(4096): cap %d", cap(pb3.data))
-	}
-	putPackBuf(pb2)
-	putPackBuf(pb3)
 }
 
 func BenchmarkMatMulTransBNaive256(b *testing.B) {

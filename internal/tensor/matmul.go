@@ -13,7 +13,7 @@ import "fmt"
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul(a, b)
 	c := New(m, n)
-	gemm(c.data, a.data, b.data, m, k, n, false)
+	gemm(c.data, a.data, b.data, m, k, n, n, 1, false)
 	return c
 }
 
@@ -26,7 +26,7 @@ func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b)
 	checkDst("MatMulInto", dst, m, n)
 	guardNoAlias("MatMulInto", dst.data, a.data, b.data)
-	gemm(dst.data, a.data, b.data, m, k, n, false)
+	gemm(dst.data, a.data, b.data, m, k, n, n, 1, false)
 }
 
 // MatMulAccum computes C += A*B into dst.
@@ -36,7 +36,7 @@ func MatMulAccum(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b)
 	checkDst("MatMulAccum", dst, m, n)
 	guardNoAlias("MatMulAccum", dst.data, a.data, b.data)
-	gemm(dst.data, a.data, b.data, m, k, n, true)
+	gemm(dst.data, a.data, b.data, m, k, n, n, 1, true)
 }
 
 func checkMatMul(a, b *Tensor) (m, k, n int) {

@@ -2,103 +2,55 @@ package tensor
 
 import "sync"
 
-// B-transpose packing for the dot-product GEMM layout (C = A*B^T).
-//
-// The dot layout cannot be vectorized directly without breaking the
-// determinism contract: a SIMD dot product splits one output element's
-// k-reduction across lanes and reorders the adds in the horizontal
-// reduction, so its bits diverge from the serial ascending-k chain. The
-// AXPY layout has no such problem — each lane is a different output
-// element's own chain — which is why saxpyQuad exists only for it. So
-// instead of a dot microkernel, gemmTransB transposes B (n x k) into a
-// k x n scratch tile and runs the AXPY kernel over it: identical
-// per-element reduction order, identical bits, ~5x the throughput. The
-// pack costs O(k*n) against O(m*k*n) compute, so it amortizes out for
-// any non-trivial m.
+// Panel packing for gemm (gemm.go). gemmBlock copies each panel of B
+// (panelCols columns) into pooled scratch, strip-major: [strip][k][16].
+// The 16 columns the microkernel reads per k sit in one 64-byte row, a
+// strip is k such rows, and a whole panel (512 KiB at k = 512) stays in
+// L2 while every 4-row block of A sweeps it. The last strip of a panel
+// is zero-padded. The copy is pure data movement, so it cannot change
+// bits, and it costs O(k*n) against O(m*k*n) compute.
 
-const (
-	// packTile is the square tile edge of the blocked transpose. A
-	// 32x32 float32 tile is 4 KiB per operand — both the strided and
-	// the contiguous side stay resident in L1 while the tile is walked.
-	packTile = 32
+// packPanel packs columns [j0, j0+cols) of B, whose element (kk, j) is
+// b[kk*rs+j*cs], into pk: pk[(s*k+kk)*16+jj] = B(kk, j0+s*16+jj).
+func packPanel(pk, b []float32, k, rs, cs, j0, cols int) {
+	for kk := 0; kk < k; kk++ {
+		for s := 0; s*tileN < cols; s++ {
+			row := (*[tileN]float32)(pk[(s*k+kk)*tileN:])
+			src, w := kk*rs+(j0+s*tileN)*cs, min(tileN, cols-s*tileN)
+			if cs == 1 && w == tileN {
+				*row = *(*[tileN]float32)(b[src:])
+				continue
+			}
+			for jj := 0; jj < w; jj++ {
+				row[jj] = b[src+jj*cs]
+			}
+			clear(row[w:])
+		}
+	}
+}
 
-	// transBPackCutoff is the m*k*n multiply-add count above which
-	// packing wins. Below it the 2x4-register-tile scalar kernel is
-	// already memory-friendly and the pack + pool round trip dominates.
-	transBPackCutoff = 16 * 1024
-
-	// transBPackMinRows: the pack is O(k*n) overhead amortized over m
-	// output rows; under this row count the scalar kernel wins even for
-	// large k*n (the m=1 case is a matvec in disguise).
-	transBPackMinRows = 4
-)
-
-// packBuf wraps a pooled scratch slice behind a stable pointer, so the
-// Get/Put round trip moves one pointer and never re-boxes a slice header
+// panelBuf wraps pooled scratch behind a stable pointer, so the Get/Put
+// round trip moves one pointer and never re-boxes a slice header
 // (Put(&local) would heap-allocate the header on every call).
-type packBuf struct {
+type panelBuf struct {
 	data []float32
 }
 
-var packPool sync.Pool
+var panelPool sync.Pool
 
-// getPackBuf returns a pooled scratch buffer with at least n elements of
-// capacity. Steady state performs zero allocations; growth re-allocates
-// the backing array and keeps it for future callers.
-func getPackBuf(n int) *packBuf {
-	pb, _ := packPool.Get().(*packBuf)
+// getPanelBuf returns pooled scratch of n elements. Steady state performs
+// zero allocations; growth re-allocates the backing array and keeps it
+// for later callers.
+func getPanelBuf(n int) *panelBuf {
+	pb, _ := panelPool.Get().(*panelBuf)
 	if pb == nil {
 		//fhdnn:allow hotalloc one-time pool miss; the wrapper is recycled for the life of the process
-		pb = new(packBuf)
+		pb = new(panelBuf)
 	}
 	if cap(pb.data) < n {
-		//fhdnn:allow hotalloc pack scratch reuses its backing array across calls; growth amortizes out
+		//fhdnn:allow hotalloc panel scratch reuses its backing array across calls; growth amortizes out
 		pb.data = make([]float32, n)
 	}
+	pb.data = pb.data[:n]
 	return pb
-}
-
-func putPackBuf(pb *packBuf) { packPool.Put(pb) }
-
-// packTransB transposes b (n rows x k cols, row-major) into bt (k rows x
-// n cols, row-major): bt[kk*n+j] = b[j*k+kk]. The copy is pure data
-// movement, so splitting it across workers cannot change bits; workers
-// own disjoint kk-tile bands of bt.
-func packTransB(bt, b []float32, k, n int) {
-	if Workers() <= 1 || k < 2*packTile || k*n < parallelCutoff {
-		packTransBBand(bt, b, 0, k, k, n)
-		return
-	}
-	tiles := (k + packTile - 1) / packTile
-	ParallelFor(tiles, func(tlo, thi int) {
-		klo, khi := tlo*packTile, thi*packTile
-		if khi > k {
-			khi = k
-		}
-		packTransBBand(bt, b, klo, khi, k, n)
-	})
-}
-
-// packTransBBand transposes source columns [klo, khi) of b into rows
-// [klo, khi) of bt, walking packTile x packTile tiles so the strided side
-// of the transpose stays within L1.
-func packTransBBand(bt, b []float32, klo, khi, k, n int) {
-	for j0 := 0; j0 < n; j0 += packTile {
-		jmax := j0 + packTile
-		if jmax > n {
-			jmax = n
-		}
-		for kk0 := klo; kk0 < khi; kk0 += packTile {
-			kmax := kk0 + packTile
-			if kmax > khi {
-				kmax = khi
-			}
-			for j := j0; j < jmax; j++ {
-				brow := b[j*k : j*k+k]
-				for kk := kk0; kk < kmax; kk++ {
-					bt[kk*n+j] = brow[kk]
-				}
-			}
-		}
-	}
 }

@@ -80,11 +80,25 @@ func bitsEqual(t *testing.T, name string, got, want []float32) {
 }
 
 // testShapes deliberately includes degenerate sizes and sizes that are not
-// multiples of the 4x4 tile, so microkernel, column-tail, and row-tail paths
-// are all exercised.
-var testShapes = [][3]int{
+// multiples of the 4x16 tile, so microkernel, column-tail, and row-tail paths
+// are all exercised; tileEdgeShapes adds every m in {1, 3, 4, 5} against
+// every n around one strip and one panel, and two shapes past the parallel
+// cutoff with more panels than some worker counts and fewer than others,
+// so both the panel split and the row split run.
+var testShapes = append([][3]int{
 	{1, 1, 1}, {1, 7, 1}, {3, 5, 2}, {4, 4, 4}, {5, 9, 6}, {2, 3, 130},
 	{17, 23, 31}, {33, 1, 65}, {1, 64, 9}, {70, 3, 70}, {64, 64, 64}, {61, 67, 59},
+	{9, 24, 1100}, {70, 20, 300},
+}, tileEdgeShapes()...)
+
+func tileEdgeShapes() [][3]int {
+	var out [][3]int
+	for _, m := range []int{1, 3, 4, 5} {
+		for _, n := range []int{15, 16, 17, 255, 256, 257} {
+			out = append(out, [3]int{m, 29, n})
+		}
+	}
+	return out
 }
 
 func TestBlockedKernelsBitIdenticalAcrossWorkers(t *testing.T) {
@@ -285,10 +299,11 @@ func TestIntoKernelsDoNotAllocateSerial(t *testing.T) {
 		"MaxPool2DInto":     maxPoolIntoCase(rng),
 		"GlobalAvgPoolInto": gapIntoCase(rng),
 	}
+	// The packed GEMM paths recycle scratch through a sync.Pool, and
+	// Pool.Put drops items at random under the race detector.
+	pooled := map[string]bool{"MatMulInto": true, "MatMulAccum": true, "MatMulTransBInto": true}
 	for name, fn := range cases {
-		if raceEnabled && name == "MatMulTransBInto" {
-			// The packed TransB path recycles scratch through a sync.Pool,
-			// and Pool.Put drops items at random under the race detector.
+		if raceEnabled && pooled[name] {
 			continue
 		}
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {

@@ -182,7 +182,7 @@ func (t *Tensor) AXPY(a float32, x *Tensor) {
 		panic("tensor: AXPY volume mismatch")
 	}
 	for i, v := range x.data {
-		t.data[i] += a * v
+		t.data[i] += float32(a * v)
 	}
 }
 

@@ -218,7 +218,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			s := float32(0)
 			for kk := 0; kk < k; kk++ {
-				s += a.At(i, kk) * b.At(kk, j)
+				s += float32(a.At(i, kk) * b.At(kk, j))
 			}
 			c.Set(s, i, j)
 		}
@@ -306,7 +306,7 @@ func TestMatMulTransposeProperty(t *testing.T) {
 			for j := 0; j < n; j++ {
 				s := float32(0)
 				for kk := 0; kk < k; kk++ {
-					s += a.At(i, kk) * b.At(kk, j)
+					s += float32(a.At(i, kk) * b.At(kk, j))
 				}
 				if math.Abs(float64(ab.At(i, j)-s)) > 1e-4 {
 					return false
