@@ -51,7 +51,7 @@ func (c AWGN) Transmit(update []float32, rng *rand.Rand) []float32 {
 	}
 	var p float64
 	for _, v := range update {
-		p += float64(v) * float64(v)
+		p += float64(float64(v) * float64(v))
 	}
 	p /= float64(len(update))
 	snr := math.Pow(10, c.SNRdB/10)
@@ -287,7 +287,7 @@ func (c Subsample) WireBytes(n int) int {
 	if frac < 0 {
 		frac = 0
 	}
-	return int(float64(4*n)*frac + 0.5)
+	return int(float64(float64(4*n)*frac) + 0.5)
 }
 
 // BitErrorFloat32 applies BSC bit flips to the IEEE-754 float32 encoding of

@@ -169,9 +169,9 @@ func smoothField(rng *rand.Rand, channels, size int) []float32 {
 		ws := make([]wave, waves)
 		for i := range ws {
 			ws[i] = wave{
-				fx:    (rng.Float64()*3 + 0.5) * 2 * math.Pi / float64(size),
-				fy:    (rng.Float64()*3 + 0.5) * 2 * math.Pi / float64(size),
-				phase: rng.Float64() * 2 * math.Pi,
+				fx:    (float64(rng.Float64()*3) + 0.5) * 2 * math.Pi / float64(size),
+				fy:    (float64(rng.Float64()*3) + 0.5) * 2 * math.Pi / float64(size),
+				phase: float64(rng.Float64()) * 2 * math.Pi,
 				amp:   rng.NormFloat64(),
 			}
 		}
@@ -181,10 +181,10 @@ func smoothField(rng *rand.Rand, channels, size int) []float32 {
 			for x := 0; x < size; x++ {
 				v := 0.0
 				for _, w := range ws {
-					v += w.amp * math.Sin(w.fx*float64(x)+w.fy*float64(y)+w.phase)
+					v += float64(w.amp * math.Sin(float64(w.fx*float64(x))+float64(w.fy*float64(y))+w.phase))
 				}
 				out[base+y*size+x] = float32(v)
-				sumSq += v * v
+				sumSq += float64(v * v)
 			}
 		}
 		// normalize channel to unit variance
@@ -209,7 +209,7 @@ func renderSample(rng *rand.Rand, proto []float32, cfg ImageConfig) []float32 {
 		dx = rng.Intn(2*cfg.Shift+1) - cfg.Shift
 		dy = rng.Intn(2*cfg.Shift+1) - cfg.Shift
 	}
-	gain := float32(1 + rng.NormFloat64()*cfg.GainStd)
+	gain := float32(1 + float64(rng.NormFloat64()*cfg.GainStd))
 	for ch := 0; ch < cfg.Channels; ch++ {
 		base := ch * size * size
 		for y := 0; y < size; y++ {

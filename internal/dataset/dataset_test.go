@@ -58,7 +58,7 @@ func TestClassesAreSeparable(t *testing.T) {
 		s := 0.0
 		for k := 0; k < sl; k++ {
 			d := float64(train.X.Data()[i*sl+k] - train.X.Data()[j*sl+k])
-			s += d * d
+			s += float64(d * d)
 		}
 		return s
 	}
@@ -274,7 +274,7 @@ func TestGammaSampleMoments(t *testing.T) {
 			sum += gammaSample(rng, shape)
 		}
 		mean := sum / float64(n)
-		if math.Abs(mean-shape) > 0.1*shape+0.05 {
+		if math.Abs(mean-shape) > float64(0.1*shape)+0.05 {
 			t.Fatalf("Gamma(%v) sample mean %v, want ~%v", shape, mean, shape)
 		}
 	}

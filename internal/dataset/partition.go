@@ -98,7 +98,7 @@ func PartitionDirichlet(labels []int, numClients int, alpha float64, rng *rand.R
 		cum := 0.0
 		for cl := 0; cl < numClients; cl++ {
 			cum += w[cl]
-			end := int(cum*float64(len(idx)) + 0.5)
+			end := int(float64(cum*float64(len(idx))) + 0.5)
 			if cl == numClients-1 {
 				end = len(idx)
 			}
@@ -162,16 +162,16 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 	c := 1 / (3 * math.Sqrt(d))
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -23,7 +23,7 @@ func SplitStratified(d *Dataset, testFrac float64, rng *rand.Rand) (train, test 
 	for c := 0; c < d.NumClasses; c++ {
 		idx := byClass[c]
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		nTest := int(testFrac*float64(len(idx)) + 0.5)
+		nTest := int(float64(testFrac*float64(len(idx))) + 0.5)
 		if nTest == 0 && len(idx) >= 2 {
 			nTest = 1
 		}
@@ -63,7 +63,7 @@ func FitStandardizer(d *Dataset) *Standardizer {
 	for i := 0; i < n; i++ {
 		for j, v := range d.X.Data()[i*sl : (i+1)*sl] {
 			diff := float64(v) - mean[j]
-			variance[j] += diff * diff
+			variance[j] += float64(diff * diff)
 		}
 	}
 	s := &Standardizer{Mean: make([]float32, sl), Std: make([]float32, sl)}

@@ -69,10 +69,10 @@ func TestStandardizerMakesZeroMeanUnitStd(t *testing.T) {
 		for i := 0; i < d.Len(); i++ {
 			v := float64(d.X.At(i, j))
 			mean += v
-			sq += v * v
+			sq += float64(v * v)
 		}
 		mean /= float64(d.Len())
-		std := math.Sqrt(sq/float64(d.Len()) - mean*mean)
+		std := math.Sqrt(sq/float64(d.Len()) - float64(mean*mean))
 		if math.Abs(mean) > 1e-4 || math.Abs(std-1) > 1e-3 {
 			t.Fatalf("feature %d: mean %v std %v after standardizing", j, mean, std)
 		}

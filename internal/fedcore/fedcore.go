@@ -84,7 +84,7 @@ func (a *FedAvg) Add(u Update) {
 	}
 	w := float64(u.Samples)
 	for i, v := range u.Params {
-		a.sum[i] += w * float64(v)
+		a.sum[i] += float64(w * float64(v))
 	}
 	a.totalW += w
 	a.n++
@@ -232,7 +232,7 @@ func ClientRNG(seed int64, round, id int) *rand.Rand {
 
 // SampleClients picks max(1, round(frac*n)) distinct client ids, sorted.
 func SampleClients(rng *rand.Rand, n int, frac float64) []int {
-	k := int(frac*float64(n) + 0.5)
+	k := int(float64(frac*float64(n)) + 0.5)
 	if k < 1 {
 		k = 1
 	}

@@ -194,7 +194,7 @@ func (a *NormClip) Add(u Update) {
 		var sum float64
 		for _, v := range u.Params {
 			f := float64(v)
-			sum += f * f
+			sum += float64(f * f)
 		}
 		if norm := math.Sqrt(sum); norm > a.Bound {
 			scale := a.Bound / norm

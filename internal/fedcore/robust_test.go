@@ -199,7 +199,7 @@ func TestNormClipIdentityUnderBound(t *testing.T) {
 	}
 	var norm float64
 	for _, v := range g {
-		norm += float64(v) * float64(v)
+		norm += float64(float64(v) * float64(v))
 	}
 	if norm = math.Sqrt(norm); norm > 1+1e-6 {
 		t.Fatalf("committed norm %v exceeds the clip bound", norm)

@@ -160,7 +160,7 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 
 // sampleMask draws a sorted subset of ceil(frac*n) distinct entry indices.
 func sampleMask(rng *rand.Rand, n int, frac float64) []int {
-	k := int(frac*float64(n) + 0.999999)
+	k := int(float64(frac*float64(n)) + 0.999999)
 	if k < 1 {
 		k = 1
 	}

@@ -45,7 +45,7 @@ func NewEncoder(rng *rand.Rand, d, n int) *Encoder {
 		for j := range row {
 			v := rng.NormFloat64()
 			row[j] = float32(v)
-			norm += v * v
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
@@ -105,7 +105,7 @@ func (e *Encoder) Decode(h []float32) []float32 {
 	if len(h) != e.D {
 		panic(fmt.Sprintf("hdc: Decode expects %d dims, got %d", e.D, len(h)))
 	}
-	x := tensor.MatMulTransB(tensor.FromSlice(h, 1, e.D), e.phiT)
+	x := tensor.MatMul(e.phiT, tensor.FromSlice(h, e.D, 1))
 	x.Scale(float32(float64(e.N) / float64(e.D)))
 	return x.Data()
 }

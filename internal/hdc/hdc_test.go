@@ -81,8 +81,8 @@ func TestDecodeApproximatelyInvertsEncode(t *testing.T) {
 		var errSq, refSq float64
 		for i := range x {
 			d := float64(got[i] - x[i])
-			errSq += d * d
-			refSq += float64(x[i]) * float64(x[i])
+			errSq += float64(d * d)
+			refSq += float64(float64(x[i]) * float64(x[i]))
 		}
 		if refSq == 0 {
 			return true
@@ -114,7 +114,7 @@ func TestDecodeSuppressesHDNoise(t *testing.T) {
 	var mse float64
 	for i := range x {
 		diff := float64(got[i] - x[i])
-		mse += diff * diff
+		mse += float64(diff * diff)
 	}
 	mse /= float64(n)
 	// Decoding averages d independent noise samples: per-coordinate error
@@ -420,7 +420,7 @@ func TestQuantizerRoundTripErrorBound(t *testing.T) {
 		step := 1 / gain
 		for i := range c {
 			// allow the quantization step plus float32 representation error
-			tol := step*1.01 + math.Abs(float64(c[i]))*1e-6
+			tol := float64(step*1.01) + float64(math.Abs(float64(c[i]))*1e-6)
 			if math.Abs(float64(back[i]-c[i])) > tol {
 				return false
 			}

@@ -69,7 +69,7 @@ func (m *Model) fillLanes(ln *classLanes) {
 		for i, v := range m.Class(k - 1) {
 			f := float64(v)
 			ln.cs[i*kp+k-1], ln.cs[i*kp+k] = f, 0
-			s += f * f
+			s += float64(f * f)
 		}
 		ln.norms[k-1] = s
 	}
@@ -100,9 +100,9 @@ func laneSweepGo(dots, cs []float64, h []float32, kp, pairs int) (hh float64) {
 	w := 2 * pairs
 	for i, v := range h {
 		x := float64(v)
-		hh += x * x
+		hh += float64(x * x)
 		for j, c := range cs[i*kp : i*kp+w] {
-			acc[j] += c * x
+			acc[j] += float64(c * x)
 		}
 	}
 	copy(dots, acc[:w])
@@ -120,7 +120,7 @@ func laneFillGo(sq, cs []float64, p []float32, d, kp, pairs int) {
 		for j := range row {
 			f := float64(p[j*d+i])
 			row[j] = f
-			acc[j] += f * f
+			acc[j] += float64(f * f)
 		}
 	}
 	copy(sq, acc[:w])

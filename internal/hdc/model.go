@@ -206,8 +206,8 @@ func (m *Model) move(ln *classLanes, y, pred int, up, down float32, h []float32)
 		bad[i] -= float32(down * v)
 		c, b := float64(correct[i]), float64(bad[i])
 		cs[i*kp+y], cs[i*kp+pred] = c, b
-		cc += c * c
-		bb += b * b
+		cc += float64(c * c)
+		bb += float64(b * b)
 	}
 	ln.norms[y], ln.norms[pred] = math.Sqrt(cc), math.Sqrt(bb)
 }

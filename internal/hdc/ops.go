@@ -12,7 +12,7 @@ func Dot(a, b []float32) float64 {
 	}
 	s := 0.0
 	for i, v := range a {
-		s += float64(v) * float64(b[i])
+		s += float64(float64(v) * float64(b[i]))
 	}
 	return s
 }
@@ -21,7 +21,7 @@ func Dot(a, b []float32) float64 {
 func Norm(v []float32) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += float64(x) * float64(x)
+		s += float64(float64(x) * float64(x))
 	}
 	return math.Sqrt(s)
 }

@@ -50,13 +50,13 @@ func (o *Adam) Step(params []*Param) {
 		vd := v.Data()
 		for i := range w {
 			gi := float64(g[i])
-			md[i] = float32(o.Beta1*float64(md[i]) + (1-o.Beta1)*gi)
-			vd[i] = float32(o.Beta2*float64(vd[i]) + (1-o.Beta2)*gi*gi)
+			md[i] = float32(float64(o.Beta1*float64(md[i])) + float64((1-o.Beta1)*gi))
+			vd[i] = float32(float64(o.Beta2*float64(vd[i])) + float64((1-o.Beta2)*gi*gi))
 			mHat := float64(md[i]) / b1c
 			vHat := float64(vd[i]) / b2c
 			upd := o.LR * mHat / (math.Sqrt(vHat) + o.Eps)
 			if o.WeightDecay != 0 && !p.NoDecay {
-				upd += o.LR * o.WeightDecay * float64(w[i])
+				upd += float64(o.LR * o.WeightDecay * float64(w[i]))
 			}
 			w[i] -= float32(upd)
 		}

@@ -48,7 +48,7 @@ func lossThrough(layer Layer, x *tensor.Tensor) float64 {
 	y := layer.Forward(x, true)
 	s := 0.0
 	for _, v := range y.Data() {
-		s += 0.5 * float64(v) * float64(v)
+		s += float64(0.5 * float64(v) * float64(v))
 	}
 	return s
 }

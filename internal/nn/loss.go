@@ -101,7 +101,7 @@ func NTXent(z *tensor.Tensor, temperature float64) (float64, *tensor.Tensor) {
 		row := z.Data()[i*d : (i+1)*d]
 		s := 0.0
 		for _, v := range row {
-			s += float64(v) * float64(v)
+			s += float64(float64(v) * float64(v))
 		}
 		nv := math.Sqrt(s)
 		if nv < 1e-12 {
@@ -140,18 +140,18 @@ func NTXent(z *tensor.Tensor, temperature float64) (float64, *tensor.Tensor) {
 			if j == i {
 				continue
 			}
-			denom += math.Exp(float64(sim.At(i, j))*invT - maxV)
+			denom += math.Exp(float64(float64(sim.At(i, j))*invT) - maxV)
 		}
 		logDenom := math.Log(denom) + maxV
-		posV := float64(sim.At(i, pos)) * invT
+		posV := float64(float64(sim.At(i, pos)) * invT)
 		loss += logDenom - posV
 		// gradient: dL_i/dsim[i,j] = (softmax_j - 1{j==pos}) / T
 		for j := 0; j < twoN; j++ {
 			if j == i {
 				continue
 			}
-			p := math.Exp(float64(sim.At(i, j))*invT-maxV) / denom
-			g := p * invT
+			p := math.Exp(float64(float64(sim.At(i, j))*invT)-maxV) / denom
+			g := float64(p * invT)
 			if j == pos {
 				g -= invT
 			}
@@ -177,7 +177,7 @@ func NTXent(z *tensor.Tensor, temperature float64) (float64, *tensor.Tensor) {
 		du := dZn.Data()[i*d : (i+1)*d]
 		dot := 0.0
 		for j := range u {
-			dot += float64(u[j]) * float64(du[j])
+			dot += float64(float64(u[j]) * float64(du[j]))
 		}
 		inv := float32(1 / norms[i])
 		out := dZ.Data()[i*d : (i+1)*d]

@@ -74,11 +74,11 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				for i := base; i < base+plane; i++ {
 					v := float64(x.Data()[i])
 					sum += v
-					sumSq += v * v
+					sumSq += float64(v * v)
 				}
 			}
 			mean := sum / float64(m)
-			variance := sumSq/float64(m) - mean*mean
+			variance := sumSq/float64(m) - float64(mean*mean)
 			if variance < 0 {
 				variance = 0
 			}
@@ -133,7 +133,7 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for i := base; i < base+plane; i++ {
 				dy := float64(grad.Data()[i])
 				sumDy += dy
-				sumDyXhat += dy * float64(bn.lastXHat.Data()[i])
+				sumDyXhat += float64(dy * float64(bn.lastXHat.Data()[i]))
 			}
 		}
 		bn.beta.Grad.Data()[c] += float32(sumDy)

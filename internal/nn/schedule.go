@@ -46,7 +46,7 @@ func (s CosineLR) LR(step int) float64 {
 		return s.Min
 	}
 	frac := float64(step) / float64(s.Total)
-	return s.Min + 0.5*(s.Base-s.Min)*(1+math.Cos(math.Pi*frac))
+	return s.Min + float64(0.5*(s.Base-s.Min)*(1+math.Cos(math.Pi*frac)))
 }
 
 // WarmupLR ramps linearly from 0 to the inner schedule's rate over Warmup

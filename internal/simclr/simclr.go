@@ -51,7 +51,7 @@ func Augment(rng *rand.Rand, img []float32, channels, size int, cfg AugmentConfi
 	}
 	flip := rng.Float64() < cfg.FlipProb
 	for ch := 0; ch < channels; ch++ {
-		gain := float32(1 + rng.NormFloat64()*cfg.GainStd)
+		gain := float32(1 + float64(rng.NormFloat64()*cfg.GainStd))
 		base := ch * size * size
 		for y := 0; y < size; y++ {
 			sy := (y + dy + size) % size

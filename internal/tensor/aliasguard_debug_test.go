@@ -80,18 +80,16 @@ func TestGuardNoAliasPooling(t *testing.T) {
 	GlobalAvgPoolInto(buf[:8], 2, 2, 2, buf[8:10])
 }
 
-// TestGuardPackScratchDisjoint drives the packed TransB path (shape above
-// transBPackCutoff) under the debug guard: the pool scratch must never
-// overlap the operands or the destination, so a clean large multiply is
-// the assertion — the guard inside gemmBlock panics if packing ever
-// hands out aliased scratch.
+// TestGuardPackScratchDisjoint drives every layout through gemm under the
+// debug guard: the pool scratch must never overlap the operands or the
+// destination, so a clean multiply is the assertion — the guard inside
+// gemmBlock panics if packing ever hands out aliased scratch.
 func TestGuardPackScratchDisjoint(t *testing.T) {
 	a := New(64, 64)
 	b := New(64, 64)
 	dst := New(64, 64)
-	if 64*64*64 < transBPackCutoff {
-		t.Fatal("shape does not reach the packed path")
-	}
+	MatMulInto(dst, a, b)
+	MatMulTransAInto(dst, a, b)
 	MatMulTransBInto(dst, a, b)
 }
 

@@ -96,10 +96,10 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		g.Col2Im(y, iy)
 		var lhs, rhs float64
 		for i := range cx {
-			lhs += float64(cx[i]) * float64(y[i])
+			lhs += float64(float64(cx[i]) * float64(y[i]))
 		}
 		for i := range x {
-			rhs += float64(x[i]) * float64(iy[i])
+			rhs += float64(float64(x[i]) * float64(iy[i]))
 		}
 		return math.Abs(lhs-rhs) < 1e-2*(1+math.Abs(lhs))
 	}

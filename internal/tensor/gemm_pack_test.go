@@ -1,70 +1,88 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// Property tests for the packed TransB kernel (pack.go + gemmTransB). The
-// pack path only engages above transBPackCutoff with at least
-// transBPackMinRows rows, so the shape lists below straddle the cutoff on
-// purpose: every run exercises the scalar kernel, the packed kernel, and
-// the handoff between them.
+// Property tests for the GEMM driver (gemm.go + pack.go). Every matrix
+// entry point is one gemm call that differs only in the strides it reads
+// A and B by, so one shape table drives all three layouts.
 
-// packShapes all route through the packed path (m >= transBPackMinRows,
-// m*k*n >= transBPackCutoff) and include tails in every dimension: m, k,
-// and n each take values that are not multiples of the 4x16 tile.
-var packShapes = [][3]int{
-	{4, 64, 64},    // minimum row count for packing
-	{64, 64, 64},   // everything a multiple of the tiles
-	{61, 67, 59},   // odd everywhere
-	{33, 129, 5},   // n below one strip
-	{7, 31, 130},   // wide n with a 2-column tail strip
-	{127, 4, 97},   // short k
-	{5, 257, 33},   // one leftover row, k tail of 1
-	{128, 33, 127}, // n one short of eight strips
-	{5, 40, 255},   // one panel, last strip one column short
-	{4, 40, 256},   // exactly one panel
-	{6, 40, 257},   // second panel of one column
-	{9, 24, 1100},  // five panels: more than 1..4 workers, fewer than 8
+// gemmShapes has tails in every dimension (m, k and n off the 4x16 tile),
+// one to three rows, n below one strip, k = 0, the panel edges, and shapes
+// past the parallel cutoff with more panels than some worker counts and
+// fewer than others, so both the panel split and the row split run.
+var gemmShapes = [][3]int{
+	{1, 7, 1}, {1, 512, 10}, {2, 3, 130}, {3, 5, 2}, {3, 4096, 2}, {2, 64, 9},
+	{1, 0, 1}, {3, 0, 17}, {4, 0, 5}, {70, 0, 300},
+	{4, 64, 64}, {64, 64, 64}, {61, 67, 59}, {33, 129, 5}, {7, 31, 130},
+	{127, 4, 97}, {5, 257, 33}, {128, 33, 127}, {17, 23, 31}, {70, 3, 70},
+	{5, 40, 255}, {4, 40, 256}, {6, 40, 257}, {9, 24, 1100},
 }
 
-// scalarShapes stay below the packing thresholds and keep the legacy
-// 2x4-register-tile kernel covered.
-var scalarShapes = [][3]int{
-	{1, 7, 1}, {3, 5, 2}, {2, 3, 130}, {17, 23, 31}, {70, 3, 70}, {3, 4096, 2},
-}
-
-func refTransBInto(c, a, b []float32, m, k, n int) {
+// refGemm is the scalar chain every layout must match bit for bit:
+// C(i, j) = s + sum_kk float32(A(i, kk) * B(kk, j)) in ascending kk, with
+// s = C(i, j) when accum and +0 otherwise, A and B read by gemm's strides.
+func refGemm(c, a, b []float32, m, k, n, ars, acs, brs, bcs int, accum bool) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s float32
+			if accum {
+				s = c[i*n+j]
+			}
 			for kk := 0; kk < k; kk++ {
-				s += float32(a[i*k+kk] * b[j*k+kk])
+				s += float32(a[i*ars+kk*acs] * b[kk*brs+j*bcs])
 			}
 			c[i*n+j] = s
 		}
 	}
 }
 
-// TestPackedTransBBitIdenticalAcrossWorkers pins the packed kernel's
-// determinism contract for worker counts 1..8 against the scalar
-// ascending-k reference chain.
-func TestPackedTransBBitIdenticalAcrossWorkers(t *testing.T) {
+// TestGEMMShapesBitIdenticalAcrossWorkers runs every shape through the
+// plain, TransA and TransB layouts, overwriting and accumulating, at
+// worker counts 1..8. With k = 0 the result is C zeroed, or C unchanged
+// when accumulating.
+func TestGEMMShapesBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, shapes := range [][][3]int{packShapes, scalarShapes} {
-		for _, sh := range shapes {
-			m, k, n := sh[0], sh[1], sh[2]
-			a := Randn(rng, 1, m, k)
-			bt := Randn(rng, 1, n, k)
-			want := New(m, n)
-			refTransBInto(want.data, a.data, bt.data, m, k, n)
-			for w := 1; w <= 8; w++ {
-				old := SetWorkers(w)
-				got := New(m, n)
-				MatMulTransBInto(got, a, bt)
-				SetWorkers(old)
-				bitsEqual(t, "MatMulTransBInto", got.data, want.data)
+	for _, sh := range gemmShapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, at := Randn(rng, 1, m, k), Randn(rng, 1, k, m)
+		b, bt := Randn(rng, 1, k, n), Randn(rng, 1, n, k)
+		seed := Randn(rng, 1, m, n)
+		layouts := []struct {
+			name               string
+			a, b               *Tensor
+			ars, acs, brs, bcs int
+			into, accum        func(dst *Tensor)
+		}{
+			{"MatMul", a, b, k, 1, n, 1,
+				func(d *Tensor) { MatMulInto(d, a, b) },
+				func(d *Tensor) { MatMulAccum(d, a, b) }},
+			{"MatMulTransA", at, b, 1, m, n, 1,
+				func(d *Tensor) { MatMulTransAInto(d, at, b) },
+				func(d *Tensor) { MatMulTransAAccum(d, at, b) }},
+			// TransB has no exported Accum; its chain is gemm's with accum set.
+			{"MatMulTransB", a, bt, k, 1, 1, k,
+				func(d *Tensor) { MatMulTransBInto(d, a, bt) },
+				func(d *Tensor) { gemm(d.data, a.data, bt.data, m, k, n, k, 1, 1, k, true) }},
+		}
+		for _, l := range layouts {
+			for _, accum := range []bool{false, true} {
+				want := seed.Clone()
+				refGemm(want.data, l.a.data, l.b.data, m, k, n, l.ars, l.acs, l.brs, l.bcs, accum)
+				run := l.into
+				if accum {
+					run = l.accum
+				}
+				for w := 1; w <= 8; w++ {
+					old := SetWorkers(w)
+					got := seed.Clone()
+					run(got)
+					SetWorkers(old)
+					bitsEqual(t, fmt.Sprintf("%s %v accum=%v workers=%d", l.name, sh, accum, w), got.data, want.data)
+				}
 			}
 		}
 	}
@@ -106,25 +124,29 @@ func TestPackPanelLayout(t *testing.T) {
 	}
 }
 
-// TestPackedTransBZeroAllocsSerial asserts the sync.Pool scratch makes the
-// packed path allocation-free in steady state on the serial path,
-// including a shape with tails.
-func TestPackedTransBZeroAllocsSerial(t *testing.T) {
+// TestPackedGEMMZeroAllocsSerial asserts the sync.Pool scratch makes the
+// transposed layouts allocation-free in steady state on the serial path,
+// including a shape with tails and a single row; the plain layout is
+// covered by TestIntoKernelsDoNotAllocateSerial.
+func TestPackedGEMMZeroAllocsSerial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; the 0 allocs/op contract is asserted in non-race runs")
 	}
 	withWorkers(t, 1)
 	rng := rand.New(rand.NewSource(43))
-	for _, sh := range [][3]int{{64, 64, 64}, {61, 67, 59}} {
+	for _, sh := range [][3]int{{64, 64, 64}, {61, 67, 59}, {1, 512, 10}} {
 		m, k, n := sh[0], sh[1], sh[2]
-		if m*k*n < transBPackCutoff {
-			t.Fatalf("shape %v does not reach the packed path", sh)
-		}
-		a := Randn(rng, 1, m, k)
-		bt := Randn(rng, 1, n, k)
+		a, at := Randn(rng, 1, m, k), Randn(rng, 1, k, m)
+		b, bt := Randn(rng, 1, k, n), Randn(rng, 1, n, k)
 		dst := New(m, n)
-		if allocs := testing.AllocsPerRun(10, func() { MatMulTransBInto(dst, a, bt) }); allocs != 0 {
-			t.Errorf("packed MatMulTransBInto %v: %v allocs/op, want 0", sh, allocs)
+		for name, fn := range map[string]func(){
+			"MatMulTransAInto":  func() { MatMulTransAInto(dst, at, b) },
+			"MatMulTransAAccum": func() { MatMulTransAAccum(dst, at, b) },
+			"MatMulTransBInto":  func() { MatMulTransBInto(dst, a, bt) },
+		} {
+			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+				t.Errorf("%s %v: %v allocs/op, want 0", name, sh, allocs)
+			}
 		}
 	}
 }
@@ -136,6 +158,6 @@ func BenchmarkMatMulTransBNaive256(b *testing.B) {
 	b.SetBytes(3 * 256 * 256 * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refTransBInto(dst.Data(), x.Data(), y.Data(), 256, 256, 256)
+		refGemm(dst.Data(), x.Data(), y.Data(), 256, 256, 256, 256, 1, 1, 256, false)
 	}
 }

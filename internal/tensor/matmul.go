@@ -3,7 +3,8 @@ package tensor
 import "fmt"
 
 // The matrix kernels below are cache-blocked, register-tiled, and run on the
-// shared worker pool (see parallel.go / gemm.go). Every variant guarantees
+// shared worker pool (see parallel.go / gemm.go). Each is one gemm call that
+// reads A and B by the strides of its layout. Every variant guarantees
 // bit-identical results for any Workers() setting: each output element is
 // reduced by a single serial accumulator chain in ascending k order, and
 // worker boundaries only move whole output tiles between goroutines.
@@ -13,7 +14,7 @@ import "fmt"
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := checkMatMul(a, b)
 	c := New(m, n)
-	gemm(c.data, a.data, b.data, m, k, n, n, 1, false)
+	gemm(c.data, a.data, b.data, m, k, n, k, 1, n, 1, false)
 	return c
 }
 
@@ -26,7 +27,7 @@ func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b)
 	checkDst("MatMulInto", dst, m, n)
 	guardNoAlias("MatMulInto", dst.data, a.data, b.data)
-	gemm(dst.data, a.data, b.data, m, k, n, n, 1, false)
+	gemm(dst.data, a.data, b.data, m, k, n, k, 1, n, 1, false)
 }
 
 // MatMulAccum computes C += A*B into dst.
@@ -36,7 +37,7 @@ func MatMulAccum(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b)
 	checkDst("MatMulAccum", dst, m, n)
 	guardNoAlias("MatMulAccum", dst.data, a.data, b.data)
-	gemm(dst.data, a.data, b.data, m, k, n, n, 1, true)
+	gemm(dst.data, a.data, b.data, m, k, n, k, 1, n, 1, true)
 }
 
 func checkMatMul(a, b *Tensor) (m, k, n int) {
@@ -68,14 +69,15 @@ func checkMatMulTransA(a, b *Tensor) (m, k, n int) {
 }
 
 // MatMulTransAInto computes C = A^T * B into dst (m x n), overwriting it,
-// where A is k x m and B is k x n. Used for weight gradients.
+// where A is k x m and B is k x n. Used for weight gradients. It performs
+// no allocation when the pool has a single worker.
 //
 //fhdnn:hotpath weight-gradient kernel on the backward pass
 func MatMulTransAInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMulTransA(a, b)
 	checkDst("MatMulTransAInto", dst, m, n)
 	guardNoAlias("MatMulTransAInto", dst.data, a.data, b.data)
-	gemmTransA(dst.data, a.data, b.data, m, k, n, false)
+	gemm(dst.data, a.data, b.data, m, k, n, 1, m, n, 1, false)
 }
 
 // MatMulTransAAccum computes C += A^T * B into dst (m x n).
@@ -85,7 +87,7 @@ func MatMulTransAAccum(dst, a, b *Tensor) {
 	m, k, n := checkMatMulTransA(a, b)
 	checkDst("MatMulTransAAccum", dst, m, n)
 	guardNoAlias("MatMulTransAAccum", dst.data, a.data, b.data)
-	gemmTransA(dst.data, a.data, b.data, m, k, n, true)
+	gemm(dst.data, a.data, b.data, m, k, n, 1, m, n, 1, true)
 }
 
 func checkMatMulTransB(a, b *Tensor) (m, k, n int) {
@@ -101,11 +103,11 @@ func checkMatMulTransB(a, b *Tensor) (m, k, n int) {
 
 // MatMulTransB computes C = A * B^T where A is m x k and B is n x k,
 // producing m x n. Used for input gradients, dot-product-shaped forwards
-// (Linear, Conv2D-over-im2col) and HD decoding.
+// (Linear, Conv2D-over-im2col) and the contrastive loss.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulTransB(a, b)
 	c := New(m, n)
-	gemmTransB(c.data, a.data, b.data, m, k, n)
+	gemm(c.data, a.data, b.data, m, k, n, k, 1, 1, k, false)
 	return c
 }
 
@@ -117,5 +119,5 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMulTransB(a, b)
 	checkDst("MatMulTransBInto", dst, m, n)
 	guardNoAlias("MatMulTransBInto", dst.data, a.data, b.data)
-	gemmTransB(dst.data, a.data, b.data, m, k, n)
+	gemm(dst.data, a.data, b.data, m, k, n, k, 1, 1, k, false)
 }

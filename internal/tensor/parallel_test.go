@@ -299,9 +299,9 @@ func TestIntoKernelsDoNotAllocateSerial(t *testing.T) {
 		"MaxPool2DInto":     maxPoolIntoCase(rng),
 		"GlobalAvgPoolInto": gapIntoCase(rng),
 	}
-	// The packed GEMM paths recycle scratch through a sync.Pool, and
+	// The GEMM kernels recycle panel scratch through a sync.Pool, and
 	// Pool.Put drops items at random under the race detector.
-	pooled := map[string]bool{"MatMulInto": true, "MatMulAccum": true, "MatMulTransBInto": true}
+	pooled := map[string]bool{"MatMulInto": true, "MatMulAccum": true, "MatMulTransAInto": true, "MatMulTransBInto": true}
 	for name, fn := range cases {
 		if raceEnabled && pooled[name] {
 			continue

@@ -66,7 +66,7 @@ func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
-		t.data[i] = float32(lo + rng.Float64()*(hi-lo))
+		t.data[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 	return t
 }
@@ -219,7 +219,7 @@ func (t *Tensor) Norm() float64 {
 	s := 0.0
 	for _, v := range t.data {
 		//fhdnn:allow float64 deliberate high-precision reduction; Norm is a diagnostic, not part of the bit-identical kernel contract
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

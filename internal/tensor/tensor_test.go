@@ -153,7 +153,7 @@ func TestRandnStatistics(t *testing.T) {
 	}
 	varSum := 0.0
 	for _, v := range a.Data() {
-		varSum += float64(v) * float64(v)
+		varSum += float64(float64(v) * float64(v))
 	}
 	std := math.Sqrt(varSum / float64(a.Len()))
 	if math.Abs(std-2.0) > 0.1 {
