@@ -67,7 +67,8 @@ lint-ci:
 # none; the fedcore engine and tensor.ParallelFor join every worker). In
 # between, the whole flnet suite five times over under -race: the
 # aggregator-token protocol (threshold/deadline/shutdown commits racing upload
-# handlers) is timing-dependent, so one pass proves little.
+# handlers, and the wedged-Add tests that hold the token past any commit
+# or Shutdown deadline) is timing-dependent, so one pass proves little.
 chaos:
 	$(GO) test -race -shuffle=on -count=1 -run 'Byzantine|Robust|Poison|Quarantine|NormClip|Colluders|Attack|NoGoroutines' ./internal/fedcore ./internal/faults ./internal/fl ./internal/flnet ./internal/tensor
 	$(GO) test -race -shuffle=on -count=5 ./internal/flnet

@@ -156,11 +156,12 @@ func run() error {
 	}
 
 	// Graceful teardown: fold pending updates into the model, then stop
-	// accepting connections.
+	// accepting connections. A round that cannot be folded in time still
+	// leaves a closed server to tear down and stats to report.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return err
+		log.Printf("round not folded: an aggregator Add never returned the token (%v)", err)
 	}
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
@@ -170,9 +171,9 @@ func run() error {
 	log.Printf("final stats: %d accepted, %d rejected, %d quarantined, %d duplicates, %d deadline-forced rounds, %d bytes received",
 		st.UpdatesAccepted, st.UpdatesRejected, st.UpdatesQuarantined,
 		st.DuplicateUpdates, st.RoundsForcedByDeadline, st.BytesReceived)
-	if st.UpdatesThrottled > 0 || st.ShardTimeouts > 0 || st.PartialCommits > 0 || st.DeadShards > 0 {
-		log.Printf("aggregator health: %d throttled (429), %d token timeouts (503), %d partial commits, %d dead",
-			st.UpdatesThrottled, st.ShardTimeouts, st.PartialCommits, st.DeadShards)
+	if st.UpdatesThrottled > 0 || st.ShardTimeouts > 0 {
+		log.Printf("aggregator health: %d throttled (429), %d token timeouts (503)",
+			st.UpdatesThrottled, st.ShardTimeouts)
 	}
 	if len(st.QuarantinedByReason) > 0 {
 		parts := make([]string, 0, len(st.QuarantinedByReason))

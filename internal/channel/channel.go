@@ -131,7 +131,7 @@ func (c GilbertElliott) AverageLossRate() float64 {
 		return c.LossGood
 	}
 	pBad := c.PGoodToBad / den
-	return (1-pBad)*c.LossGood + pBad*c.LossBad
+	return float64((1-pBad)*c.LossGood) + float64(pBad*c.LossBad)
 }
 
 // Transmit drops packets according to the two-state chain, starting from

@@ -37,11 +37,11 @@ func TestAWGNAchievesTargetSNR(t *testing.T) {
 		out := AWGN{SNRdB: snrDB}.Transmit(u, rng)
 		var sig, noise float64
 		for i := range u {
-			sig += float64(u[i]) * float64(u[i])
+			sig += float64(float64(u[i]) * float64(u[i]))
 			d := float64(out[i] - u[i])
-			noise += d * d
+			noise += float64(d * d)
 		}
-		got := 10 * math.Log10(sig/noise)
+		got := float64(10 * math.Log10(sig/noise))
 		if math.Abs(got-snrDB) > 0.3 {
 			t.Fatalf("measured SNR %.2f dB, want %v dB", got, snrDB)
 		}
@@ -145,7 +145,7 @@ func TestFlipBitsStatistics(t *testing.T) {
 			}
 		}
 		frac := float64(flips) / float64(len(data)*8)
-		if math.Abs(frac-pe) > pe*0.15+0.001 {
+		if math.Abs(frac-pe) > float64(pe*0.15)+0.001 {
 			t.Fatalf("pe=%v: flip fraction %.4f", pe, frac)
 		}
 	}
@@ -226,7 +226,7 @@ func TestBitErrorQuantizedBoundsDamage(t *testing.T) {
 			}
 			// worst case: sign-bit flip of a max-magnitude code plus the
 			// original value -> bounded by ~4x block max (conservative).
-			if a > 4*maxAbs+1 {
+			if a > float64(4*maxAbs)+1 {
 				return false
 			}
 		}

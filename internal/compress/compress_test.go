@@ -62,7 +62,7 @@ func TestFloat16RoundTripProperty(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			v := float32(rng.NormFloat64() * 100)
 			back := Float16ToFloat32(Float32ToFloat16(v))
-			if math.Abs(float64(back-v)) > math.Abs(float64(v))*1e-3+1e-4 {
+			if math.Abs(float64(back-v)) > float64(math.Abs(float64(v))*1e-3)+1e-4 {
 				return false
 			}
 		}
@@ -93,7 +93,7 @@ func TestFloat16CodecRoundTrip(t *testing.T) {
 		t.Fatalf("float16 size %d, want 2000", size)
 	}
 	for i := range u {
-		if math.Abs(float64(got[i]-u[i])) > math.Abs(float64(u[i]))*1e-3+1e-4 {
+		if math.Abs(float64(got[i]-u[i])) > float64(math.Abs(float64(u[i]))*1e-3)+1e-4 {
 			t.Fatalf("value %d: %v -> %v", i, u[i], got[i])
 		}
 	}

@@ -99,18 +99,18 @@ func (p *Poisoner) Corrupt(params, ref []float32, round, client int) {
 		l := p.Lambda
 		for i, v := range params {
 			r := at(i)
-			params[i] = float32(r + (float64(v)-r)*l)
+			params[i] = float32(r + float64((float64(v)-r)*l))
 		}
 	case AttackNoise:
 		rng := attackRNG(p.Seed, round, client)
 		for i, v := range params {
-			params[i] = v + float32(rng.NormFloat64()*p.Sigma)
+			params[i] = v + float32(float64(rng.NormFloat64()*p.Sigma))
 		}
 	case AttackDrift:
 		var orig float64
 		for i, v := range params {
 			d := float64(v) - at(i)
-			orig += d * d
+			orig += float64(d * d)
 		}
 		orig = math.Sqrt(orig)
 		if orig == 0 {
@@ -124,7 +124,7 @@ func (p *Poisoner) Corrupt(params, ref []float32, round, client int) {
 		for i := range dir {
 			g := rng.NormFloat64()
 			dir[i] = g
-			gnorm += g * g
+			gnorm += float64(g * g)
 		}
 		gnorm = math.Sqrt(gnorm)
 		if gnorm == 0 {
@@ -132,7 +132,7 @@ func (p *Poisoner) Corrupt(params, ref []float32, round, client int) {
 		}
 		s := p.Lambda * orig / gnorm
 		for i := range params {
-			params[i] = float32(at(i) + dir[i]*s)
+			params[i] = float32(at(i) + float64(dir[i]*s))
 		}
 	default: // AttackSignFlip
 		for i, v := range params {
@@ -204,7 +204,7 @@ func ParseAttack(spec string) (*Poisoner, error) {
 // colluding poisoned set. The same (seed, n, frac) always yields the same
 // set, so a chaos run replays exactly.
 func Colluders(seed int64, n int, frac float64) map[int]bool {
-	k := int(frac*float64(n) + 0.5)
+	k := int(float64(frac*float64(n)) + 0.5)
 	if k < 0 {
 		k = 0
 	}

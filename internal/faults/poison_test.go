@@ -16,7 +16,7 @@ func sampleParams(n int, scale float32) []float32 {
 func l2(p []float32) float64 {
 	var s float64
 	for _, v := range p {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
@@ -65,7 +65,7 @@ func TestPoisonerScale(t *testing.T) {
 	orig := append([]float32(nil), params...)
 	p.Corrupt(params, ref, 3, 5)
 	for i := range params {
-		want := ref[i] + (orig[i]-ref[i])*(-2)
+		want := ref[i] + float32((orig[i]-ref[i])*(-2))
 		if math.Abs(float64(params[i]-want)) > 1e-5 {
 			t.Fatalf("index %d: %v, want %v", i, params[i], want)
 		}
@@ -124,7 +124,7 @@ func TestPoisonerDriftCoordination(t *testing.T) {
 	// up to float32 rounding.
 	var dot float64
 	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
+		dot += float64(float64(a[i]) * float64(b[i]))
 	}
 	cos := dot / (l2(a) * l2(b))
 	if cos < 1-1e-6 {
@@ -142,7 +142,7 @@ func TestPoisonerDriftCoordination(t *testing.T) {
 	p.Corrupt(c, nil, 10, 0)
 	dot = 0
 	for i := range a {
-		dot += float64(a[i]) * float64(c[i])
+		dot += float64(float64(a[i]) * float64(c[i]))
 	}
 	if cos := dot / (l2(a) * l2(c)); cos > 0.99 {
 		t.Fatalf("drift direction identical across rounds: cosine %v", cos)
@@ -156,19 +156,19 @@ func TestPoisonerDriftDelta(t *testing.T) {
 	ref := sampleParams(128, 5)
 	params := append([]float32(nil), ref...)
 	for i := range params {
-		params[i] += float32(i%3) * 0.5 // a small honest contribution
+		params[i] += float32(float32(i%3) * 0.5) // a small honest contribution
 	}
 	var orig float64
 	for i := range params {
 		d := float64(params[i]) - float64(ref[i])
-		orig += d * d
+		orig += float64(d * d)
 	}
 	orig = math.Sqrt(orig)
 	p.Corrupt(params, ref, 2, 1)
 	var got float64
 	for i := range params {
 		d := float64(params[i]) - float64(ref[i])
-		got += d * d
+		got += float64(d * d)
 	}
 	got = math.Sqrt(got)
 	if math.Abs(got-2*orig) > 1e-2*orig {

@@ -56,8 +56,7 @@ func TestChaosFederatedRound(t *testing.T) {
 				BurstLen:     2,
 				Seed:         seedBase + int64(i),
 			})},
-			Retry: &RetryPolicy{MaxAttempts: 6, BaseDelay: 2 * time.Millisecond,
-				MaxDelay: 50 * time.Millisecond, Multiplier: 2, Jitter: 0.5},
+			Retry: &RetryPolicy{MaxAttempts: 6, BaseDelay: 2 * time.Millisecond},
 		}
 	}
 

@@ -55,28 +55,18 @@ func (c *Client) http() *http.Client {
 // retryable failure classes: transport errors (connection refused, reset,
 // truncated body) and 5xx responses. Terminal protocol answers — any 4xx,
 // including 409 stale-round and 422 quarantine — are never retried; they
-// would fail identically again.
+// would fail identically again. The zero value is 4 attempts from 50ms.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per call (default 4).
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (default 50ms);
-	// each further attempt multiplies it by Multiplier (default 2) up to
-	// MaxDelay (default 2s).
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized (default
-	// 0.5): the actual sleep is delay * (1 - Jitter/2 + Jitter*U[0,1)),
-	// decorrelating clients that fail in lockstep.
-	Jitter float64
+	// each further attempt doubles it, up to 2s. Every sleep is the delay
+	// times U[0.75, 1.25), decorrelating clients that fail in lockstep.
+	BaseDelay time.Duration
 }
 
-// DefaultRetryPolicy is a sensible schedule for LAN/edge deployments:
-// 4 attempts spanning roughly 350ms.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond,
-		MaxDelay: 2 * time.Second, Multiplier: 2, Jitter: 0.5}
-}
+// maxRetryDelay caps the doubling backoff of a RetryPolicy.
+const maxRetryDelay = 2 * time.Second
 
 func (p *RetryPolicy) attempts() int {
 	if p.MaxAttempts > 0 {
@@ -91,30 +81,14 @@ func (p *RetryPolicy) delay(attempt int) time.Duration {
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
-	maxd := p.MaxDelay
-	if maxd <= 0 {
-		maxd = 2 * time.Second
-	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	d := float64(base)
+	d := base
 	for i := 1; i < attempt; i++ {
-		d *= mult
-		if d >= float64(maxd) {
-			d = float64(maxd)
+		if d *= 2; d >= maxRetryDelay {
+			d = maxRetryDelay
 			break
 		}
 	}
-	jit := p.Jitter
-	if jit == 0 {
-		jit = 0.5
-	}
-	if jit > 0 {
-		d *= 1 - jit/2 + jit*rand.Float64()
-	}
-	return time.Duration(d)
+	return time.Duration(float64(d) * (0.75 + float64(0.5*rand.Float64())))
 }
 
 // sleep waits the jittered backoff for the given retry — but never less
@@ -148,9 +122,6 @@ type HTTPError struct {
 func (e *HTTPError) Error() string {
 	return fmt.Sprintf("flnet: %s: server returned %s: %s", e.Op, e.Status, e.Body)
 }
-
-// Temporary reports whether retrying the same request can succeed.
-func (e *HTTPError) Temporary() bool { return e.StatusCode >= 500 }
 
 // Retryable classifies an error from Round, FetchModel, or PushUpdate:
 // transport-level failures and 5xx responses are retryable; 4xx protocol
@@ -372,28 +343,6 @@ func (c *Client) PushUpdate(ctx context.Context, round int, m *hdc.Model) error 
 	})
 }
 
-// WaitForRound polls until the server reaches at least the given round or
-// closes, with the given poll interval. Each sleep is jittered over
-// [0.5*poll, 1.5*poll) so a fleet of clients released by the same round
-// transition does not re-synchronize into a thundering herd against the
-// server.
-func (c *Client) WaitForRound(ctx context.Context, round int, poll time.Duration) (RoundInfo, error) {
-	for {
-		info, err := c.Round(ctx)
-		if err != nil {
-			return info, err
-		}
-		if info.Round >= round || info.Closed {
-			return info, nil
-		}
-		select {
-		case <-ctx.Done():
-			return info, ctx.Err()
-		case <-time.After(jitterDuration(poll)):
-		}
-	}
-}
-
 // jitterDuration spreads d uniformly over [d/2, 3d/2).
 func jitterDuration(d time.Duration) time.Duration {
 	if d <= 0 {
@@ -545,9 +494,9 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 		}
 		if info.Round == lastRound {
 			// Already contributed this round; sleep one jittered poll
-			// and re-enter the loop (rather than WaitForRound, whose
-			// target could become unreachable if the server restarts
-			// and its round counter rewinds).
+			// and re-enter the loop (rather than waiting for a target
+			// round, which could become unreachable if the server
+			// restarts and its round counter rewinds).
 			select {
 			case <-ctx.Done():
 				return contributed, ctx.Err()

@@ -200,7 +200,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	c := &Client{
 		BaseURL:    ts.URL,
 		HTTPClient: &http.Client{Transport: tr},
-		Retry:      &RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, Jitter: 0.1},
+		Retry:      &RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond},
 	}
 	ctx := context.Background()
 	if _, err := c.Round(ctx); err != nil {
@@ -223,7 +223,7 @@ func TestClientRetriesTruncatedModelFetch(t *testing.T) {
 	c := &Client{
 		BaseURL:    ts.URL,
 		HTTPClient: &http.Client{Transport: tr},
-		Retry:      &RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, Jitter: 0.1},
+		Retry:      &RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond},
 	}
 	for i := 0; i < 8; i++ {
 		if _, _, err := c.FetchModel(context.Background()); err != nil {

@@ -323,17 +323,6 @@ func TestPushUpdateUplinkWithoutRng(t *testing.T) {
 	}
 }
 
-func TestWaitForRoundTimesOut(t *testing.T) {
-	_, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 5})
-	c := &Client{BaseURL: ts.URL}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	_, err := c.WaitForRound(ctx, 2, 5*time.Millisecond)
-	if err == nil {
-		t.Fatal("expected context deadline error")
-	}
-}
-
 func TestStatsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 1})
 	_ = srv
@@ -372,5 +361,22 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if ps := st.PerShard[0]; ps.Enqueued != 1 || ps.Accepted != 1 || ps.Commits != 1 || ps.Pending != 0 || ps.Depth != 0 || ps.Dead {
 		t.Fatalf("queue stats %+v", ps)
+	}
+	checkQueueMirrors(t, c, st)
+}
+
+// checkQueueMirrors asserts that the per-shard counters read the same
+// facts as their top-level twins and /v1/round's pending count.
+func checkQueueMirrors(t *testing.T, c *Client, st Stats) {
+	t.Helper()
+	info, err := c.Round(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := st.PerShard[0]
+	if ps.Accepted != st.UpdatesAccepted || ps.Duplicates != st.DuplicateUpdates ||
+		ps.Dropped != st.UpdatesThrottled || ps.Pending != int64(info.UpdatesPending) {
+		t.Fatalf("perShard %+v does not mirror accepted/duplicates/throttled %d/%d/%d and pending %d",
+			ps, st.UpdatesAccepted, st.DuplicateUpdates, st.UpdatesThrottled, info.UpdatesPending)
 	}
 }

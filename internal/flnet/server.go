@@ -13,7 +13,8 @@
 //	POST /v1/update?round=N   -> client update; 409 if N is stale,
 //	                             422 if quarantined, 429 + Retry-After if
 //	                             too many uploads are queued, 503 if the
-//	                             aggregator is wedged, 410 after close
+//	                             aggregator token stayed out past the
+//	                             upload timeout, 410 after close
 //
 // Update framing: an update body is a fedcore wire envelope — magic,
 // codec id, element count, CRC32, then the compress.Codec payload — and
@@ -34,9 +35,9 @@
 // — when a RoundDeadline is configured — when the deadline expires with
 // at least one update pending (partial aggregation; an empty round is
 // carried forward). The commit runs on whichever goroutine closes the
-// round and takes the token; if the token stays out the aggregator is
-// written off as dead and the round carries the previous global forward
-// rather than stalling the federation.
+// round, under the same token, and waits for it: an Add that never
+// returns stalls the round visibly (uploads answer 503) until it does,
+// and Shutdown gives up on it when its context ends.
 //
 // Clients may identify themselves with the X-FHDnn-Client header; a
 // second update from the same client in one round is accepted
@@ -51,7 +52,7 @@
 // colluding minority of in-bound poisoners would sail straight through
 // the quarantine gates. GET /v1/stats reports the active policy, a
 // per-reason quarantine breakdown, how many updates the policy clipped,
-// and the aggregation queue's depth/drop/commit/death gauges.
+// and the aggregation queue's depth/drop/commit gauges.
 package flnet
 
 import (
@@ -85,16 +86,12 @@ const ClientHeader = "X-FHDnn-Client"
 const EnvelopeContentType = "application/x-fhdnn-envelope"
 
 // How long an upload handler waits for the aggregator token before
-// answering 503 (the aggregator is wedged but not yet written off), the
-// Retry-After hint on 429 responses, how many handlers may wait on or
-// hold the token before one more answers 429, and how long a round
-// commit waits for the token before writing the aggregator off. The
-// commit timeout must comfortably exceed one aggregator Add.
+// answering 503, the Retry-After hint on 429 responses, and how many
+// handlers may wait on or hold the token before one more answers 429.
 const (
 	defaultUploadTimeout = 30 * time.Second
 	defaultRetryAfter    = time.Second
 	defaultShardQueue    = 256
-	defaultCommitWait    = 2 * time.Second
 )
 
 // ServerConfig sizes the aggregation service.
@@ -157,7 +154,6 @@ type Server struct {
 	cfg           ServerConfig
 	aggName       string // canonical inner policy spec, for Stats
 	shardQueue    int64
-	commitTimeout time.Duration
 	uploadTimeout time.Duration
 	retryAfter    time.Duration
 
@@ -169,15 +165,13 @@ type Server struct {
 	acceptedRound atomic.Int64 // updates accepted into the open round
 
 	agg      fedcore.Aggregator
-	token    chan struct{}   // capacity 1; holding the token owns agg and seen
+	token    chan struct{}   // capacity 1; holding the token owns agg, seen and the round commit
 	seen     map[string]bool // per-round client dedupe
-	dead     atomic.Bool     // set by a commit that timed out on the token
 	queue    queueStats
-	closing  chan struct{} // one-token lock: one round close at a time
-	stopAll  chan struct{} // closed by Shutdown; releases handlers waiting on a token
+	stopAll  chan struct{} // closed by Shutdown; releases everyone waiting on the token
 	stopOnce sync.Once
 
-	deadlineTimer *time.Timer // owned by the holder of closing after NewServer
+	deadlineTimer *time.Timer // owned by the token holder after NewServer
 
 	stats *serverStats
 }
@@ -203,24 +197,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:           cfg,
 		aggName:       spec,
 		shardQueue:    defaultShardQueue,
-		commitTimeout: defaultCommitWait,
 		uploadTimeout: defaultUploadTimeout,
 		retryAfter:    defaultRetryAfter,
 		model:         hdc.NewModel(cfg.NumClasses, cfg.Dim),
 		agg:           agg,
 		token:         make(chan struct{}, 1),
 		seen:          make(map[string]bool),
-		closing:       make(chan struct{}, 1),
 		stopAll:       make(chan struct{}),
 		stats:         newServerStats(),
 	}
 	s.round.Store(1)
-	s.token <- struct{}{}
-	// The server is born holding closing: the first deadline is armed
-	// before the token exists, so a timer that fires at once still finds
-	// deadlineTimer written.
+	// The first deadline is armed before the token exists, so a timer that
+	// fires at once still finds deadlineTimer written.
 	s.armDeadline()
-	s.closing <- struct{}{}
+	s.token <- struct{}{}
 	return s, nil
 }
 
@@ -240,19 +230,25 @@ func (s *Server) Closed() bool { return s.closed.Load() }
 
 // Shutdown closes the current round cleanly: pending updates are
 // aggregated into the global model, the deadline timer is stopped, all
-// further updates are refused with 410 Gone, and handlers still waiting
-// on the aggregator token are released. It is idempotent and safe to call while
-// handlers are in flight. The context is consulted only for early
-// cancellation.
+// further updates are refused with 410 Gone, and everyone still waiting
+// on the aggregator token is released. If an Add still holds the token
+// when ctx ends, the server closes with that round unfolded, leaving the
+// deadline timer and the aggregator to the holder, and Shutdown returns
+// ctx.Err(). It is idempotent and safe to call while handlers are in
+// flight; a ctx already done on entry shuts nothing.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	var err error
 	s.stopOnce.Do(func() {
-		s.commit(commitShutdown, 0)
+		if !s.commit(commitShutdown, 0, ctx.Done()) {
+			s.closed.Store(true)
+			err = ctx.Err()
+		}
 		close(s.stopAll)
 	})
-	return nil
+	return err
 }
 
 // Handler returns the HTTP handler implementing the protocol.
@@ -268,7 +264,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleRound(w http.ResponseWriter, r *http.Request) {
 	info := RoundInfo{
 		Round:          int(s.round.Load()),
-		UpdatesPending: int(s.queue.pending.Load()),
+		UpdatesPending: int(s.acceptedRound.Load()),
 		MinUpdates:     s.cfg.MinUpdates,
 		Closed:         s.closed.Load(),
 	}
@@ -294,20 +290,18 @@ const (
 func (s *Server) Stats() Stats {
 	byReason, byCodec := s.stats.snapshotMaps()
 	q := &s.queue
+	accepted := s.stats.updatesAccepted.Load()
+	duplicates := s.stats.duplicateUpdates.Load()
+	throttled := s.stats.updatesThrottled.Load()
 	per := ShardStats{
 		Depth:      q.depth.Load(),
 		Enqueued:   q.enqueued.Load(),
-		Accepted:   q.accepted.Load(),
+		Accepted:   accepted,
 		Stale:      q.stale.Load(),
-		Duplicates: q.duplicates.Load(),
-		Dropped:    q.dropped.Load(),
+		Duplicates: duplicates,
+		Dropped:    throttled,
 		Commits:    q.commits.Load(),
-		Pending:    q.pending.Load(),
-		Dead:       s.dead.Load(),
-	}
-	dead := 0
-	if per.Dead {
-		dead = 1
+		Pending:    s.acceptedRound.Load(),
 	}
 	var clipped int64
 	if c, ok := s.agg.(interface{ Clipped() int64 }); ok {
@@ -317,17 +311,15 @@ func (s *Server) Stats() Stats {
 		Round:                  int(s.round.Load()),
 		Aggregator:             s.aggName,
 		Shards:                 1,
-		UpdatesAccepted:        s.stats.updatesAccepted.Load(),
+		UpdatesAccepted:        accepted,
 		UpdatesRejected:        s.stats.updatesRejected.Load(),
 		UpdatesQuarantined:     s.stats.updatesQuarantined.Load(),
 		QuarantinedByReason:    byReason,
 		UpdatesClipped:         clipped,
-		DuplicateUpdates:       s.stats.duplicateUpdates.Load(),
-		UpdatesThrottled:       s.stats.updatesThrottled.Load(),
+		DuplicateUpdates:       duplicates,
+		UpdatesThrottled:       throttled,
 		ShardTimeouts:          s.stats.shardTimeouts.Load(),
 		RoundsForcedByDeadline: s.stats.roundsForcedByDeadline.Load(),
-		PartialCommits:         s.stats.partialCommits.Load(),
-		DeadShards:             dead,
 		BytesReceived:          s.stats.bytesReceived.Load(),
 		UpdatesByCodec:         byCodec,
 		PerShard:               []ShardStats{per},
@@ -419,15 +411,9 @@ func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, cod
 		http.Error(w, "flnet: update quarantined: "+detail, http.StatusUnprocessableEntity)
 		return
 	}
-	if s.dead.Load() {
-		s.stats.shardTimeouts.Add(1)
-		http.Error(w, "flnet: the aggregator is dead", http.StatusServiceUnavailable)
-		return
-	}
 	q := &s.queue
 	if q.depth.Add(1) > s.shardQueue {
 		q.depth.Add(-1)
-		q.dropped.Add(1)
 		s.stats.updatesThrottled.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.retryAfter)))
 		http.Error(w, "flnet: aggregator busy, retry later", http.StatusTooManyRequests)
@@ -451,10 +437,11 @@ func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, cod
 	s.token <- struct{}{}
 	q.depth.Add(-1)
 	if closes {
-		// Token returned first (lock order, see shard.go). Committing before
-		// the 202 keeps the synchronous contract: the triggering client's
-		// answer is not written until the round has advanced.
-		s.commit(commitMinUpdates, round)
+		// Token returned first: commit takes it again (see shard.go).
+		// Committing before the 202 keeps the synchronous contract: the
+		// triggering client's answer is not written until the round has
+		// advanced.
+		s.commit(commitMinUpdates, round, s.stopAll)
 	}
 	switch status {
 	case http.StatusConflict:
@@ -499,7 +486,7 @@ func quarantineReason(flat []float32, maxNorm float64) (reason, detail string) {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return QuarantineNonFinite, fmt.Sprintf("non-finite parameter %v at index %d", v, i)
 		}
-		sum += f * f
+		sum += float64(f * f)
 		if a := math.Abs(f); a > peakAbs {
 			peakIdx, peakAbs = i, a
 		}

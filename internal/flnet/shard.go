@@ -11,39 +11,35 @@ import (
 // The round state. Aggregation runs on the upload handler's own
 // goroutine: the round lives in one aggregator plus its dedupe set,
 // guarded by a one-token lock — a channel of capacity 1 rather than a
-// mutex, because both acquirers need a timeout. A handler decodes and
-// gate-checks its update without any lock, admits itself against
-// shardQueue (too many handlers already waiting -> 429 with Retry-After:
-// backpressure instead of an unbounded pile-up), takes the token,
-// streams the update into the aggregator, and returns the token.
+// mutex, because every acquirer must also give up on a stop signal and
+// the upload handler on a timeout. A handler decodes and gate-checks its
+// update without any lock, admits itself against shardQueue (too many
+// handlers already waiting -> 429 with Retry-After: backpressure instead
+// of an unbounded pile-up), takes the token, streams the update into the
+// aggregator, and returns the token.
 //
 // Round commit runs on whichever goroutine closes the round — the handler
 // that added the MinUpdates-th update, the deadline timer, or Shutdown —
-// one at a time under the closing token. It takes the aggregator's token
-// (holding it proves no Add is in flight), commits the aggregator into
-// the global model, resets round state, advances the round, and returns
-// the token. If the token cannot be had within commitTimeout the
-// aggregator is written off as dead: the round carries the previous
-// global forward (the paper's stance that a failure must not stall the
-// federation), later uploads are answered 503, and /v1/stats records the
-// loss.
+// entirely under the same token: holding it proves no Add is in flight
+// and makes the closers take turns. The commit folds the aggregator into
+// the global model, resets round state, advances the round, re-arms the
+// deadline, and returns the token. It waits for the token as long as it
+// takes, or until its stop channel closes: an Add that never returns is
+// a bug to be seen (the round visibly stalls, uploads answer 503 after
+// uploadTimeout), not a state to be written off.
 //
-// Lock order: closing, then the aggregator token, then Server.mu
-// innermost and never held across a channel operation. A handler
-// therefore returns the token before it asks for closing; holding on to
-// it would make a racing deadline commit wait out commitTimeout and write
-// a healthy aggregator off as dead.
+// Lock order: the aggregator token, then Server.mu innermost and never
+// held across a channel operation. The token holder owns deadlineTimer.
+// A handler therefore returns the token before it commits the round it
+// closed; an upload racing that handler can still land in the round.
 
-// queueStats are the gauges and counters behind Stats.PerShard.
+// queueStats are the counters behind Stats.PerShard that no other Stats
+// field already keeps.
 type queueStats struct {
-	depth      atomic.Int64
-	enqueued   atomic.Int64
-	accepted   atomic.Int64
-	stale      atomic.Int64
-	duplicates atomic.Int64
-	dropped    atomic.Int64
-	commits    atomic.Int64
-	pending    atomic.Int64
+	depth    atomic.Int64
+	enqueued atomic.Int64
+	stale    atomic.Int64
+	commits  atomic.Int64
 }
 
 // take acquires the aggregator token, waiting at most wait or until stop
@@ -95,37 +91,37 @@ func (s *Server) aggregate(wantRound int, clientID, codec string, params []float
 	}
 	if clientID != "" {
 		if s.seen[clientID] {
-			s.queue.duplicates.Add(1)
 			s.stats.duplicateUpdates.Add(1)
 			return http.StatusAccepted, round, false
 		}
 		s.seen[clientID] = true
 	}
 	s.agg.Add(fedcore.Update{Params: params, Round: round, ClientID: clientID, Samples: 1})
-	s.queue.accepted.Add(1)
-	s.queue.pending.Add(1)
 	s.stats.accept(codec)
 	return http.StatusAccepted, round, s.acceptedRound.Add(1) == int64(s.cfg.MinUpdates)
 }
 
-// commit closes round (any round, for commitShutdown): take the token,
-// commit the aggregator into the global model, reset round state,
-// advance, return the token. If the token stays out past commitTimeout
-// the aggregator is written off as dead and the round advances with the
-// previous global carried forward. Stale calls — the round already
+// commit closes round (any round, for commitShutdown): wait for the token
+// or stop, commit the aggregator into the global model, reset round
+// state, advance, return the token. It reports false only when stop
+// closed first, with nothing touched. Stale calls — the round already
 // advanced, or a deadline fired for a round that closed by threshold —
 // are no-ops, which is what lets the threshold handler, the deadline
 // timer and Shutdown race for the same round.
-func (s *Server) commit(reason commitReason, round int) {
-	<-s.closing
-	defer func() { s.closing <- struct{}{} }()
+func (s *Server) commit(reason commitReason, round int, stop <-chan struct{}) bool {
+	select {
+	case <-s.token:
+	case <-stop:
+		return false
+	}
+	defer func() { s.token <- struct{}{} }()
 	if s.closed.Load() {
-		return
+		return true
 	}
 	if reason == commitShutdown {
 		round = int(s.round.Load())
 	} else if round != int(s.round.Load()) {
-		return
+		return true
 	}
 	if s.acceptedRound.Load() == 0 {
 		// Empty round: carry it forward (the global model must not drift
@@ -138,29 +134,20 @@ func (s *Server) commit(reason commitReason, round int) {
 			s.stopDeadline()
 			s.closed.Store(true)
 		}
-		return
-	}
-
-	// A token that does not come back within commitTimeout means the
-	// aggregator is wedged or stuck mid-Add; the round must not stall on
-	// it. Deadness is sticky: the token holder may still be using the
-	// aggregator, so it is never touched again.
-	live := !s.dead.Load() && s.take(s.commitTimeout, nil)
-	if !live {
-		s.dead.Store(true)
-		s.stats.partialCommits.Add(1)
+		return true
 	}
 
 	// The round advances in the same critical section as the commit, so
 	// a Model() snapshot never pairs the new global with the old round.
 	next := round + 1
 	s.mu.Lock()
-	if live {
-		s.agg.Commit(s.model.Flat())
-	}
+	s.agg.Commit(s.model.Flat())
 	s.acceptedRound.Store(0)
 	s.round.Store(int64(next))
 	s.mu.Unlock()
+	s.agg.Reset()
+	clear(s.seen)
+	s.queue.commits.Add(1)
 
 	if reason == commitDeadline {
 		s.stats.roundsForcedByDeadline.Add(1)
@@ -171,18 +158,12 @@ func (s *Server) commit(reason commitReason, round int) {
 	} else {
 		s.armDeadline()
 	}
-	if live {
-		s.agg.Reset()
-		clear(s.seen)
-		s.queue.pending.Store(0)
-		s.queue.commits.Add(1)
-		s.token <- struct{}{}
-	}
+	return true
 }
 
 // armDeadline (re)arms the round deadline for the current round. The
-// timer belongs to whoever holds the closing token (NewServer arms the
-// first one before the server is shared).
+// timer belongs to whoever holds the aggregator token (NewServer arms the
+// first one before it fills the token).
 func (s *Server) armDeadline() {
 	s.stopDeadline()
 	if s.cfg.RoundDeadline <= 0 || s.closed.Load() {
@@ -190,7 +171,7 @@ func (s *Server) armDeadline() {
 	}
 	round := int(s.round.Load())
 	s.deadlineTimer = time.AfterFunc(s.cfg.RoundDeadline, func() {
-		s.commit(commitDeadline, round)
+		s.commit(commitDeadline, round, s.stopAll)
 	})
 }
 

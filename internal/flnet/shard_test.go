@@ -33,14 +33,15 @@ func pushAs(t *testing.T, url, id string, round int, k, d int, vals []float32) e
 // failure: with a queue bound of 1 the first upload parks waiting for the
 // wedged token, the second bounces off the admission bound with 429 +
 // Retry-After — surfaced by the client as ErrThrottled carrying the
-// server's hint — and the first times out with 503.
+// server's hint — and the first times out with 503. Once the aggregator
+// recovers, an upload and its duplicate land, and the per-shard block
+// reads the same counts as the top-level stats and /v1/round.
 func TestShardQueueBackpressure(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 100})
 	srv.shardQueue = 1
 	srv.uploadTimeout = 500 * time.Millisecond
 	srv.retryAfter = 3 * time.Second
 	<-srv.token // wedge the aggregator: somebody is stuck mid-Add
-	defer func() { srv.token <- struct{}{} }()
 
 	first := make(chan error, 1)
 	go func() { first <- pushAs(t, ts.URL, "c1", 1, 1, 4, []float32{1, 1, 1, 1}) }()
@@ -68,6 +69,19 @@ func TestShardQueueBackpressure(t *testing.T) {
 	if ps := st.PerShard[0]; ps.Dropped != 1 || ps.Enqueued != 1 || ps.Depth != 0 {
 		t.Fatalf("queue dropped/enqueued/depth = %d/%d/%d, want 1/1/0", ps.Dropped, ps.Enqueued, ps.Depth)
 	}
+
+	srv.token <- struct{}{} // the aggregator recovers
+	for i := 0; i < 2; i++ {
+		if err := pushAs(t, ts.URL, "c3", 1, 1, 4, []float32{1, 1, 1, 1}); err != nil {
+			t.Fatalf("push %d after recovery: %v", i, err)
+		}
+	}
+	st = srv.Stats()
+	if ps := st.PerShard[0]; ps.Accepted != 1 || ps.Duplicates != 1 || ps.Dropped != 1 || ps.Pending != 1 {
+		t.Fatalf("queue accepted/duplicates/dropped/pending = %d/%d/%d/%d, want 1/1/1/1",
+			ps.Accepted, ps.Duplicates, ps.Dropped, ps.Pending)
+	}
+	checkQueueMirrors(t, &Client{BaseURL: ts.URL}, st)
 }
 
 // A crowd bounced off the admission bound must wait out the server's
@@ -158,48 +172,89 @@ func TestThrottledClientsRetryPastBackpressure(t *testing.T) {
 	}
 }
 
-// Chaos acceptance: an aggregator wedged mid-round must not stall the
-// federation. The deadline commit cannot get the token, writes the
-// aggregator off (its pending update is lost), carries the previous
-// global forward, advances the round and records the death in /v1/stats;
-// every later upload is answered 503.
-func TestDeadAggregatorCarriesGlobalForward(t *testing.T) {
+// wedgeWithPending takes the aggregator token and, holding it the way an
+// Add that never returns would, folds one update from client "a" into
+// round 1. The caller owns the token afterwards.
+func wedgeWithPending(t *testing.T, srv *Server, vals []float32) {
+	t.Helper()
+	<-srv.token
+	if status, _, _ := srv.aggregate(1, "a", "raw", vals); status != http.StatusAccepted {
+		t.Fatalf("fold under the wedged token: status %d", status)
+	}
+}
+
+// Chaos acceptance: an Add that holds the token far past any commit
+// timeout stalls the round in plain sight — uploads answer 503, the
+// pending update is still counted, the deadline cannot advance the round
+// — and the federation picks up where it stopped once the token comes
+// back: the stalled round commits the exact mean of what it folded, and
+// the next round accepts and commits a fresh upload.
+func TestWedgedAddStallsThenRecovers(t *testing.T) {
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses: 1, Dim: 4, MinUpdates: 100,
-		RoundDeadline: 300 * time.Millisecond,
+		RoundDeadline: 50 * time.Millisecond,
 	})
-	// Written under the round-close token, so the armed deadline's commit
-	// is ordered after the write.
-	<-srv.closing
-	srv.commitTimeout = 50 * time.Millisecond
-	srv.closing <- struct{}{}
-	if err := pushAs(t, ts.URL, "a", 1, 1, 4, []float32{2, 2, 2, 2}); err != nil {
-		t.Fatal(err)
-	}
-	<-srv.token // wedge the aggregator; the token never comes back
+	srv.uploadTimeout = 100 * time.Millisecond
+	wedgeWithPending(t, srv, []float32{2, 4, 6, 8})
+	wedged := time.Now()
 
+	err := pushAs(t, ts.URL, "b", 1, 1, 4, []float32{5, 5, 5, 5})
+	var he *HTTPError
+	if !errors.As(err, &he) || he.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("push against a wedged Add: want 503, got %v", err)
+	}
+	time.Sleep(2500*time.Millisecond - time.Since(wedged))
+	st := srv.Stats()
+	if st.ShardTimeouts != 1 || st.PerShard[0].Pending != 1 || st.Round != 1 {
+		t.Fatalf("timeouts/pending/round = %d/%d/%d while wedged, want 1/1/1",
+			st.ShardTimeouts, st.PerShard[0].Pending, st.Round)
+	}
+
+	srv.token <- struct{}{} // the Add returns
 	waitFor(t, func() bool { return srv.Round() == 2 })
 	m, _ := srv.Model()
 	for i, v := range m.Flat() {
-		if v != 0 {
-			t.Fatalf("global[%d] = %v, want the previous global 0 carried forward", i, v)
+		if want := float32(2 * (i + 1)); v != want {
+			t.Fatalf("global[%d] = %v, want the stalled round's mean %v", i, v, want)
 		}
 	}
-	st := srv.Stats()
-	if st.PartialCommits != 1 || st.DeadShards != 1 || !st.PerShard[0].Dead {
-		t.Fatalf("partial/dead = %d/%d (%+v), want 1/1", st.PartialCommits, st.DeadShards, st.PerShard)
+	if err := pushAs(t, ts.URL, "c", 2, 1, 4, []float32{1, 1, 1, 1}); err != nil {
+		t.Fatalf("push after recovery: %v", err)
 	}
+	waitFor(t, func() bool { return srv.Round() == 3 })
+	m, _ = srv.Model()
+	for i, v := range m.Flat() {
+		if v != 1 {
+			t.Fatalf("global[%d] = %v after the next round, want 1", i, v)
+		}
+	}
+	if st := srv.Stats(); st.UpdatesAccepted != 2 || st.PerShard[0].Commits != 2 {
+		t.Fatalf("accepted/commits = %d/%d, want 2/2", st.UpdatesAccepted, st.PerShard[0].Commits)
+	}
+}
 
-	err := pushAs(t, ts.URL, "b", 2, 1, 4, []float32{5, 5, 5, 5})
+// Shutdown honours its context: with an Add that never returns the
+// token, it gives up when ctx ends, reports why, and still closes the
+// server to uploads.
+func TestShutdownReturnsWhileAddWedged(t *testing.T) {
+	srv, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 100})
+	wedgeWithPending(t, srv, []float32{1, 1, 1, 1})
+	defer func() { srv.token <- struct{}{} }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := srv.Shutdown(ctx)
+	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > time.Second {
+		t.Fatalf("Shutdown = %v after %v, want DeadlineExceeded within 1s", err, took)
+	}
+	if !srv.Closed() {
+		t.Fatal("server still open after Shutdown gave up on the token")
+	}
+	err = pushAs(t, ts.URL, "b", 1, 1, 4, []float32{1, 1, 1, 1})
 	var he *HTTPError
-	if !errors.As(err, &he) || he.StatusCode != 503 {
-		t.Fatalf("push to a dead aggregator: want 503, got %v", err)
-	}
-	if want := "flnet: the aggregator is dead"; he.Body != want {
-		t.Fatalf("503 body = %q, want %q", he.Body, want)
-	}
-	if st := srv.Stats(); st.ShardTimeouts != 1 || st.UpdatesAccepted != 1 {
-		t.Fatalf("timeouts/accepted = %d/%d, want 1/1", st.ShardTimeouts, st.UpdatesAccepted)
+	if !errors.As(err, &he) || he.StatusCode != http.StatusGone {
+		t.Fatalf("push after Shutdown: want 410, got %v", err)
 	}
 }
 

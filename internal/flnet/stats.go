@@ -19,7 +19,6 @@ type serverStats struct {
 	updatesThrottled       atomic.Int64
 	shardTimeouts          atomic.Int64
 	roundsForcedByDeadline atomic.Int64
-	partialCommits         atomic.Int64
 	bytesReceived          atomic.Int64
 
 	mu                  sync.Mutex
@@ -67,21 +66,21 @@ func (st *serverStats) snapshotMaps() (byReason, byCodec map[string]int64) {
 
 // ShardStats is the aggregation-queue block inside Stats (the server has
 // one aggregator, so PerShard has one entry, Shard 0): depth and drop
-// counts expose where backpressure is biting, commit counts how many
-// round commits folded the aggregator, and Dead marks an aggregator a
-// commit has written off because its token never came back (the round
-// carries the previous global forward instead of stalling).
+// counts expose where backpressure is biting, and commit counts how many
+// round commits folded the aggregator. Accepted, Duplicates, Dropped and
+// Pending repeat UpdatesAccepted, DuplicateUpdates, UpdatesThrottled and
+// /v1/round's updatesPending; they stay for existing scrapers.
 type ShardStats struct {
 	Shard      int   `json:"shard"`
 	Depth      int64 `json:"depth"`    // handlers waiting on or holding the token right now
 	Enqueued   int64 `json:"enqueued"` // uploads ever admitted past the 429 gate
 	Accepted   int64 `json:"accepted"`
-	Stale      int64 `json:"stale"`
+	Stale      int64 `json:"stale"` // uploads the round gate refused under the token
 	Duplicates int64 `json:"duplicates"`
 	Dropped    int64 `json:"dropped"` // over-queue-bound rejections (429)
 	Commits    int64 `json:"commits"` // round commits that folded the aggregator
 	Pending    int64 `json:"pending"` // accepted updates awaiting the next commit
-	Dead       bool  `json:"dead"`
+	Dead       bool  `json:"dead"`    // always false: a commit waits for the token, it never writes the aggregator off
 }
 
 // Stats is the JSON body of GET /v1/stats. BytesReceived counts the wire
@@ -96,11 +95,11 @@ type ShardStats struct {
 // The backpressure block: Shards is always 1 (one aggregator),
 // UpdatesThrottled counts 429 over-queue-bound rejections, ShardTimeouts
 // counts uploads answered 503 because the aggregator token never came
-// free within the upload timeout or the aggregator is dead (such an
-// upload is never aggregated), PartialCommits counts rounds committed
-// with the dead aggregator excluded, DeadShards is 1 once a commit has
-// written the aggregator off, and PerShard carries its one
-// depth/drop/commit entry.
+// free within the upload timeout (such an upload is never aggregated),
+// and PerShard carries its one depth/drop/commit entry. PartialCommits
+// and DeadShards always read 0: a round commit waits for the token
+// rather than writing the aggregator off, so no round commits without
+// it. They stay in the schema for existing scrapers.
 type Stats struct {
 	Round                  int              `json:"round"`
 	Aggregator             string           `json:"aggregator"`
