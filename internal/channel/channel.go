@@ -242,54 +242,6 @@ func FlipBits(data []byte, pe float64, rng *rand.Rand) {
 	}
 }
 
-// Subsample deliberately transmits only a random fraction of the update's
-// dimensions each round, scaled by 1/Frac so the aggregate stays unbiased.
-// This turns the paper's partial-information property (Fig. 5: any subset
-// of a holographic code carries a proportional share of the information)
-// into a bandwidth knob: an HD client on a constrained uplink can ship 10%
-// of its prototypes per round and still converge. The kept-dimension mask
-// is derived from the shared per-client round RNG, so the receiver knows
-// it and no indices travel on the wire.
-type Subsample struct {
-	Frac float64
-}
-
-// Transmit zeroes a random (1-Frac) of the dimensions and rescales the
-// survivors by 1/Frac.
-func (c Subsample) Transmit(update []float32, rng *rand.Rand) []float32 {
-	out := make([]float32, len(update))
-	if c.Frac <= 0 {
-		return out
-	}
-	if c.Frac >= 1 {
-		copy(out, update)
-		return out
-	}
-	inv := float32(1 / c.Frac)
-	for i, v := range update {
-		if rng.Float64() < c.Frac {
-			out[i] = v * inv
-		}
-	}
-	return out
-}
-
-// Name implements Channel.
-func (c Subsample) Name() string { return fmt.Sprintf("subsample(%g)", c.Frac) }
-
-// WireBytes reports the reduced traffic: only the kept dimensions travel
-// (4 bytes each; the mask is implied by the shared round seed).
-func (c Subsample) WireBytes(n int) int {
-	frac := c.Frac
-	if frac > 1 {
-		frac = 1
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	return int(float64(float64(4*n)*frac) + 0.5)
-}
-
 // BitErrorFloat32 applies BSC bit flips to the IEEE-754 float32 encoding of
 // the update — the CNN transmission model of Sec. 3.5.2, where a single
 // exponent-bit flip can turn 0.15625 into 5.3e37.

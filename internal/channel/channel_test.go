@@ -207,19 +207,23 @@ func TestBitErrorFloat32ZeroPEIsLossless(t *testing.T) {
 // Property: the quantized channel bounds relative damage. After scale-up,
 // a bit flip changes an integer code by at most 2^31, which after scale-down
 // is at most ~2x the block's max magnitude — unlike float32 exponent flips
-// which can amplify by 1e38.
+// which can amplify by 1e38. An all-zero block (a class a non-IID client
+// never saw) is bounded too: its codes come back at most ~1 in magnitude,
+// not at face value.
 func TestBitErrorQuantizedBoundsDamage(t *testing.T) {
+	const block = 64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		u := randomUpdate(rng, 256)
+		u := randomUpdate(rng, 4*block)
+		clear(u[block : 2*block]) // the second block is all zero
 		maxAbs := 0.0
 		for _, v := range u {
 			if a := math.Abs(float64(v)); a > maxAbs {
 				maxAbs = a
 			}
 		}
-		out := BitErrorQuantized{PE: 1e-3, Bits: 32, BlockLen: 64}.Transmit(u, rng)
-		for _, v := range out {
+		out := BitErrorQuantized{PE: 1e-3, Bits: 32, BlockLen: block}.Transmit(u, rng)
+		for i, v := range out {
 			a := math.Abs(float64(v))
 			if math.IsNaN(a) || math.IsInf(a, 0) {
 				return false
@@ -227,6 +231,9 @@ func TestBitErrorQuantizedBoundsDamage(t *testing.T) {
 			// worst case: sign-bit flip of a max-magnitude code plus the
 			// original value -> bounded by ~4x block max (conservative).
 			if a > float64(4*maxAbs)+1 {
+				return false
+			}
+			if i >= block && i < 2*block && a > 1 {
 				return false
 			}
 		}
@@ -339,74 +346,6 @@ func TestBurstyLossValidation(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestSubsampleUnbiased(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	u := []float32{2, -4, 6}
-	sum := make([]float64, 3)
-	const reps = 30000
-	c := Subsample{Frac: 0.25}
-	for r := 0; r < reps; r++ {
-		out := c.Transmit(u, rng)
-		for i, v := range out {
-			sum[i] += float64(v)
-		}
-	}
-	for i := range sum {
-		if math.Abs(sum[i]/reps-float64(u[i])) > 0.1*math.Abs(float64(u[i])) {
-			t.Fatalf("biased subsampling at %d: mean %v, want %v", i, sum[i]/reps, u[i])
-		}
-	}
-}
-
-func TestSubsampleKeepFraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	u := make([]float32, 100000)
-	for i := range u {
-		u[i] = 1
-	}
-	out := Subsample{Frac: 0.1}.Transmit(u, rng)
-	kept := 0
-	for _, v := range out {
-		if v != 0 {
-			kept++
-		}
-	}
-	frac := float64(kept) / float64(len(u))
-	if math.Abs(frac-0.1) > 0.01 {
-		t.Fatalf("kept fraction %v, want ~0.1", frac)
-	}
-}
-
-func TestSubsampleEdgeFracs(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	u := []float32{1, 2, 3}
-	out := Subsample{Frac: 1}.Transmit(u, rng)
-	for i := range u {
-		if out[i] != u[i] {
-			t.Fatal("frac=1 must be identity")
-		}
-	}
-	out = Subsample{Frac: 0}.Transmit(u, rng)
-	for _, v := range out {
-		if v != 0 {
-			t.Fatal("frac=0 must zero everything")
-		}
-	}
-}
-
-func TestSubsampleWireBytes(t *testing.T) {
-	c := Subsample{Frac: 0.25}
-	if got := c.WireBytes(1000); got != 1000 {
-		t.Fatalf("WireBytes = %d, want 1000 (25%% of 4000)", got)
-	}
-	if got := (Subsample{Frac: 2}).WireBytes(10); got != 40 {
-		t.Fatalf("clamped WireBytes = %d", got)
-	}
-	if got := (Subsample{Frac: -1}).WireBytes(10); got != 0 {
-		t.Fatalf("negative frac WireBytes = %d", got)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // Uplink adapts a Codec to the federated uplink interface (it satisfies
 // channel.Channel): the transmitted update is what survives a lossy
-// compression round trip, and WireBytes reports the actual compressed size
-// for traffic accounting.
+// compression round trip, and WireCodec exposes the codec so traffic
+// accounting charges the actual compressed size.
 type Uplink struct {
 	C Codec
 }
@@ -34,9 +34,3 @@ func (u Uplink) Name() string { return "compress:" + u.C.Name() }
 // — the same bytes an flnet deployment would actually put on the wire —
 // instead of a raw-float estimate.
 func (u Uplink) WireCodec() Codec { return u.C }
-
-// WireBytes returns the compressed payload size of an n-value update
-// (codec output only, without envelope framing).
-func (u Uplink) WireBytes(n int) int {
-	return len(u.C.Encode(make([]float32, n)))
-}

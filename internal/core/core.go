@@ -102,11 +102,6 @@ func NewSimCLRExtractor(ds *dataset.Dataset, width int, cfg simclr.Config) *Netw
 	return &NetworkExtractor{Net: res.Encoder, D: dim, Label: fmt.Sprintf("simclr(w=%d)", width)}
 }
 
-// NewResNetBodyExtractor freezes the body of a (possibly pretrained) ResNet.
-func NewResNetBodyExtractor(r *nn.ResNet, label string) *NetworkExtractor {
-	return &NetworkExtractor{Net: r.Body, D: r.FeatureDim(), Label: label}
-}
-
 // Config sizes an FHDnn instance.
 type Config struct {
 	// HDDim is the hypervector dimensionality d (paper-scale: 10000).

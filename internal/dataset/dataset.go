@@ -236,14 +236,6 @@ type VectorConfig struct {
 	Seed      int64
 }
 
-// ISOLETLike mirrors the UCI ISOLET shape: 26 classes, 617 features.
-func ISOLETLike(perClass int, seed int64) VectorConfig {
-	return VectorConfig{
-		Name: "isolet", Classes: 26, Features: 617, PerClass: perClass,
-		ClassStd: 1.0, SampleStd: 0.6, Seed: seed,
-	}
-}
-
 // GenerateVectors builds a Gaussian-cluster dataset from cfg.
 func GenerateVectors(cfg VectorConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -127,13 +127,6 @@ func TestBatchesBadSizePanics(t *testing.T) {
 	Batches(10, 0, nil)
 }
 
-func TestGenerateVectorsISOLETShape(t *testing.T) {
-	d := GenerateVectors(ISOLETLike(4, 11))
-	if d.Len() != 26*4 || d.X.Dim(1) != 617 || d.NumClasses != 26 {
-		t.Fatalf("ISOLET-like shape: len=%d dims=%v classes=%d", d.Len(), d.X.Shape(), d.NumClasses)
-	}
-}
-
 func TestPartitionIIDCoversAllOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := PartitionIID(103, 10, rng)

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -34,60 +33,4 @@ func SplitStratified(d *Dataset, testFrac float64, rng *rand.Rand) (train, test 
 		trainIdx = append(trainIdx, idx[nTest:]...)
 	}
 	return d.Subset(trainIdx), d.Subset(testIdx)
-}
-
-// Standardizer holds per-feature mean and standard deviation fitted on a
-// training set, to be applied to any split — the usual leak-free
-// normalization workflow.
-type Standardizer struct {
-	Mean, Std []float32
-}
-
-// FitStandardizer computes per-feature statistics over d.
-func FitStandardizer(d *Dataset) *Standardizer {
-	sl := d.SampleLen()
-	n := d.Len()
-	if n == 0 {
-		panic("dataset: cannot fit a standardizer on an empty dataset")
-	}
-	mean := make([]float64, sl)
-	for i := 0; i < n; i++ {
-		for j, v := range d.X.Data()[i*sl : (i+1)*sl] {
-			mean[j] += float64(v)
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	variance := make([]float64, sl)
-	for i := 0; i < n; i++ {
-		for j, v := range d.X.Data()[i*sl : (i+1)*sl] {
-			diff := float64(v) - mean[j]
-			variance[j] += float64(diff * diff)
-		}
-	}
-	s := &Standardizer{Mean: make([]float32, sl), Std: make([]float32, sl)}
-	for j := range variance {
-		std := math.Sqrt(variance[j] / float64(n))
-		if std < 1e-8 {
-			std = 1 // constant feature: leave it centered but unscaled
-		}
-		s.Mean[j] = float32(mean[j])
-		s.Std[j] = float32(std)
-	}
-	return s
-}
-
-// Apply standardizes d in place: x := (x - mean) / std per feature.
-func (s *Standardizer) Apply(d *Dataset) {
-	sl := d.SampleLen()
-	if sl != len(s.Mean) {
-		panic(fmt.Sprintf("dataset: standardizer fitted on %d features, dataset has %d", len(s.Mean), sl))
-	}
-	for i := 0; i < d.Len(); i++ {
-		row := d.X.Data()[i*sl : (i+1)*sl]
-		for j := range row {
-			row[j] = (row[j] - s.Mean[j]) / s.Std[j]
-		}
-	}
 }

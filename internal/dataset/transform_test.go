@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -56,54 +55,4 @@ func TestSplitStratifiedValidation(t *testing.T) {
 			SplitStratified(d, frac, rand.New(rand.NewSource(1)))
 		}()
 	}
-}
-
-func TestStandardizerMakesZeroMeanUnitStd(t *testing.T) {
-	d := GenerateVectors(VectorConfig{
-		Name: "v", Classes: 3, Features: 5, PerClass: 50, ClassStd: 3, SampleStd: 1, Seed: 5})
-	s := FitStandardizer(d)
-	s.Apply(d)
-	sl := d.SampleLen()
-	for j := 0; j < sl; j++ {
-		var mean, sq float64
-		for i := 0; i < d.Len(); i++ {
-			v := float64(d.X.At(i, j))
-			mean += v
-			sq += float64(v * v)
-		}
-		mean /= float64(d.Len())
-		std := math.Sqrt(sq/float64(d.Len()) - float64(mean*mean))
-		if math.Abs(mean) > 1e-4 || math.Abs(std-1) > 1e-3 {
-			t.Fatalf("feature %d: mean %v std %v after standardizing", j, mean, std)
-		}
-	}
-}
-
-func TestStandardizerConstantFeature(t *testing.T) {
-	d := GenerateVectors(VectorConfig{
-		Name: "v", Classes: 2, Features: 2, PerClass: 10, ClassStd: 1, SampleStd: 0.5, Seed: 6})
-	for i := 0; i < d.Len(); i++ {
-		d.X.Set(7, i, 1) // constant second feature
-	}
-	s := FitStandardizer(d)
-	s.Apply(d)
-	for i := 0; i < d.Len(); i++ {
-		if d.X.At(i, 1) != 0 {
-			t.Fatalf("constant feature should center to 0, got %v", d.X.At(i, 1))
-		}
-	}
-}
-
-func TestStandardizerDimensionMismatch(t *testing.T) {
-	a := GenerateVectors(VectorConfig{
-		Name: "a", Classes: 2, Features: 3, PerClass: 4, ClassStd: 1, SampleStd: 1, Seed: 7})
-	b := GenerateVectors(VectorConfig{
-		Name: "b", Classes: 2, Features: 4, PerClass: 4, ClassStd: 1, SampleStd: 1, Seed: 8})
-	s := FitStandardizer(a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Apply(b)
 }

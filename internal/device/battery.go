@@ -18,15 +18,6 @@ type Battery struct {
 // Joules returns the capacity in joules.
 func (b Battery) Joules() float64 { return b.CapacityWh * 3600 }
 
-// CommonBatteries, for context: a phone-class 10 Wh pack and a small
-// 3.7 V / 2 Ah IoT cell (~7.4 Wh).
-func CommonBatteries() map[string]Battery {
-	return map[string]Battery{
-		"IoT 2Ah cell": {CapacityWh: 7.4, IdlePowerW: 0.3},
-		"10Wh pack":    {CapacityWh: 10, IdlePowerW: 0.5},
-	}
-}
-
 // RoundsOnCharge returns how many federated rounds the battery sustains,
 // given the per-round training energy and duration on this device plus the
 // per-round uplink airtime at the given radio power. Returns 0 if even one

@@ -84,15 +84,3 @@ func TestEnergyToTargetValidation(t *testing.T) {
 	}()
 	EnergyToTarget(JetsonNano(), PaperReference(), Battery{CapacityWh: 1}, 0, 10, 1, 1, 1)
 }
-
-func TestCommonBatteries(t *testing.T) {
-	bs := CommonBatteries()
-	if len(bs) < 2 {
-		t.Fatal("need reference batteries")
-	}
-	for name, b := range bs {
-		if b.CapacityWh <= 0 {
-			t.Fatalf("%s has no capacity", name)
-		}
-	}
-}

@@ -108,19 +108,6 @@ func ResNetForwardFLOPs(cfg nn.ResNetConfig, imgSize int) float64 {
 	return total
 }
 
-// MNISTCNNForwardFLOPs sums per-sample forward FLOPs of the paper's MNIST
-// baseline.
-func MNISTCNNForwardFLOPs(cfg nn.MNISTCNNConfig) float64 {
-	s := cfg.ImgSize
-	total := ConvForwardFLOPs(cfg.InChannels, cfg.C1, s, s, 3)
-	s /= 2
-	total += ConvForwardFLOPs(cfg.C1, cfg.C2, s, s, 3)
-	s /= 2
-	total += LinearForwardFLOPs(cfg.C2*s*s, cfg.Hidden)
-	total += LinearForwardFLOPs(cfg.Hidden, cfg.NumClasses)
-	return total
-}
-
 // HDEncodeFLOPs counts one random-projection encoding (d x n matrix-vector
 // product).
 func HDEncodeFLOPs(d, n int) float64 { return 2 * float64(d) * float64(n) }

@@ -41,17 +41,6 @@ func TestResNetFLOPsScaleWithWidth(t *testing.T) {
 	}
 }
 
-func TestMNISTCNNFLOPs(t *testing.T) {
-	got := MNISTCNNForwardFLOPs(nn.DefaultMNISTCNN())
-	if got <= 0 {
-		t.Fatal("MNIST CNN FLOPs must be positive")
-	}
-	// must be far smaller than ResNet-18
-	if got > ResNetForwardFLOPs(nn.DefaultResNet18(3, 10), 32) {
-		t.Fatal("MNIST CNN cannot cost more than ResNet-18")
-	}
-}
-
 func TestHDFLOPs(t *testing.T) {
 	if got := HDEncodeFLOPs(10000, 512); got != 2*10000*512 {
 		t.Fatalf("HDEncodeFLOPs = %v", got)

@@ -85,7 +85,6 @@ func AsyncVsSync(s Scale) []AsyncRow {
 		LocalEpochs:    2,
 		StalenessAlpha: 0.5,
 		EvalEvery:      fastDelay,
-		Seed:           s.Seed + 93,
 	}
 	asyncRes := asyncTrainer.Run()
 

@@ -154,15 +154,21 @@ func TestFig8RobustnessShape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	for _, r := range rows {
+	// Non-IID clients upload all-zero prototypes for classes they never
+	// saw; the quantizer must bound bit-error damage on those too.
+	noniid := Fig8Unreliable(s, Fig8Levels{BER: []float64{1e-4}}, []string{"noniid"})
+	if len(noniid) != 1 {
+		t.Fatalf("got %d non-IID rows", len(noniid))
+	}
+	for _, r := range append(rows, noniid...) {
 		// The paper's central result: FHDnn tolerates every error model
 		// better than the CNN at realistic error levels.
 		if r.FHDnnAcc < r.CNNAcc-0.05 {
-			t.Fatalf("%s level %v: FHDnn %v should not trail CNN %v",
-				r.Condition, r.Level, r.FHDnnAcc, r.CNNAcc)
+			t.Fatalf("%s %s level %v: FHDnn %v should not trail CNN %v",
+				r.Distribution, r.Condition, r.Level, r.FHDnnAcc, r.CNNAcc)
 		}
 		if r.FHDnnAcc < 0.3 { // chance is 0.1
-			t.Fatalf("%s level %v: FHDnn accuracy %v collapsed", r.Condition, r.Level, r.FHDnnAcc)
+			t.Fatalf("%s %s level %v: FHDnn accuracy %v collapsed", r.Distribution, r.Condition, r.Level, r.FHDnnAcc)
 		}
 	}
 	if tables := Fig8Tables(rows); len(tables) != 3 {

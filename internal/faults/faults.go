@@ -48,10 +48,8 @@ type Config struct {
 	// TruncateRate is the probability a successful response body is cut
 	// off mid-stream (Transport only).
 	TruncateRate float64
-	// Latency is added to every request before any other fault fires;
-	// LatencyJitter adds a uniform random extra on top.
-	Latency       time.Duration
-	LatencyJitter time.Duration
+	// Latency is added to every request before any other fault fires.
+	Latency time.Duration
 	// Seed makes the fault sequence deterministic. Two injectors with
 	// the same seed and the same request sequence make identical
 	// decisions.
@@ -94,9 +92,6 @@ func (in *injector) decide() verdict {
 	defer in.mu.Unlock()
 	in.stats.Requests++
 	v := verdict{delay: in.cfg.Latency}
-	if in.cfg.LatencyJitter > 0 {
-		v.delay += time.Duration(in.rng.Int63n(int64(in.cfg.LatencyJitter)))
-	}
 	if in.burstLeft > 0 {
 		in.burstLeft--
 		in.stats.Injected5x++

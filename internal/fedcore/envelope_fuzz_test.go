@@ -47,6 +47,11 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add(disagree)
 	f.Add(atMax[:EnvelopeOverhead-1])
 	f.Add(rawEnvelope(CodecTopK, maxEnvelopeElems, make([]byte, 4)))
+	// A count with the top bit set: int(uint32) is negative on 32-bit
+	// platforms, so there the count < 0 guard must reject it.
+	wrap := rawEnvelope(CodecRaw, 0, make([]byte, 8))
+	binary.LittleEndian.PutUint32(wrap[8:], 0x80000000)
+	f.Add(wrap)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, wantN := range []int{0, 32} {

@@ -15,9 +15,10 @@
 //   - Envelope: a versioned, self-describing wire format (magic + version
 //   - codec id + element count + CRC32) that frames any compress.Codec,
 //     so the flnet protocol ships the same compressed updates the
-//     simulator accounts for — WireBytes is the single sizing rule both
-//     sides use, which is what keeps simulated and actual wire bytes from
-//     drifting.
+//     simulator accounts for. UpdateWireBytes is the single sizing rule,
+//     with two cases: a codec uplink costs WireBytes (the envelope both
+//     sides put on the wire), any other channel raw bytes per value. That
+//     is what keeps simulated and actual wire bytes from drifting.
 package fedcore
 
 import (

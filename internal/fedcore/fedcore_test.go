@@ -291,10 +291,6 @@ func TestUpdateWireBytes(t *testing.T) {
 	if got := UpdateWireBytes(channel.Perfect{}, 100, 4); got != 400 {
 		t.Fatalf("raw accounting = %d", got)
 	}
-	// channel.Subsample implements WireSizer
-	if got := UpdateWireBytes(channel.Subsample{Frac: 0.5}, 100, 4); got != 200 {
-		t.Fatalf("WireSizer accounting = %d", got)
-	}
 	up := compress.Uplink{C: compress.Float16{}}
 	if got, want := UpdateWireBytes(up, 100, 4), int64(EnvelopeOverhead+200); got != want {
 		t.Fatalf("codec accounting = %d, want %d", got, want)

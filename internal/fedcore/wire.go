@@ -5,14 +5,6 @@ import (
 	"fhdnn/internal/compress"
 )
 
-// WireSizer is optionally implemented by uplink channels whose
-// on-the-wire representation differs from raw float32 (e.g. the
-// seed-implied mask of channel.Subsample); UpdateWireBytes consults it
-// for traffic accounting.
-type WireSizer interface {
-	WireBytes(n int) int
-}
-
 // wireCodec is implemented by uplinks that ship a compress.Codec
 // (compress.Uplink); such updates are accounted at envelope-framed size.
 type wireCodec interface {
@@ -28,15 +20,12 @@ func WireBytes(c compress.Codec, n int) int {
 }
 
 // UpdateWireBytes returns the accounted uplink traffic of one n-value
-// update over the given channel at the given raw bytes-per-parameter:
-// envelope-framed compressed size for codec uplinks, the channel's own
-// WireSizer if it has one, and n*bytesPerParam raw floats otherwise.
+// update over the given channel. The rule has two cases: a codec uplink
+// is charged its envelope-framed compressed size (WireBytes), and every
+// other channel n*bytesPerParam raw values.
 func UpdateWireBytes(uplink channel.Channel, n, bytesPerParam int) int64 {
 	if cw, ok := uplink.(wireCodec); ok {
 		return int64(WireBytes(cw.WireCodec(), n))
-	}
-	if ws, ok := uplink.(WireSizer); ok {
-		return int64(ws.WireBytes(n))
 	}
 	return int64(n * bytesPerParam)
 }

@@ -1,8 +1,8 @@
 package fl
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"fhdnn/internal/dataset"
 	"fhdnn/internal/fedcore"
@@ -43,7 +43,6 @@ type AsyncHDTrainer struct {
 	StalenessAlpha float64
 	// EvalEvery samples test accuracy every this many virtual seconds.
 	EvalEvery float64
-	Seed      int64
 }
 
 // AsyncPoint is one sample of the accuracy-versus-virtual-time trace.
@@ -58,32 +57,6 @@ type AsyncResult struct {
 	Trace  []AsyncPoint
 	Merges int
 	Model  *hdc.Model
-}
-
-// event is a client's pending upload.
-type event struct {
-	at     float64
-	client int
-	seq    int // tie-break for determinism
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }
 
 // Run executes the simulation.
@@ -112,26 +85,37 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 	local := hdc.NewModel(t.NumClasses, d)
 	delta := make([]float32, t.NumClasses*d)
 
-	h := &eventHeap{}
-	heap.Init(h)
+	// Each client has exactly one pending upload: client c's lands at
+	// next[c] (+Inf for a client with no data, which never uploads). Ties
+	// go to the upload scheduled first, the lower seq[c].
+	next := make([]float64, n)
+	seq := make([]int, n)
 	for c := 0; c < n; c++ {
+		seq[c] = c
 		if len(t.Part[c]) == 0 {
+			next[c] = math.Inf(1)
 			continue
 		}
 		baseVersion[c] = version
 		baseFlat[c] = append([]float32(nil), global.Flat()...)
-		heap.Push(h, event{at: t.Delay[c], client: c, seq: c})
+		next[c] = t.Delay[c]
 	}
 
 	res := &AsyncResult{}
 	nextEval := t.EvalEvery
-	seq := n
-	for h.Len() > 0 {
-		ev := heap.Pop(h).(event)
-		if ev.at > t.Horizon {
+	scheduled := n
+	for {
+		c := 0
+		for i := 1; i < n; i++ {
+			if next[i] < next[c] || (next[i] == next[c] && seq[i] < seq[c]) {
+				c = i
+			}
+		}
+		at := next[c]
+		if at > t.Horizon {
 			break
 		}
-		for nextEval <= ev.at {
+		for nextEval <= at {
 			res.Trace = append(res.Trace, AsyncPoint{
 				Time:     nextEval,
 				Accuracy: global.Accuracy(t.TestEnc, t.TestLabels),
@@ -139,7 +123,6 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 			})
 			nextEval += t.EvalEvery
 		}
-		c := ev.client
 
 		// client c trains from its snapshot
 		local.SetFlat(baseFlat[c])
@@ -168,8 +151,9 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 		// client immediately starts its next iteration from fresh state
 		baseVersion[c] = version
 		copy(baseFlat[c], gFlat)
-		heap.Push(h, event{at: ev.at + t.Delay[c], client: c, seq: seq})
-		seq++
+		next[c] = at + t.Delay[c]
+		seq[c] = scheduled
+		scheduled++
 	}
 	for nextEval <= t.Horizon {
 		res.Trace = append(res.Trace, AsyncPoint{

@@ -19,7 +19,6 @@ func asyncSetup(t *testing.T, numClients int, seed int64, delays []float64) *Asy
 		Horizon:     100,
 		LocalEpochs: 2,
 		EvalEvery:   10,
-		Seed:        seed,
 	}
 }
 

@@ -40,8 +40,6 @@ type CNNTrainer struct {
 	// EvalEvery controls how often test accuracy is measured (every round
 	// if <= 1). Evaluation dominates runtime for big test sets.
 	EvalEvery int
-	// BytesPerParam models the wire format of one weight (4 for float32).
-	BytesPerParam int
 }
 
 // Run executes the configured number of rounds and returns the metric
@@ -49,9 +47,6 @@ type CNNTrainer struct {
 func (t *CNNTrainer) Run() (*History, Network) {
 	if err := t.Cfg.Validate(); err != nil {
 		panic(err)
-	}
-	if t.BytesPerParam == 0 {
-		t.BytesPerParam = 4
 	}
 	global := t.Build(rand.New(rand.NewSource(t.Cfg.Seed + 1)))
 	globalFlat := nn.FlattenParams(global.Params())
@@ -65,18 +60,17 @@ func (t *CNNTrainer) Run() (*History, Network) {
 
 	hist := &History{}
 	eng := &fedcore.Engine{
-		Clients:       t.Cfg.NumClients,
-		Fraction:      t.Cfg.ClientFraction,
-		Rounds:        t.Cfg.Rounds,
-		Seed:          t.Cfg.Seed,
-		Parallel:      t.Cfg.Parallel,
-		DropoutProb:   t.Cfg.DropoutProb,
-		Uplink:        t.Cfg.Uplink,
-		BytesPerParam: t.BytesPerParam,
-		EvalEvery:     t.EvalEvery,
-		SampleRNG:     rand.New(rand.NewSource(t.Cfg.Seed)),
-		Agg:           &fedcore.FedAvg{},
-		Global:        globalFlat,
+		Clients:     t.Cfg.NumClients,
+		Fraction:    t.Cfg.ClientFraction,
+		Rounds:      t.Cfg.Rounds,
+		Seed:        t.Cfg.Seed,
+		Parallel:    t.Cfg.Parallel,
+		DropoutProb: t.Cfg.DropoutProb,
+		Uplink:      t.Cfg.Uplink,
+		EvalEvery:   t.EvalEvery,
+		SampleRNG:   rand.New(rand.NewSource(t.Cfg.Seed)),
+		Agg:         &fedcore.FedAvg{},
+		Global:      globalFlat,
 		Train: func(worker, _, id int, rng *rand.Rand) (fedcore.Update, bool) {
 			idx := t.Part[id]
 			if len(idx) == 0 {

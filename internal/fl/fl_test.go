@@ -291,6 +291,16 @@ func TestHDNonIIDStillLearns(t *testing.T) {
 	}
 }
 
+func TestHDAdaptiveOptionRuns(t *testing.T) {
+	tr := hdSetup(t, 4, 91)
+	tr.Adaptive = true
+	tr.AdaptiveLR = 0.8
+	hist, _ := tr.Run()
+	if hist.FinalAccuracy() < 0.7 {
+		t.Fatalf("adaptive federated accuracy %v too low", hist.FinalAccuracy())
+	}
+}
+
 func TestEvalNetworkEmptyDataset(t *testing.T) {
 	empty := &dataset.Dataset{Name: "e", X: tensor.New(0, 1), Labels: nil, NumClasses: 2}
 	if EvalNetwork(nil, empty, 4) != 0 {

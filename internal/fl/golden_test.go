@@ -121,7 +121,7 @@ func TestAsyncHDTrainerGolden(t *testing.T) {
 		TestEnc: base.TestEnc, TestLabels: base.TestLabels,
 		NumClasses: base.NumClasses, Part: base.Part,
 		Delay:   []float64{10, 12, 15, 11, 13, 29},
-		Horizon: 100, LocalEpochs: 2, StalenessAlpha: 0.5, EvalEvery: 10, Seed: 77,
+		Horizon: 100, LocalEpochs: 2, StalenessAlpha: 0.5, EvalEvery: 10,
 	}
 	res := tr.Run()
 	var acc []float64

@@ -35,9 +35,6 @@ type HDTrainer struct {
 	NumClasses int
 	Part       dataset.Partition
 
-	// BytesPerParam models the wire format of one prototype entry
-	// (4 for int32/float32).
-	BytesPerParam int
 	// EvalEvery controls evaluation frequency (every round if <= 1).
 	EvalEvery int
 	// Adaptive selects similarity-weighted refinement
@@ -74,9 +71,6 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 	if err := t.Cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if t.BytesPerParam == 0 {
-		t.BytesPerParam = 4
-	}
 	d := t.Encoded.Dim(1)
 	global := hdc.NewModel(t.NumClasses, d)
 	bundled := make([]bool, t.Cfg.NumClients) // has the client one-shot trained yet?
@@ -96,18 +90,17 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 	}
 	hist := &History{}
 	eng := &fedcore.Engine{
-		Clients:       t.Cfg.NumClients,
-		Fraction:      t.Cfg.ClientFraction,
-		Rounds:        t.Cfg.Rounds,
-		Seed:          t.Cfg.Seed,
-		Parallel:      t.Cfg.Parallel,
-		DropoutProb:   t.Cfg.DropoutProb,
-		Uplink:        t.Cfg.Uplink,
-		BytesPerParam: t.BytesPerParam,
-		EvalEvery:     t.EvalEvery,
-		SampleRNG:     fedcore.ClientRNG(t.Cfg.Seed, 0, -1),
-		Agg:           agg,
-		Global:        global.Flat(),
+		Clients:     t.Cfg.NumClients,
+		Fraction:    t.Cfg.ClientFraction,
+		Rounds:      t.Cfg.Rounds,
+		Seed:        t.Cfg.Seed,
+		Parallel:    t.Cfg.Parallel,
+		DropoutProb: t.Cfg.DropoutProb,
+		Uplink:      t.Cfg.Uplink,
+		EvalEvery:   t.EvalEvery,
+		SampleRNG:   fedcore.ClientRNG(t.Cfg.Seed, 0, -1),
+		Agg:         agg,
+		Global:      global.Flat(),
 		// bundled[id] is only ever touched by the one worker handling
 		// client id this round; ids within a round are distinct.
 		Train: func(_, round, id int, _ *rand.Rand) (fedcore.Update, bool) {

@@ -369,6 +369,11 @@ func httpError(op string, resp *http.Response) error {
 	}
 }
 
+// failureBudget is how many consecutive failed interactions (after the
+// Client's own per-call retries) Participate tolerates before giving up.
+// Progress of any kind resets the count.
+const failureBudget = 8
+
 // LocalTrainer is the client-side training loop: it holds this device's
 // pre-encoded hypervectors and participates in rounds until the server
 // closes. It implements the paper's local update (one-shot bundling on
@@ -384,10 +389,6 @@ type LocalTrainer struct {
 	// Poll is the round-polling interval (default 10 ms; tests and
 	// loopback deployments want it small).
 	Poll time.Duration
-	// FailureBudget is how many consecutive failed interactions (after
-	// the Client's own per-call retries) Participate tolerates before
-	// giving up (default 8). Progress of any kind resets the count.
-	FailureBudget int
 	// Tamper, when set, mutates the locally trained model just before
 	// each upload; global is the model the client downloaded this round,
 	// the reference a delta-level attack corrupts against. It is the
@@ -425,8 +426,8 @@ func (lt *LocalTrainer) checkModel(global *hdc.Model) error {
 // peer does not heal.
 //
 // The loop is built for unreliable deployments: transient transport
-// errors and 5xx responses are absorbed (backing off up to
-// FailureBudget consecutive failures), a quarantined upload skips the
+// errors and 5xx responses are absorbed (backing off through up to
+// failureBudget = 8 consecutive failures), a quarantined upload skips the
 // round rather than aborting, a stale-round rejection refetches and
 // retrains, a 410 Gone is a clean finish, and a server restart (round
 // number moving backwards) resets the client's round tracking so it
@@ -435,10 +436,6 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 	poll := lt.Poll
 	if poll <= 0 {
 		poll = 10 * time.Millisecond
-	}
-	budget := lt.FailureBudget
-	if budget <= 0 {
-		budget = 8
 	}
 	contributed := 0
 	lastRound := 0
@@ -459,7 +456,7 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 			return err
 		}
 		failures++
-		if failures > budget {
+		if failures > failureBudget {
 			return fmt.Errorf("flnet: participate: %d consecutive failures, last: %w", failures, err)
 		}
 		t := time.NewTimer(jitterDuration(poll * time.Duration(failures)))

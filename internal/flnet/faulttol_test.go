@@ -426,6 +426,36 @@ func TestParticipateRejectsMismatchedModel(t *testing.T) {
 	}
 }
 
+// A server that only ever answers 503 is absorbed failureBudget times;
+// the next consecutive failure ends Participate with an error wrapping
+// the last 503.
+func TestParticipateGivesUpAfterFailureBudget(t *testing.T) {
+	var rounds atomic.Int64
+	url := newRawServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/round" {
+			rounds.Add(1)
+		}
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	}))
+	lt := &LocalTrainer{
+		Client:  &Client{BaseURL: url, ID: "patient"},
+		Encoded: tensor.New(1, 4),
+		Labels:  []int{0},
+		Epochs:  1,
+		Poll:    time.Millisecond,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	contributed, err := lt.Participate(ctx)
+	var he *HTTPError
+	if !errors.As(err, &he) || he.StatusCode != http.StatusServiceUnavailable || contributed != 0 {
+		t.Fatalf("Participate = %d, %v; want 0 and an error wrapping the 503", contributed, err)
+	}
+	if got := rounds.Load(); got != failureBudget+1 {
+		t.Fatalf("%d round requests, want failureBudget+1 = %d", got, failureBudget+1)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

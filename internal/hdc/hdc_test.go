@@ -396,8 +396,10 @@ func TestQuantizerMaxCodeHitsRange(t *testing.T) {
 func TestQuantizerZeroVector(t *testing.T) {
 	q := NewQuantizer(16)
 	codes, gain := q.Quantize([]float32{0, 0, 0})
-	if gain != 1 {
-		t.Fatalf("zero-vector gain = %v, want 1", gain)
+	// Gain MaxMag bounds what a corrupted code can dequantize to (~1); gain
+	// 1 would hand a flipped high bit back at face value.
+	if gain != float64(q.MaxMag()) {
+		t.Fatalf("zero-vector gain = %v, want MaxMag %d", gain, q.MaxMag())
 	}
 	for _, v := range codes {
 		if v != 0 {

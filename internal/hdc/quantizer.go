@@ -31,7 +31,9 @@ func (q *Quantizer) MaxMag() int32 {
 
 // Quantize scales c up by the per-vector gain and truncates to integers.
 // It returns the integer codes and the gain used (needed to scale down).
-// A zero vector gets gain 1.
+// A zero vector gets gain MaxMag, as if max|c| were 1, so a code corrupted
+// in transit dequantizes to at most about 1 in magnitude, the same bound
+// every non-zero vector has relative to its own max|c|.
 func (q *Quantizer) Quantize(c []float32) (codes []int32, gain float64) {
 	maxAbs := 0.0
 	for _, v := range c {
@@ -40,9 +42,9 @@ func (q *Quantizer) Quantize(c []float32) (codes []int32, gain float64) {
 			maxAbs = a
 		}
 	}
-	gain = 1
+	gain = float64(q.MaxMag())
 	if maxAbs > 0 {
-		gain = float64(q.MaxMag()) / maxAbs
+		gain /= maxAbs
 	}
 	codes = make([]int32, len(c))
 	for i, v := range c {

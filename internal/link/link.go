@@ -88,12 +88,3 @@ func TrainingTime(rounds int, updateBytes int64, clientsPerRound int, rateBitsPe
 func DataTransmitted(rounds int, updateBytes int64) int64 {
 	return int64(rounds) * updateBytes
 }
-
-// PerClientThroughput models the 1/N capacity scaling of Sec. 3.5: the
-// shared uplink divides its rate across n simultaneously active clients.
-func PerClientThroughput(totalRateBitsPerSec float64, n int) float64 {
-	if n < 1 {
-		invariant.Fail("link: need at least one client")
-	}
-	return totalRateBitsPerSec / float64(n)
-}

@@ -76,20 +76,6 @@ func TestDataTransmitted(t *testing.T) {
 	}
 }
 
-func TestPerClientThroughputScalesInverse(t *testing.T) {
-	if got := PerClientThroughput(10e6, 10); got != 1e6 {
-		t.Fatalf("per-client throughput = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for n<1")
-		}
-	}()
-	PerClientThroughput(1e6, 0)
-}
-
-// Reproduce the paper's headline clock-time numbers: FHDnn converges in
-// ~1.1 h (CIFAR IID) while ResNet takes ~374 h.
 func TestPaperClockTimeShape(t *testing.T) {
 	cfg := PaperLTE()
 	// ResNet: 22 MB updates at the error-free 1.6 Mb/s, 100 clients,

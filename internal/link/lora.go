@@ -60,12 +60,6 @@ func (c LoRaConfig) Validate() error {
 	return nil
 }
 
-// SymbolTime returns the duration of one LoRa symbol: 2^SF / BW.
-func (c LoRaConfig) SymbolTime() time.Duration {
-	sec := math.Exp2(float64(c.SF)) / c.BandwidthHz
-	return time.Duration(sec * float64(time.Second))
-}
-
 // TimeOnAir returns the airtime of one packet with the given payload, per
 // the Semtech LoRa modem designer's formula.
 func (c LoRaConfig) TimeOnAir(payloadBytes int) time.Duration {
@@ -95,22 +89,6 @@ func (c LoRaConfig) TimeOnAir(payloadBytes int) time.Duration {
 // DataRate returns the nominal PHY bit rate: SF * BW/2^SF * 4/CR.
 func (c LoRaConfig) DataRate() float64 {
 	return float64(c.SF) * c.BandwidthHz / math.Exp2(float64(c.SF)) * 4 / float64(c.CodingRate)
-}
-
-// DemodulationFloorDB returns the approximate SNR below which the given
-// spreading factor cannot be demodulated (Semtech datasheet values,
-// -7.5 dB at SF7 down to -20 dB at SF12).
-func DemodulationFloorDB(sf int) float64 {
-	return -7.5 - 2.5*float64(sf-7)
-}
-
-// LoRaPacketErrorRate approximates PER as a function of the received SNR:
-// ~0 well above the demodulation floor, ~1 well below, with a logistic
-// transition of ~1 dB width around it — an empirical stand-in for the
-// waterfall curves in LoRa link studies [Petäjäjärvi et al.].
-func LoRaPacketErrorRate(c LoRaConfig, snrDB float64) float64 {
-	floor := DemodulationFloorDB(c.SF)
-	return 1 / (1 + math.Exp(2*(snrDB-floor)))
 }
 
 // DutyCycleThroughput converts a packet airtime and payload into the

@@ -64,26 +64,6 @@ func TestLoRaValidate(t *testing.T) {
 	}
 }
 
-func TestDemodulationFloor(t *testing.T) {
-	if DemodulationFloorDB(7) != -7.5 || DemodulationFloorDB(12) != -20 {
-		t.Fatalf("floors: SF7=%v SF12=%v", DemodulationFloorDB(7), DemodulationFloorDB(12))
-	}
-}
-
-func TestLoRaPERWaterfall(t *testing.T) {
-	c := DefaultLoRa(9)
-	floor := DemodulationFloorDB(9)
-	if per := LoRaPacketErrorRate(c, floor+5); per > 0.01 {
-		t.Fatalf("PER well above floor = %v, want ~0", per)
-	}
-	if per := LoRaPacketErrorRate(c, floor-5); per < 0.99 {
-		t.Fatalf("PER well below floor = %v, want ~1", per)
-	}
-	if per := LoRaPacketErrorRate(c, floor); math.Abs(per-0.5) > 0.01 {
-		t.Fatalf("PER at floor = %v, want 0.5", per)
-	}
-}
-
 func TestDutyCycleThroughput(t *testing.T) {
 	// 51 bytes in ~102.7 ms at 1% duty cycle -> ~40 b/s effective
 	c := DefaultLoRa(7)

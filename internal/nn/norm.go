@@ -153,9 +153,3 @@ func (bn *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return gradIn
 }
-
-// RunningStats exposes the running mean and variance (for tests and
-// serialization).
-func (bn *BatchNorm2D) RunningStats() (mean, variance []float32) {
-	return bn.rmean.W.Data(), bn.rvar.W.Data()
-}

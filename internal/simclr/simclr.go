@@ -92,9 +92,6 @@ type Config struct {
 	ProjDim     int // projection head output dimension
 	Augment     AugmentConfig
 	Seed        int64
-	// Schedule overrides the constant LR when set (SimCLR conventionally
-	// uses warmup + cosine decay; see nn.WarmupLR / nn.CosineLR).
-	Schedule nn.Schedule
 }
 
 // DefaultConfig returns small-scale defaults suitable for CPU pretraining.
@@ -124,11 +121,6 @@ func Pretrain(encoder *nn.Sequential, featureDim int, ds *dataset.Dataset, cfg C
 	)
 	params := append(encoder.Params(), head.Params()...)
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 1e-4)
-	sched := cfg.Schedule
-	if sched == nil {
-		sched = nn.ConstantLR{Rate: cfg.LR}
-	}
-	step := 0
 
 	channels := ds.X.Dim(1)
 	size := ds.X.Dim(2)
@@ -158,8 +150,7 @@ func Pretrain(encoder *nn.Sequential, featureDim int, ds *dataset.Dataset, cfg C
 			proj := head.Forward(feats, true)
 			loss, grad := nn.NTXent(proj, cfg.Temperature)
 			encoder.Backward(head.Backward(grad))
-			opt.StepWith(sched, step, params)
-			step++
+			opt.Step(params)
 			epochLoss += loss
 			steps++
 		}
