@@ -48,6 +48,19 @@ func BenchmarkEncodeBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSign times the sign step of EncodeBatchInto on a 64 x 10000
+// batch of real-valued projections with random signs. Sign is idempotent
+// and keeps every sign, so each iteration sees the same sign pattern.
+func BenchmarkSign(b *testing.B) {
+	const rows, d = 64, 10000
+	h := tensor.Randn(rand.New(rand.NewSource(8)), 1, rows, d).Data()
+	b.SetBytes(rows * d * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		signRows(h, d)
+	}
+}
+
 func BenchmarkDecode(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	e := NewEncoder(rng, 10000, 512)
@@ -98,6 +111,21 @@ func BenchmarkPredict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Predict(h)
 	}
+}
+
+// BenchmarkLaneSweep times one class-lane sweep of the paper-size model
+// over a different hypervector each iteration, the lanes built before the
+// timer starts; ns/elem is per entry of h.
+func BenchmarkLaneSweep(b *testing.B) {
+	m, enc, _ := similarityFixture(b, 64)
+	ln := m.lanes()
+	defer putLanes(ln)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i % enc.Dim(0)
+		laneDots(ln.dots, ln.cs, enc.Data()[s*m.D:(s+1)*m.D], ln.kp)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m.D), "ns/elem")
 }
 
 func BenchmarkAccuracyNaive(b *testing.B) {

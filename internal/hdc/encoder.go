@@ -87,8 +87,25 @@ func (e *Encoder) EncodeBatchInto(dst, z *tensor.Tensor) {
 	}
 	tensor.MatMulInto(dst, z, e.phiT) // checks dst is [batch, d]
 	if e.Binarize {
-		Sign(dst.Data())
+		signRows(dst.Data(), e.D)
 	}
+}
+
+// signParallelCutoff is the number of elements below which signRows runs
+// serially, just over 13 rows at d=10000: on a 2-core x86-64 VM, splitting
+// fewer elements over the pool saved nothing, and from here on it wins.
+const signParallelCutoff = 1 << 17
+
+// signRows is Sign over a row-major matrix of rows of d entries. From
+// signParallelCutoff elements on, with more than one worker, it splits
+// the rows into blocks over the tensor pool; Sign is elementwise, so the
+// bits are the same either way. The serial path creates no closure.
+func signRows(h []float32, d int) {
+	if tensor.Workers() <= 1 || len(h) < signParallelCutoff {
+		Sign(h)
+		return
+	}
+	tensor.ParallelFor(len(h)/d, func(lo, hi int) { Sign(h[lo*d : hi*d]) })
 }
 
 // Decode reconstructs an approximation of the original features from a

@@ -91,21 +91,25 @@ func floatBitsEqual(t *testing.T, what string, got, want []float32) {
 // EncodeBatch and the per-sample Encode of every row equal the scalar
 // oracle bit for bit, for binarized and raw projections, at every worker
 // count. This is what lets callers mix the two paths freely (e.g. clients
-// encoding one sample at inference, batches in training).
+// encoding one sample at inference, batches in training). The larger
+// batch crosses signParallelCutoff, so the row-block sign runs too.
 func TestEncodeBatchMatchesEncodeBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	for _, binarize := range []bool{true, false} {
-		e := NewEncoder(rand.New(rand.NewSource(21)), 257, 33)
-		e.Binarize = binarize
-		z := tensor.Randn(rng, 1, 9, e.N)
-		want := tensor.New(z.Dim(0), e.D)
-		oracleEncodeBatch(e, z, want)
-		for _, w := range []int{1, 2, 3, 8} {
-			withWorkers(t, w)
-			floatBitsEqual(t, "EncodeBatch", e.EncodeBatch(z).Data(), want.Data())
-			for s := 0; s < z.Dim(0); s++ {
-				floatBitsEqual(t, "Encode",
-					e.Encode(z.Data()[s*e.N:(s+1)*e.N]), want.Data()[s*e.D:(s+1)*e.D])
+	const d = 257
+	for _, batch := range []int{9, signParallelCutoff/d + 1} {
+		for _, binarize := range []bool{true, false} {
+			e := NewEncoder(rand.New(rand.NewSource(21)), d, 33)
+			e.Binarize = binarize
+			z := tensor.Randn(rng, 1, batch, e.N)
+			want := tensor.New(z.Dim(0), e.D)
+			oracleEncodeBatch(e, z, want)
+			for _, w := range []int{1, 2, 3, 8} {
+				withWorkers(t, w)
+				floatBitsEqual(t, "EncodeBatch", e.EncodeBatch(z).Data(), want.Data())
+				for s := 0; s < z.Dim(0); s++ {
+					floatBitsEqual(t, "Encode",
+						e.Encode(z.Data()[s*e.N:(s+1)*e.N]), want.Data()[s*e.D:(s+1)*e.D])
+				}
 			}
 		}
 	}

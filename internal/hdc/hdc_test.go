@@ -197,11 +197,28 @@ func TestHammingDistance(t *testing.T) {
 	}
 }
 
+// TestSignBinarizes pins Sign on the values where a sign test can differ
+// from x >= 0: zeros of both signs, NaN, infinities, subnormals and the
+// largest finite values.
 func TestSignBinarizes(t *testing.T) {
-	v := []float32{0.5, -0.1, 0}
-	Sign(v)
-	if v[0] != 1 || v[1] != -1 || v[2] != 1 {
-		t.Fatalf("Sign = %v", v)
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	sub := float32(math.SmallestNonzeroFloat32)
+	for _, c := range []struct {
+		x, want float32
+	}{
+		{0.5, 1}, {-0.1, -1},
+		{0, 1}, {negZero, 1},
+		{nan, -1}, {-nan, -1},
+		{float32(math.Inf(1)), 1}, {float32(math.Inf(-1)), -1},
+		{sub, 1}, {-sub, -1},
+		{math.MaxFloat32, 1}, {-math.MaxFloat32, -1},
+	} {
+		v := []float32{c.x}
+		Sign(v)
+		if math.Float32bits(v[0]) != math.Float32bits(c.want) {
+			t.Errorf("Sign(%v) = %v (%#x), want %v", c.x, v[0], math.Float32bits(v[0]), c.want)
+		}
 	}
 }
 

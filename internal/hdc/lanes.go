@@ -8,14 +8,14 @@ import (
 // The similarity kernel works on class lanes: a per-call float64 copy of
 // the prototypes, interleaved by class, so entry i*kp+k is float64(c_k[i]).
 // kp is K rounded up to even, and the padding lane (odd K) is zero. The
-// amd64 kernel puts classes 2j and 2j+1 in the two lanes of one SSE2
-// MULPD/ADDPD; each lane is still its own float64 chain in ascending index
-// order, with no FMA and no horizontal add, so every dot product is
-// bit-identical to Dot.
+// amd64 sweep puts four consecutive classes in the lanes of one AVX
+// VMULPD/VADDPD, and the SSE2 lane copy two in one MULPD/ADDPD; each lane
+// is still its own float64 chain in ascending index order, with no FMA and
+// no horizontal add, so every dot product is bit-identical to Dot.
 
 // sweepClasses is the number of classes one pass over h covers: five lane
-// pairs plus the h·h chain, so K=10 (every dataset in the paper) is one
-// sweep.
+// pairs (two class quads and a pair in the AVX sweep) plus the h·h chain,
+// so K=10 (every dataset in the paper) is one sweep.
 const sweepClasses = 10
 
 // classLanes is the pooled per-call workspace of the similarity kernel.

@@ -1,19 +1,29 @@
 package hdc
 
+import "fhdnn/internal/tensor"
+
 // laneSweep computes, for every j < 2*pairs,
 //
 //	dots[j] = sum_i cs[i*kp+j] * float64(h[i])
 //
 // and returns sum_i float64(h[i])^2, every sum its own chain in ascending
-// i; laneSweepGo is the portable form and the reference. The amd64
-// implementation keeps lanes 2p and 2p+1 in the two halves of one SSE2
-// register (MULPD + ADDPD, never FMA) and h·h in a scalar MULSD/ADDSD
-// chain, so every result matches the scalar loop bit for bit. pairs must
-// be in [1, 5], len(h) >= 1, len(dots) >= 2*pairs, and cs must hold
-// (len(h)-1)*kp + 2*pairs entries; nothing is bounds-checked.
+// i; laneSweepGo is the portable form and the reference. pairs must be in
+// [1, 5], len(h) >= 1, len(dots) >= 2*pairs, and cs must hold
+// (len(h)-1)*kp + 2*pairs entries; nothing is bounds-checked. On a CPU
+// without AVX it runs laneSweepGo.
+func laneSweep(dots, cs []float64, h []float32, kp, pairs int) float64 {
+	if tensor.HasAVX() {
+		return laneSweepAVX(dots, cs, h, kp, pairs)
+	}
+	return laneSweepGo(dots, cs, h, kp, pairs)
+}
+
+// laneSweepAVX is laneSweep in AVX: four classes per YMM register and an
+// odd last pair in XMM (VMULPD + VADDPD, never FMA), h·h in a scalar
+// VMULSD/VADDSD chain, so every result matches the scalar loop bit for bit.
 //
 //go:noescape
-func laneSweep(dots, cs []float64, h []float32, kp, pairs int) float64
+func laneSweepAVX(dots, cs []float64, h []float32, kp, pairs int) float64
 
 // laneFill sets, for every j < 2*pairs and i < d,
 //

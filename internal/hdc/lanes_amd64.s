@@ -1,29 +1,33 @@
-// SSE2 class-lane sweep of the HD similarity kernel. See lanes_amd64.go
-// for the contract. Uses only SSE2 (the Go amd64 baseline): each 128-bit
-// accumulator holds the float64 chains of two classes, MULPD + ADDPD per
-// element, never FMA and never a horizontal add, so every lane reproduces
-// the scalar multiply-round-add-round chain bit for bit.
+// Class-lane kernels of the HD similarity kernel. See lanes_amd64.go for
+// the contracts. Every lane of every vector accumulator is one class's
+// float64 chain: a multiply then an add per element, never FMA and never a
+// horizontal add, so every lane reproduces the scalar multiply-round-add-
+// round chain bit for bit. laneSweepAVX is VEX-encoded throughout (a
+// legacy-SSE instruction between YMM ops stalls on the upper-state
+// transition) and ends with VZEROUPPER; laneFill uses only SSE2.
 
 #include "textflag.h"
 
-// HEAD converts h[AX] to float64, adds its square to the h·h chain in X7
-// and leaves it broadcast in both lanes of X0. CVTSS2SD writes only the
-// low lane, so X0 is zeroed first: otherwise every element's conversion
-// would wait on the previous element's last multiply.
+// HEAD converts h[AX] to float64 in all four lanes of Y0 and adds its
+// square to the h·h chain in X7. Both writes of Y0 are whole-register, so
+// no element waits on the previous one's multiplies.
 #define HEAD \
-	XORPS    X0, X0; \
-	CVTSS2SD (DI)(AX*4), X0; \
-	MOVAPD   X0, X1; \
-	MULSD    X0, X1; \
-	ADDSD    X1, X7; \
-	UNPCKLPD X0, X0
+	VBROADCASTSS (DI)(AX*4), X0; \
+	VCVTPS2PD    X0, Y0; \
+	VMULSD       X0, X0, X1; \
+	VADDSD       X1, X7, X7
 
-// LANE adds the products of one lane pair at byte offset off of the
-// current row into acc.
-#define LANE(off, acc) \
-	MOVUPD off(SI), X1; \
-	MULPD  X0, X1; \
-	ADDPD  X1, acc
+// QUAD adds the products of the four classes at byte offset off of the
+// current row into the YMM accumulator acc.
+#define QUAD(off, acc) \
+	VMULPD off(SI), Y0, Y1; \
+	VADDPD Y1, acc, acc
+
+// ODDPAIR does the same for the two classes of an odd last lane pair, in
+// XMM.
+#define ODDPAIR(off, acc) \
+	VMULPD off(SI), X0, X1; \
+	VADDPD X1, acc, acc
 
 // NEXT steps to the next row and element; the flags say whether one is left.
 #define NEXT \
@@ -31,8 +35,11 @@
 	INCQ AX; \
 	CMPQ AX, CX
 
-// func laneSweep(dots, cs []float64, h []float32, kp, pairs int) float64
-TEXT ·laneSweep(SB), NOSPLIT, $0-96
+// func laneSweepAVX(dots, cs []float64, h []float32, kp, pairs int) float64
+//
+// Classes 0-3 accumulate in Y2 and 4-7 in Y3; the odd last pair of one,
+// three or five pairs accumulates in X2, X3 or X4.
+TEXT ·laneSweepAVX(SB), NOSPLIT, $0-96
 	MOVQ dots_base+0(FP), R9
 	MOVQ cs_base+24(FP), SI
 	MOVQ h_base+48(FP), DI
@@ -41,13 +48,11 @@ TEXT ·laneSweep(SB), NOSPLIT, $0-96
 	SHLQ $3, BX              // row stride in bytes
 	MOVQ pairs+80(FP), DX
 
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	XORQ  AX, AX             // i
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX            // i
 
 	CMPQ DX, $5
 	JEQ  loop5
@@ -60,62 +65,55 @@ TEXT ·laneSweep(SB), NOSPLIT, $0-96
 
 loop1:
 	HEAD
-	LANE(0, X2)
+	ODDPAIR(0, X2)
 	NEXT
 	JLT loop1
-	JMP store1
+	VMOVUPD X2, (R9)
+	JMP     done
 
 loop2:
 	HEAD
-	LANE(0, X2)
-	LANE(16, X3)
+	QUAD(0, Y2)
 	NEXT
 	JLT loop2
 	JMP store2
 
 loop3:
 	HEAD
-	LANE(0, X2)
-	LANE(16, X3)
-	LANE(32, X4)
+	QUAD(0, Y2)
+	ODDPAIR(32, X3)
 	NEXT
 	JLT loop3
-	JMP store3
+	VMOVUPD X3, 32(R9)
+	JMP     store2
 
 loop4:
 	HEAD
-	LANE(0, X2)
-	LANE(16, X3)
-	LANE(32, X4)
-	LANE(48, X5)
+	QUAD(0, Y2)
+	QUAD(32, Y3)
 	NEXT
 	JLT loop4
 	JMP store4
 
 loop5:
 	HEAD
-	LANE(0, X2)
-	LANE(16, X3)
-	LANE(32, X4)
-	LANE(48, X5)
-	LANE(64, X6)
+	QUAD(0, Y2)
+	QUAD(32, Y3)
+	ODDPAIR(64, X4)
 	NEXT
 	JLT loop5
 
-	MOVUPD X6, 64(R9)
+	VMOVUPD X4, 64(R9)
 
 store4:
-	MOVUPD X5, 48(R9)
-
-store3:
-	MOVUPD X4, 32(R9)
+	VMOVUPD Y3, 32(R9)
 
 store2:
-	MOVUPD X3, 16(R9)
+	VMOVUPD Y2, (R9)
 
-store1:
-	MOVUPD X2, 0(R9)
-	MOVSD  X7, ret+88(FP)
+done:
+	VMOVSD     X7, ret+88(FP)
+	VZEROUPPER
 	RET
 
 // PAIR loads entry i of rows a and b, stores them as one float64 lane

@@ -14,6 +14,12 @@ func avxEnabled() bool
 
 var useAVX = avxEnabled()
 
+// HasAVX reports whether the AVX kernels may run: the CPU has AVX and the
+// OS saves YMM state. It is the one AVX check of the module; kernels in
+// other packages dispatch on it too, and fall back to their portable twin
+// without it.
+func HasAVX() bool { return useAVX }
+
 func tile4x16(c []float32, ldc int, a, b []float32, k int, accum bool) {
 	if useAVX {
 		tile4x16AVX(c, ldc, a, b, k, accum)
