@@ -137,8 +137,11 @@ func (a *Bundle) Add(u Update) {
 		//fhdnn:allow hotalloc first Add after Reset sizes the accumulator once per round
 		a.sum = make([]float64, len(u.Params))
 	}
+	// One slice for the loop: no reload of a.sum and no bounds check per
+	// element. An update longer than the accumulator still panics, here.
+	sum := a.sum[:len(u.Params)]
 	for i, v := range u.Params {
-		a.sum[i] += float64(v)
+		sum[i] += float64(v)
 	}
 	a.n++
 }

@@ -356,7 +356,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	clientID := r.Header.Get(ClientHeader)
 	n := s.cfg.NumClasses * s.cfg.Dim
 	// Limit covers the worst-case envelope (top-k at Frac 1: header + 4 + 8n).
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(64+fedcore.EnvelopeOverhead+8*n)))
+	limit := int64(64 + fedcore.EnvelopeOverhead + 8*n)
+	declared := r.ContentLength
+	if declared < 0 || declared > limit {
+		declared = limit
+	}
+	data, err := readBody(http.MaxBytesReader(w, r.Body, limit), declared)
 	// Bytes actually consumed, read error or not: real uplink traffic
 	// rather than a payload-only estimate.
 	s.stats.bytesReceived.Add(int64(len(data)))
@@ -387,6 +392,47 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.routeUpdate(w, wantRound, clientID, fedcore.CodecName(id), flat)
+}
+
+// readBody reads r to EOF like io.ReadAll, but sizes its buffer for a
+// body of declared bytes (negative: unknown). It starts at ReadAll's 512 B
+// and grows 4x at a time, never past declared+1, so a truthfully declared
+// body costs a handful of allocations and the spare byte sees EOF without
+// a last regrowth. It never allocates from declared alone: a buffer is at
+// most 4x the bytes actually read (or the 512 B start), so a header that
+// promises a large body and sends none pins only the start.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	b := make([]byte, 0, bodyCap(0, declared))
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			grown := make([]byte, len(b), bodyCap(len(b), declared))
+			copy(grown, b)
+			b = grown
+		}
+	}
+}
+
+// bodyCap is readBody's next capacity after have bytes: 512 to start,
+// then 4x, cut to declared+1 while the body has not outrun declared. The
+// cut is compared in int64, so a declared length past a 32-bit int never
+// wraps into a capacity.
+func bodyCap(have int, declared int64) int {
+	c := 512
+	if have > 0 {
+		c = 4 * have
+	}
+	if declared >= int64(have) && declared < int64(c-1) {
+		c = int(declared) + 1
+	}
+	return c
 }
 
 // routeUpdate runs the lock-free gates on a decoded update — closed,
@@ -478,21 +524,29 @@ func retryAfterSeconds(d time.Duration) int {
 // (QuarantineNonFinite, QuarantineNormBound; "" for a clean update); the
 // detail names the offending index and value so a quarantined client's
 // 422 body is actionable.
+//
+// The scan costs one exponent-bit test per parameter; the float64 norm
+// chain runs only under a norm gate, and the peak search only for a
+// refusal, so neither is paid by a clean update without one.
 func quarantineReason(flat []float32, maxNorm float64) (reason, detail string) {
-	var sum float64
-	peakIdx, peakAbs := -1, 0.0
 	for i, v := range flat {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
 			return QuarantineNonFinite, fmt.Sprintf("non-finite parameter %v at index %d", v, i)
-		}
-		sum += float64(f * f)
-		if a := math.Abs(f); a > peakAbs {
-			peakIdx, peakAbs = i, a
 		}
 	}
 	if maxNorm > 0 {
+		var sum float64
+		for _, v := range flat {
+			f := float64(v)
+			sum += float64(f * f)
+		}
 		if norm := math.Sqrt(sum); norm > maxNorm {
+			peakIdx, peakAbs := -1, 0.0
+			for i, v := range flat {
+				if a := math.Abs(float64(v)); a > peakAbs {
+					peakIdx, peakAbs = i, a
+				}
+			}
 			return QuarantineNormBound, fmt.Sprintf(
 				"L2 norm %.4g exceeds limit %g (largest parameter %.4g at index %d)",
 				norm, maxNorm, peakAbs, peakIdx)
