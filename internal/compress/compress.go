@@ -11,7 +11,8 @@ package compress
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"fhdnn/internal/tensor"
 )
 
 // Codec compresses a flat model update into bytes and back.
@@ -189,17 +190,16 @@ func (Int8) Name() string { return "int8" }
 // update with a NaN or +-Inf entry gets a NaN scale, so every value
 // decodes to NaN.
 func (Int8) Encode(update []float32) []byte {
-	maxAbs := float64(0)
+	var maxKey uint32
 	for _, v := range update {
-		if a := magnitude(v); a > maxAbs {
-			maxAbs = a
-		}
+		maxKey = max(maxKey, magnitudeKey(v))
 	}
 	out := make([]byte, 4+len(update))
-	if math.IsInf(maxAbs, 1) {
+	if maxKey == infBits {
 		putU32(out, math.Float32bits(float32(math.NaN())))
 		return out
 	}
+	maxAbs := float64(math.Float32frombits(maxKey))
 	scale := float32(1)
 	if maxAbs > 0 {
 		scale = float32(maxAbs / 127)
@@ -237,7 +237,7 @@ func (Int8) Decode(data []byte, n int) ([]float32, error) {
 // pairs); the receiver fills the rest with zeros. Frac is the kept
 // fraction (e.g. 0.1 keeps 10% of the weights). NaN ranks as the largest
 // magnitude, level with +-Inf, so a non-finite entry is kept and shipped
-// verbatim.
+// verbatim. Among equal magnitudes the lower indices are kept.
 type TopK struct {
 	Frac float64
 }
@@ -245,45 +245,59 @@ type TopK struct {
 // Name implements Codec.
 func (c TopK) Name() string { return fmt.Sprintf("topk(%.2g)", c.Frac) }
 
-// Encode stores uint32 count, then (uint32 index, float32 value) pairs.
+// Encode stores uint32 count, then (uint32 index, float32 value) pairs in
+// ascending index order. It selects the k-th largest magnitudeKey as a
+// threshold with tensor.Select, then keeps, in one ascending pass, every
+// entry above it and the lowest-index entries equal to it up to k: the
+// set a sort by (magnitude descending, index ascending) would keep.
 func (c TopK) Encode(update []float32) []byte {
-	k := int(c.Frac * float64(len(update)))
+	n := len(update)
+	k := int(c.Frac * float64(n))
 	if k < 1 {
 		k = 1
 	}
-	if k > len(update) {
-		k = len(update)
+	if k > n {
+		k = n
 	}
-	idx := make([]int, len(update))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		av, bv := magnitude(update[idx[a]]), magnitude(update[idx[b]])
-		if av != bv {
-			return av > bv
-		}
-		return idx[a] < idx[b] // deterministic tie-break
-	})
-	kept := idx[:k]
-	sort.Ints(kept) // index-ordered payload compresses and scans better
 	out := make([]byte, 4+8*k)
 	putU32(out[0:], uint32(k))
-	for i, j := range kept {
-		putU32(out[4+8*i:], uint32(j))
-		putU32(out[8+8*i:], math.Float32bits(update[j]))
+	if k == 0 {
+		return out
+	}
+	keys := make([]uint32, 2*n)
+	for i, v := range update {
+		keys[i] = magnitudeKey(v)
+	}
+	_, t := tensor.Select(keys[:n], keys[n:], n-k)
+	ties := k // how many entries of magnitude t are kept
+	for _, v := range update {
+		if magnitudeKey(v) > t {
+			ties--
+		}
+	}
+	w := out[4:]
+	for j, v := range update {
+		m := magnitudeKey(v)
+		if m > t || m == t && ties > 0 {
+			if m == t {
+				ties--
+			}
+			putU32(w, uint32(j))
+			putU32(w[4:], math.Float32bits(v))
+			w = w[8:]
+		}
 	}
 	return out
 }
 
-// magnitude is |v| with NaN mapped to +Inf: a key that orders every
-// float32 (TopK's comparison stays a strict weak order) and is +Inf
-// exactly for the non-finite ones.
-func magnitude(v float32) float64 {
-	if v != v {
-		return math.Inf(1)
-	}
-	return math.Abs(float64(v))
+// infBits is the bit pattern of float32 +Inf.
+const infBits = 0x7f800000
+
+// magnitudeKey is |v| as float32 bits with NaN mapped to infBits: a key
+// whose unsigned order is the magnitude order, level for every non-finite
+// value.
+func magnitudeKey(v float32) uint32 {
+	return min(math.Float32bits(v)&^(1<<31), infBits)
 }
 
 // Decode implements Codec. Encode always emits strictly increasing

@@ -52,3 +52,22 @@ func BenchmarkBundleAdd(b *testing.B) {
 		agg.Add(up)
 	}
 }
+
+// benchCommit commits one fleet-shaped round per op: 197 updates of
+// 20 480 values (K=10 x d=2048), one in four 90 % zeros.
+func benchCommit(b *testing.B, agg Aggregator) {
+	const n, d = 197, 20480
+	for _, row := range robustRows(rand.New(rand.NewSource(1)), "fleet", n, d) {
+		agg.Add(Update{Params: row, Samples: 1})
+	}
+	global := make([]float32, d)
+	b.SetBytes(4 * n * d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg.Commit(global)
+	}
+}
+
+func BenchmarkMedianCommit(b *testing.B)      { benchCommit(b, &Median{}) }
+func BenchmarkTrimmedMeanCommit(b *testing.B) { benchCommit(b, &TrimmedMean{Frac: 0.2}) }

@@ -3,12 +3,13 @@ package fedcore
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 
 	"fhdnn/internal/invariant"
+	"fhdnn/internal/tensor"
 )
 
 // Byzantine-robust aggregation. FedAvg and Bundle compute a (weighted)
@@ -32,62 +33,129 @@ import (
 // lie about its dataset size, and a sample-weighted robust rule would
 // hand it back exactly the influence the trimming removed.
 //
-// Determinism contract: Commit sorts each coordinate's values, so the
-// committed global vector is bit-identical for every Add order and (under
-// the Engine) every worker count. Storage note: like AsyncStaleness, Add
-// retains u.Params until Reset; callers must not reuse the slice within a
-// round (the Engine hands over the uplink's copy or Train's own buffer,
-// untouched until AfterCommit; the flnet server a freshly decoded slice).
+// Determinism contract: Commit picks each coordinate's result from a
+// total order of its values (orderKey: NaN first, -0 before +0), so the
+// committed global vector is a function of the multiset of added updates:
+// bit-identical for every Add order and (under the Engine) every worker
+// count. Against a float64 sort of each coordinate (the oracles in
+// robust_oracle_test.go), the bits differ only where mixed -0 and +0
+// straddle Median's selected rank, and in NaN payloads (DESIGN.md,
+// "Robust aggregators"). Storage note: like
+// AsyncStaleness, Add retains u.Params until Reset; callers must not
+// reuse the slice within a round (the Engine hands over the uplink's copy
+// or Train's own buffer, untouched until AfterCommit; the flnet server a
+// freshly decoded slice).
+
+// colBlock is how many coordinates a robust Commit gathers into key
+// columns at a time: 16 float32 values of every row, one cache line.
+const colBlock = 16
+
+// columns is the round state of a row-retaining robust aggregator: the
+// added rows, and the key scratch its Commit gathers them into, sized once
+// per round and reused.
+type columns struct {
+	rows [][]float32
+	// keys holds, per column stripe, colBlock key columns of len(rows)
+	// keys followed by len(rows) keys of partition scratch.
+	keys []uint32
+}
+
+func (c *columns) add(u Update, kind string) {
+	checkRowLen(c.rows, u.Params, kind)
+	//fhdnn:allow hotalloc rows reuses its backing array across Reset; growth amortizes out
+	c.rows = append(c.rows, u.Params)
+}
+
+// Len implements Aggregator.
+func (c *columns) Len() int { return len(c.rows) }
+
+// Reset implements Aggregator.
+func (c *columns) Reset() {
+	clear(c.rows)
+	c.rows = c.rows[:0]
+}
+
+// commit sets global[j] = pick(col, tmp) for every coordinate j, where col
+// holds the orderKey of coordinate j in every row and tmp is scratch of
+// the same length; pick may clobber both. An empty round leaves global
+// untouched.
+func (c *columns) commit(global []float32, kind string, pick func(col, tmp []uint32) float32) {
+	n := len(c.rows)
+	if n == 0 {
+		return
+	}
+	if d := len(c.rows[0]); len(global) != d {
+		invariant.Failf("fedcore: %s commit into %d values, updates have %d", kind, len(global), d)
+	}
+	blocks := (len(global) + colBlock - 1) / colBlock
+	stripes := min(tensor.Workers(), blocks)
+	per := (colBlock + 1) * n
+	if cap(c.keys) < stripes*per {
+		//fhdnn:allow hotalloc key scratch sized once per round, reused across commits
+		c.keys = make([]uint32, stripes*per)
+	}
+	rows, keys := c.rows, c.keys
+	tensor.ParallelFor(stripes, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			blk := keys[s*per : (s+1)*per]
+			tmp := blk[colBlock*n:]
+			for b := s * blocks / stripes; b < (s+1)*blocks/stripes; b++ {
+				j0 := b * colBlock
+				w := min(colBlock, len(global)-j0)
+				for i, row := range rows {
+					for jj, v := range row[j0 : j0+w] {
+						blk[jj*n+i] = orderKey(v)
+					}
+				}
+				for jj := range w {
+					global[j0+jj] = pick(blk[jj*n:(jj+1)*n], tmp)
+				}
+			}
+		}
+	})
+}
+
+// orderKey maps a float32 to a uint32 whose unsigned order is the value
+// order, with -0 before +0 and every NaN mapped to 0, first.
+func orderKey(v float32) uint32 {
+	b := math.Float32bits(v)
+	k := b ^ (uint32(int32(b)>>31) | 1<<31)
+	if b&^(1<<31) > 0x7f800000 {
+		k = 0
+	}
+	return k
+}
+
+// fromOrderKey inverts orderKey exactly for every non-NaN value; key 0
+// maps back to a NaN.
+func fromOrderKey(k uint32) float32 {
+	return math.Float32frombits(k ^ (uint32(int32(^k)>>31) | 1<<31))
+}
 
 // Median is the coordinate-wise median aggregator. With an even number of
 // updates the two middle values are averaged in float64.
 type Median struct {
-	rows [][]float32
-	col  []float64 // per-coordinate gather scratch, sized in Commit
+	columns
 }
 
 // Add implements Aggregator.
 //
 //fhdnn:hotpath called once per client update inside the round loop
-func (a *Median) Add(u Update) {
-	checkRowLen(a.rows, u.Params, "Median")
-	//fhdnn:allow hotalloc rows reuses its backing array across Reset; growth amortizes out
-	a.rows = append(a.rows, u.Params)
-}
-
-// Len implements Aggregator.
-func (a *Median) Len() int { return len(a.rows) }
+func (a *Median) Add(u Update) { a.add(u, "Median") }
 
 // Commit implements Aggregator.
 //
 //fhdnn:hotpath applies the round aggregate in place
-func (a *Median) Commit(global []float32) {
-	n := len(a.rows)
-	if n == 0 {
-		return
-	}
-	if cap(a.col) < n {
-		//fhdnn:allow hotalloc per-coordinate scratch sized once per round, reused across commits
-		a.col = make([]float64, n)
-	}
-	col := a.col[:n]
-	for j := range global {
-		for i, row := range a.rows {
-			col[i] = float64(row[j])
-		}
-		sort.Float64s(col)
-		if n%2 == 1 {
-			global[j] = float32(col[n/2])
-		} else {
-			global[j] = float32((col[n/2-1] + col[n/2]) / 2)
-		}
-	}
-}
+func (a *Median) Commit(global []float32) { a.commit(global, "Median", medianOf) }
 
-// Reset implements Aggregator.
-func (a *Median) Reset() {
-	clear(a.rows)
-	a.rows = a.rows[:0]
+// medianOf is the median of one coordinate's keys.
+func medianOf(col, tmp []uint32) float32 {
+	n := len(col)
+	lo, hi := tensor.Select(col, tmp, n/2)
+	if n%2 == 1 {
+		return fromOrderKey(hi)
+	}
+	return float32((float64(fromOrderKey(lo)) + float64(fromOrderKey(hi))) / 2)
 }
 
 // Name returns the policy spec string.
@@ -102,8 +170,7 @@ type TrimmedMean struct {
 	// Frac is the fraction trimmed from EACH end, in [0, 0.5).
 	Frac float64
 
-	rows [][]float32
-	col  []float64
+	columns
 }
 
 // Trim returns how many values are discarded from each end of a
@@ -122,47 +189,23 @@ func (a *TrimmedMean) Trim(n int) int {
 // Add implements Aggregator.
 //
 //fhdnn:hotpath called once per client update inside the round loop
-func (a *TrimmedMean) Add(u Update) {
-	checkRowLen(a.rows, u.Params, "TrimmedMean")
-	//fhdnn:allow hotalloc rows reuses its backing array across Reset; growth amortizes out
-	a.rows = append(a.rows, u.Params)
-}
-
-// Len implements Aggregator.
-func (a *TrimmedMean) Len() int { return len(a.rows) }
+func (a *TrimmedMean) Add(u Update) { a.add(u, "TrimmedMean") }
 
 // Commit implements Aggregator.
 //
 //fhdnn:hotpath applies the round aggregate in place
 func (a *TrimmedMean) Commit(global []float32) {
 	n := len(a.rows)
-	if n == 0 {
-		return
-	}
 	k := a.Trim(n)
-	if cap(a.col) < n {
-		//fhdnn:allow hotalloc per-coordinate scratch sized once per round, reused across commits
-		a.col = make([]float64, n)
-	}
-	col := a.col[:n]
 	inv := 1 / float64(n-2*k)
-	for j := range global {
-		for i, row := range a.rows {
-			col[i] = float64(row[j])
-		}
-		sort.Float64s(col)
+	a.commit(global, "TrimmedMean", func(col, _ []uint32) float32 {
+		slices.Sort(col)
 		var sum float64
-		for _, v := range col[k : n-k] {
-			sum += v
+		for _, key := range col[k : n-k] {
+			sum += float64(fromOrderKey(key))
 		}
-		global[j] = float32(sum * inv)
-	}
-}
-
-// Reset implements Aggregator.
-func (a *TrimmedMean) Reset() {
-	clear(a.rows)
-	a.rows = a.rows[:0]
+		return float32(sum * inv)
+	})
 }
 
 // Name returns the policy spec string.

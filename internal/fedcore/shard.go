@@ -18,9 +18,10 @@ import (
 //     exact) the committed global is bit-identical to the flat
 //     aggregator for every shard count and every add order.
 //   - Median and TrimmedMean shards retain their rows; folding
-//     concatenates them, and Commit sorts per coordinate, so the
-//     committed global is bit-identical to the flat aggregator for ANY
-//     real-valued updates, shard count, and add order.
+//     concatenates them, and Commit picks per coordinate from a total
+//     order of the values, so the committed global is bit-identical to
+//     the flat aggregator for ANY real-valued updates, shard count, and
+//     add order.
 //   - NormClip clips at Add time inside each shard — clipping is
 //     per-update, so where it happens does not matter.
 //
@@ -105,7 +106,7 @@ func (a *Bundle) MergeFrom(other Aggregator) error {
 
 // MergeFrom implements Mergeable: the shard's retained rows are
 // concatenated (by reference — rows stay immutable until Reset), so the
-// root's per-coordinate sort sees every update exactly as the flat
+// root's per-coordinate selection sees every update exactly as the flat
 // aggregator would.
 func (a *Median) MergeFrom(other Aggregator) error {
 	o, ok := other.(*Median)
