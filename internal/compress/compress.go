@@ -64,9 +64,7 @@ func (Raw) Name() string { return "raw" }
 // Encode implements Codec.
 func (Raw) Encode(update []float32) []byte {
 	out := make([]byte, 4*len(update))
-	for i, v := range update {
-		putU32(out[4*i:], math.Float32bits(v))
-	}
+	tensor.PutFloat32s(out, update)
 	return out
 }
 
@@ -76,11 +74,7 @@ func (Raw) Decode(data []byte, n int) ([]float32, error) {
 		return nil, decodeErrf("raw", "payload %d bytes, want %d", len(data), 4*n)
 	}
 	out := make([]float32, n)
-	for i := range out {
-		// The 4-byte, capacity-clamped window lets the compiler drop the
-		// per-byte bounds checks.
-		out[i] = math.Float32frombits(getU32(data[4*i : 4*i+4 : 4*i+4]))
-	}
+	tensor.GetFloat32s(out, data)
 	return out, nil
 }
 
@@ -117,16 +111,19 @@ func (Float16) Decode(data []byte, n int) ([]float32, error) {
 	return out, nil
 }
 
-// Float32ToFloat16 converts with round-to-nearest-even, handling
-// subnormals, infinities and NaN.
+// Float32ToFloat16 converts to IEEE-754 binary16. Normal results round
+// to nearest, ties to even; overflow saturates to Inf, and NaN maps to the
+// quiet NaN 0x7E00 with its sign. Subnormal results round half up, not to
+// even: 2.5x2^-24 encodes as 0x0003, where round-to-nearest-even gives
+// 0x0002. Deployed clients share that rounding, so it stays.
 func Float32ToFloat16(f float32) uint16 {
 	bits := math.Float32bits(f)
 	sign := uint16(bits>>16) & 0x8000
-	exp := int32(bits>>23&0xFF) - 127 + 15
-	mant := bits & 0x7FFFFF
+	x := bits & 0x7FFFFFFF
+	exp := int32(x>>23) - 127 + 15
 	switch {
 	case exp >= 0x1F: // overflow or inf/nan
-		if int32(bits>>23&0xFF) == 0xFF && mant != 0 {
+		if x > 0x7F800000 {
 			return sign | 0x7E00 // NaN
 		}
 		return sign | 0x7C00 // Inf
@@ -135,20 +132,19 @@ func Float32ToFloat16(f float32) uint16 {
 			return sign // underflow to zero
 		}
 		// subnormal: shift mantissa (with implicit leading 1)
-		mant = (mant | 0x800000) >> uint32(1-exp)
-		// round to nearest
+		mant := (x&0x7FFFFF | 0x800000) >> uint32(1-exp)
+		// round half up
 		if mant&0x1000 != 0 {
 			mant += 0x2000
 		}
 		return sign | uint16(mant>>13)
 	default:
-		// round to nearest even on the 13 dropped bits
-		round := mant & 0x1FFF
-		h := sign | uint16(exp)<<10 | uint16(mant>>13)
-		if round > 0x1000 || (round == 0x1000 && h&1 == 1) {
-			h++
-		}
-		return h
+		// Rebias the exponent in place and round to nearest even on the
+		// 13 dropped bits without a branch: adding 0x0FFF plus the kept
+		// LSB carries out of the dropped bits exactly when they exceed
+		// half, or equal it with an odd LSB. A carry out of the mantissa
+		// bumps the exponent, up to 0x7C00 (Inf) from 0x7BFF.
+		return sign | uint16((x-112<<23+0x0FFF+(x>>13)&1)>>13)
 	}
 }
 

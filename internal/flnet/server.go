@@ -159,6 +159,9 @@ type Server struct {
 
 	mu    sync.Mutex // guards model, and round against Model snapshots
 	model *hdc.Model
+	// fetch caches the encoded global for GET /v1/model: built by the
+	// first fetch after a commit, cleared by the commit, both under mu.
+	fetch atomic.Pointer[modelSnapshot]
 
 	round         atomic.Int64
 	closed        atomic.Bool
@@ -335,16 +338,41 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	model, round := s.Model()
-	var buf bytes.Buffer
-	if _, err := model.WriteTo(&buf); err != nil {
-		http.Error(w, "flnet: serialize model: "+err.Error(), http.StatusInternalServerError)
-		return
+// modelSnapshot is one commit's global model as GET /v1/model serves it:
+// the hdc.Model.WriteTo bytes, and the round they belong to. It is
+// immutable once published.
+type modelSnapshot struct {
+	body  []byte
+	round int
+}
+
+// fetchSnapshot returns the current round's snapshot, building it on the
+// first fetch after a commit. The build runs under mu, so the body and
+// round always come from the same commit; later fetches of the round
+// share it without a lock, a clone or an encode.
+func (s *Server) fetchSnapshot() *modelSnapshot {
+	if snap := s.fetch.Load(); snap != nil {
+		return snap
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(RoundHeader, strconv.Itoa(round))
-	_, _ = w.Write(buf.Bytes())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if snap := s.fetch.Load(); snap != nil {
+		return snap
+	}
+	var buf bytes.Buffer
+	_, _ = s.model.WriteTo(&buf) // a bytes.Buffer write cannot fail
+	snap := &modelSnapshot{body: buf.Bytes(), round: int(s.round.Load())}
+	s.fetch.Store(snap)
+	return snap
+}
+
+func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
+	snap := s.fetchSnapshot()
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(snap.body)))
+	h.Set(RoundHeader, strconv.Itoa(snap.round))
+	_, _ = w.Write(snap.body)
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

@@ -138,12 +138,14 @@ func (s *Server) commit(reason commitReason, round int, stop <-chan struct{}) bo
 	}
 
 	// The round advances in the same critical section as the commit, so
-	// a Model() snapshot never pairs the new global with the old round.
+	// a Model() snapshot never pairs the new global with the old round,
+	// and the stale fetch snapshot goes with them.
 	next := round + 1
 	s.mu.Lock()
 	s.agg.Commit(s.model.Flat())
 	s.acceptedRound.Store(0)
 	s.round.Store(int64(next))
+	s.fetch.Store(nil)
 	s.mu.Unlock()
 	s.agg.Reset()
 	clear(s.seen)

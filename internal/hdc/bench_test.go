@@ -1,6 +1,8 @@
 package hdc
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -180,5 +182,48 @@ func BenchmarkBundle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Bundle(x, y)
+	}
+}
+
+// benchModel is the paper-size global, K=10 x d=10 000, with random
+// prototypes.
+func benchModel() *Model {
+	rng := rand.New(rand.NewSource(3))
+	m := NewModel(10, 10000)
+	flat := m.Flat()
+	for i := range flat {
+		flat[i] = float32(rng.NormFloat64())
+	}
+	return m
+}
+
+// BenchmarkWriteModel serializes the paper-size global, the encode behind
+// a checkpoint and each round's model fetch.
+func BenchmarkWriteModel(b *testing.B) {
+	m := benchModel()
+	b.SetBytes(int64(4 * m.K * m.D))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadModel parses the paper-size global, a client's side of the
+// model fetch.
+func BenchmarkReadModel(b *testing.B) {
+	var buf bytes.Buffer
+	if _, err := benchModel().WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	rd := bytes.NewReader(buf.Bytes())
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(buf.Bytes())
+		if _, err := ReadModel(rd); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

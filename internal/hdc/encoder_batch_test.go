@@ -135,8 +135,14 @@ func TestEncodeBatchIntoDoesNotAllocateSerial(t *testing.T) {
 	e := NewEncoder(rand.New(rand.NewSource(24)), 512, 64)
 	zb := tensor.FromSlice(make([]float32, 4*e.N), 4, e.N)
 	out := tensor.New(4, e.D)
-	if allocs := testing.AllocsPerRun(10, func() { e.EncodeBatchInto(out, zb) }); allocs != 0 {
-		t.Errorf("EncodeBatchInto: %v allocs/op, want 0", allocs)
+	// Under the race detector sync.Pool drops entries at random, and a
+	// pool miss costs the panelBuf wrapper plus its backing array.
+	want := 0.0
+	if raceEnabled {
+		want = 2
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.EncodeBatchInto(out, zb) }); allocs > want {
+		t.Errorf("EncodeBatchInto: %v allocs/op, want <= %v", allocs, want)
 	}
 }
 

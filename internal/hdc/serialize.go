@@ -172,9 +172,7 @@ func readDims(r io.Reader) (int, int, error) {
 
 func writeFloats(w io.Writer, data []float32) (int64, error) {
 	buf := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
+	tensor.PutFloat32s(buf, data)
 	n, err := w.Write(buf)
 	if err != nil {
 		return int64(n), fmt.Errorf("hdc: write payload: %w", err)
@@ -187,8 +185,6 @@ func readFloats(r io.Reader, dst []float32) error {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return fmt.Errorf("hdc: read payload: %w", err)
 	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
+	tensor.GetFloat32s(dst, buf)
 	return nil
 }
