@@ -29,6 +29,10 @@ type Codec interface {
 	// invalid payloads yield a *DecodeError; Decode never panics, since
 	// codec payloads now arrive from the network (see fedcore's envelope).
 	Decode(data []byte, n int) ([]float32, error)
+	// DecodeInto is Decode into the caller's dst, with n = len(dst): on
+	// success every entry of dst is overwritten, whatever it held. On an
+	// error dst holds unspecified values.
+	DecodeInto(dst []float32, data []byte) error
 	// Name identifies the codec in reports.
 	Name() string
 }
@@ -51,6 +55,18 @@ func decodeErrf(codec, format string, args ...any) *DecodeError {
 	return &DecodeError{Codec: codec, Reason: fmt.Sprintf(format, args...)}
 }
 
+// decodeNew is every codec's Decode: DecodeInto a fresh slice of n.
+func decodeNew(c Codec, data []byte, n int) ([]float32, error) {
+	if n < 0 {
+		return nil, decodeErrf(c.Name(), "negative length %d", n)
+	}
+	out := make([]float32, n)
+	if err := c.DecodeInto(out, data); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // ---- raw float32 -------------------------------------------------------
 
 // Raw is the identity codec: 4 bytes per value, little-endian IEEE-754.
@@ -69,13 +85,15 @@ func (Raw) Encode(update []float32) []byte {
 }
 
 // Decode implements Codec.
-func (Raw) Decode(data []byte, n int) ([]float32, error) {
-	if len(data) != 4*n {
-		return nil, decodeErrf("raw", "payload %d bytes, want %d", len(data), 4*n)
+func (c Raw) Decode(data []byte, n int) ([]float32, error) { return decodeNew(c, data, n) }
+
+// DecodeInto implements Codec.
+func (Raw) DecodeInto(dst []float32, data []byte) error {
+	if len(data) != 4*len(dst) {
+		return decodeErrf("raw", "payload %d bytes, want %d", len(data), 4*len(dst))
 	}
-	out := make([]float32, n)
-	tensor.GetFloat32s(out, data)
-	return out, nil
+	tensor.GetFloat32s(dst, data)
+	return nil
 }
 
 // ---- float16 ----------------------------------------------------------
@@ -99,16 +117,18 @@ func (Float16) Encode(update []float32) []byte {
 }
 
 // Decode implements Codec.
-func (Float16) Decode(data []byte, n int) ([]float32, error) {
-	if len(data) != 2*n {
-		return nil, decodeErrf("float16", "payload %d bytes, want %d", len(data), 2*n)
+func (c Float16) Decode(data []byte, n int) ([]float32, error) { return decodeNew(c, data, n) }
+
+// DecodeInto implements Codec.
+func (Float16) DecodeInto(dst []float32, data []byte) error {
+	if len(data) != 2*len(dst) {
+		return decodeErrf("float16", "payload %d bytes, want %d", len(data), 2*len(dst))
 	}
-	out := make([]float32, n)
-	for i := range out {
+	for i := range dst {
 		h := uint16(data[2*i]) | uint16(data[2*i+1])<<8
-		out[i] = Float16ToFloat32(h)
+		dst[i] = Float16ToFloat32(h)
 	}
-	return out, nil
+	return nil
 }
 
 // Float32ToFloat16 converts to IEEE-754 binary16. Normal results round
@@ -215,16 +235,18 @@ func (Int8) Encode(update []float32) []byte {
 }
 
 // Decode implements Codec.
-func (Int8) Decode(data []byte, n int) ([]float32, error) {
-	if len(data) != 4+n {
-		return nil, decodeErrf("int8", "payload %d bytes, want %d", len(data), 4+n)
+func (c Int8) Decode(data []byte, n int) ([]float32, error) { return decodeNew(c, data, n) }
+
+// DecodeInto implements Codec.
+func (Int8) DecodeInto(dst []float32, data []byte) error {
+	if len(data) != 4+len(dst) {
+		return decodeErrf("int8", "payload %d bytes, want %d", len(data), 4+len(dst))
 	}
 	scale := math.Float32frombits(uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24)
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = float32(int8(data[4+i])) * scale
+	for i := range dst {
+		dst[i] = float32(int8(data[4+i])) * scale
 	}
-	return out, nil
+	return nil
 }
 
 // ---- top-k sparsification ----------------------------------------------
@@ -296,22 +318,27 @@ func magnitudeKey(v float32) uint32 {
 	return min(math.Float32bits(v)&^(1<<31), infBits)
 }
 
-// Decode implements Codec. Encode always emits strictly increasing
-// indices, so Decode requires them: an index that is out of range,
-// repeated, or out of order marks a corrupt (or adversarial) payload and
-// is rejected with a typed error rather than silently overwriting entries.
-func (c TopK) Decode(data []byte, n int) ([]float32, error) {
+// Decode implements Codec; see DecodeInto.
+func (c TopK) Decode(data []byte, n int) ([]float32, error) { return decodeNew(c, data, n) }
+
+// DecodeInto implements Codec: it zeroes dst, then writes the k shipped
+// entries. Encode always emits strictly increasing indices, so DecodeInto
+// requires them: an index that is out of range, repeated, or out of order
+// marks a corrupt (or adversarial) payload and is rejected with a typed
+// error rather than silently overwriting entries.
+func (c TopK) DecodeInto(dst []float32, data []byte) error {
+	n := len(dst)
 	if len(data) < 4 {
-		return nil, decodeErrf("topk", "payload too short (%d bytes)", len(data))
+		return decodeErrf("topk", "payload too short (%d bytes)", len(data))
 	}
 	k := int(getU32(data))
 	if k < 0 || k > n {
-		return nil, decodeErrf("topk", "count %d out of range for %d values", k, n)
+		return decodeErrf("topk", "count %d out of range for %d values", k, n)
 	}
 	if len(data) != 4+8*k {
-		return nil, decodeErrf("topk", "payload %d bytes, want %d", len(data), 4+8*k)
+		return decodeErrf("topk", "payload %d bytes, want %d", len(data), 4+8*k)
 	}
-	out := make([]float32, n)
+	clear(dst)
 	prev := -1
 	for i := 0; i < k; i++ {
 		j := int(getU32(data[4+8*i:]))
@@ -319,18 +346,18 @@ func (c TopK) Decode(data []byte, n int) ([]float32, error) {
 		// negative; without the explicit check it would reach the
 		// monotonicity test with a misleading error.
 		if j < 0 || j >= n {
-			return nil, decodeErrf("topk", "index %d out of range %d", j, n)
+			return decodeErrf("topk", "index %d out of range %d", j, n)
 		}
 		if j <= prev {
 			if j == prev {
-				return nil, decodeErrf("topk", "duplicate index %d", j)
+				return decodeErrf("topk", "duplicate index %d", j)
 			}
-			return nil, decodeErrf("topk", "indices not strictly increasing at %d", j)
+			return decodeErrf("topk", "indices not strictly increasing at %d", j)
 		}
 		prev = j
-		out[j] = math.Float32frombits(getU32(data[8+8*i:]))
+		dst[j] = math.Float32frombits(getU32(data[8+8*i:]))
 	}
-	return out, nil
+	return nil
 }
 
 func putU32(b []byte, v uint32) {

@@ -167,35 +167,70 @@ func EncodeEnvelope(c compress.Codec, params []float32) ([]byte, error) {
 // payload is touched). Every failure mode returns a typed error;
 // DecodeEnvelope never panics on malformed input.
 func DecodeEnvelope(data []byte, wantN int) ([]float32, CodecID, error) {
+	codec, id, count, payload, err := openEnvelope(data, wantN)
+	if err != nil {
+		return nil, id, err
+	}
+	params, err := codec.Decode(payload, count)
+	if err != nil {
+		return nil, id, fmt.Errorf("%w: %v", ErrEnvelopePayload, err)
+	}
+	return params, id, nil
+}
+
+// DecodeEnvelopeInto is DecodeEnvelope with wantN = len(dst), decoding
+// into dst instead of a fresh slice: the same checks in the same order,
+// the same typed errors. On success every entry of dst is overwritten; on
+// an error dst holds unspecified values.
+func DecodeEnvelopeInto(dst []float32, data []byte) (CodecID, error) {
+	codec, id, count, payload, err := openEnvelope(data, len(dst))
+	if err == nil && count != len(dst) {
+		// Only an empty dst gets here: openEnvelope skips the count
+		// check for wantN 0.
+		err = fmt.Errorf("%w: %d elements, want %d", ErrEnvelopeCount, count, len(dst))
+	}
+	if err != nil {
+		return id, err
+	}
+	if err := codec.DecodeInto(dst, payload); err != nil {
+		return id, fmt.Errorf("%w: %v", ErrEnvelopePayload, err)
+	}
+	return id, nil
+}
+
+// openEnvelope checks an envelope's header, size and checksum, and
+// returns its codec, element count and payload. The id is set as soon as
+// the header names a registered codec, errors included.
+func openEnvelope(data []byte, wantN int) (codec compress.Codec, id CodecID, count int, payload []byte, err error) {
 	if len(data) < EnvelopeOverhead {
-		return nil, 0, fmt.Errorf("%w: %d bytes, header needs %d",
+		return nil, 0, 0, nil, fmt.Errorf("%w: %d bytes, header needs %d",
 			ErrEnvelopeTruncated, len(data), EnvelopeOverhead)
 	}
 	if [4]byte(data[:4]) != EnvelopeMagic {
-		return nil, 0, fmt.Errorf("%w: %q", ErrEnvelopeMagic, data[:4])
+		return nil, 0, 0, nil, fmt.Errorf("%w: %q", ErrEnvelopeMagic, data[:4])
 	}
 	if data[4] != EnvelopeVersion {
-		return nil, 0, fmt.Errorf("%w: %d", ErrEnvelopeVersion, data[4])
+		return nil, 0, 0, nil, fmt.Errorf("%w: %d", ErrEnvelopeVersion, data[4])
 	}
-	id := CodecID(data[5])
+	id = CodecID(data[5])
 	codec, ok := CodecFor(id)
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: id %d", ErrEnvelopeCodec, id)
+		return nil, 0, 0, nil, fmt.Errorf("%w: id %d", ErrEnvelopeCodec, id)
 	}
 	if data[6] != 0 || data[7] != 0 {
-		return nil, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrEnvelopePayload)
+		return nil, 0, 0, nil, fmt.Errorf("%w: nonzero reserved bytes", ErrEnvelopePayload)
 	}
-	count := int(binary.LittleEndian.Uint32(data[8:]))
+	count = int(binary.LittleEndian.Uint32(data[8:]))
 	payloadLen := int(binary.LittleEndian.Uint32(data[12:]))
 	if wantN > 0 && count != wantN {
-		return nil, id, fmt.Errorf("%w: %d elements, want %d", ErrEnvelopeCount, count, wantN)
+		return nil, id, 0, nil, fmt.Errorf("%w: %d elements, want %d", ErrEnvelopeCount, count, wantN)
 	}
 	if count < 0 || count > maxEnvelopeElems {
-		return nil, id, fmt.Errorf("%w: implausible element count %d", ErrEnvelopeCount, count)
+		return nil, id, 0, nil, fmt.Errorf("%w: implausible element count %d", ErrEnvelopeCount, count)
 	}
-	payload := data[EnvelopeOverhead:]
+	payload = data[EnvelopeOverhead:]
 	if payloadLen != len(payload) {
-		return nil, id, fmt.Errorf("%w: header claims %d payload bytes, have %d",
+		return nil, id, 0, nil, fmt.Errorf("%w: header claims %d payload bytes, have %d",
 			ErrEnvelopeTruncated, payloadLen, len(payload))
 	}
 	// Amplification cap for self-described decodes: with wantN == 0 the
@@ -207,15 +242,11 @@ func DecodeEnvelope(data []byte, wantN int) ([]float32, CodecID, error) {
 	// Callers that pass wantN chose that size themselves; the cap does not
 	// apply.
 	if wantN == 0 && count > 64+256*len(payload) {
-		return nil, id, fmt.Errorf("%w: self-described count %d from %d payload bytes",
+		return nil, id, 0, nil, fmt.Errorf("%w: self-described count %d from %d payload bytes",
 			ErrEnvelopeCount, count, len(payload))
 	}
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(data[16:]); got != want {
-		return nil, id, fmt.Errorf("%w: crc32 %08x, header says %08x", ErrEnvelopeChecksum, got, want)
+		return nil, id, 0, nil, fmt.Errorf("%w: crc32 %08x, header says %08x", ErrEnvelopeChecksum, got, want)
 	}
-	params, err := codec.Decode(payload, count)
-	if err != nil {
-		return nil, id, fmt.Errorf("%w: %v", ErrEnvelopePayload, err)
-	}
-	return params, id, nil
+	return codec, id, count, payload, nil
 }

@@ -2,6 +2,8 @@ package fedcore
 
 import (
 	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 
 	"fhdnn/internal/compress"
@@ -70,5 +72,51 @@ func FuzzEnvelopeDecode(f *testing.F) {
 				t.Fatalf("decoded %d values, caller expected %d", len(got), wantN)
 			}
 		}
+		checkDecodeEnvelopeInto(t, data, 32)
+		if got, _, err := DecodeEnvelope(data, 0); err == nil {
+			checkDecodeEnvelopeInto(t, data, len(got))
+		}
 	})
+}
+
+// envelopeErrors are the typed envelope failures, in the order their
+// checks run.
+var envelopeErrors = []error{
+	ErrEnvelopeMagic, ErrEnvelopeVersion, ErrEnvelopeCodec, ErrEnvelopeTruncated,
+	ErrEnvelopeChecksum, ErrEnvelopeCount, ErrEnvelopePayload,
+}
+
+// envelopeErrorClass is the typed failure err wraps, nil for none.
+func envelopeErrorClass(err error) error {
+	for _, e := range envelopeErrors {
+		if errors.Is(err, e) {
+			return e
+		}
+	}
+	return err
+}
+
+// checkDecodeEnvelopeInto decodes data into a NaN-filled dst of n values
+// and holds the result to DecodeEnvelope(data, n): the same codec id, the
+// same error class, and on success the same bits.
+func checkDecodeEnvelopeInto(t *testing.T, data []byte, n int) {
+	t.Helper()
+	want, wantID, wantErr := DecodeEnvelope(data, n)
+	dst := make([]float32, n)
+	for i := range dst {
+		dst[i] = float32(math.NaN())
+	}
+	id, err := DecodeEnvelopeInto(dst, data)
+	if envelopeErrorClass(err) != envelopeErrorClass(wantErr) || id != wantID {
+		t.Fatalf("n %d: DecodeEnvelopeInto (%d, %v), DecodeEnvelope (%d, %v)", n, id, err, wantID, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	for i := range want {
+		if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("n %d, entry %d: DecodeEnvelopeInto %#x, DecodeEnvelope %#x",
+				n, i, math.Float32bits(dst[i]), math.Float32bits(want[i]))
+		}
+	}
 }

@@ -178,6 +178,7 @@ type unregisteredCodec struct{}
 func (unregisteredCodec) Name() string                              { return "mystery" }
 func (unregisteredCodec) Encode(u []float32) []byte                 { return nil }
 func (unregisteredCodec) Decode(d []byte, n int) ([]float32, error) { return nil, nil }
+func (unregisteredCodec) DecodeInto(dst []float32, d []byte) error  { return nil }
 
 func TestParseCodec(t *testing.T) {
 	for _, name := range []string{"raw", "float16", "int8", "topk", "topk:0.25"} {

@@ -32,8 +32,9 @@ import (
 type Update struct {
 	// Params is the flat parameter vector (or, for asynchronous
 	// aggregation, the delta against the snapshot the client trained
-	// from). Under the Engine it may alias trainer memory and is valid
-	// until AfterCommit; see Engine.Train.
+	// from). No Aggregator keeps it past Add: each one folds it in or
+	// copies it, so the caller may reuse the slice once Add returns.
+	// Under the Engine it may alias trainer memory; see Engine.Train.
 	Params []float32
 	// Round is the communication round the update belongs to.
 	Round int
@@ -137,12 +138,7 @@ func (a *Bundle) Add(u Update) {
 		//fhdnn:allow hotalloc first Add after Reset sizes the accumulator once per round
 		a.sum = make([]float64, len(u.Params))
 	}
-	// One slice for the loop: no reload of a.sum and no bounds check per
-	// element. An update longer than the accumulator still panics, here.
-	sum := a.sum[:len(u.Params)]
-	for i, v := range u.Params {
-		sum[i] += float64(v)
-	}
+	widenAdd(a.sum, u.Params) // panics on an update longer than the accumulator
 	a.n++
 }
 
@@ -186,7 +182,8 @@ func (a *Bundle) Reset() {
 type AsyncStaleness struct {
 	Alpha float64
 
-	pending []Update
+	pending []Update // Params of each points into arena
+	arena   rowArena
 }
 
 // Weight returns the discount applied to an update of the given staleness.
@@ -201,6 +198,7 @@ func (a *AsyncStaleness) Weight(staleness int) float64 {
 //
 //fhdnn:hotpath called once per received delta on the async merge path
 func (a *AsyncStaleness) Add(u Update) {
+	u.Params = a.arena.hold(u.Params)
 	//fhdnn:allow hotalloc pending reuses its backing array across Reset; growth amortizes out
 	a.pending = append(a.pending, u)
 }
@@ -221,7 +219,10 @@ func (a *AsyncStaleness) Commit(global []float32) {
 }
 
 // Reset implements Aggregator.
-func (a *AsyncStaleness) Reset() { a.pending = a.pending[:0] }
+func (a *AsyncStaleness) Reset() {
+	a.pending = a.pending[:0]
+	a.arena.reset()
+}
 
 // ClientRNG derives the deterministic random stream for one client in one
 // round: every client's randomness is keyed by (seed, round, id), so

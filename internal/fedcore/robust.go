@@ -40,21 +40,51 @@ import (
 // count. Against a float64 sort of each coordinate (the oracles in
 // robust_oracle_test.go), the bits differ only where mixed -0 and +0
 // straddle Median's selected rank, and in NaN payloads (DESIGN.md,
-// "Robust aggregators"). Storage note: like
-// AsyncStaleness, Add retains u.Params until Reset; callers must not
-// reuse the slice within a round (the Engine hands over the uplink's copy
-// or Train's own buffer, untouched until AfterCommit; the flnet server a
-// freshly decoded slice).
+// "Robust aggregators"). Storage: Add copies u.Params into rows the
+// aggregator owns and reuses across Reset, so the caller's slice is free
+// again as soon as Add returns (the flnet server decodes every upload
+// into a recycled buffer).
 
 // colBlock is how many coordinates a robust Commit gathers into key
 // columns at a time: 16 float32 values of every row, one cache line.
 const colBlock = 16
 
-// columns is the round state of a row-retaining robust aggregator: the
-// added rows, and the key scratch its Commit gathers them into, sized once
-// per round and reused.
+// rowArena holds copies of the rows a round adds, in storage that Reset
+// keeps for the next round: after the largest round so far, a copy
+// allocates nothing.
+type rowArena struct {
+	rows [][]float32 // rows[:n] are this round's copies, the rest spare
+	n    int
+}
+
+// hold copies p into the arena's next row and returns the copy.
+func (a *rowArena) hold(p []float32) []float32 {
+	if a.n == len(a.rows) {
+		//fhdnn:allow hotalloc one slot per row of the largest round so far; Reset keeps them
+		a.rows = append(a.rows, nil)
+	}
+	row := a.rows[a.n]
+	if cap(row) < len(p) {
+		//fhdnn:allow hotalloc a slot's row is allocated once, then reused by every later round
+		row = make([]float32, len(p))
+	}
+	row = row[:len(p)]
+	copy(row, p)
+	a.rows[a.n] = row
+	a.n++
+	return row
+}
+
+func (a *rowArena) reset() { a.n = 0 }
+
+// columns is the round state of a row-buffering robust aggregator: the
+// round's rows, the arena holding its copies of them, and the key scratch
+// its Commit gathers them into, sized once per round and reused. rows is
+// indexed apart from the arena because MergeFrom appends another
+// aggregator's rows to it by reference.
 type columns struct {
-	rows [][]float32
+	rows  [][]float32
+	arena rowArena
 	// keys holds, per column stripe, colBlock key columns of len(rows)
 	// keys followed by len(rows) keys of partition scratch.
 	keys []uint32
@@ -63,7 +93,7 @@ type columns struct {
 func (c *columns) add(u Update, kind string) {
 	checkRowLen(c.rows, u.Params, kind)
 	//fhdnn:allow hotalloc rows reuses its backing array across Reset; growth amortizes out
-	c.rows = append(c.rows, u.Params)
+	c.rows = append(c.rows, c.arena.hold(u.Params))
 }
 
 // Len implements Aggregator.
@@ -73,6 +103,7 @@ func (c *columns) Len() int { return len(c.rows) }
 func (c *columns) Reset() {
 	clear(c.rows)
 	c.rows = c.rows[:0]
+	c.arena.reset()
 }
 
 // commit sets global[j] = pick(col, tmp) for every coordinate j, where col
@@ -216,12 +247,14 @@ func (a *TrimmedMean) Name() string {
 // NormClip decorates Inner: any added update whose L2 norm exceeds Bound
 // is rescaled to exactly Bound (preserving its direction) before being
 // handed on. Updates at or under the bound pass through bit-identical —
-// the caller's slice is never mutated; clipping works on a copy, because
-// storing aggregators (Median, TrimmedMean, AsyncStaleness) retain the
-// slice they are given. Bound <= 0 disables clipping.
+// the caller's slice is never mutated; clipping writes a scratch slice
+// that every clipped update reuses, since no aggregator keeps the slice
+// it is given. Bound <= 0 disables clipping.
 type NormClip struct {
 	Inner Aggregator
 	Bound float64
+
+	scaled []float32
 
 	// clipped is atomic so a stats scrape may read it while a shard
 	// goroutine owns the Add path; everything else follows the usual
@@ -241,8 +274,11 @@ func (a *NormClip) Add(u Update) {
 		}
 		if norm := math.Sqrt(sum); norm > a.Bound {
 			scale := a.Bound / norm
-			//fhdnn:allow hotalloc a clipped update needs its own copy: inner aggregators retain the slice until Reset
-			scaled := make([]float32, len(u.Params))
+			if cap(a.scaled) < len(u.Params) {
+				//fhdnn:allow hotalloc clip scratch sized by the first clipped update, reused by the rest
+				a.scaled = make([]float32, len(u.Params))
+			}
+			scaled := a.scaled[:len(u.Params)]
 			for i, v := range u.Params {
 				scaled[i] = float32(float64(v) * scale)
 			}

@@ -71,6 +71,7 @@ import (
 
 	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
+	"fhdnn/internal/tensor"
 )
 
 // RoundHeader is the response header carrying the server's current round.
@@ -176,7 +177,19 @@ type Server struct {
 
 	deadlineTimer *time.Timer // owned by the token holder after NewServer
 
+	// uploads recycles *uploadBuf between upload handlers.
+	uploads sync.Pool
+
 	stats *serverStats
+}
+
+// uploadBuf is one upload handler's scratch: the body as read, and the
+// update decoded from it. A handler takes one from Server.uploads and
+// puts it back when it returns, whatever it answered; nothing keeps
+// either slice past that, since every aggregator copies what it keeps.
+type uploadBuf struct {
+	body   []byte
+	params []float32
 }
 
 // NewServer creates a server with a zero-initialized global model at
@@ -207,6 +220,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		token:         make(chan struct{}, 1),
 		seen:          make(map[string]bool),
 		stopAll:       make(chan struct{}),
+		uploads:       sync.Pool{New: func() any { return new(uploadBuf) }},
 		stats:         newServerStats(),
 	}
 	s.round.Store(1)
@@ -389,18 +403,24 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if declared < 0 || declared > limit {
 		declared = limit
 	}
-	data, err := readBody(http.MaxBytesReader(w, r.Body, limit), declared)
+	buf := s.uploads.Get().(*uploadBuf)
+	defer s.uploads.Put(buf)
+	data, err := readBody(http.MaxBytesReader(w, r.Body, limit), declared, buf.body[:0])
+	buf.body = data
 	// Bytes actually consumed, read error or not: real uplink traffic
 	// rather than a payload-only estimate.
 	s.stats.bytesReceived.Add(int64(len(data)))
 
 	// Decode with no lock held; it does not touch round state.
-	var flat []float32
+	if cap(buf.params) < n {
+		buf.params = make([]float32, n)
+	}
+	flat := buf.params[:n]
 	var id fedcore.CodecID
 	if err != nil {
 		err = fmt.Errorf("read body: %w", err)
 	} else {
-		flat, id, err = fedcore.DecodeEnvelope(data, n)
+		id, err = fedcore.DecodeEnvelopeInto(flat, data)
 	}
 	if err != nil {
 		// A body that is not a valid envelope — bad magic, truncated
@@ -422,15 +442,19 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	s.routeUpdate(w, wantRound, clientID, fedcore.CodecName(id), flat)
 }
 
-// readBody reads r to EOF like io.ReadAll, but sizes its buffer for a
-// body of declared bytes (negative: unknown). It starts at ReadAll's 512 B
-// and grows 4x at a time, never past declared+1, so a truthfully declared
+// readBody reads r to EOF like io.ReadAll, appending to b (a recycled
+// buffer, or nil), and sizes the buffer for a body of declared bytes
+// (negative: unknown). A nil b starts at ReadAll's 512 B; a full buffer
+// grows 4x at a time, never past declared+1, so a truthfully declared
 // body costs a handful of allocations and the spare byte sees EOF without
-// a last regrowth. It never allocates from declared alone: a buffer is at
-// most 4x the bytes actually read (or the 512 B start), so a header that
-// promises a large body and sends none pins only the start.
-func readBody(r io.Reader, declared int64) ([]byte, error) {
-	b := make([]byte, 0, bodyCap(0, declared))
+// a last regrowth. It never allocates from declared alone: a buffer it
+// makes is at most 4x the bytes actually read (or the 512 B start), so a
+// header that promises a large body and sends none pins only the start,
+// or the recycled b.
+func readBody(r io.Reader, declared int64, b []byte) ([]byte, error) {
+	if cap(b) == 0 {
+		b = make([]byte, 0, bodyCap(0, declared))
+	}
 	for {
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
@@ -553,13 +577,17 @@ func retryAfterSeconds(d time.Duration) int {
 // detail names the offending index and value so a quarantined client's
 // 422 body is actionable.
 //
-// The scan costs one exponent-bit test per parameter; the float64 norm
-// chain runs only under a norm gate, and the peak search only for a
-// refusal, so neither is paid by a clean update without one.
+// The scan is tensor.AllFinite, an exponent-bit test per parameter, in
+// AVX where the CPU has it; the loop that names the first non-finite
+// index runs only when that finds one. The float64 norm chain runs only
+// under a norm gate, and the peak search only for a refusal, so neither
+// is paid by a clean update without one.
 func quarantineReason(flat []float32, maxNorm float64) (reason, detail string) {
-	for i, v := range flat {
-		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
-			return QuarantineNonFinite, fmt.Sprintf("non-finite parameter %v at index %d", v, i)
+	if !tensor.AllFinite(flat) {
+		for i, v := range flat {
+			if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
+				return QuarantineNonFinite, fmt.Sprintf("non-finite parameter %v at index %d", v, i)
+			}
 		}
 	}
 	if maxNorm > 0 {

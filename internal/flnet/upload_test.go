@@ -31,7 +31,7 @@ func TestReadBody(t *testing.T) {
 			body := make([]byte, n)
 			rng.Read(body)
 			for _, r := range []io.Reader{bytes.NewReader(body), iotest.HalfReader(bytes.NewReader(body))} {
-				got, err := readBody(r, dl)
+				got, err := readBody(r, dl, nil)
 				if err != nil {
 					t.Fatalf("declared %d, actual %d: %v", dl, n, err)
 				}
@@ -49,7 +49,7 @@ func TestReadBody(t *testing.T) {
 	rd := bytes.NewReader(nil)
 	allocs := testing.AllocsPerRun(20, func() {
 		rd.Reset(body)
-		if _, err := readBody(rd, int64(len(body))); err != nil {
+		if _, err := readBody(rd, int64(len(body)), nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -58,7 +58,7 @@ func TestReadBody(t *testing.T) {
 	}
 
 	// A read error comes back with the bytes read before it.
-	got, err := readBody(iotest.TimeoutReader(iotest.OneByteReader(bytes.NewReader([]byte("ab")))), 2)
+	got, err := readBody(iotest.TimeoutReader(iotest.OneByteReader(bytes.NewReader([]byte("ab")))), 2, nil)
 	if err != iotest.ErrTimeout || string(got) != "a" {
 		t.Fatalf("read error: got (%q, %v), want (\"a\", %v)", got, err, iotest.ErrTimeout)
 	}
