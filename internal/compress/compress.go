@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"fhdnn/internal/invariant"
 	"fhdnn/internal/tensor"
 )
 
@@ -23,8 +24,17 @@ import (
 // server's non-finite quarantine. (TopK ships only k entries; it keeps
 // the non-finite ones first.)
 type Codec interface {
-	// Encode serializes the update.
+	// Encode serializes the update: EncodeInto a fresh buffer of
+	// EncodedLen(len(update)) bytes.
 	Encode(update []float32) []byte
+	// EncodedLen is the exact size of Encode's output for an update of n
+	// values. Every codec here sizes by n alone; a codec whose size
+	// depends on the values must not implement Codec this way.
+	EncodedLen(n int) int
+	// EncodeInto writes Encode(update) into dst, which must be exactly
+	// EncodedLen(len(update)) bytes long (it panics otherwise). Every
+	// byte of dst is written, whatever it held.
+	EncodeInto(dst []byte, update []float32)
 	// Decode reconstructs an update of length n from data. Structurally
 	// invalid payloads yield a *DecodeError; Decode never panics, since
 	// codec payloads now arrive from the network (see fedcore's envelope).
@@ -55,6 +65,22 @@ func decodeErrf(codec, format string, args ...any) *DecodeError {
 	return &DecodeError{Codec: codec, Reason: fmt.Sprintf(format, args...)}
 }
 
+// encodeNew is every codec's Encode: EncodeInto a fresh buffer. It is
+// generic so that a codec with fields (TopK) is not boxed into a Codec,
+// an allocation per call.
+func encodeNew[C Codec](c C, update []float32) []byte {
+	out := make([]byte, c.EncodedLen(len(update)))
+	c.EncodeInto(out, update)
+	return out
+}
+
+// checkEncodeLen panics unless dst is exactly EncodedLen(n) bytes.
+func checkEncodeLen[C Codec](c C, dst []byte, n int) {
+	if want := c.EncodedLen(n); len(dst) != want {
+		invariant.Failf("compress: %s: EncodeInto of %d values into %d bytes, want %d", c.Name(), n, len(dst), want)
+	}
+}
+
 // decodeNew is every codec's Decode: DecodeInto a fresh slice of n.
 func decodeNew(c Codec, data []byte, n int) ([]float32, error) {
 	if n < 0 {
@@ -78,10 +104,15 @@ type Raw struct{}
 func (Raw) Name() string { return "raw" }
 
 // Encode implements Codec.
-func (Raw) Encode(update []float32) []byte {
-	out := make([]byte, 4*len(update))
-	tensor.PutFloat32s(out, update)
-	return out
+func (c Raw) Encode(update []float32) []byte { return encodeNew(c, update) }
+
+// EncodedLen implements Codec: 4 bytes per value.
+func (Raw) EncodedLen(n int) int { return 4 * n }
+
+// EncodeInto implements Codec.
+func (c Raw) EncodeInto(dst []byte, update []float32) {
+	checkEncodeLen(c, dst, len(update))
+	tensor.PutFloat32s(dst, update)
 }
 
 // Decode implements Codec.
@@ -105,15 +136,20 @@ type Float16 struct{}
 // Name implements Codec.
 func (Float16) Name() string { return "float16" }
 
-// Encode implements Codec: 2 bytes per value.
-func (Float16) Encode(update []float32) []byte {
-	out := make([]byte, 2*len(update))
+// Encode implements Codec.
+func (c Float16) Encode(update []float32) []byte { return encodeNew(c, update) }
+
+// EncodedLen implements Codec: 2 bytes per value.
+func (Float16) EncodedLen(n int) int { return 2 * n }
+
+// EncodeInto implements Codec.
+func (c Float16) EncodeInto(dst []byte, update []float32) {
+	checkEncodeLen(c, dst, len(update))
 	for i, v := range update {
 		h := Float32ToFloat16(v)
-		out[2*i] = byte(h)
-		out[2*i+1] = byte(h >> 8)
+		dst[2*i] = byte(h)
+		dst[2*i+1] = byte(h >> 8)
 	}
-	return out
 }
 
 // Decode implements Codec.
@@ -202,25 +238,32 @@ type Int8 struct{}
 // Name implements Codec.
 func (Int8) Name() string { return "int8" }
 
-// Encode stores a float32 scale followed by one int8 code per value. An
-// update with a NaN or +-Inf entry gets a NaN scale, so every value
-// decodes to NaN.
-func (Int8) Encode(update []float32) []byte {
+// Encode implements Codec.
+func (c Int8) Encode(update []float32) []byte { return encodeNew(c, update) }
+
+// EncodedLen implements Codec: a 4-byte scale and 1 byte per value.
+func (Int8) EncodedLen(n int) int { return 4 + n }
+
+// EncodeInto stores a float32 scale followed by one int8 code per value.
+// An update with a NaN or +-Inf entry gets a NaN scale and zero codes, so
+// every value decodes to NaN.
+func (c Int8) EncodeInto(dst []byte, update []float32) {
+	checkEncodeLen(c, dst, len(update))
 	var maxKey uint32
 	for _, v := range update {
 		maxKey = max(maxKey, magnitudeKey(v))
 	}
-	out := make([]byte, 4+len(update))
 	if maxKey == infBits {
-		putU32(out, math.Float32bits(float32(math.NaN())))
-		return out
+		putU32(dst, math.Float32bits(float32(math.NaN())))
+		clear(dst[4:])
+		return
 	}
 	maxAbs := float64(math.Float32frombits(maxKey))
 	scale := float32(1)
 	if maxAbs > 0 {
 		scale = float32(maxAbs / 127)
 	}
-	putU32(out, math.Float32bits(scale))
+	putU32(dst, math.Float32bits(scale))
 	for i, v := range update {
 		q := int32(math.Round(float64(v) / float64(scale)))
 		if q > 127 {
@@ -229,9 +272,8 @@ func (Int8) Encode(update []float32) []byte {
 		if q < -127 {
 			q = -127
 		}
-		out[4+i] = byte(int8(q))
+		dst[4+i] = byte(int8(q))
 	}
-	return out
 }
 
 // Decode implements Codec.
@@ -263,24 +305,31 @@ type TopK struct {
 // Name implements Codec.
 func (c TopK) Name() string { return fmt.Sprintf("topk(%.2g)", c.Frac) }
 
-// Encode stores uint32 count, then (uint32 index, float32 value) pairs in
-// ascending index order. It selects the k-th largest magnitudeKey as a
-// threshold with tensor.Select, then keeps, in one ascending pass, every
-// entry above it and the lowest-index entries equal to it up to k: the
-// set a sort by (magnitude descending, index ascending) would keep.
-func (c TopK) Encode(update []float32) []byte {
+// Encode implements Codec.
+func (c TopK) Encode(update []float32) []byte { return encodeNew(c, update) }
+
+// kept is how many of n entries the codec ships: Frac*n rounded down,
+// at least 1 and at most n.
+func (c TopK) kept(n int) int {
+	return min(max(int(c.Frac*float64(n)), 1), n)
+}
+
+// EncodedLen implements Codec: a 4-byte count and 8 bytes per kept entry.
+func (c TopK) EncodedLen(n int) int { return 4 + 8*c.kept(n) }
+
+// EncodeInto stores uint32 count, then (uint32 index, float32 value)
+// pairs in ascending index order. It selects the k-th largest
+// magnitudeKey as a threshold with tensor.Select, then keeps, in one
+// ascending pass, every entry above it and the lowest-index entries equal
+// to it up to k: the set a sort by (magnitude descending, index
+// ascending) would keep.
+func (c TopK) EncodeInto(dst []byte, update []float32) {
+	checkEncodeLen(c, dst, len(update))
 	n := len(update)
-	k := int(c.Frac * float64(n))
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	out := make([]byte, 4+8*k)
-	putU32(out[0:], uint32(k))
+	k := c.kept(n)
+	putU32(dst, uint32(k))
 	if k == 0 {
-		return out
+		return
 	}
 	keys := make([]uint32, 2*n)
 	for i, v := range update {
@@ -293,7 +342,7 @@ func (c TopK) Encode(update []float32) []byte {
 			ties--
 		}
 	}
-	w := out[4:]
+	w := dst[4:]
 	for j, v := range update {
 		m := magnitudeKey(v)
 		if m > t || m == t && ties > 0 {
@@ -305,7 +354,6 @@ func (c TopK) Encode(update []float32) []byte {
 			w = w[8:]
 		}
 	}
-	return out
 }
 
 // infBits is the bit pattern of float32 +Inf.

@@ -1,0 +1,56 @@
+package compress
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// EncodedLen is exact, and EncodeInto a recycled buffer leaves nothing of
+// what the buffer held: into a 0xA5-filled dst it writes the bytes Encode
+// returns, for every codec, at lengths from empty to odd, over clean
+// updates and ones holding NaN, -Inf and -0.
+func TestEncodeIntoRecycledBufferMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	codecs := []Codec{Raw{}, Float16{}, Int8{}, TopK{Frac: 0.1}, TopK{Frac: 0.37}, TopK{Frac: 1}, TopK{Frac: 1e-9}}
+	for _, n := range []int{0, 1, 2, 7, 1000} {
+		clean := randomUpdate(rng, n)
+		dirty := append([]float32(nil), clean...)
+		if n >= 3 {
+			dirty[0] = float32(math.NaN())
+			dirty[1] = float32(math.Inf(-1))
+			dirty[2] = float32(math.Copysign(0, -1))
+		}
+		for _, u := range [][]float32{clean, dirty} {
+			for _, c := range codecs {
+				want := c.Encode(u)
+				if got := c.EncodedLen(n); got != len(want) {
+					t.Fatalf("%s: EncodedLen(%d) = %d, Encode gives %d bytes", c.Name(), n, got, len(want))
+				}
+				dst := bytes.Repeat([]byte{0xA5}, len(want))
+				c.EncodeInto(dst, u)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s, n=%d: EncodeInto a recycled buffer differs from Encode", c.Name(), n)
+				}
+			}
+		}
+	}
+}
+
+// EncodeInto refuses a dst of any other length than EncodedLen.
+func TestEncodeIntoRejectsWrongLength(t *testing.T) {
+	u := make([]float32, 10)
+	for _, c := range []Codec{Raw{}, Float16{}, Int8{}, TopK{Frac: 0.5}} {
+		for _, delta := range []int{-1, 1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: EncodeInto %d bytes off EncodedLen did not panic", c.Name(), delta)
+					}
+				}()
+				c.EncodeInto(make([]byte, c.EncodedLen(len(u))+delta), u)
+			}()
+		}
+	}
+}

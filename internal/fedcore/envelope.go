@@ -142,21 +142,22 @@ var (
 )
 
 // EncodeEnvelope frames params with the given codec. It fails only for a
-// codec that has no wire id.
+// codec that has no wire id. The frame is one buffer, sized by the
+// codec's EncodedLen, with the payload encoded in place behind the header.
 func EncodeEnvelope(c compress.Codec, params []float32) ([]byte, error) {
 	id, ok := CodecIDOf(c)
 	if !ok {
 		return nil, fmt.Errorf("fedcore: codec %s has no wire id", c.Name())
 	}
-	payload := c.Encode(params)
-	out := make([]byte, EnvelopeOverhead+len(payload))
+	out := make([]byte, WireBytes(c, len(params)))
+	payload := out[EnvelopeOverhead:]
+	c.EncodeInto(payload, params)
 	copy(out, EnvelopeMagic[:])
 	out[4] = EnvelopeVersion
 	out[5] = byte(id)
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(params)))
 	binary.LittleEndian.PutUint32(out[12:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[16:], crc32.ChecksumIEEE(payload))
-	copy(out[EnvelopeOverhead:], payload)
 	return out, nil
 }
 

@@ -177,6 +177,8 @@ type unregisteredCodec struct{}
 
 func (unregisteredCodec) Name() string                              { return "mystery" }
 func (unregisteredCodec) Encode(u []float32) []byte                 { return nil }
+func (unregisteredCodec) EncodedLen(n int) int                      { return 0 }
+func (unregisteredCodec) EncodeInto(dst []byte, u []float32)        {}
 func (unregisteredCodec) Decode(d []byte, n int) ([]float32, error) { return nil, nil }
 func (unregisteredCodec) DecodeInto(dst []float32, d []byte) error  { return nil }
 

@@ -40,7 +40,7 @@ type Update struct {
 	Round int
 	// Client is the numeric client id in simulations (-1 if unknown).
 	Client int
-	// ClientID is the wire-level client identity (flnet's X-FHDnn-Client).
+	// ClientID is the wire-level client identity (flnet's X-Fhdnn-Client).
 	ClientID string
 	// Samples is the client's local dataset size; FedAvg weights by it.
 	Samples int
@@ -80,9 +80,8 @@ type FedAvg struct {
 //
 //fhdnn:hotpath called once per client update inside the round loop
 func (a *FedAvg) Add(u Update) {
-	if a.sum == nil {
-		//fhdnn:allow hotalloc first Add after Reset sizes the accumulator once per round
-		a.sum = make([]float64, len(u.Params))
+	if a.n == 0 {
+		a.sum = sizeAccumulator(a.sum, len(u.Params))
 	}
 	w := float64(u.Samples)
 	for i, v := range u.Params {
@@ -108,11 +107,24 @@ func (a *FedAvg) Commit(global []float32) {
 	}
 }
 
-// Reset implements Aggregator.
+// Reset implements Aggregator. The accumulator's storage is cleared and
+// kept for the next round.
 func (a *FedAvg) Reset() {
-	a.sum = nil
+	clear(a.sum)
+	a.sum = a.sum[:0]
 	a.totalW = 0
 	a.n = 0
+}
+
+// sizeAccumulator returns an n-entry accumulator for the first Add of a
+// round, reusing acc's storage when it is large enough. Every entry of
+// that storage is zero: it is fresh, or Reset cleared it.
+func sizeAccumulator(acc []float64, n int) []float64 {
+	if cap(acc) >= n {
+		return acc[:n]
+	}
+	//fhdnn:allow hotalloc the first round, or a larger update than any before, sizes the accumulator
+	return make([]float64, n)
 }
 
 // Bundle is federated bundling over HD class prototypes (paper Eq. 1
@@ -134,9 +146,8 @@ type Bundle struct {
 //
 //fhdnn:hotpath called once per client update inside the round loop
 func (a *Bundle) Add(u Update) {
-	if a.sum == nil {
-		//fhdnn:allow hotalloc first Add after Reset sizes the accumulator once per round
-		a.sum = make([]float64, len(u.Params))
+	if a.n == 0 {
+		a.sum = sizeAccumulator(a.sum, len(u.Params))
 	}
 	widenAdd(a.sum, u.Params) // panics on an update longer than the accumulator
 	a.n++
@@ -165,9 +176,11 @@ func (a *Bundle) Commit(global []float32) {
 }
 
 // Reset implements Aggregator (the Mask persists; it is per-round state
-// owned by the caller).
+// owned by the caller). The accumulator's storage is cleared and kept for
+// the next round.
 func (a *Bundle) Reset() {
-	a.sum = nil
+	clear(a.sum)
+	a.sum = a.sum[:0]
 	a.n = 0
 }
 

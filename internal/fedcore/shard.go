@@ -67,8 +67,8 @@ func (a *FedAvg) MergeFrom(other Aggregator) error {
 	if o.n == 0 {
 		return nil
 	}
-	if a.sum == nil {
-		a.sum = make([]float64, len(o.sum))
+	if a.n == 0 {
+		a.sum = sizeAccumulator(a.sum, len(o.sum))
 	}
 	if len(a.sum) != len(o.sum) {
 		return &mergeTypeError{dst: "FedAvg", src: "FedAvg with mismatched length"}
@@ -91,8 +91,8 @@ func (a *Bundle) MergeFrom(other Aggregator) error {
 	if o.n == 0 {
 		return nil
 	}
-	if a.sum == nil {
-		a.sum = make([]float64, len(o.sum))
+	if a.n == 0 {
+		a.sum = sizeAccumulator(a.sum, len(o.sum))
 	}
 	if len(a.sum) != len(o.sum) {
 		return &mergeTypeError{dst: "Bundle", src: "Bundle with mismatched length"}

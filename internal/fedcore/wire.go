@@ -15,8 +15,9 @@ type wireCodec interface {
 // codec c: envelope header plus compressed payload. The flnet protocol
 // puts exactly these bytes on the wire, and the simulator charges exactly
 // this size for a compressed uplink, so the two accountings cannot drift.
+// EncodeEnvelope sizes its frame with it.
 func WireBytes(c compress.Codec, n int) int {
-	return EnvelopeOverhead + len(c.Encode(make([]float32, n)))
+	return EnvelopeOverhead + c.EncodedLen(n)
 }
 
 // UpdateWireBytes returns the accounted uplink traffic of one n-value

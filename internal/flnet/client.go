@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"fhdnn/internal/channel"
@@ -23,7 +25,7 @@ import (
 // BaseURL.
 type Client struct {
 	BaseURL string
-	// ID, when set, is sent as the X-FHDnn-Client header so the server
+	// ID, when set, is sent as the X-Fhdnn-Client header so the server
 	// can deduplicate retried uploads within a round.
 	ID string
 	// HTTPClient defaults to http.DefaultClient.
@@ -42,7 +44,46 @@ type Client struct {
 	// means compress.Raw{}. It must be one of the codecs fedcore assigns a
 	// wire id (raw, float16, int8, topk) — PushUpdate refuses any other.
 	Codec compress.Codec
+
+	// ep caches the request URLs and the ID header built from BaseURL and
+	// ID; endpoints rebuilds it when either changes.
+	ep atomic.Pointer[endpoints]
 }
+
+// endpoints are what a Client's requests share for one (BaseURL, ID):
+// the URLs and the ClientHeader value. A Client keeps nothing that grows
+// with the model: each PushUpdate encodes into a fresh body, because the
+// transport may still be reading one after Do returns.
+type endpoints struct {
+	base, id     string
+	round, model string
+	update       string   // POST /v1/update up to its round number
+	idHeader     []string // ClientHeader's value; nil without an ID
+}
+
+// endpoints returns the cached endpoints for the current BaseURL and ID,
+// building them on the first call and after either changes.
+func (c *Client) endpoints() *endpoints {
+	if e := c.ep.Load(); e != nil && e.base == c.BaseURL && e.id == c.ID {
+		return e
+	}
+	e := &endpoints{
+		base:   c.BaseURL,
+		id:     c.ID,
+		round:  c.BaseURL + "/v1/round",
+		model:  c.BaseURL + "/v1/model",
+		update: c.BaseURL + "/v1/update?round=",
+	}
+	if c.ID != "" {
+		e.idHeader = []string{c.ID}
+	}
+	c.ep.Store(e)
+	return e
+}
+
+// envelopeContentType is the Content-Type value of every upload. Request
+// headers are only read once built, so every request shares it.
+var envelopeContentType = []string{EnvelopeContentType}
 
 func (c *Client) http() *http.Client {
 	if c.HTTPClient != nil {
@@ -193,7 +234,7 @@ type RoundInfo struct {
 func (c *Client) Round(ctx context.Context) (RoundInfo, error) {
 	var info RoundInfo
 	err := c.withRetry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/round", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.endpoints().round, nil)
 		if err != nil {
 			return fmt.Errorf("flnet: build round request: %w", err)
 		}
@@ -218,7 +259,7 @@ func (c *Client) FetchModel(ctx context.Context) (*hdc.Model, int, error) {
 	var m *hdc.Model
 	var round int
 	err := c.withRetry(ctx, func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/model", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.endpoints().model, nil)
 		if err != nil {
 			return fmt.Errorf("flnet: build model request: %w", err)
 		}
@@ -307,15 +348,16 @@ func (c *Client) PushUpdate(ctx context.Context, round int, m *hdc.Model) error 
 	if err != nil {
 		return fmt.Errorf("flnet: encode update envelope: %w", err)
 	}
-	url := fmt.Sprintf("%s/v1/update?round=%d", c.BaseURL, round)
+	ep := c.endpoints()
+	url := ep.update + strconv.Itoa(round)
 	return c.withRetry(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 		if err != nil {
 			return fmt.Errorf("flnet: build update request: %w", err)
 		}
-		req.Header.Set("Content-Type", EnvelopeContentType)
-		if c.ID != "" {
-			req.Header.Set(ClientHeader, c.ID)
+		req.Header["Content-Type"] = envelopeContentType
+		if ep.idHeader != nil {
+			req.Header[ClientHeader] = ep.idHeader
 		}
 		resp, err := c.http().Do(req)
 		if err != nil {
@@ -351,11 +393,27 @@ func jitterDuration(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-// drainClose consumes any unread remainder of an HTTP response body
-// before closing it, so the underlying keep-alive connection can be
-// reused instead of being torn down after every request.
+// drainLimit bounds how much of a response body drainClose reads.
+const drainLimit = 1 << 20
+
+// drainBufs recycles drainClose's read buffers.
+var drainBufs = sync.Pool{New: func() any { return new([4096]byte) }}
+
+// drainClose consumes up to drainLimit bytes of any unread remainder of
+// an HTTP response body before closing it, so the underlying keep-alive
+// connection can be reused instead of being torn down after every
+// request. It reads into a pooled buffer: io.Copy through an
+// io.LimitReader would allocate the reader for every response.
 func drainClose(body io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(body, 1<<20))
+	buf := drainBufs.Get().(*[4096]byte)
+	for left := drainLimit; left > 0; {
+		n, err := body.Read(buf[:min(len(buf), left)])
+		left -= n
+		if err != nil {
+			break
+		}
+	}
+	drainBufs.Put(buf)
 	_ = body.Close()
 }
 

@@ -8,7 +8,7 @@
 // Protocol (all payloads little-endian binary, metadata as JSON):
 //
 //	GET  /v1/round            -> {"round":N,"updatesPending":k,"closed":bool}
-//	GET  /v1/model            -> binary global model, X-FHDnn-Round header
+//	GET  /v1/model            -> binary global model, X-Fhdnn-Round header
 //	GET  /v1/stats            -> cumulative counters (rounds, updates, bytes)
 //	POST /v1/update?round=N   -> client update; 409 if N is stale,
 //	                             422 if quarantined, 429 + Retry-After if
@@ -39,7 +39,7 @@
 // returns stalls the round visibly (uploads answer 503) until it does,
 // and Shutdown gives up on it when its context ends.
 //
-// Clients may identify themselves with the X-FHDnn-Client header; a
+// Clients may identify themselves with the X-Fhdnn-Client header; a
 // second update from the same client in one round is accepted
 // idempotently but not aggregated twice, which makes client-side retries
 // safe. Updates containing non-finite parameters (NaN/Inf, e.g. produced
@@ -64,7 +64,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,11 +77,15 @@ import (
 )
 
 // RoundHeader is the response header carrying the server's current round.
-const RoundHeader = "X-FHDnn-Round"
+// Both header names are in the canonical form net/http keys and sends
+// them in, so Header.Get and Set use them without rewriting (and
+// allocating) a canonical copy on every call, and a handler may index an
+// http.Header with them directly.
+const RoundHeader = "X-Fhdnn-Round"
 
 // ClientHeader is the optional request header identifying the sending
 // client; the server deduplicates updates per (client, round).
-const ClientHeader = "X-FHDnn-Client"
+const ClientHeader = "X-Fhdnn-Client"
 
 // EnvelopeContentType is the Content-Type clients put on POST /v1/update.
 // The server does not read it: the envelope's own magic identifies the
@@ -353,12 +359,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // modelSnapshot is one commit's global model as GET /v1/model serves it:
-// the hdc.Model.WriteTo bytes, and the round they belong to. It is
-// immutable once published.
+// the hdc.Model.WriteTo bytes, and the Content-Length and RoundHeader
+// (the round the bytes belong to) values of every response that serves
+// them. It is immutable once published: net/http only reads a response's
+// header values, so every fetch of the commit shares these.
 type modelSnapshot struct {
-	body  []byte
-	round int
+	body        []byte
+	length      []string
+	roundHeader []string
 }
+
+// octetStream is the Content-Type value of every GET /v1/model response.
+var octetStream = []string{"application/octet-stream"}
 
 // fetchSnapshot returns the current round's snapshot, building it on the
 // first fetch after a commit. The build runs under mu, so the body and
@@ -375,7 +387,11 @@ func (s *Server) fetchSnapshot() *modelSnapshot {
 	}
 	var buf bytes.Buffer
 	_, _ = s.model.WriteTo(&buf) // a bytes.Buffer write cannot fail
-	snap := &modelSnapshot{body: buf.Bytes(), round: int(s.round.Load())}
+	snap := &modelSnapshot{
+		body:        buf.Bytes(),
+		length:      []string{strconv.Itoa(buf.Len())},
+		roundHeader: []string{strconv.FormatInt(s.round.Load(), 10)},
+	}
 	s.fetch.Store(snap)
 	return snap
 }
@@ -383,14 +399,38 @@ func (s *Server) fetchSnapshot() *modelSnapshot {
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	snap := s.fetchSnapshot()
 	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", strconv.Itoa(len(snap.body)))
-	h.Set(RoundHeader, strconv.Itoa(snap.round))
+	h["Content-Type"] = octetStream
+	h["Content-Length"] = snap.length
+	h[RoundHeader] = snap.roundHeader
 	_, _ = w.Write(snap.body)
 }
 
+// roundParam returns url.ParseQuery(rawQuery).Get("round") without
+// building the map: the first value of the first well-formed "round" key,
+// unescaped ("+" as space, %XX escapes). Pairs holding a ';' or a bad
+// escape in their key or value are skipped, as ParseQuery skips them. It
+// allocates only to unescape a key or value that holds an escape.
+func roundParam(rawQuery string) string {
+	//fhdnn:allow taintloop each pass cuts a pair or an '&' off q, and net/http caps the request line at MaxHeaderBytes
+	for q := rawQuery; q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if key, err := url.QueryUnescape(key); err != nil || key != "round" {
+			continue
+		}
+		if value, err := url.QueryUnescape(value); err == nil {
+			return value
+		}
+	}
+	return ""
+}
+
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	wantRound, err := strconv.Atoi(r.URL.Query().Get("round"))
+	wantRound, err := strconv.Atoi(roundParam(r.URL.RawQuery))
 	if err != nil {
 		http.Error(w, "flnet: missing or bad round parameter", http.StatusBadRequest)
 		return

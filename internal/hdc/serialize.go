@@ -47,12 +47,18 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadModel deserializes a model written by WriteTo. It reads from a
-// stream and therefore cannot object to bytes following the payload.
+// stream and therefore cannot object to bytes following the payload. The
+// header arrives in one read, and on little-endian hosts the payload
+// lands straight in the model's storage: a fetch holds one copy of the
+// model, not two.
 func ReadModel(r io.Reader) (*Model, error) {
-	if err := expectMagic(r, modelMagic, "model", ErrModelMagic); err != nil {
-		return nil, err
-	}
-	k, d, err := readDims(r)
+	// A buffer handed to r.Read escapes to the heap, so the header
+	// shares one allocation with the Model it describes.
+	hm := new(struct {
+		hdr [12]byte
+		m   Model
+	})
+	k, d, err := readHeader(r, &hm.hdr, modelMagic, "model", ErrModelMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -61,11 +67,11 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if k <= 0 || d <= 0 || int64(k)*int64(d) > maxModelElems {
 		return nil, fmt.Errorf("%w: %dx%d", ErrModelDims, k, d)
 	}
-	m := NewModel(k, d)
-	if err := readFloats(r, m.Prototypes.Data()); err != nil {
-		return nil, err
+	hm.m = Model{K: k, D: d, Prototypes: tensor.New(k, d)}
+	if err := tensor.ReadFloat32s(r, hm.m.Prototypes.Data()); err != nil {
+		return nil, fmt.Errorf("hdc: read payload: %w", err)
 	}
-	return m, nil
+	return &hm.m, nil
 }
 
 // WriteTo serializes the encoder (projection matrix and flags). It
@@ -104,10 +110,8 @@ func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
 
 // ReadEncoder deserializes an encoder written by WriteTo.
 func ReadEncoder(r io.Reader) (*Encoder, error) {
-	if err := expectMagic(r, encoderMagic, "encoder", nil); err != nil {
-		return nil, err
-	}
-	d, n, err := readDims(r)
+	var hdr [12]byte
+	d, n, err := readHeader(r, &hdr, encoderMagic, "encoder", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -135,20 +139,29 @@ func ReadEncoder(r io.Reader) (*Encoder, error) {
 	return e, nil
 }
 
-// expectMagic consumes and checks a 4-byte magic. A mismatch wraps
-// sentinel when one is supplied, so callers can expose a typed error.
-func expectMagic(r io.Reader, want [4]byte, kind string, sentinel error) error {
-	var got [4]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
-		return fmt.Errorf("hdc: read %s header: %w", kind, err)
+// readHeader consumes a 4-byte magic and two int32 dimensions in one
+// read into buf. A magic mismatch wraps sentinel when one is supplied, so
+// callers can expose a typed error; it is reported whenever the magic
+// arrived, even if the dims were cut short.
+func readHeader(r io.Reader, buf *[12]byte, want [4]byte, kind string, sentinel error) (int, int, error) {
+	n, err := io.ReadFull(r, buf[:])
+	if n < 4 {
+		return 0, 0, fmt.Errorf("hdc: read %s header: %w", kind, err)
 	}
-	if got != want {
+	if [4]byte(buf[:4]) != want {
 		if sentinel != nil {
-			return fmt.Errorf("%w: %q", sentinel, got[:])
+			return 0, 0, fmt.Errorf("%w: %q", sentinel, buf[:4])
 		}
-		return fmt.Errorf("hdc: bad %s magic %q", kind, got[:])
+		return 0, 0, fmt.Errorf("hdc: bad %s magic %q", kind, buf[:4])
 	}
-	return nil
+	if err != nil {
+		if n == 4 {
+			err = io.EOF // the stream ended cleanly after the magic
+		}
+		return 0, 0, fmt.Errorf("hdc: read dims: %w", err)
+	}
+	return int(int32(binary.LittleEndian.Uint32(buf[4:]))),
+		int(int32(binary.LittleEndian.Uint32(buf[8:]))), nil
 }
 
 func writeDims(w io.Writer, a, b int) error {
@@ -161,15 +174,6 @@ func writeDims(w io.Writer, a, b int) error {
 	return nil
 }
 
-func readDims(r io.Reader) (int, int, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, 0, fmt.Errorf("hdc: read dims: %w", err)
-	}
-	return int(int32(binary.LittleEndian.Uint32(buf[0:]))),
-		int(int32(binary.LittleEndian.Uint32(buf[4:]))), nil
-}
-
 func writeFloats(w io.Writer, data []float32) (int64, error) {
 	buf := make([]byte, 4*len(data))
 	tensor.PutFloat32s(buf, data)
@@ -178,13 +182,4 @@ func writeFloats(w io.Writer, data []float32) (int64, error) {
 		return int64(n), fmt.Errorf("hdc: write payload: %w", err)
 	}
 	return int64(n), nil
-}
-
-func readFloats(r io.Reader, dst []float32) error {
-	buf := make([]byte, 4*len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("hdc: read payload: %w", err)
-	}
-	tensor.GetFloat32s(dst, buf)
-	return nil
 }

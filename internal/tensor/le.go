@@ -3,6 +3,7 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -26,6 +27,12 @@ func GetFloat32s(dst []float32, src []byte) {
 	getFloat32s(dst, src)
 }
 
+// ReadFloat32s fills dst from r with exactly 4*len(dst) bytes in the
+// PutFloat32s layout, with io.ReadFull's errors. Little-endian hosts read
+// straight into dst's storage; other hosts read into a scratch buffer of
+// the same size and convert. After an error dst holds unspecified values.
+func ReadFloat32s(r io.Reader, dst []float32) error { return readFloat32s(r, dst) }
+
 // putFloat32sLoop is the portable PutFloat32s: one value at a time,
 // whatever the host's byte order. Little-endian hosts copy instead
 // (le_unsafe.go); the loop is their test reference.
@@ -40,4 +47,15 @@ func getFloat32sLoop(dst []float32, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i : 4*i+4 : 4*i+4]))
 	}
+}
+
+// readFloat32sLoop is the portable ReadFloat32s: read the bytes into a
+// scratch buffer, then convert them one value at a time.
+func readFloat32sLoop(r io.Reader, dst []float32) error {
+	buf := make([]byte, 4*len(dst))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return err
+	}
+	getFloat32sLoop(dst, buf)
+	return nil
 }

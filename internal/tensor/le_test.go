@@ -2,9 +2,12 @@ package tensor
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 )
 
 // leCases returns float32 slices of lengths 0, 1, odd and even, holding
@@ -80,6 +83,45 @@ func TestFloat32sMatchLoop(t *testing.T) {
 		for i := range src {
 			if g, w := math.Float32bits(back[i]), math.Float32bits(ref[i]); g != w || w != math.Float32bits(src[i]) {
 				t.Fatalf("GetFloat32s value %d = %#08x, loop %#08x, source %#08x", i, g, w, math.Float32bits(src[i]))
+			}
+		}
+	}
+}
+
+// TestReadFloat32sMatchLoop holds ReadFloat32s, an in-place read on
+// little-endian hosts, bit-exact to the portable loop, through one-byte
+// reads as well as whole ones, and to the same errors on a short stream.
+func TestReadFloat32sMatchLoop(t *testing.T) {
+	for _, src := range leCases() {
+		wire := make([]byte, 4*len(src))
+		putFloat32sLoop(wire, src)
+		readers := map[string]func([]byte) io.Reader{
+			"whole":    func(b []byte) io.Reader { return bytes.NewReader(b) },
+			"one byte": func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+		}
+		for name, mk := range readers {
+			got := make([]float32, len(src))
+			ref := make([]float32, len(src))
+			if err := ReadFloat32s(mk(wire), got); err != nil {
+				t.Fatalf("%s: ReadFloat32s(%d values): %v", name, len(src), err)
+			}
+			if err := readFloat32sLoop(mk(wire), ref); err != nil {
+				t.Fatalf("%s: readFloat32sLoop(%d values): %v", name, len(src), err)
+			}
+			for i := range src {
+				if g, w := math.Float32bits(got[i]), math.Float32bits(ref[i]); g != w || w != math.Float32bits(src[i]) {
+					t.Fatalf("%s: ReadFloat32s value %d = %#08x, loop %#08x, source %#08x", name, i, g, w, math.Float32bits(src[i]))
+				}
+			}
+			if len(src) == 0 {
+				continue
+			}
+			for _, cut := range []int{0, 1, len(wire) - 1} {
+				err := ReadFloat32s(mk(wire[:cut]), make([]float32, len(src)))
+				want := readFloat32sLoop(mk(wire[:cut]), make([]float32, len(src)))
+				if err == nil || !errors.Is(err, want) {
+					t.Fatalf("%s: %d of %d bytes: ReadFloat32s err %v, loop %v", name, cut, len(wire), err, want)
+				}
 			}
 		}
 	}

@@ -21,27 +21,31 @@ type Tensor struct {
 // New returns a zero-filled tensor with the given shape.
 // It panics if any dimension is negative.
 func New(shape ...int) *Tensor {
+	// Every use below is of the copy, so the caller's variadic slice does
+	// not escape and costs no allocation of its own.
+	s := append([]int(nil), shape...)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, s))
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
+	return &Tensor{shape: s, data: make([]float32, n)}
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must equal the shape volume.
 func FromSlice(data []float32, shape ...int) *Tensor {
+	s := append([]int(nil), shape...) // as in New: shape itself never escapes
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		n *= d
 	}
 	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), s, n))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: data}
+	return &Tensor{shape: s, data: data}
 }
 
 // Full returns a tensor with every element set to v.
