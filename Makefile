@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race debugguard vet lint lint-json lint-timing lint-ci bench chaos check ci
+.PHONY: build test race debugguard vet lint lint-json lint-timing lint-ci bench chaos smoke check ci
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,23 @@ chaos:
 	$(GO) test -race -shuffle=on -count=1 -run 'Byzantine|Robust|Poison|Quarantine|NormClip|Colluders|Attack|NoGoroutines' ./internal/fedcore ./internal/faults ./internal/fl ./internal/flnet ./internal/tensor
 	$(GO) test -race -shuffle=on -count=5 ./internal/flnet
 	$(GO) run ./cmd/fhdnn poison | tee poison-experiments.txt
+
+# Deployment smoke: build fhdnn-server and fhdnn-client and run the README
+# walkthrough's shape over loopback: a 3-round server closed by two
+# clients, one of them behind a 20% packet-loss uplink. Every process must
+# exit 0 within 120 seconds; a client that polls the server after the
+# last round must read "closed", not a refused connection.
+SMOKE_ADDR ?= 127.0.0.1:18931
+
+smoke:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./cmd/fhdnn-server ./cmd/fhdnn-client || exit 1; \
+	timeout 120 "$$dir/fhdnn-server" -addr $(SMOKE_ADDR) -dim 2048 -min-updates 2 -rounds 3 & srv=$$!; \
+	timeout 120 "$$dir/fhdnn-client" -server http://$(SMOKE_ADDR) -id 0 -clients 2 -dim 2048 & c0=$$!; \
+	timeout 120 "$$dir/fhdnn-client" -server http://$(SMOKE_ADDR) -id 1 -clients 2 -dim 2048 -loss 0.2 & c1=$$!; \
+	st=0; \
+	for p in $$c0 $$c1 $$srv; do wait $$p || { echo "smoke: process $$p exited $$?" >&2; st=1; }; done; \
+	exit $$st
 
 # The repo's benchmark (workloads and metric bounds in BENCHMARK.json,
 # reports under bench/out/), then every go test benchmark: the compute

@@ -1,7 +1,8 @@
 // Command fhdnn-client is one federated FHDnn edge client: it derives the
 // shared frozen pipeline (feature extractor + HD encoder) from the common
 // seed, encodes its local data, and participates in rounds against an
-// fhdnn-server — optionally through a simulated lossy uplink.
+// fhdnn-server — optionally through a simulated lossy uplink (-loss,
+// -snr), applied to each trained model just before it is uploaded.
 //
 // Local data is synthetic in this reproduction (see DESIGN.md): each
 // client generates its shard of the CIFAR-like dataset from the shared
@@ -55,7 +56,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "shared pipeline seed (must match all clients)")
 	clients := flag.Int("clients", 10, "total number of clients (for partitioning)")
 	imgSize := flag.Int("img", 8, "image size of the synthetic dataset")
-	dim := flag.Int("dim", 2048, "hypervector dimensionality (must match the server)")
+	dim := flag.Int("dim", 10000, "hypervector dimensionality (must match the server)")
 	epochs := flag.Int("epochs", 2, "local refinement epochs E")
 	perClass := flag.Int("per-class", 40, "training examples per class (whole federation)")
 	codecName := flag.String("codec", "raw", "compress uploads with this codec (raw, float16, int8, topk[:frac])")
@@ -102,16 +103,11 @@ func run() error {
 	cl := &flnet.Client{
 		BaseURL: *server,
 		ID:      fmt.Sprintf("client-%d", *id),
-		Uplink:  uplink,
 		Codec:   codec,
 	}
 	params := train.NumClasses * *dim
 	log.Printf("client %d: uploading %s envelopes (%d bytes/update vs %d raw float32)",
 		*id, codec.Name(), fedcore.WireBytes(codec, params), 4*params)
-	if uplink != nil {
-		cl.Rng = rand.New(rand.NewSource(*seed + int64(*id)))
-		log.Printf("client %d: uplink %s", *id, uplink.Name())
-	}
 	if *retries > 1 {
 		cl.Retry = &flnet.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase}
 	}
@@ -137,17 +133,31 @@ func run() error {
 		Epochs:  *epochs,
 		Poll:    200 * time.Millisecond,
 	}
+	// The upload hook: a poisoner corrupts the trained model first, then
+	// the simulated uplink garbles what the radio sends.
+	var attacker *faults.Poisoner
 	if *poison != "" {
-		attacker, err := faults.ParseAttack(*poison)
-		if err != nil {
+		if attacker, err = faults.ParseAttack(*poison); err != nil {
 			return err
 		}
 		attacker.Seed = *seed
+		log.Printf("client %d: BYZANTINE — poisoning every upload with %s", *id, attacker)
+	}
+	var rng *rand.Rand
+	if uplink != nil {
+		rng = rand.New(rand.NewSource(*seed + int64(*id)))
+		log.Printf("client %d: uplink %s", *id, uplink.Name())
+	}
+	if attacker != nil || uplink != nil {
 		cid := *id
 		lt.Tamper = func(round int, local, global *hdc.Model) {
-			attacker.Corrupt(local.Flat(), global.Flat(), round, cid)
+			if attacker != nil {
+				attacker.Corrupt(local.Flat(), global.Flat(), round, cid)
+			}
+			if uplink != nil {
+				copy(local.Flat(), uplink.Transmit(local.Flat(), rng))
+			}
 		}
-		log.Printf("client %d: BYZANTINE — poisoning every upload with %s", *id, attacker)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

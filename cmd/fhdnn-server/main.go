@@ -24,13 +24,14 @@
 //
 // Backpressure: every upload folds into one aggregator on its own
 // handler goroutine, behind one token. Too many uploads waiting on it
-// answer 429 + Retry-After; an aggregator the round commit cannot reach
-// is written off, the round carries the previous global forward, and
-// later uploads answer 503 (see DESIGN.md, "Backpressure & round
-// commit").
+// answer 429 + Retry-After, and an upload that waits 30 s for the token
+// answers 503. The round commit waits for the token too, so an Add that
+// never returns stalls the round visibly instead of losing it (see
+// DESIGN.md, "Backpressure & round commit").
 //
-// When -rounds is reached the server stops accepting updates and, if
-// -checkpoint is set, writes the final global model there.
+// When -rounds is reached the server stops accepting updates (410), keeps
+// answering for a short drain so every polling client reads that the run
+// closed, and, if -checkpoint is set, writes the final global model there.
 package main
 
 import (
@@ -51,6 +52,19 @@ import (
 	"fhdnn/internal/faults"
 	"fhdnn/internal/fedcore"
 	"fhdnn/internal/flnet"
+)
+
+const (
+	// closeDrain is how long the listener stays up after the run closes,
+	// longer than one fhdnn-client poll (200 ms, jittered up to 300 ms):
+	// a client that uploaded to the last round and is polling /v1/round
+	// reads "closed" instead of a refused connection. It covers polling
+	// clients only: one still training its last model, or waiting out a
+	// failure backoff (poll x failures, up to 8 x 300 ms), may find the
+	// listener gone, as when there are more clients than -min-updates.
+	closeDrain = time.Second
+	// shutdownBudget bounds the graceful teardown, the drain included.
+	shutdownBudget = 5 * time.Second
 )
 
 // sortedKeys returns the map's keys in stable order for logging.
@@ -155,14 +169,16 @@ func run() error {
 		return err
 	}
 
-	// Graceful teardown: fold pending updates into the model, then stop
-	// accepting connections. A round that cannot be folded in time still
-	// leaves a closed server to tear down and stats to report.
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	// Graceful teardown: fold pending updates into the model, keep
+	// answering "closed" for the drain, then stop accepting connections.
+	// A round that cannot be folded in time still leaves a closed server
+	// to tear down and stats to report.
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownBudget)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("round not folded: an aggregator Add never returned the token (%v)", err)
 	}
+	time.Sleep(closeDrain)
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}

@@ -156,10 +156,8 @@ func main() {
 					TruncateRate: 0.1,
 					Seed:         int64(seed + 100*i),
 				})},
-				Retry:  &flnet.RetryPolicy{MaxAttempts: 6, BaseDelay: 5 * time.Millisecond},
-				Uplink: channel.PacketLoss{Rate: 0.2},
-				Rng:    rand.New(rand.NewSource(int64(seed + i))),
-				Codec:  compress.Int8{}, // int8 wire envelopes
+				Retry: &flnet.RetryPolicy{MaxAttempts: 6, BaseDelay: 5 * time.Millisecond},
+				Codec: compress.Int8{}, // int8 wire envelopes
 			}
 			clientCtx := ctx
 			if dieRound, dies := crash[i]; dies {
@@ -187,10 +185,14 @@ func main() {
 				Epochs:  2,
 				Poll:    5 * time.Millisecond,
 			}
-			if attacker != nil && colluders[i] {
-				lt.Tamper = func(round int, local, global *hdc.Model) {
+			// Just before each upload a colluder poisons its model, and
+			// then the lossy radio drops 20% of the packets.
+			uplink, rng := channel.PacketLoss{Rate: 0.2}, rand.New(rand.NewSource(int64(seed+i)))
+			lt.Tamper = func(round int, local, global *hdc.Model) {
+				if attacker != nil && colluders[i] {
 					attacker.Corrupt(local.Flat(), global.Flat(), round, i)
 				}
+				copy(local.Flat(), uplink.Transmit(local.Flat(), rng))
 			}
 			n, err := lt.Participate(clientCtx)
 			if err != nil && !errors.Is(err, context.Canceled) {

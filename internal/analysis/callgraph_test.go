@@ -100,7 +100,7 @@ func TestCallGraphRepo(t *testing.T) {
 	g := buildCallGraph([]*pkg{comp, fed})
 
 	run := lookupMethod(t, fed, "Engine", "Run")
-	for _, agg := range []string{"FedAvg", "Bundle", "AsyncStaleness"} {
+	for _, agg := range []string{"FedAvg", "Bundle", "Median"} {
 		add := lookupMethod(t, fed, agg, "Add")
 		if !hasCallee(g, run, add) {
 			t.Errorf("Engine.Run should dispatch to (*%s).Add through Aggregator", agg)

@@ -11,6 +11,7 @@ package compress
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"fhdnn/internal/invariant"
 	"fhdnn/internal/tensor"
@@ -331,11 +332,16 @@ func (c TopK) EncodeInto(dst []byte, update []float32) {
 	if k == 0 {
 		return
 	}
-	keys := make([]uint32, 2*n)
+	kp := topKKeys.Get().(*[]uint32)
+	if cap(*kp) < 2*n {
+		*kp = make([]uint32, 2*n)
+	}
+	keys := (*kp)[:2*n]
 	for i, v := range update {
 		keys[i] = magnitudeKey(v)
 	}
 	_, t := tensor.Select(keys[:n], keys[n:], n-k)
+	topKKeys.Put(kp)
 	ties := k // how many entries of magnitude t are kept
 	for _, v := range update {
 		if magnitudeKey(v) > t {
@@ -355,6 +361,10 @@ func (c TopK) EncodeInto(dst []byte, update []float32) {
 		}
 	}
 }
+
+// topKKeys recycles TopK.EncodeInto's selection scratch: n keys and n
+// more for tensor.Select to partition through, 8 B per value.
+var topKKeys = sync.Pool{New: func() any { return new([]uint32) }}
 
 // infBits is the bit pattern of float32 +Inf.
 const infBits = 0x7f800000

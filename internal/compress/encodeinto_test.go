@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -52,5 +54,31 @@ func TestEncodeIntoRejectsWrongLength(t *testing.T) {
 				c.EncodeInto(make([]byte, c.EncodedLen(len(u))+delta), u)
 			}()
 		}
+	}
+}
+
+// Once warm, a top-k encode of a paper-size update (K=10, d=10 000) into
+// a caller's buffer allocates no selection scratch: at most 1 KB per
+// encode, where the scratch alone is 800 KB. GC is off and there is one
+// P while it measures, so the pool keeps what the warm-up put in it.
+func TestTopKEncodeIntoSteadyStateAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const runs = 4
+	c := TopK{Frac: 0.1}
+	u := randomUpdate(rand.New(rand.NewSource(3)), 10*10000)
+	dst := make([]byte, c.EncodedLen(len(u)))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c.EncodeInto(dst, u) // warm-up: the pooled scratch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		c.EncodeInto(dst, u)
+	}
+	runtime.ReadMemStats(&after)
+	if perEncode := (after.TotalAlloc - before.TotalAlloc) / runs; perEncode > 1<<10 {
+		t.Fatalf("%d B allocated per warm top-k encode of %d values, want <= 1 KB", perEncode, len(u))
 	}
 }

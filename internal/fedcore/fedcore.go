@@ -6,8 +6,10 @@
 //   - Update and Aggregator: one representation of a client contribution
 //     and the aggregation rules over it — sample-weighted FedAvg for CNN
 //     weights, federated bundling for HD prototypes (paper Eq. 1, with
-//     the coordinated partial-update mask of Fig. 5), and
-//     staleness-discounted asynchronous folding (FedBuff/FedAsync style).
+//     the coordinated partial-update mask of Fig. 5), and the robust
+//     rules (Median, TrimmedMean, NormClip). Every rule's Commit replaces
+//     the global with the round's aggregate; the asynchronous simulator
+//     (fl.AsyncHDTrainer) folds its staleness-discounted deltas itself.
 //   - Engine: the synchronous round loop (client sampling, parallel
 //     deterministic workers, dropout, uplink corruption, traffic
 //     accounting, evaluation cadence) that fl.HDTrainer and fl.CNNTrainer
@@ -22,7 +24,6 @@
 package fedcore
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 )
@@ -30,10 +31,9 @@ import (
 // Update is one client contribution to the global model: the flat
 // parameter payload plus the metadata aggregation rules need.
 type Update struct {
-	// Params is the flat parameter vector (or, for asynchronous
-	// aggregation, the delta against the snapshot the client trained
-	// from). No Aggregator keeps it past Add: each one folds it in or
-	// copies it, so the caller may reuse the slice once Add returns.
+	// Params is the flat parameter vector. No Aggregator keeps it past
+	// Add: each one folds it in or copies it, so the caller may reuse the
+	// slice once Add returns.
 	// Under the Engine it may alias trainer memory; see Engine.Train.
 	Params []float32
 	// Round is the communication round the update belongs to.
@@ -46,9 +46,6 @@ type Update struct {
 	Samples int
 	// Loss is the client's final local training loss (CNN trainers).
 	Loss float64
-	// Staleness counts global merges since the client fetched its
-	// snapshot; only the asynchronous aggregator consults it.
-	Staleness int
 }
 
 // Aggregator folds client updates into the global parameter vector. Add
@@ -61,8 +58,10 @@ type Aggregator interface {
 	Add(u Update)
 	// Len reports how many updates have been added since the last Reset.
 	Len() int
-	// Commit applies the aggregate to global. With no updates added it is
-	// a no-op, so an empty round carries the previous global forward.
+	// Commit replaces global with the aggregate of the updates added
+	// since the last Reset (Bundle's Mask limits which entries it
+	// replaces); it never adds to what global held. With no updates added
+	// it is a no-op, so an empty round carries the previous global forward.
 	Commit(global []float32)
 	Reset()
 }
@@ -182,59 +181,6 @@ func (a *Bundle) Reset() {
 	clear(a.sum)
 	a.sum = a.sum[:0]
 	a.n = 0
-}
-
-// AsyncStaleness is staleness-discounted asynchronous aggregation
-// (FedAsync/FedBuff style): each update's Params is a *delta* against the
-// global snapshot the client trained from, and Commit adds each delta to
-// the global vector scaled by 1/(1+staleness)^Alpha. Alpha 0 disables the
-// discount. Unlike the synchronous aggregators, Commit accumulates into
-// the global vector rather than replacing it — a stale delta is still a
-// valid bundle contribution, which is exactly why HD models suit
-// asynchronous aggregation.
-type AsyncStaleness struct {
-	Alpha float64
-
-	pending []Update // Params of each points into arena
-	arena   rowArena
-}
-
-// Weight returns the discount applied to an update of the given staleness.
-func (a *AsyncStaleness) Weight(staleness int) float64 {
-	if a.Alpha <= 0 {
-		return 1
-	}
-	return 1 / math.Pow(1+float64(staleness), a.Alpha)
-}
-
-// Add implements Aggregator.
-//
-//fhdnn:hotpath called once per received delta on the async merge path
-func (a *AsyncStaleness) Add(u Update) {
-	u.Params = a.arena.hold(u.Params)
-	//fhdnn:allow hotalloc pending reuses its backing array across Reset; growth amortizes out
-	a.pending = append(a.pending, u)
-}
-
-// Len implements Aggregator.
-func (a *AsyncStaleness) Len() int { return len(a.pending) }
-
-// Commit implements Aggregator.
-//
-//fhdnn:hotpath applies the round aggregate in place
-func (a *AsyncStaleness) Commit(global []float32) {
-	for _, u := range a.pending {
-		w := float32(a.Weight(u.Staleness))
-		for i, d := range u.Params {
-			global[i] += float32(w * d)
-		}
-	}
-}
-
-// Reset implements Aggregator.
-func (a *AsyncStaleness) Reset() {
-	a.pending = a.pending[:0]
-	a.arena.reset()
 }
 
 // ClientRNG derives the deterministic random stream for one client in one

@@ -1,7 +1,6 @@
 package fedcore
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -53,26 +52,6 @@ func TestBundleMeanAndMask(t *testing.T) {
 	b.Commit(global)
 	if global[0] != 1 || global[1] != 10 || global[2] != 1 {
 		t.Fatalf("masked commit must only refresh mask entries, got %v", global)
-	}
-}
-
-func TestAsyncStalenessDiscount(t *testing.T) {
-	a := &AsyncStaleness{Alpha: 1}
-	if w := a.Weight(0); w != 1 {
-		t.Fatalf("fresh weight = %v", w)
-	}
-	if w := a.Weight(3); math.Abs(w-0.25) > 1e-12 {
-		t.Fatalf("stale weight = %v", w)
-	}
-	a.Add(Update{Params: []float32{2, -2}, Staleness: 1}) // w = 0.5
-	global := []float32{10, 10}
-	a.Commit(global)
-	if global[0] != 11 || global[1] != 9 {
-		t.Fatalf("async commit = %v (deltas must accumulate, not replace)", global)
-	}
-	none := &AsyncStaleness{}
-	if w := none.Weight(100); w != 1 {
-		t.Fatalf("alpha=0 must disable the discount, got %v", w)
 	}
 }
 

@@ -22,7 +22,6 @@ func TestAddDoesNotKeepParams(t *testing.T) {
 		{"bundle", func() Aggregator { return &Bundle{} }},
 		{"median", func() Aggregator { return &Median{} }},
 		{"trimmed", func() Aggregator { return &TrimmedMean{Frac: 0.2} }},
-		{"async", func() Aggregator { return &AsyncStaleness{Alpha: 0.5} }},
 	}
 	for _, p := range policies {
 		policies = append(policies, policy{"clip:20:" + p.name, func() Aggregator {
@@ -41,7 +40,7 @@ func TestAddDoesNotKeepParams(t *testing.T) {
 					p[j] *= 10 // over the clip bound
 				}
 			}
-			rounds[r] = append(rounds[r], Update{Params: p, Samples: 1 + i, Staleness: i % 3})
+			rounds[r] = append(rounds[r], Update{Params: p, Samples: 1 + i})
 		}
 	}
 	start := make([]float32, d)

@@ -330,8 +330,6 @@ func AggregatorName(a Aggregator) string {
 		return "fedavg"
 	case *Bundle:
 		return "bundle"
-	case *AsyncStaleness:
-		return "async"
 	default:
 		return fmt.Sprintf("%T", a)
 	}

@@ -139,16 +139,6 @@ func mergeRows(dst *[][]float32, src [][]float32, kind string) error {
 	return nil
 }
 
-// MergeFrom implements Mergeable: pending deltas are concatenated.
-func (a *AsyncStaleness) MergeFrom(other Aggregator) error {
-	o, ok := other.(*AsyncStaleness)
-	if !ok {
-		return &mergeTypeError{dst: "AsyncStaleness", src: AggregatorName(other)}
-	}
-	a.pending = append(a.pending, o.pending...)
-	return nil
-}
-
 // MergeFrom implements Mergeable: the inner aggregators merge and the
 // clip counters add (each shard already clipped its own updates at Add
 // time, so the merged state carries only already-clipped rows).

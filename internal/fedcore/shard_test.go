@@ -257,7 +257,6 @@ func TestMergeFromRejectsMismatch(t *testing.T) {
 		{&Median{}, &TrimmedMean{}},
 		{&TrimmedMean{Frac: 0.2}, &TrimmedMean{Frac: 0.3}},
 		{&NormClip{Inner: &Bundle{}, Bound: 1}, &NormClip{Inner: &Bundle{}, Bound: 2}},
-		{&AsyncStaleness{}, &FedAvg{}},
 	}
 	for _, c := range cases {
 		if err := c.dst.MergeFrom(c.src); err == nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"fhdnn/internal/dataset"
-	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
 	"fhdnn/internal/tensor"
 )
@@ -73,17 +72,13 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 	}
 	d := t.Encoded.Dim(1)
 	global := hdc.NewModel(t.NumClasses, d)
-	agg := &fedcore.AsyncStaleness{Alpha: t.StalenessAlpha}
 	version := 0 // increments on every merge
 
 	// per-client state: the version and snapshot it trained from
 	baseVersion := make([]int, n)
 	baseFlat := make([][]float32, n)
 	bundled := make([]bool, n)
-	// Scratch for one event, reused by every event: agg retains the delta
-	// only until its Reset, which follows each merge.
-	local := hdc.NewModel(t.NumClasses, d)
-	delta := make([]float32, t.NumClasses*d)
+	local := hdc.NewModel(t.NumClasses, d) // scratch, reused by every event
 
 	// Each client has exactly one pending upload: client c's lands at
 	// next[c] (+Inf for a client with no data, which never uploads). Ties
@@ -126,25 +121,16 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 
 		// client c trains from its snapshot
 		local.SetFlat(baseFlat[c])
-		if !bundled[c] {
-			local.OneShotTrainRows(t.Encoded, t.Labels, t.Part[c])
-			bundled[c] = true
-		}
-		for e := 0; e < t.LocalEpochs; e++ {
-			if wrong := local.RefineEpochRows(t.Encoded, t.Labels, t.Part[c]); wrong == 0 {
-				break
-			}
-		}
+		local.LocalUpdate(t.Encoded, t.Labels, t.Part[c], &bundled[c], t.LocalEpochs, 0)
 
-		// merge the delta with staleness discount (fedcore.AsyncStaleness)
-		gFlat := global.Flat()
-		lFlat := local.Flat()
-		for i := range delta {
-			delta[i] = lFlat[i] - baseFlat[c][i]
+		// fold its delta into the global, discounted by staleness: unlike
+		// a synchronous commit, this adds to the global instead of
+		// replacing it
+		gFlat, lFlat, bFlat := global.Flat(), local.Flat(), baseFlat[c]
+		w := float32(stalenessWeight(version-baseVersion[c], t.StalenessAlpha))
+		for i := range gFlat {
+			gFlat[i] += float32(w * (lFlat[i] - bFlat[i]))
 		}
-		agg.Add(fedcore.Update{Params: delta, Client: c, Staleness: version - baseVersion[c]})
-		agg.Commit(gFlat)
-		agg.Reset()
 		version++
 		res.Merges++
 
@@ -165,6 +151,15 @@ func (t *AsyncHDTrainer) Run() *AsyncResult {
 	}
 	res.Model = global
 	return res
+}
+
+// stalenessWeight is the discount 1/(1+staleness)^alpha of a delta that
+// missed staleness merges; alpha <= 0 disables it.
+func stalenessWeight(staleness int, alpha float64) float64 {
+	if alpha <= 0 {
+		return 1
+	}
+	return 1 / math.Pow(1+float64(staleness), alpha)
 }
 
 // FinalAccuracy returns the last traced accuracy (0 with an empty trace).

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"testing"
 )
 
@@ -82,6 +83,21 @@ func TestAsyncStalenessDiscount(t *testing.T) {
 	// very stale delta rather than rejecting it
 	if a.FinalAccuracy() < 0.7 || b.FinalAccuracy() < 0.7 {
 		t.Fatalf("accuracies %v / %v too low", a.FinalAccuracy(), b.FinalAccuracy())
+	}
+}
+
+// The discount is 1/(1+staleness)^alpha, and alpha <= 0 switches it off.
+func TestStalenessWeight(t *testing.T) {
+	for _, c := range []struct {
+		staleness int
+		alpha     float64
+		want      float64
+	}{
+		{0, 1, 1}, {1, 1, 0.5}, {3, 1, 0.25}, {3, 0.5, 0.5}, {100, 0, 1}, {100, -1, 1},
+	} {
+		if w := stalenessWeight(c.staleness, c.alpha); math.Abs(w-c.want) > 1e-12 {
+			t.Errorf("stalenessWeight(%d, %v) = %v, want %v", c.staleness, c.alpha, w, c.want)
+		}
 	}
 }
 

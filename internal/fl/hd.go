@@ -37,8 +37,8 @@ type HDTrainer struct {
 
 	// EvalEvery controls evaluation frequency (every round if <= 1).
 	EvalEvery int
-	// Adaptive selects similarity-weighted refinement
-	// (hdc.Model.RefineEpochAdaptive) instead of the paper's fixed rule;
+	// Adaptive selects similarity-weighted refinement (hdc.Model.LocalUpdate
+	// at a nonzero rate) instead of the paper's fixed rule;
 	// AdaptiveLR is its learning rate (default 1).
 	Adaptive   bool
 	AdaptiveLR float32
@@ -74,6 +74,13 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 	d := t.Encoded.Dim(1)
 	global := hdc.NewModel(t.NumClasses, d)
 	bundled := make([]bool, t.Cfg.NumClients) // has the client one-shot trained yet?
+	var lr float32                            // 0: the paper's fixed step rule
+	if t.Adaptive {
+		lr = t.AdaptiveLR
+		if lr == 0 {
+			lr = 1
+		}
+	}
 
 	// Client models are recycled: an update's Params is its replica's
 	// storage, which the aggregator may hold until the round commits, so
@@ -101,8 +108,9 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 		SampleRNG:   fedcore.ClientRNG(t.Cfg.Seed, 0, -1),
 		Agg:         agg,
 		Global:      global.Flat(),
-		// bundled[id] is only ever touched by the one worker handling
-		// client id this round; ids within a round are distinct.
+		// The client's examples are read in place, as rows idx of
+		// t.Encoded. bundled[id] is only ever touched by the one worker
+		// handling client id this round; ids within a round are distinct.
 		Train: func(_, round, id int, _ *rand.Rand) (fedcore.Update, bool) {
 			idx := t.Part[id]
 			if len(idx) == 0 {
@@ -116,7 +124,7 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 			used++
 			mu.Unlock()
 			copy(local.Flat(), global.Flat())
-			t.trainClient(local, id, idx, bundled)
+			local.LocalUpdate(t.Encoded, t.Labels, idx, &bundled[id], t.Cfg.LocalEpochs, lr)
 			u := fedcore.Update{Params: local.Flat(), Samples: len(idx)}
 			if t.TamperUpdate != nil {
 				t.TamperUpdate(round, id, u.Params, global.Flat())
@@ -163,32 +171,4 @@ func sampleMask(rng *rand.Rand, n int, frac float64) []int {
 	idx := rng.Perm(n)[:k]
 	sort.Ints(idx)
 	return idx
-}
-
-// trainClient performs the paper's local update (Sec. 3.4.1): one-shot
-// bundling on the client's first participation, then E epochs of iterative
-// refinement. Batch size B plays no role — HD training is per-example and
-// order-insensitive in the bundling step, which is why the paper reports B
-// has no influence on FHDnn. The client's examples are read in place, as
-// rows idx of t.Encoded.
-func (t *HDTrainer) trainClient(local *hdc.Model, id int, idx []int, bundled []bool) {
-	if !bundled[id] {
-		local.OneShotTrainRows(t.Encoded, t.Labels, idx)
-		bundled[id] = true
-	}
-	for e := 0; e < t.Cfg.LocalEpochs; e++ {
-		var wrong int
-		if t.Adaptive {
-			lr := t.AdaptiveLR
-			if lr == 0 {
-				lr = 1
-			}
-			wrong = local.RefineEpochAdaptiveRows(t.Encoded, t.Labels, idx, lr)
-		} else {
-			wrong = local.RefineEpochRows(t.Encoded, t.Labels, idx)
-		}
-		if wrong == 0 {
-			break
-		}
-	}
 }

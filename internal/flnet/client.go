@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fhdnn/internal/channel"
 	"fhdnn/internal/compress"
 	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
@@ -34,12 +33,6 @@ type Client struct {
 	// responses on Round, FetchModel, and PushUpdate with exponential
 	// backoff. nil performs exactly one attempt per call.
 	Retry *RetryPolicy
-	// Uplink optionally corrupts updates before they are posted,
-	// simulating the lossy physical layer underneath (the paper's UDP
-	// deployments admit exactly such corruption). nil means clean.
-	Uplink channel.Channel
-	// Rng drives the uplink corruption; required when Uplink is set.
-	Rng *rand.Rand
 	// Codec compresses the update inside its fedcore wire envelope; nil
 	// means compress.Raw{}. It must be one of the codecs fedcore assigns a
 	// wire id (raw, float16, int8, topk) — PushUpdate refuses any other.
@@ -327,24 +320,15 @@ func (e ErrThrottled) Error() string {
 	return fmt.Sprintf("flnet: round %d update throttled, retry after %v", e.Round, e.RetryAfter)
 }
 
-// PushUpdate uploads a locally trained model for the given round,
-// applying the configured uplink corruption first. Each retry attempt
-// re-transmits the same corrupted payload (the corruption happened "in
-// the radio", once). The update travels as a fedcore wire envelope
-// compressed with Codec.
+// PushUpdate uploads a locally trained model for the given round as a
+// fedcore wire envelope compressed with Codec. The model is encoded once:
+// each retry attempt re-sends the same bytes.
 func (c *Client) PushUpdate(ctx context.Context, round int, m *hdc.Model) error {
-	flat := m.Flat()
-	if c.Uplink != nil {
-		if c.Rng == nil {
-			return fmt.Errorf("flnet: Uplink set without Rng")
-		}
-		flat = c.Uplink.Transmit(flat, c.Rng)
-	}
 	codec := c.Codec
 	if codec == nil {
 		codec = compress.Raw{}
 	}
-	payload, err := fedcore.EncodeEnvelope(codec, flat)
+	payload, err := fedcore.EncodeEnvelope(codec, m.Flat())
 	if err != nil {
 		return fmt.Errorf("flnet: encode update envelope: %w", err)
 	}
@@ -434,8 +418,9 @@ const failureBudget = 8
 
 // LocalTrainer is the client-side training loop: it holds this device's
 // pre-encoded hypervectors and participates in rounds until the server
-// closes. It implements the paper's local update (one-shot bundling on
-// first participation, then E refinement epochs).
+// closes. Each round runs the paper's local update on the fetched model,
+// hdc.Model.LocalUpdate with the fixed step rule (one-shot bundling on
+// first participation, then up to Epochs refinement epochs).
 type LocalTrainer struct {
 	Client *Client
 	// Encoded holds one hypervector per row and Labels that row's class.
@@ -449,11 +434,12 @@ type LocalTrainer struct {
 	Poll time.Duration
 	// Tamper, when set, mutates the locally trained model just before
 	// each upload; global is the model the client downloaded this round,
-	// the reference a delta-level attack corrupts against. It is the
-	// adversarial-client injection hook: a Byzantine client is an honest
-	// trainer with a Tamper hook (see internal/faults.Poisoner), which is
-	// exactly how the poisoning chaos tests and the -poison flag of
-	// cmd/fhdnn-client build theirs.
+	// the reference a delta-level attack corrupts against. It is the one
+	// pre-upload hook: a Byzantine client is an honest trainer whose
+	// Tamper corrupts the update (see internal/faults.Poisoner), and a
+	// lossy uplink is one whose Tamper passes it through a
+	// channel.Channel, as the -poison and -loss/-snr flags of
+	// cmd/fhdnn-client do.
 	Tamper func(round int, local, global *hdc.Model)
 
 	bundledOnce bool
@@ -499,23 +485,23 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 	lastRound := 0
 	failures := 0
 
-	// absorb decides whether a failed interaction ends participation;
-	// nil means "handled, keep looping".
-	absorb := func(err error) error {
+	// absorb decides what a failed interaction means: stop ends
+	// participation with err (nil for a 410, training finished while we
+	// were mid-interaction); otherwise it backs off and the loop goes on.
+	absorb := func(err error) (stop bool, _ error) {
 		if ctx.Err() != nil {
-			return err
+			return true, err
 		}
 		var he *HTTPError
 		if errors.As(err, &he) && he.StatusCode == http.StatusGone {
-			// training finished while we were mid-interaction
-			return nil
+			return true, nil
 		}
 		if !Retryable(err) {
-			return err
+			return true, err
 		}
 		failures++
 		if failures > failureBudget {
-			return fmt.Errorf("flnet: participate: %d consecutive failures, last: %w", failures, err)
+			return true, fmt.Errorf("flnet: participate: %d consecutive failures, last: %w", failures, err)
 		}
 		t := time.NewTimer(jitterDuration(poll * time.Duration(failures)))
 		defer t.Stop()
@@ -523,18 +509,14 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 		case <-ctx.Done():
 		case <-t.C:
 		}
-		return nil
+		return false, nil
 	}
 
 	for {
 		info, err := lt.Client.Round(ctx)
 		if err != nil {
-			if ferr := absorb(err); ferr != nil {
-				return contributed, ferr
-			}
-			var he *HTTPError
-			if errors.As(err, &he) && he.StatusCode == http.StatusGone {
-				return contributed, nil
+			if stop, err := absorb(err); stop {
+				return contributed, err
 			}
 			continue
 		}
@@ -561,8 +543,8 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 		}
 		global, round, err := lt.Client.FetchModel(ctx)
 		if err != nil {
-			if ferr := absorb(err); ferr != nil {
-				return contributed, ferr
+			if stop, err := absorb(err); stop {
+				return contributed, err
 			}
 			continue
 		}
@@ -571,15 +553,7 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 			return contributed, err
 		}
 		local := global.Clone()
-		if !lt.bundledOnce {
-			local.OneShotTrain(lt.Encoded, lt.Labels)
-			lt.bundledOnce = true
-		}
-		for e := 0; e < lt.Epochs; e++ {
-			if wrong := local.RefineEpoch(lt.Encoded, lt.Labels); wrong == 0 {
-				break
-			}
-		}
+		local.LocalUpdate(lt.Encoded, lt.Labels, nil, &lt.bundledOnce, lt.Epochs, 0)
 		if lt.Tamper != nil {
 			lt.Tamper(round, local, global)
 		}
@@ -598,8 +572,8 @@ func (lt *LocalTrainer) Participate(ctx context.Context) (int, error) {
 			lastRound = round
 			continue
 		default:
-			if ferr := absorb(err); ferr != nil {
-				return contributed, ferr
+			if stop, err := absorb(err); stop {
+				return contributed, err
 			}
 			continue
 		}

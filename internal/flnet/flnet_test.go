@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -292,16 +294,16 @@ func TestFederatedTrainingOverHTTPWithLossyUplink(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			ch, rng := channel.PacketLoss{Rate: 0.2, PacketBytes: 256}, rand.New(rand.NewSource(int64(i)))
 			lt := &LocalTrainer{
-				Client: &Client{
-					BaseURL: ts.URL,
-					Uplink:  channel.PacketLoss{Rate: 0.2, PacketBytes: 256},
-					Rng:     rand.New(rand.NewSource(int64(i))),
-				},
+				Client:  &Client{BaseURL: ts.URL},
 				Encoded: shards[i],
 				Labels:  labels[i],
 				Epochs:  2,
 				Poll:    2 * time.Millisecond,
+				Tamper: func(_ int, local, _ *hdc.Model) {
+					copy(local.Flat(), ch.Transmit(local.Flat(), rng))
+				},
 			}
 			if _, err := lt.Participate(ctx); err != nil {
 				t.Errorf("client %d: %v", i, err)
@@ -315,11 +317,95 @@ func TestFederatedTrainingOverHTTPWithLossyUplink(t *testing.T) {
 	}
 }
 
-func TestPushUpdateUplinkWithoutRng(t *testing.T) {
-	_, ts := newTestServer(t, ServerConfig{NumClasses: 1, Dim: 4, MinUpdates: 1})
-	c := &Client{BaseURL: ts.URL, Uplink: channel.Perfect{}}
-	if err := c.PushUpdate(context.Background(), 1, hdc.NewModel(1, 4)); err == nil {
-		t.Fatal("Uplink without Rng must error")
+// A lossy uplink is a Tamper hook that passes the trained model through
+// the channel: round by round, the client uploads exactly the envelope a
+// client that corrupted the model inside PushUpdate sent,
+// EncodeEnvelope(codec, PacketLoss.Transmit(flat, rng)) from the same RNG,
+// and the server commits it (one client, so the round's bundle is that
+// envelope decoded). The data are random labels on Gaussian
+// hypervectors, so every round refines.
+func TestLossyTamperUploadsChannelEnvelopes(t *testing.T) {
+	const rounds, seed, k, d, n = 4, 9, 4, 64, 300
+	rng := rand.New(rand.NewSource(seed))
+	enc := tensor.New(n, d)
+	for i := range enc.Data() {
+		enc.Data()[i] = float32(rng.NormFloat64())
+	}
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = rng.Intn(k)
+	}
+	srv, err := NewServer(ServerConfig{NumClasses: k, Dim: d, MinUpdates: 1, MaxRounds: rounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	var uploads [][]byte
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			uploads = append(uploads, body) // one client: posts never overlap
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	ch, codec := channel.PacketLoss{Rate: 0.3, PacketBytes: 64}, compress.Int8{}
+	rng.Seed(seed)
+	lt := &LocalTrainer{
+		Client:  &Client{BaseURL: ts.URL, Codec: codec},
+		Encoded: enc,
+		Labels:  labels,
+		Epochs:  2,
+		Poll:    time.Millisecond,
+		Tamper: func(_ int, local, _ *hdc.Model) {
+			copy(local.Flat(), ch.Transmit(local.Flat(), rng))
+		},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if n, err := lt.Participate(ctx); err != nil || n != rounds {
+		t.Fatalf("contributed %d rounds, err %v; want %d", n, err, rounds)
+	}
+	if len(uploads) != rounds {
+		t.Fatalf("%d uploads, want %d", len(uploads), rounds)
+	}
+
+	// The path before the hook: train (bundle once, then up to Epochs
+	// refinement epochs), corrupt the flat update, encode it.
+	global := hdc.NewModel(k, d)
+	refRng := rand.New(rand.NewSource(seed))
+	for r := 0; r < rounds; r++ {
+		local := global.Clone()
+		if r == 0 {
+			local.OneShotTrain(enc, labels)
+		}
+		for e := 0; e < lt.Epochs; e++ {
+			if local.RefineEpoch(enc, labels) == 0 {
+				break
+			}
+		}
+		want, err := fedcore.EncodeEnvelope(codec, ch.Transmit(local.Flat(), refRng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(uploads[r], want) {
+			t.Fatalf("round %d: uploaded envelope differs from the channel-then-encode path", r+1)
+		}
+		sent, _, err := fedcore.DecodeEnvelope(want, k*d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		global.SetFlat(sent)
+	}
+	final, _ := srv.Model()
+	if !reflect.DeepEqual(final.Flat(), global.Flat()) {
+		t.Fatal("server's final model is not the last upload")
 	}
 }
 

@@ -282,7 +282,7 @@ func TestRefineAdaptiveImprovesOnHardData(t *testing.T) {
 	m.OneShotTrain(enc, labels)
 	before := m.Accuracy(enc, labels)
 	for epoch := 0; epoch < 10; epoch++ {
-		if m.RefineEpochAdaptive(enc, labels, 1.0) == 0 {
+		if refineEpoch(m, enc, labels, nil, 1.0) == 0 {
 			break
 		}
 	}
@@ -306,7 +306,7 @@ func TestRefineAdaptiveNoUpdateWhenCorrect(t *testing.T) {
 		t.Skip("data not trivially separable with this seed")
 	}
 	snapshot := m.Clone()
-	if wrong := m.RefineEpochAdaptive(enc, labels, 1.0); wrong != 0 {
+	if wrong := refineEpoch(m, enc, labels, nil, 1.0); wrong != 0 {
 		t.Fatalf("unexpected mispredictions: %d", wrong)
 	}
 	if !m.Prototypes.Equal(snapshot.Prototypes, 0) {

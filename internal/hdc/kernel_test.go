@@ -276,10 +276,10 @@ func TestRefineMatchesOracle(t *testing.T) {
 				t.Fatalf("epoch %d: RefineEpoch wrong = %d, oracle %d", epoch, g, w)
 			}
 			sameModel(t, fmt.Sprintf("RefineEpoch epoch %d", epoch), fixed, fixedWant)
-			if g, w := adapt.RefineEpochAdaptive(enc, labels, 0.37), oracleRefineEpochAdaptive(adaptWant, enc, labels, 0.37); g != w {
-				t.Fatalf("epoch %d: RefineEpochAdaptive wrong = %d, oracle %d", epoch, g, w)
+			if g, w := refineEpoch(adapt, enc, labels, nil, 0.37), oracleRefineEpochAdaptive(adaptWant, enc, labels, 0.37); g != w {
+				t.Fatalf("epoch %d: adaptive refinement wrong = %d, oracle %d", epoch, g, w)
 			}
-			sameModel(t, fmt.Sprintf("RefineEpochAdaptive epoch %d", epoch), adapt, adaptWant)
+			sameModel(t, fmt.Sprintf("adaptive refinement epoch %d", epoch), adapt, adaptWant)
 		}
 	})
 }
@@ -309,20 +309,20 @@ func TestRowIndexedTrainingEqualsGatherThenTrain(t *testing.T) {
 		want.OneShotTrain(batch, y)
 		sameModel(t, "OneShotTrainRows", got, want)
 		for epoch := 0; epoch < 2; epoch++ {
-			if g, w := got.RefineEpochRows(enc, labels, rows), want.RefineEpoch(batch, y); g != w {
-				t.Fatalf("RefineEpochRows wrong = %d, gathered %d", g, w)
+			if g, w := refineEpoch(got, enc, labels, rows, 0), want.RefineEpoch(batch, y); g != w {
+				t.Fatalf("row-indexed refinement wrong = %d, gathered %d", g, w)
 			}
-			sameModel(t, "RefineEpochRows", got, want)
+			sameModel(t, "row-indexed refinement", got, want)
 		}
-		if g, w := got.RefineEpochAdaptiveRows(enc, labels, rows, 0.5), want.RefineEpochAdaptive(batch, y, 0.5); g != w {
-			t.Fatalf("RefineEpochAdaptiveRows wrong = %d, gathered %d", g, w)
+		if g, w := refineEpoch(got, enc, labels, rows, 0.5), refineEpoch(want, batch, y, nil, 0.5); g != w {
+			t.Fatalf("row-indexed adaptive refinement wrong = %d, gathered %d", g, w)
 		}
-		sameModel(t, "RefineEpochAdaptiveRows", got, want)
+		sameModel(t, "row-indexed adaptive refinement", got, want)
 
 		// An empty, non-nil row list is zero examples, not "every row".
 		before := got.Clone()
 		got.OneShotTrainRows(enc, labels, []int{})
-		if got.RefineEpochRows(enc, labels, []int{}) != 0 || got.RefineEpochAdaptiveRows(enc, labels, []int{}, 1) != 0 {
+		if refineEpoch(got, enc, labels, []int{}, 0) != 0 || refineEpoch(got, enc, labels, []int{}, 1) != 0 {
 			t.Fatal("empty row list refined something")
 		}
 		sameModel(t, "empty row list", got, before)
@@ -371,11 +371,11 @@ func TestRefineDoesNotAllocateSerial(t *testing.T) {
 	m, enc, labels := kernelFixture(2, 10, 256, 40, false)
 	rows := rand.New(rand.NewSource(3)).Perm(40)[:25]
 	for name, fn := range map[string]func(){
-		"RefineEpoch":             func() { m.RefineEpoch(enc, labels) },
-		"RefineEpochRows":         func() { m.RefineEpochRows(enc, labels, rows) },
-		"RefineEpochAdaptive":     func() { m.RefineEpochAdaptive(enc, labels, 0.5) },
-		"RefineEpochAdaptiveRows": func() { m.RefineEpochAdaptiveRows(enc, labels, rows, 0.5) },
-		"Predict":                 func() { m.Predict(enc.Data()[:256]) },
+		"RefineEpoch":               func() { m.RefineEpoch(enc, labels) },
+		"LocalUpdate/fixed/rows":    func() { refineEpoch(m, enc, labels, rows, 0) },
+		"LocalUpdate/adaptive/all":  func() { refineEpoch(m, enc, labels, nil, 0.5) },
+		"LocalUpdate/adaptive/rows": func() { refineEpoch(m, enc, labels, rows, 0.5) },
+		"Predict":                   func() { m.Predict(enc.Data()[:256]) },
 	} {
 		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)

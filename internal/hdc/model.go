@@ -158,16 +158,9 @@ func rowAt(rows []int, s int) int {
 // prototype and subtracted from the mispredicted one. Returns the number of
 // mispredictions.
 func (m *Model) RefineEpoch(encoded *tensor.Tensor, labels []int) int {
-	return m.RefineEpochRows(encoded, labels, nil)
-}
-
-// RefineEpochRows is RefineEpoch over the listed rows of encoded, in list
-// order, without gathering them into a batch first; labels[r] is the class
-// of row r. A nil rows means every row.
-func (m *Model) RefineEpochRows(encoded *tensor.Tensor, labels, rows []int) int {
-	n := m.checkRows("RefineEpoch", encoded, labels, rows)
+	n := m.checkRows("RefineEpoch", encoded, labels, nil)
 	ln := m.lanes()
-	wrong := m.refine(ln, encoded.Data(), labels, rows, n)
+	wrong := m.refine(ln, encoded.Data(), labels, nil, n)
 	putLanes(ln)
 	return wrong
 }
@@ -212,32 +205,17 @@ func (m *Model) move(ln *classLanes, y, pred int, up, down float32, h []float32)
 	ln.norms[y], ln.norms[pred] = math.Sqrt(cc), math.Sqrt(bb)
 }
 
-// RefineEpochAdaptive performs one pass of similarity-weighted refinement
-// (the OnlineHD scheme of Hernandez-Cano et al., DATE'21, a natural
-// extension of the paper's fixed-step rule): every example updates the
-// prototypes with a step proportional to how wrong the model was,
+// refineAdaptive is one pass of similarity-weighted refinement (the
+// OnlineHD scheme of Hernandez-Cano et al., DATE'21, a natural extension
+// of the paper's fixed-step rule): every mispredicted example moves the
+// prototypes by a step proportional to how wrong the model was,
 //
 //	c_correct += lr * (1 - sim_correct) * h
-//	c_pred    -= lr * (1 - sim_pred)    * h   (only when mispredicted)
+//	c_pred    -= lr * (1 - sim_pred)    * h
 //
 // which converges faster than the fixed rule on hard data and never
-// overshoots on easy data. Returns the number of mispredictions.
-func (m *Model) RefineEpochAdaptive(encoded *tensor.Tensor, labels []int, lr float32) int {
-	return m.RefineEpochAdaptiveRows(encoded, labels, nil, lr)
-}
-
-// RefineEpochAdaptiveRows is RefineEpochAdaptive over the listed rows of
-// encoded, in list order; labels[r] is the class of row r. A nil rows means
-// every row.
-func (m *Model) RefineEpochAdaptiveRows(encoded *tensor.Tensor, labels, rows []int, lr float32) int {
-	n := m.checkRows("RefineEpochAdaptive", encoded, labels, rows)
-	ln := m.lanes()
-	wrong := m.refineAdaptive(ln, encoded.Data(), labels, rows, n, lr)
-	putLanes(ln)
-	return wrong
-}
-
-// refineAdaptive is the RefineEpochAdaptive loop; ln as in refine.
+// overshoots on easy data. Returns the number of mispredictions; ln as in
+// refine.
 //
 //fhdnn:hotpath
 func (m *Model) refineAdaptive(ln *classLanes, data []float32, labels, rows []int, n int, lr float32) int {
@@ -259,6 +237,44 @@ func (m *Model) refineAdaptive(ln *classLanes, data []float32, labels, rows []in
 		wrong++
 		m.move(ln, y, pred, lr*float32(1-sims[y]), lr*float32(1-sims[pred]), h)
 	}
+	return wrong
+}
+
+// LocalUpdate is one FHDnn client's local update for a round (paper Sec.
+// 3.4.1), over the listed rows of encoded (nil means every row). On the
+// client's first participation (*bundled false) it bundles the rows into
+// their class prototypes and sets *bundled; then it runs up to epochs
+// refinement epochs, stopping after the first one with no mispredictions.
+// lr picks the step rule: 0 is the paper's fixed rule (RefineEpoch's),
+// anything else the similarity-weighted rule at rate lr (refineAdaptive).
+// It returns the last epoch's mispredictions, 0 when no epoch ran. Batch
+// size plays no role: HD training is per example, which is why the paper
+// finds B has no influence on FHDnn.
+//
+// The class lanes are built once: every step keeps them bit-identical to
+// a rebuild, so each epoch's result is that of one built from fresh lanes.
+func (m *Model) LocalUpdate(encoded *tensor.Tensor, labels, rows []int, bundled *bool, epochs int, lr float32) int {
+	if !*bundled {
+		m.OneShotTrainRows(encoded, labels, rows)
+		*bundled = true
+	}
+	if epochs <= 0 {
+		return 0
+	}
+	n := m.checkRows("LocalUpdate", encoded, labels, rows)
+	ln := m.lanes()
+	wrong := 0
+	for e := 0; e < epochs; e++ {
+		if lr == 0 {
+			wrong = m.refine(ln, encoded.Data(), labels, rows, n)
+		} else {
+			wrong = m.refineAdaptive(ln, encoded.Data(), labels, rows, n, lr)
+		}
+		if wrong == 0 {
+			break
+		}
+	}
+	putLanes(ln)
 	return wrong
 }
 
