@@ -76,19 +76,27 @@ chaos:
 
 # Deployment smoke: build fhdnn-server and fhdnn-client and run the README
 # walkthrough's shape over loopback: a 3-round server closed by two
-# clients, one of them behind a 20% packet-loss uplink. Every process must
-# exit 0 within 120 seconds; a client that polls the server after the
-# last round must read "closed", not a refused connection.
+# clients, one of them behind a 20% packet-loss uplink. A client that
+# polls the server after the last round must read "closed", not a refused
+# connection. Then the checkpoint writers meet their reader: fhdnn-inspect
+# reads the server's -checkpoint and a synthetic fhdnn-train checkpoint.
+# Last, every example runs to completion. Every process must exit 0
+# within 120 seconds.
 SMOKE_ADDR ?= 127.0.0.1:18931
 
 smoke:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/" ./cmd/fhdnn-server ./cmd/fhdnn-client || exit 1; \
-	timeout 120 "$$dir/fhdnn-server" -addr $(SMOKE_ADDR) -dim 2048 -min-updates 2 -rounds 3 & srv=$$!; \
+	$(GO) build -o "$$dir/" ./cmd/fhdnn-server ./cmd/fhdnn-client ./cmd/fhdnn-train ./cmd/fhdnn-inspect ./examples/... || exit 1; \
+	timeout 120 "$$dir/fhdnn-server" -addr $(SMOKE_ADDR) -dim 2048 -min-updates 2 -rounds 3 -checkpoint "$$dir/global.fhdm" & srv=$$!; \
 	timeout 120 "$$dir/fhdnn-client" -server http://$(SMOKE_ADDR) -id 0 -clients 2 -dim 2048 & c0=$$!; \
 	timeout 120 "$$dir/fhdnn-client" -server http://$(SMOKE_ADDR) -id 1 -clients 2 -dim 2048 -loss 0.2 & c1=$$!; \
 	st=0; \
 	for p in $$c0 $$c1 $$srv; do wait $$p || { echo "smoke: process $$p exited $$?" >&2; st=1; }; done; \
+	run() { timeout 120 "$$@" || { echo "smoke: $$* exited $$?" >&2; st=1; }; }; \
+	run "$$dir/fhdnn-inspect" "$$dir/global.fhdm"; \
+	run "$$dir/fhdnn-train" -out "$$dir/model.fhdnn"; \
+	run "$$dir/fhdnn-inspect" "$$dir/model.fhdnn"; \
+	for ex in examples/*/; do ex=$${ex%/}; run "$$dir/$${ex##*/}"; done; \
 	exit $$st
 
 # The repo's benchmark (workloads and metric bounds in BENCHMARK.json,

@@ -1,6 +1,6 @@
 // Command fhdnn-train trains an FHDnn classifier on a local dataset and
 // writes the full model checkpoint (extractor + encoder + HD prototypes)
-// that fhdnn-client / fhdnn-inspect understand. Input is either a CSV file
+// that fhdnn-inspect reads. Input is either a CSV file
 // (label-first rows, see internal/dataset) or the MNIST IDX pair, or — with
 // no input flags — the synthetic CIFAR-like benchmark data.
 //

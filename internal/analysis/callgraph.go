@@ -190,15 +190,6 @@ func (g *callGraph) reach(roots []*types.Func) map[*types.Func]*types.Func {
 	return from
 }
 
-// callees returns the recorded callees of fn (nil if fn has no body in
-// the graph).
-func (g *callGraph) callees(fn *types.Func) []*types.Func {
-	if n, ok := g.nodes[fn]; ok {
-		return n.callees
-	}
-	return nil
-}
-
 // funcDisplayName renders a function for diagnostics: "Name" for package
 // functions, "(T).Name" / "(*T).Name" for methods.
 func funcDisplayName(fn *types.Func) string {

@@ -31,7 +31,11 @@ func lookupMethod(t *testing.T, p *pkg, typeName, method string) *types.Func {
 }
 
 func hasCallee(g *callGraph, from, to *types.Func) bool {
-	for _, c := range g.callees(from) {
+	n, ok := g.nodes[from]
+	if !ok {
+		return false
+	}
+	for _, c := range n.callees {
 		if c == to {
 			return true
 		}

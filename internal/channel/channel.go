@@ -198,12 +198,6 @@ func BurstyLoss(avgRate float64, meanBurstPackets float64, packetBytes int) Gilb
 	}
 }
 
-// PacketErrorRate converts a bit error probability to the packet error
-// probability for packets of np bits (paper Eq. 8).
-func PacketErrorRate(pe float64, np int) float64 {
-	return 1 - math.Pow(1-pe, float64(np))
-}
-
 // FlipBits flips each bit of data independently with probability pe
 // (binary symmetric channel). For small pe it uses geometric skip sampling
 // so the cost is proportional to the number of flips, not the number of

@@ -116,21 +116,6 @@ func TestPacketLossRateZeroAndOne(t *testing.T) {
 	}
 }
 
-func TestPacketErrorRateFormula(t *testing.T) {
-	// Eq. 8: pp = 1 - (1-pe)^Np
-	if got := PacketErrorRate(0, 1000); got != 0 {
-		t.Fatalf("PER(0) = %v", got)
-	}
-	got := PacketErrorRate(1e-3, 1000)
-	want := 1 - math.Pow(1-1e-3, 1000)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PER = %v, want %v", got, want)
-	}
-	if got < 0.6 || got > 0.65 {
-		t.Fatalf("PER(1e-3, 1000) = %v, expected ~0.632", got)
-	}
-}
-
 func TestFlipBitsStatistics(t *testing.T) {
 	for _, pe := range []float64{0.01, 0.2} {
 		rng := rand.New(rand.NewSource(7))

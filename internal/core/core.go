@@ -115,11 +115,6 @@ type Config struct {
 	Binarize bool
 }
 
-// DefaultConfig returns paper-like defaults for the given class count.
-func DefaultConfig(numClasses int) Config {
-	return Config{HDDim: 10000, NumClasses: numClasses, Seed: 1, Binarize: true}
-}
-
 // FHDnn is the composed model: extractor -> HD encoder -> HD classifier.
 type FHDnn struct {
 	Extractor FeatureExtractor

@@ -9,32 +9,11 @@ import (
 	"fhdnn/internal/tensor"
 )
 
-// CSV import/export. The synthetic generators stand in for MNIST/CIFAR in
+// CSV import. The synthetic generators stand in for MNIST/CIFAR in
 // this offline reproduction, but the library is meant to run on real data
 // when the user has it. The format is one example per row: the label in
 // the first column, then the flattened feature/pixel values — the layout
 // of the common "mnist_train.csv" distributions.
-
-// WriteCSV streams a dataset in label-first CSV form.
-func WriteCSV(w io.Writer, d *Dataset) error {
-	cw := csv.NewWriter(w)
-	sl := d.SampleLen()
-	row := make([]string, 1+sl)
-	for i := 0; i < d.Len(); i++ {
-		row[0] = strconv.Itoa(d.Labels[i])
-		for j, v := range d.X.Data()[i*sl : (i+1)*sl] {
-			row[1+j] = strconv.FormatFloat(float64(v), 'g', -1, 32)
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("dataset: write csv row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("dataset: flush csv: %w", err)
-	}
-	return nil
-}
 
 // ReadCSVImages parses label-first CSV rows into an image dataset of the
 // given geometry. Every row must have exactly 1 + channels*size*size
@@ -51,15 +30,6 @@ func ReadCSVImages(r io.Reader, name string, numClasses, channels, size int) (*D
 		Labels:     labels,
 		NumClasses: numClasses,
 	}, nil
-}
-
-// ReadCSVVectors parses label-first CSV rows into a flat-feature dataset.
-func ReadCSVVectors(r io.Reader, name string, numClasses, features int) (*Dataset, error) {
-	x, labels, err := readCSV(r, numClasses, features)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Name: name, X: x, Labels: labels, NumClasses: numClasses}, nil
 }
 
 func readCSV(r io.Reader, numClasses, sampleLen int) (x *tensor.Tensor, labels []int, err error) {

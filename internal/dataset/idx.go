@@ -83,46 +83,6 @@ func LoadIDX(images, labels io.Reader, name string, numClasses int) (*Dataset, e
 	return &Dataset{Name: name, X: x, Labels: y, NumClasses: numClasses}, nil
 }
 
-// WriteIDXImages emits a 1-channel image tensor as an IDX stream (values
-// clamped to [0,1] and scaled to uint8). For round-trip tests and for
-// exporting synthetic data to other toolchains.
-func WriteIDXImages(w io.Writer, x *tensor.Tensor) error {
-	if x.NumDims() != 4 || x.Dim(1) != 1 {
-		return fmt.Errorf("dataset: IDX export needs [n,1,h,w] images, got %v", x.Shape())
-	}
-	if err := writeIDXHeader(w, []int{x.Dim(0), x.Dim(2), x.Dim(3)}); err != nil {
-		return err
-	}
-	raw := make([]byte, x.Len())
-	for i, v := range x.Data() {
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
-		raw[i] = byte(float32(v*255) + 0.5)
-	}
-	_, err := w.Write(raw)
-	return err
-}
-
-// WriteIDXLabels emits labels as an IDX stream.
-func WriteIDXLabels(w io.Writer, labels []int) error {
-	if err := writeIDXHeader(w, []int{len(labels)}); err != nil {
-		return err
-	}
-	raw := make([]byte, len(labels))
-	for i, l := range labels {
-		if l < 0 || l > 255 {
-			return fmt.Errorf("dataset: label %d not representable in IDX uint8", l)
-		}
-		raw[i] = byte(l)
-	}
-	_, err := w.Write(raw)
-	return err
-}
-
 func readIDXHeader(r io.Reader, wantDims int) ([]int, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -146,17 +106,4 @@ func readIDXHeader(r io.Reader, wantDims int) ([]int, error) {
 		dims[i] = int(v)
 	}
 	return dims, nil
-}
-
-func writeIDXHeader(w io.Writer, dims []int) error {
-	magic := []byte{0, 0, idxTypeUint8, byte(len(dims))}
-	if _, err := w.Write(magic); err != nil {
-		return fmt.Errorf("dataset: write IDX magic: %w", err)
-	}
-	for _, d := range dims {
-		if err := binary.Write(w, binary.BigEndian, uint32(d)); err != nil {
-			return fmt.Errorf("dataset: write IDX dim: %w", err)
-		}
-	}
-	return nil
 }

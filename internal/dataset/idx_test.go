@@ -2,9 +2,41 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
+
+	"fhdnn/internal/tensor"
 )
+
+// idxHeader appends an IDX uint8 header with the given dimensions.
+func idxHeader(buf *bytes.Buffer, dims ...int) {
+	buf.Write([]byte{0, 0, idxTypeUint8, byte(len(dims))})
+	for _, d := range dims {
+		buf.Write(binary.BigEndian.AppendUint32(nil, uint32(d)))
+	}
+}
+
+// idxImages renders [n,1,h,w] images as an IDX stream, clamping values to
+// [0,1] and scaling them to uint8.
+func idxImages(x *tensor.Tensor) *bytes.Buffer {
+	var buf bytes.Buffer
+	idxHeader(&buf, x.Dim(0), x.Dim(2), x.Dim(3))
+	for _, v := range x.Data() {
+		buf.WriteByte(byte(float32(min(max(v, 0), 1)*255) + 0.5))
+	}
+	return &buf
+}
+
+// idxLabels renders labels in [0,255] as an IDX stream.
+func idxLabels(labels []int) *bytes.Buffer {
+	var buf bytes.Buffer
+	idxHeader(&buf, len(labels))
+	for _, l := range labels {
+		buf.WriteByte(byte(l))
+	}
+	return &buf
+}
 
 func TestIDXRoundTrip(t *testing.T) {
 	train, _ := GenerateImages(MNISTLike(8, 2, 1, 11))
@@ -23,14 +55,7 @@ func TestIDXRoundTrip(t *testing.T) {
 		x.Data()[i] = (v - lo) / (hi - lo)
 	}
 
-	var imgBuf, labBuf bytes.Buffer
-	if err := WriteIDXImages(&imgBuf, x); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteIDXLabels(&labBuf, train.Labels); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadIDX(&imgBuf, &labBuf, "mnist", 10)
+	got, err := LoadIDX(idxImages(x), idxLabels(train.Labels), "mnist", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +91,7 @@ func TestIDXHeaderValidation(t *testing.T) {
 
 func TestIDXTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeIDXHeader(&buf, []int{2, 4, 4}); err != nil {
-		t.Fatal(err)
-	}
+	idxHeader(&buf, 2, 4, 4)
 	buf.Write(make([]byte, 5)) // 32 expected
 	if _, err := ReadIDXImages(&buf); err == nil {
 		t.Fatal("expected error for truncated pixels")
@@ -76,48 +99,23 @@ func TestIDXTruncatedPayload(t *testing.T) {
 }
 
 func TestIDXLabelsOutOfRange(t *testing.T) {
-	var imgBuf, labBuf bytes.Buffer
 	x, _ := GenerateImages(MNISTLike(8, 1, 1, 12))
 	norm := x.X.Clone()
 	for i := range norm.Data() {
 		norm.Data()[i] = 0.5
 	}
-	if err := WriteIDXImages(&imgBuf, norm); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteIDXLabels(&labBuf, x.Labels); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIDX(&imgBuf, &labBuf, "m", 3); err == nil {
+	if _, err := LoadIDX(idxImages(norm), idxLabels(x.Labels), "m", 3); err == nil {
 		t.Fatal("labels >= numClasses must be rejected")
 	}
 }
 
 func TestIDXCountMismatch(t *testing.T) {
-	var imgBuf, labBuf bytes.Buffer
 	ds, _ := GenerateImages(MNISTLike(8, 1, 1, 13))
 	norm := ds.X.Clone()
 	for i := range norm.Data() {
 		norm.Data()[i] = 0
 	}
-	if err := WriteIDXImages(&imgBuf, norm); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteIDXLabels(&labBuf, ds.Labels[:3]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadIDX(&imgBuf, &labBuf, "m", 10); err == nil {
+	if _, err := LoadIDX(idxImages(norm), idxLabels(ds.Labels[:3]), "m", 10); err == nil {
 		t.Fatal("count mismatch must be rejected")
-	}
-}
-
-func TestWriteIDXValidation(t *testing.T) {
-	var buf bytes.Buffer
-	_, test := GenerateImages(CIFAR10Like(8, 1, 1, 14)) // 3 channels
-	if err := WriteIDXImages(&buf, test.X); err == nil {
-		t.Fatal("3-channel export must be rejected")
-	}
-	if err := WriteIDXLabels(&buf, []int{300}); err == nil {
-		t.Fatal("label 300 must be rejected")
 	}
 }

@@ -10,9 +10,6 @@ import (
 // Partition assigns every example index to exactly one client.
 type Partition [][]int
 
-// NumClients returns the number of clients in the partition.
-func (p Partition) NumClients() int { return len(p) }
-
 // TotalExamples returns the number of indices across all clients.
 func (p Partition) TotalExamples() int {
 	n := 0

@@ -38,11 +38,6 @@ type Workload struct {
 	InferFLOPs float64 // forward-only + HD work
 }
 
-// Add returns the sum of two workloads.
-func (w Workload) Add(o Workload) Workload {
-	return Workload{TrainFLOPs: w.TrainFLOPs + o.TrainFLOPs, InferFLOPs: w.InferFLOPs + o.InferFLOPs}
-}
-
 // Time returns the modeled execution time in seconds.
 func (p Profile) Time(w Workload) float64 {
 	if p.TrainGFLOPS <= 0 || p.InferGFLOPS <= 0 {

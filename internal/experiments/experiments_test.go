@@ -40,7 +40,7 @@ func TestScalePartitionModes(t *testing.T) {
 	train, _ := s.BuildDataset("mnist")
 	iid := s.Partition(train, true, 1)
 	non := s.Partition(train, false, 1)
-	if iid.NumClients() != s.NumClients || non.NumClients() != s.NumClients {
+	if len(iid) != s.NumClients || len(non) != s.NumClients {
 		t.Fatal("wrong client count")
 	}
 	if iid.TotalExamples() != train.Len() || non.TotalExamples() != train.Len() {

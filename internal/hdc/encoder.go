@@ -1,9 +1,9 @@
 // Package hdc implements hyperdimensional computing: random-projection
 // encoding of feature vectors into high-dimensional (bipolar or real)
-// hypervectors, bundling/binding algebra, a class-prototype classifier with
-// one-shot training and iterative refinement, the bit-error quantizer of the
-// FHDnn paper (Sec. 3.5.2), and linear decoding of noisy hypervectors
-// (paper Eq. 5).
+// hypervectors, bundling, a class-prototype classifier with one-shot
+// training and iterative refinement, the bit-error quantizer of the FHDnn
+// paper (Sec. 3.5.2), and linear decoding of noisy hypervectors (paper
+// Eq. 5).
 package hdc
 
 import (

@@ -34,27 +34,6 @@ func Example() {
 	// Output: predicted class: 0
 }
 
-// Binding and bundling compose symbolic structure: a record
-// {color: red, shape: square} is the bundle of bound pairs, and unbinding
-// recovers the filler.
-func ExampleBind() {
-	rng := rand.New(rand.NewSource(2))
-	color := hdc.RandomBipolar(rng, 8192)
-	red := hdc.RandomBipolar(rng, 8192)
-	shape := hdc.RandomBipolar(rng, 8192)
-	square := hdc.RandomBipolar(rng, 8192)
-
-	record := hdc.Bind(color, red)
-	hdc.Bundle(record, hdc.Bind(shape, square))
-
-	// unbind the color role and compare against the candidate fillers
-	probe := hdc.Bind(record, color)
-	simRed := hdc.Cosine(probe, red)
-	simSquare := hdc.Cosine(probe, square)
-	fmt.Println("red wins:", simRed > simSquare && simRed > 0.3)
-	// Output: red wins: true
-}
-
 // The quantizer bounds what a bit flip can do to a transmitted prototype.
 func ExampleQuantizer() {
 	q := hdc.NewQuantizer(16)

@@ -149,46 +149,6 @@ func TestRandomBipolarQuasiOrthogonal(t *testing.T) {
 	}
 }
 
-func TestBindSelfInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := RandomBipolar(rng, 256)
-	b := RandomBipolar(rng, 256)
-	ab := Bind(a, b)
-	back := Bind(ab, b)
-	for i := range a {
-		if back[i] != a[i] {
-			t.Fatal("bind must be self-inverse for bipolar vectors")
-		}
-	}
-	// bound vector is dissimilar to both factors
-	if math.Abs(Cosine(ab, a)) > 0.25 {
-		t.Fatalf("bound vector too similar to factor: %v", Cosine(ab, a))
-	}
-}
-
-func TestPermuteInvertible(t *testing.T) {
-	v := []float32{1, 2, 3, 4, 5}
-	p := Permute(v, 2)
-	want := []float32{4, 5, 1, 2, 3}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("Permute = %v", p)
-		}
-	}
-	back := Permute(p, -2)
-	for i := range v {
-		if back[i] != v[i] {
-			t.Fatal("Permute(-k) must invert Permute(k)")
-		}
-	}
-	if got := Permute(v, 7); got[0] != want[0] {
-		t.Fatal("Permute must wrap modulo length")
-	}
-	if Permute(nil, 3) != nil {
-		t.Fatal("Permute(nil) should be nil")
-	}
-}
-
 func TestHammingDistance(t *testing.T) {
 	a := []float32{1, 1, -1, -1}
 	b := []float32{1, -1, -1, 1}
@@ -345,7 +305,7 @@ func TestFederatedBundlingEquivalence(t *testing.T) {
 	enc2 := tensor.FromSlice(enc.Data()[half*512:], enc.Dim(0)-half, 512)
 	c1.OneShotTrain(enc1, labels[:half])
 	c2.OneShotTrain(enc2, labels[half:])
-	c1.Add(c2)
+	c1.Prototypes.AddInPlace(c2.Prototypes)
 
 	if !c1.Prototypes.Equal(whole.Prototypes, 1e-3) {
 		t.Fatal("federated bundling must equal centralized bundling for one-shot training")
@@ -378,15 +338,6 @@ func TestModelCloneIndependent(t *testing.T) {
 	if m.Flat()[0] != 1 {
 		t.Fatal("Clone must deep-copy")
 	}
-}
-
-func TestModelAddShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewModel(2, 4).Add(NewModel(2, 5))
 }
 
 func TestQuantizerMaxCodeHitsRange(t *testing.T) {

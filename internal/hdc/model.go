@@ -297,18 +297,6 @@ func (m *Model) Accuracy(encoded *tensor.Tensor, labels []int) float64 {
 	return float64(correct) / float64(n)
 }
 
-// Add accumulates another model's prototypes into m (federated bundling,
-// paper Eq. 1).
-func (m *Model) Add(o *Model) {
-	if m.K != o.K || m.D != o.D {
-		panic("hdc: Add model shape mismatch")
-	}
-	m.Prototypes.AddInPlace(o.Prototypes)
-}
-
-// Scale multiplies all prototypes by s (used for averaging variants).
-func (m *Model) Scale(s float32) { m.Prototypes.Scale(s) }
-
 // Flat returns the model parameters as one flat vector (the transmitted
 // update). The slice shares storage with the model.
 func (m *Model) Flat() []float32 { return m.Prototypes.Data() }

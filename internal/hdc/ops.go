@@ -46,33 +46,6 @@ func Bundle(a, b []float32) {
 	}
 }
 
-// Bind returns the elementwise product of a and b (the HDC binding operator
-// for bipolar vectors; self-inverse since (+-1)^2 = 1).
-func Bind(a, b []float32) []float32 {
-	if len(a) != len(b) {
-		panic("hdc: Bind length mismatch")
-	}
-	out := make([]float32, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}
-
-// Permute returns v cyclically rotated right by k positions (the HDC
-// sequence/permutation operator).
-func Permute(v []float32, k int) []float32 {
-	n := len(v)
-	if n == 0 {
-		return nil
-	}
-	k = ((k % n) + n) % n
-	out := make([]float32, n)
-	copy(out[k:], v[:n-k])
-	copy(out[:k], v[n-k:])
-	return out
-}
-
 // Sign binarizes v in place to +-1: +1 where x >= 0, so ties and -0 map
 // to +1, and -1 elsewhere, NaN included. The comparison only picks the
 // sign bit of 1.0, which gc compiles to a conditional move on amd64 and

@@ -118,11 +118,6 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	if math.Abs(float64(p.W.Data()[0])+2.9) > 1e-6 {
 		t.Fatalf("momentum step = %v", p.W.Data()[0])
 	}
-	opt.Reset()
-	opt.Step([]*Param{p}) // v=-1 again, w=-3.9
-	if math.Abs(float64(p.W.Data()[0])+3.9) > 1e-6 {
-		t.Fatalf("after Reset = %v", p.W.Data()[0])
-	}
 }
 
 func TestSGDWeightDecaySkipsNoDecay(t *testing.T) {

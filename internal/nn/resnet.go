@@ -187,11 +187,6 @@ type MNISTCNNConfig struct {
 	Hidden     int // FC hidden width (paper-scale: 128)
 }
 
-// DefaultMNISTCNN returns a paper-scale configuration for 28x28 inputs.
-func DefaultMNISTCNN() MNISTCNNConfig {
-	return MNISTCNNConfig{InChannels: 1, ImgSize: 28, NumClasses: 10, C1: 32, C2: 64, Hidden: 128}
-}
-
 // NewMNISTCNN builds conv-relu-pool x2 followed by two dense layers.
 func NewMNISTCNN(rng *rand.Rand, cfg MNISTCNNConfig) *Sequential {
 	// Two stride-1 same-pad convs, each followed by 2x2 pooling.

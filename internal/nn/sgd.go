@@ -55,9 +55,3 @@ func (o *SGD) Step(params []*Param) {
 		}
 	}
 }
-
-// Reset clears all momentum buffers (used when a client re-initializes from
-// a fresh global model each round).
-func (o *SGD) Reset() {
-	o.velocity = make(map[*Param]*tensor.Tensor)
-}

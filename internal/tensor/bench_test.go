@@ -55,8 +55,9 @@ func BenchmarkCol2Im(b *testing.B) {
 func BenchmarkMaxPool2D(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	img := Randn(rng, 1, 16*32*32).Data()
+	out, argmax := make([]float32, 16*16*16), make([]int32, 16*16*16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxPool2D(img, 16, 32, 32, 2, 2)
+		MaxPool2DInto(img, 16, 32, 32, 2, 2, out, argmax)
 	}
 }

@@ -101,21 +101,10 @@ func (g ConvGeom) Col2Im(col []float32, img []float32) {
 	}
 }
 
-// MaxPool2D applies max pooling with a square window and equal stride over
-// one image (C x H x W). It returns the pooled image and, for backprop, the
-// flat argmax index into the input for every output element.
-func MaxPool2D(img []float32, c, h, w, k, stride int) (out []float32, argmax []int32, outH, outW int) {
-	outH = (h-k)/stride + 1
-	outW = (w-k)/stride + 1
-	out = make([]float32, c*outH*outW)
-	argmax = make([]int32, c*outH*outW)
-	MaxPool2DInto(img, c, h, w, k, stride, out, argmax)
-	return out, argmax, outH, outW
-}
-
-// MaxPool2DInto is the allocation-free form of MaxPool2D: out must have
-// length c*outH*outW and argmax either the same length or nil to skip the
-// backprop index bookkeeping (inference).
+// MaxPool2DInto applies max pooling with a square window and equal stride
+// over one image (C x H x W) into out, of length c*outH*outW. argmax, for
+// backprop, receives the flat input index of every output element; it is
+// either the same length as out or nil to skip the bookkeeping (inference).
 func MaxPool2DInto(img []float32, c, h, w, k, stride int, out []float32, argmax []int32) (outH, outW int) {
 	outH = (h-k)/stride + 1
 	outW = (w-k)/stride + 1
@@ -154,16 +143,8 @@ func MaxPool2DInto(img []float32, c, h, w, k, stride int, out []float32, argmax 
 	return outH, outW
 }
 
-// GlobalAvgPool averages each channel plane of one image (C x H x W) into a
-// C-length vector.
-func GlobalAvgPool(img []float32, c, h, w int) []float32 {
-	out := make([]float32, c)
-	GlobalAvgPoolInto(img, c, h, w, out)
-	return out
-}
-
-// GlobalAvgPoolInto is the allocation-free form of GlobalAvgPool; out must
-// have length c.
+// GlobalAvgPoolInto averages each channel plane of one image (C x H x W)
+// into out, of length c.
 func GlobalAvgPoolInto(img []float32, c, h, w int, out []float32) {
 	if len(out) != c {
 		panic(fmt.Sprintf("tensor: GlobalAvgPoolInto out length %d, want %d", len(out), c))

@@ -126,7 +126,8 @@ func TestMaxPool2D(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}
-	out, argmax, oh, ow := MaxPool2D(img, 1, 4, 4, 2, 2)
+	out, argmax := make([]float32, 4), make([]int32, 4)
+	oh, ow := MaxPool2DInto(img, 1, 4, 4, 2, 2, out, argmax)
 	if oh != 2 || ow != 2 {
 		t.Fatalf("pool dims %dx%d", oh, ow)
 	}
@@ -143,7 +144,8 @@ func TestMaxPool2D(t *testing.T) {
 
 func TestMaxPool2DNegativeValues(t *testing.T) {
 	img := []float32{-5, -2, -8, -1}
-	out, _, _, _ := MaxPool2D(img, 1, 2, 2, 2, 2)
+	out := make([]float32, 1)
+	MaxPool2DInto(img, 1, 2, 2, 2, 2, out, nil)
 	if out[0] != -1 {
 		t.Fatalf("max of negatives = %v, want -1", out[0])
 	}
@@ -151,7 +153,8 @@ func TestMaxPool2DNegativeValues(t *testing.T) {
 
 func TestGlobalAvgPool(t *testing.T) {
 	img := []float32{1, 2, 3, 4, 10, 10, 10, 10}
-	out := GlobalAvgPool(img, 2, 2, 2)
+	out := make([]float32, 2)
+	GlobalAvgPoolInto(img, 2, 2, 2, out)
 	if out[0] != 2.5 || out[1] != 10 {
 		t.Fatalf("GAP = %v", out)
 	}

@@ -138,13 +138,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // CopyFrom copies src's elements into t. Shapes must have equal volume.
 func (t *Tensor) CopyFrom(src *Tensor) {
 	if len(t.data) != len(src.data) {
@@ -163,40 +156,10 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// SubInPlace subtracts o elementwise from t.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	if len(t.data) != len(o.data) {
-		panic("tensor: SubInPlace volume mismatch")
-	}
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-}
-
 // Scale multiplies every element of t by s.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-}
-
-// AXPY computes t += a*x elementwise.
-func (t *Tensor) AXPY(a float32, x *Tensor) {
-	if len(t.data) != len(x.data) {
-		panic("tensor: AXPY volume mismatch")
-	}
-	for i, v := range x.data {
-		t.data[i] += float32(a * v)
-	}
-}
-
-// Hadamard multiplies t elementwise by o, in place.
-func (t *Tensor) Hadamard(o *Tensor) {
-	if len(t.data) != len(o.data) {
-		panic("tensor: Hadamard volume mismatch")
-	}
-	for i, v := range o.data {
-		t.data[i] *= v
 	}
 }
 
@@ -226,17 +189,6 @@ func (t *Tensor) Norm() float64 {
 		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
-}
-
-// ArgMax returns the flat index of the maximum element.
-func (t *Tensor) ArgMax() int {
-	best, bi := float32(math.Inf(-1)), 0
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }
 
 // Equal reports whether t and o have identical shapes and elements within
