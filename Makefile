@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race debugguard vet lint lint-json lint-timing lint-ci bench chaos smoke check ci
+.PHONY: build test race debugguard vet lint lint-ci fuzz bench chaos smoke check ci
 
 build:
 	$(GO) build ./...
@@ -29,25 +29,10 @@ debugguard:
 
 # Repo-specific static analysis: determinism, goroutine discipline, wire
 # error handling, print/panic hygiene, float32 kernel discipline, plus the
-# call-graph rule (hotalloc) and the wire-taint rules (taintalloc,
-# taintindex, taintloop). See DESIGN.md "Static analysis & enforced
+# call-graph rule (hotalloc). See DESIGN.md "Static analysis & enforced
 # invariants".
 lint:
 	$(GO) run ./cmd/fhdnn-lint ./...
-
-# Machine-readable findings, including //fhdnn:allow-suppressed ones; CI
-# uploads this file as an artifact on every matrix leg.
-lint-json:
-	$(GO) run ./cmd/fhdnn-lint -json -suppressed ./... | tee fhdnn-lint.json
-
-# Per-rule wall-time report on stderr, captured to a file for the CI
-# artifact. The call graph and taint fixpoint are built once and shared
-# across the module-wide rules (hotalloc, taintalloc, taintindex,
-# taintloop); -budget makes the 10s whole-repo ceiling a hard failure, so
-# timing regressions land as red CI instead of a slowly rotting artifact.
-lint-timing:
-	@$(GO) run ./cmd/fhdnn-lint -timing -budget 10s ./... 2> fhdnn-lint-timing.txt; \
-	st=$$?; cat fhdnn-lint-timing.txt; exit $$st
 
 # The lint invocation CI runs (in the test matrix job only): the rules of
 # `make lint`, with machine-readable findings (including suppressed ones)
@@ -57,6 +42,24 @@ lint-ci:
 	@$(GO) run ./cmd/fhdnn-lint -json -suppressed -timing -budget 10s ./... \
 		> fhdnn-lint.json 2> fhdnn-lint-timing.txt; \
 	st=$$?; cat fhdnn-lint.json; cat fhdnn-lint-timing.txt >&2; exit $$st
+
+# Decode-surface fuzzing: every exported decoder of a wire or checkpoint
+# format, and the upload handler in front of them, for 20s per target on
+# amd64 and again on 386, where int is 32 bits and a uint32 count can wrap
+# negative (386 fuzzing runs without coverage guidance, and still finds
+# such wraps in under a second). Every target gets its turn; a crasher
+# lands in its package's testdata/fuzz/<target>/ and fails the run, and
+# CI uploads those directories. A new exported Decode*/Read* in a wire
+# package lands with a target here.
+fuzz:
+	@st=0; \
+	for arch in amd64 386; do \
+		for t in fedcore.FuzzEnvelopeDecode hdc.FuzzReadModel hdc.FuzzReadEncoder nn.FuzzScanParams flnet.FuzzRoundQuery flnet.FuzzUpload; do \
+			echo "fuzz: GOARCH=$$arch $$t"; \
+			GOARCH=$$arch $(GO) test -run='^$$' -fuzz="^$${t#*.}\$$" -fuzztime=20s ./internal/$${t%.*} || st=1; \
+		done; \
+	done; \
+	exit $$st
 
 # Seeded poisoning chaos: the Byzantine/robust-aggregation suite under
 # the race detector with shuffled execution, then the attack/defense
@@ -110,4 +113,4 @@ bench:
 check: build vet lint race debugguard
 
 # What CI runs on every PR.
-ci: vet lint race debugguard
+ci: vet lint-ci race debugguard smoke fuzz

@@ -12,12 +12,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 
 	"fhdnn/internal/hdc"
+	"fhdnn/internal/nn"
 )
 
 func main() {
@@ -46,7 +45,7 @@ func inspect(path string) error {
 	switch string(data[:4]) {
 	case "FHDN": // full checkpoint: nn params, then encoder, then model
 		r := bytes.NewReader(data)
-		nParams, nValues, err := skipNNCheckpoint(r)
+		nParams, nValues, err := nn.ScanParams(r)
 		if err != nil {
 			return err
 		}
@@ -79,32 +78,6 @@ func inspect(path string) error {
 		return fmt.Errorf("unknown magic %q (want FHDN, FHDM or FHDE)", data[:4])
 	}
 	return nil
-}
-
-// skipNNCheckpoint reads past an nn parameter checkpoint, returning the
-// tensor and scalar counts. bytes.Reader.Seek accepts offsets past the
-// end, so a param length that overruns the file is checked first.
-func skipNNCheckpoint(r *bytes.Reader) (tensors, values int, err error) {
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, 0, err
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[4:]))
-	for i := 0; i < count; i++ {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return 0, 0, fmt.Errorf("param %d length: %w", i, err)
-		}
-		n := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		if 4*int64(n) > int64(r.Len()) {
-			return 0, 0, fmt.Errorf("param %d payload truncated", i)
-		}
-		if _, err := r.Seek(4*int64(n), io.SeekCurrent); err != nil {
-			return 0, 0, err
-		}
-		values += n
-	}
-	return count, values, nil
 }
 
 func printModel(path string, m *hdc.Model, size int) {

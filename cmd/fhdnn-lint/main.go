@@ -10,11 +10,11 @@
 // ("./...", "./internal/flnet"); the default is ./... .
 //
 // -timing prints a per-rule wall-time table to stderr after the run
-// (shared engine stages — package loading, the module call graph, the
-// taint fixpoint — get their own rows), so CI can track the whole-repo
-// latency budget. -budget fails the run (exit 1, unless findings
-// already set a code) when the total sweep time exceeds the given
-// duration, which is how CI pins the ~10s whole-repo budget.
+// (the shared stages, package loading and the module call graph, get
+// their own rows), so CI can track the whole-repo latency budget.
+// -budget fails the run (exit 1, unless findings already set a code)
+// when the total sweep time exceeds the given duration, which is how CI
+// pins the ~10s whole-repo budget.
 //
 // Exit codes identify what fired, so CI and scripts can react per rule:
 //
@@ -24,12 +24,10 @@
 //	64|b findings; b is a bitmask of the rules that fired:
 //	     1 determinism, 2 goroutine, 4 wire-error, 8 print-panic,
 //	     16 float64, 32 malformed/stale //fhdnn:allow directive,
-//	     128 any call-graph or taint rule (hotalloc, taintalloc,
-//	     taintindex, taintloop)
+//	     128 the call-graph rule (hotalloc)
 //
 // Unix exit codes are eight bits and 64|1|2|4|8|16|32 uses seven of
-// them, so the call-graph and taint rules share the last bit; use -json
-// for per-rule attribution.
+// them, so the call-graph rule takes the last bit.
 package main
 
 import (
@@ -42,9 +40,9 @@ import (
 	"fhdnn/internal/analysis"
 )
 
-// ruleBits maps each rule to its exit-code bit. The call-graph and taint
-// rules share bit 128: the lower bits are spoken for and exit codes stop
-// at 255.
+// ruleBits maps each rule to its exit-code bit. The call-graph rule
+// takes bit 128: the lower bits are spoken for and exit codes stop at
+// 255.
 var ruleBits = map[string]int{
 	analysis.RuleDeterminism: 1,
 	analysis.RuleGoroutine:   2,
@@ -53,9 +51,6 @@ var ruleBits = map[string]int{
 	analysis.RuleFloat64:     16,
 	analysis.RuleAllow:       32,
 	analysis.RuleHotAlloc:    128,
-	analysis.RuleTaintAlloc:  128,
-	analysis.RuleTaintIndex:  128,
-	analysis.RuleTaintLoop:   128,
 }
 
 func main() {

@@ -45,23 +45,9 @@
 //	             allocate (make/new/append/boxing conversions/fmt);
 //	             panic and invariant.Fail* arguments are exempt.
 //
-// The wire-taint rules run on the interprocedural taint engine
-// (taint.go), over an intraprocedural CFG with dominators (cfg.go) and
-// the same call graph: wire sources are []byte / io.Reader parameters of
-// the exported decode surface in compress/fedcore/flnet/hdc and the
-// http.Request/Response reads in flnet; summaries propagate taint
-// across the call graph; a dominating comparison against a trusted cap
-// sanitizes:
-//
-//	taintalloc   a wire-tainted integer sizes a make / append-growth /
-//	             bytes.Repeat with no dominating bound check — a 24-byte
-//	             frame must not be able to claim a 2^26-element body.
-//	taintindex   a wire-tainted integer indexes or slices a buffer with
-//	             no dominating bounds check (out-of-range panics on
-//	             hostile frames).
-//	taintloop    a loop condition is bounded by a wire-tainted value
-//	             with no dominating cap (attacker-controlled iteration
-//	             counts).
+// The wire decoders' hostile-frame contract is not a rule here either:
+// the decode surface's fuzz targets check it (make fuzz, on amd64 and
+// 386).
 //
 // A finding is suppressed by a directive comment on the same line or the
 // line directly above:
@@ -86,8 +72,9 @@ import (
 // rules (goleak, chandisc, wgproto, atomicmix); v4 the interprocedural
 // wire-taint rules (taintalloc, taintindex, taintloop); v5 retired
 // goleak, chandisc, wgproto, atomicmix, lockheld and ctxflow; v6 retired
-// aliasing and its reaching-definitions layer.
-const Version = "6.0.0"
+// aliasing and its reaching-definitions layer; v7 retired the wire-taint
+// rules and the CFG layer under them (make fuzz covers the decoders).
+const Version = "7.0.0"
 
 // Rule names, in exit-code bit order (see cmd/fhdnn-lint).
 const (
@@ -98,20 +85,14 @@ const (
 	RuleFloat64     = "float64"
 	// RuleAllow reports malformed or unused suppression directives.
 	RuleAllow = "allow"
-	// Call-graph rule (shares one exit-code bit with the taint rules, see
-	// cmd/fhdnn-lint).
+	// Call-graph rule (exit-code bit 128, see cmd/fhdnn-lint).
 	RuleHotAlloc = "hotalloc"
-	// Wire-taint rules (interprocedural, taint.go).
-	RuleTaintAlloc = "taintalloc"
-	RuleTaintIndex = "taintindex"
-	RuleTaintLoop  = "taintloop"
 )
 
 // AllRules lists every diagnostic rule in canonical order.
 var AllRules = []string{
 	RuleDeterminism, RuleGoroutine, RuleWireError, RulePrintPanic, RuleFloat64,
 	RuleHotAlloc,
-	RuleTaintAlloc, RuleTaintIndex, RuleTaintLoop,
 }
 
 // Diagnostic is one finding, positioned for editors and CI annotations.
@@ -147,18 +128,10 @@ type Result struct {
 	Timing []RuleTiming
 }
 
-// modulePass carries the module-wide call graph shared by the
-// call-graph rules (hotalloc and the taint engine). Built once per Run —
-// the graph spans every loaded package so closures never stop at a
-// package boundary, and building it per rule would double the dominant
-// cost of a whole-repo lint.
-type modulePass struct {
-	l     *loader
-	all   []*pkg // every loaded package, sorted by import path
-	graph *callGraph
-}
-
-func newModulePass(l *loader) *modulePass {
+// moduleGraph builds the call graph hotalloc walks over every loaded
+// package, sorted by import path, so a closure never stops at a package
+// boundary.
+func moduleGraph(l *loader) *callGraph {
 	paths := make([]string, 0, len(l.pkgs))
 	for path := range l.pkgs {
 		paths = append(paths, path)
@@ -168,7 +141,7 @@ func newModulePass(l *loader) *modulePass {
 	for _, path := range paths {
 		all = append(all, l.pkgs[path])
 	}
-	return &modulePass{l: l, all: all, graph: buildCallGraph(all)}
+	return buildCallGraph(all)
 }
 
 // Run lints the module rooted at root. Patterns are package directory
@@ -237,36 +210,17 @@ func Run(root string, patterns []string, rules []string) (*Result, error) {
 		})
 	}
 
-	// Module-wide rules share one call graph: the build is the dominant
-	// fixed cost and doubling it would strain the whole-repo latency
-	// budget (see the -timing flag).
-	needTaint := enabled[RuleTaintAlloc] || enabled[RuleTaintIndex] || enabled[RuleTaintLoop]
-	var mp *modulePass
-	if enabled[RuleHotAlloc] || needTaint {
-		timed("callgraph", func() { mp = newModulePass(l) })
-	}
-	moduleRule := func(name string, run func() map[*pkg][]Diagnostic) {
-		if !enabled[name] {
-			return
-		}
-		timed(name, func() {
-			for p, ds := range run() {
+	// hotalloc is module-wide: it walks the call graph, whose build is
+	// the dominant fixed cost and gets its own -timing row.
+	if enabled[RuleHotAlloc] {
+		var g *callGraph
+		timed("callgraph", func() { g = moduleGraph(l) })
+		timed(RuleHotAlloc, func() {
+			for p, ds := range checkHotAlloc(l, g, loaded) {
 				found[p] = append(found[p], ds...)
 			}
 		})
 	}
-	moduleRule(RuleHotAlloc, func() map[*pkg][]Diagnostic { return checkHotAlloc(mp, loaded) })
-
-	// The taint engine runs once (summaries + fixpoint + findings) as its
-	// own timed stage; the three rule rows then just slice its output, so
-	// -timing attributes the interprocedural cost honestly.
-	var te *taintEngine
-	if needTaint {
-		timed("taint", func() { te = buildTaint(mp, loaded) })
-	}
-	moduleRule(RuleTaintAlloc, func() map[*pkg][]Diagnostic { return te.findings(RuleTaintAlloc, loaded) })
-	moduleRule(RuleTaintIndex, func() map[*pkg][]Diagnostic { return te.findings(RuleTaintIndex, loaded) })
-	moduleRule(RuleTaintLoop, func() map[*pkg][]Diagnostic { return te.findings(RuleTaintLoop, loaded) })
 
 	res.Packages = len(loaded)
 	for _, p := range loaded {
@@ -310,8 +264,8 @@ var ruleFuncs = []namedRule{
 	{RuleWireError, checkWireErrors},
 	{RulePrintPanic, checkPrintPanic},
 	{RuleFloat64, checkFloat64},
-	// hotalloc and the taint rules are module-wide (call-graph closures)
-	// and run separately in Run, not per package.
+	// hotalloc is module-wide (call-graph closures) and runs separately
+	// in Run, not per package.
 }
 
 // AllowPrefix starts a suppression directive comment.

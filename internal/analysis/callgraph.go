@@ -39,10 +39,6 @@ type cgNode struct {
 type callGraph struct {
 	nodes map[*types.Func]*cgNode
 	order []*types.Func // deterministic node order
-	// concrete are the module's named non-interface types, kept for
-	// consumers (the taint engine) that resolve interface dispatch after
-	// construction.
-	concrete []*types.Named
 }
 
 // buildCallGraph constructs the graph over the given packages (callers
@@ -69,7 +65,6 @@ func buildCallGraph(pkgs []*pkg) *callGraph {
 			concrete = append(concrete, named)
 		}
 	}
-	g.concrete = concrete
 
 	for _, p := range pkgs {
 		for _, f := range p.Files {

@@ -90,16 +90,16 @@ func TestLoaderSkipsTestFiles(t *testing.T) {
 }
 
 func TestSweepFollowsReleaseView(t *testing.T) {
-	// End-to-end over Run: the same unchecked decode exists in both the
-	// fhdnndebug file and the release file. Only the release copy may be
-	// reported — exactly one finding, attributed to decode.go — proving
+	// End-to-end over Run: the same panic on a short frame exists in both
+	// the fhdnndebug file and the release file. Only the release copy may
+	// be reported — exactly one finding, attributed to decode.go — proving
 	// rules neither double-count tag twins nor silently skip the
 	// release-view file.
 	root := writeModule(t, map[string]string{
-		"internal/compress/decode.go":       "//go:build !fhdnndebug\n\npackage compress\n\nfunc Decode(data []byte) []float32 {\n\tif len(data) < 4 {\n\t\treturn nil\n\t}\n\tn := int(data[0]) | int(data[1])<<8\n\treturn make([]float32, n)\n}\n",
-		"internal/compress/decode_debug.go": "//go:build fhdnndebug\n\npackage compress\n\nfunc Decode(data []byte) []float32 {\n\tif len(data) < 4 {\n\t\treturn nil\n\t}\n\tn := int(data[0]) | int(data[1])<<8\n\treturn make([]float32, n)\n}\n",
+		"internal/compress/decode.go":       "//go:build !fhdnndebug\n\npackage compress\n\nfunc Decode(data []byte) byte {\n\tif len(data) < 4 {\n\t\tpanic(\"short frame\")\n\t}\n\treturn data[0]\n}\n",
+		"internal/compress/decode_debug.go": "//go:build fhdnndebug\n\npackage compress\n\nfunc Decode(data []byte) byte {\n\tif len(data) < 4 {\n\t\tpanic(\"short frame\")\n\t}\n\treturn data[0]\n}\n",
 	})
-	res, err := Run(root, []string{"./..."}, []string{RuleTaintAlloc})
+	res, err := Run(root, []string{"./..."}, []string{RulePrintPanic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +119,9 @@ func TestSweepIgnoresHazardBehindTag(t *testing.T) {
 	// deliberate rather than accidental.
 	root := writeModule(t, map[string]string{
 		"internal/compress/decode.go":      "package compress\n\nfunc Size(data []byte) int {\n\tif len(data) < 4 {\n\t\treturn 0\n\t}\n\treturn int(data[0]) | int(data[1])<<8\n}\n",
-		"internal/compress/alloc_debug.go": "//go:build fhdnndebug\n\npackage compress\n\nfunc Alloc(data []byte) []float32 { return make([]float32, Size(data)) }\n",
+		"internal/compress/check_debug.go": "//go:build fhdnndebug\n\npackage compress\n\nfunc Check(data []byte) {\n\tif Size(data) == 0 {\n\t\tpanic(\"short frame\")\n\t}\n}\n",
 	})
-	res, err := Run(root, []string{"./..."}, []string{RuleTaintAlloc, RuleTaintIndex, RuleTaintLoop})
+	res, err := Run(root, []string{"./..."}, []string{RulePrintPanic})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,10 +54,7 @@ func hasHotpathDirective(fd *ast.FuncDecl) bool {
 // restricted to the packages actually being linted. Findings are grouped
 // by the package containing the allocation so //fhdnn:allow directives in
 // that file apply normally.
-func checkHotAlloc(mp *modulePass, patternPkgs []*pkg) map[*pkg][]Diagnostic {
-	l := mp.l
-	g := mp.graph
-
+func checkHotAlloc(l *loader, g *callGraph, patternPkgs []*pkg) map[*pkg][]Diagnostic {
 	inPattern := make(map[*pkg]bool, len(patternPkgs))
 	for _, p := range patternPkgs {
 		inPattern[p] = true

@@ -12,7 +12,8 @@ import (
 // FuzzEnvelopeDecode hammers the wire-envelope parser with arbitrary
 // bytes: malformed headers, truncated payloads, bad checksums and
 // codec-id mismatches must all surface as errors, never as panics or as
-// silently wrong decodes. Seeds cover a valid envelope per codec plus
+// silently wrong decodes, and no envelope may decode to more values than
+// its size allows. Seeds cover a valid envelope per codec plus
 // each distinct corruption class.
 func FuzzEnvelopeDecode(f *testing.F) {
 	params := testUpdate(32, 9)
@@ -70,6 +71,11 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			}
 			if wantN > 0 && len(got) != wantN {
 				t.Fatalf("decoded %d values, caller expected %d", len(got), wantN)
+			}
+			// The amplification cap: a self-described decode returns at
+			// most 256 values per payload byte, plus slack.
+			if wantN == 0 && len(got) > 64+256*(len(data)-EnvelopeOverhead) {
+				t.Fatalf("self-described decode of a %d B envelope returned %d values", len(data), len(got))
 			}
 		}
 		checkDecodeEnvelopeInto(t, data, 32)

@@ -411,7 +411,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 // escape in their key or value are skipped, as ParseQuery skips them. It
 // allocates only to unescape a key or value that holds an escape.
 func roundParam(rawQuery string) string {
-	//fhdnn:allow taintloop each pass cuts a pair or an '&' off q, and net/http caps the request line at MaxHeaderBytes
 	for q := rawQuery; q != ""; {
 		var pair string
 		pair, q, _ = strings.Cut(q, "&")

@@ -153,6 +153,63 @@ func TestUploadBodyFraming(t *testing.T) {
 	})
 }
 
+// uploadStatuses are the statuses handleUpdate and routeUpdate write.
+var uploadStatuses = map[int]bool{
+	http.StatusAccepted: true, http.StatusBadRequest: true, http.StatusConflict: true,
+	http.StatusGone: true, http.StatusUnprocessableEntity: true,
+	http.StatusTooManyRequests: true, http.StatusServiceUnavailable: true,
+}
+
+// FuzzUpload sends an arbitrary query, client header and body through a
+// fresh server's handler. Whatever arrives, the handler must not panic,
+// must answer with a status the upload path writes, must count at most
+// its body limit as received, and must accept (202) only a body that
+// decodes as a k x d envelope.
+func FuzzUpload(f *testing.F) {
+	const k, d = 2, 16
+	limit := int64(64 + fedcore.EnvelopeOverhead + 8*k*d)
+	u := make([]float32, k*d)
+	for i := range u {
+		u[i] = float32(i%7) - 3
+	}
+	for _, c := range []compress.Codec{compress.Raw{}, compress.Float16{}, compress.Int8{}, compress.TopK{Frac: 0.25}} {
+		env, err := fedcore.EncodeEnvelope(c, u)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add("round=1", "c1", env)
+	}
+	raw := rawUpload(f, k, d)
+	f.Add("", "", []byte{})
+	f.Add("round=x", "c1", raw)
+	f.Add("round=2", "c1", raw) // stale
+	f.Add("round=1", "c1", raw[:len(raw)-1])
+	f.Add("round=1", "", append(raw, make([]byte, limit)...)) // past the body limit
+
+	f.Fuzz(func(t *testing.T, rawQuery, client string, body []byte) {
+		srv, err := NewServer(ServerConfig{NumClasses: k, Dim: d, MinUpdates: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body))
+		req.URL.RawQuery = rawQuery
+		req.Header.Set(ClientHeader, client)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, req)
+		if !uploadStatuses[w.Code] {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		if got := srv.Stats().BytesReceived; got > limit {
+			t.Fatalf("%d B counted received, past the %d B body limit", got, limit)
+		}
+		if w.Code == http.StatusAccepted {
+			if _, err := fedcore.DecodeEnvelopeInto(make([]float32, k*d), body); err != nil {
+				t.Fatalf("202 for a body that is no %dx%d envelope: %v", k, d, err)
+			}
+		}
+	})
+}
+
 // rawUpload is the raw-envelope body of a k x d update.
 func rawUpload(t testing.TB, k, d int) []byte {
 	t.Helper()

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -46,29 +47,22 @@ func SaveParams(w io.Writer, params []*Param) error {
 // per-parameter lengths are validated. Every payload is read before any
 // parameter is written, so a failed load leaves params unchanged.
 func LoadParams(r io.Reader, params []*Param) error {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return fmt.Errorf("nn: read checkpoint header: %w", err)
+	count, err := readHeader(r)
+	if err != nil {
+		return err
 	}
-	if magic != checkpointMagic {
-		return fmt.Errorf("nn: bad checkpoint magic %q", magic[:])
-	}
-	var count [4]byte
-	if _, err := io.ReadFull(r, count[:]); err != nil {
-		return fmt.Errorf("nn: read checkpoint count: %w", err)
-	}
-	if got := int(binary.LittleEndian.Uint32(count[:])); got != len(params) {
-		return fmt.Errorf("nn: checkpoint has %d params, model has %d", got, len(params))
+	if count != int64(len(params)) {
+		return fmt.Errorf("nn: checkpoint has %d params, model has %d", count, len(params))
 	}
 	payloads := make([][]byte, len(params))
 	for i, p := range params {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return fmt.Errorf("nn: read param %d length: %w", i, err)
+		n, err := readLength(r, i)
+		if err != nil {
+			return err
 		}
-		if got := int(binary.LittleEndian.Uint32(lenBuf[:])); got != p.W.Len() {
+		if n != int64(p.W.Len()) {
 			return fmt.Errorf("nn: param %d (%s) has %d values in checkpoint, want %d",
-				i, p.Name, got, p.W.Len())
+				i, p.Name, n, p.W.Len())
 		}
 		payloads[i] = make([]byte, 4*p.W.Len())
 		if _, err := io.ReadFull(r, payloads[i]); err != nil {
@@ -81,4 +75,57 @@ func LoadParams(r io.Reader, params []*Param) error {
 		}
 	}
 	return nil
+}
+
+// ScanParams reads past a checkpoint written by SaveParams and returns
+// its parameter count and its total number of values. It checks what
+// LoadParams checks short of an architecture to compare against: the
+// magic, and that every payload holds as many bytes as its length
+// claims. Payloads are discarded as they are read, so a lying length
+// costs no allocation, only the bytes r really holds.
+func ScanParams(r io.Reader) (tensors, values int, err error) {
+	count, err := readHeader(r)
+	if err != nil {
+		return 0, 0, err
+	}
+	for i := 0; int64(i) < count; i++ {
+		n, err := readLength(r, i)
+		if err != nil {
+			return 0, 0, err
+		}
+		if got, err := io.CopyN(io.Discard, r, 4*n); err != nil {
+			if errors.Is(err, io.EOF) {
+				return 0, 0, fmt.Errorf("nn: param %d payload truncated: %d of %d bytes", i, got, 4*n)
+			}
+			return 0, 0, fmt.Errorf("nn: read param %d payload: %w", i, err)
+		}
+		values += int(n)
+	}
+	return int(count), values, nil
+}
+
+// readHeader reads a checkpoint's magic and parameter count. Counts and
+// lengths are uint32 on the wire and int64 here, so none wraps negative
+// on a 32-bit platform.
+func readHeader(r io.Reader) (count int64, err error) {
+	var word [4]byte
+	if _, err := io.ReadFull(r, word[:]); err != nil {
+		return 0, fmt.Errorf("nn: read checkpoint header: %w", err)
+	}
+	if word != checkpointMagic {
+		return 0, fmt.Errorf("nn: bad checkpoint magic %q", word[:])
+	}
+	if _, err := io.ReadFull(r, word[:]); err != nil {
+		return 0, fmt.Errorf("nn: read checkpoint count: %w", err)
+	}
+	return int64(binary.LittleEndian.Uint32(word[:])), nil
+}
+
+// readLength reads parameter i's value count.
+func readLength(r io.Reader, i int) (int64, error) {
+	var word [4]byte
+	if _, err := io.ReadFull(r, word[:]); err != nil {
+		return 0, fmt.Errorf("nn: read param %d length: %w", i, err)
+	}
+	return int64(binary.LittleEndian.Uint32(word[:])), nil
 }

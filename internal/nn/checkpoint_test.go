@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -118,4 +119,55 @@ func TestLoadParamsFailureLeavesParamsUnchanged(t *testing.T) {
 			t.Fatalf("weight %d changed by a failed load", i)
 		}
 	}
+}
+
+// FuzzScanParams drives arbitrary bytes through ScanParams. It must not
+// panic. On success it must have read exactly the header, one length
+// word per tensor and one payload word per value, and LoadParams must
+// accept the same bytes into a model of the scanned shape.
+func FuzzScanParams(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, NewSequential(NewLinear(rng, 3, 2)).Params()); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // truncated payload
+	f.Add(valid[:6])            // truncated count
+	f.Add([]byte{})
+	f.Add([]byte("FHDN"))
+	f.Add([]byte("FHDM\x00\x00\x00\x00"))
+	lying := append([]byte(nil), valid[:12]...)
+	binary.LittleEndian.PutUint32(lying[8:], 1<<20) // claims 4 MiB
+	f.Add(append(lying, make([]byte, 16)...))
+	// Top bit set: int(uint32) is negative on 32-bit platforms.
+	wrap := append([]byte(nil), valid[:8]...)
+	binary.LittleEndian.PutUint32(wrap[4:], 0x80000000)
+	f.Add(wrap)
+	wrapLen := append([]byte(nil), valid[:12]...)
+	binary.LittleEndian.PutUint32(wrapLen[8:], 0xfffffffe)
+	f.Add(wrapLen)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		tensors, values, err := ScanParams(r)
+		if err != nil {
+			return
+		}
+		read := len(data) - r.Len()
+		if tensors < 0 || values < 0 || int64(read) != 8+4*int64(tensors)+4*int64(values) {
+			t.Fatalf("scanned %d tensors, %d values from %d bytes", tensors, values, read)
+		}
+		params := make([]*Param, tensors)
+		off := 8
+		for i := range params {
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			params[i] = &Param{W: tensor.New(n)}
+			off += 4 + 4*n
+		}
+		if err := LoadParams(bytes.NewReader(data), params); err != nil {
+			t.Fatalf("ScanParams accepted %d tensors, LoadParams refused them: %v", tensors, err)
+		}
+	})
 }
