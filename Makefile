@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race debugguard vet lint lint-ci fuzz bench chaos smoke check ci
+.PHONY: build test race debugguard vet lint lint-ci fuzz bench chaos smoke ci
 
 build:
 	$(GO) build ./...
@@ -79,7 +79,9 @@ chaos:
 
 # Deployment smoke: build fhdnn-server and fhdnn-client and run the README
 # walkthrough's shape over loopback: a 3-round server closed by two
-# clients, one of them behind a 20% packet-loss uplink. A client that
+# clients, one of them behind a 20% packet-loss uplink with 30% of its
+# requests failed by the injecting transport (README's -fault-rate 0.3),
+# so its retries run on every pass. A client that
 # polls the server after the last round must read "closed", not a refused
 # connection. Then the checkpoint writers meet their reader: fhdnn-inspect
 # reads the server's -checkpoint and a synthetic fhdnn-train checkpoint.
@@ -92,7 +94,7 @@ smoke:
 	$(GO) build -o "$$dir/" ./cmd/fhdnn-server ./cmd/fhdnn-client ./cmd/fhdnn-train ./cmd/fhdnn-inspect ./examples/... || exit 1; \
 	timeout 120 "$$dir/fhdnn-server" -addr $(SMOKE_ADDR) -dim 2048 -min-updates 2 -rounds 3 -checkpoint "$$dir/global.fhdm" & srv=$$!; \
 	timeout 120 "$$dir/fhdnn-client" -server http://$(SMOKE_ADDR) -id 0 -clients 2 -dim 2048 & c0=$$!; \
-	timeout 120 "$$dir/fhdnn-client" -server http://$(SMOKE_ADDR) -id 1 -clients 2 -dim 2048 -loss 0.2 & c1=$$!; \
+	timeout 120 "$$dir/fhdnn-client" -server http://$(SMOKE_ADDR) -id 1 -clients 2 -dim 2048 -loss 0.2 -fault-rate 0.3 & c1=$$!; \
 	st=0; \
 	for p in $$c0 $$c1 $$srv; do wait $$p || { echo "smoke: process $$p exited $$?" >&2; st=1; }; done; \
 	run() { timeout 120 "$$@" || { echo "smoke: $$* exited $$?" >&2; st=1; }; }; \
@@ -109,8 +111,7 @@ bench:
 	$(GO) run ./bench
 	$(GO) test -bench=. -benchmem ./...
 
-# Everything a change must pass before review.
-check: build vet lint race debugguard
-
-# What CI runs on every PR.
+# The make targets CI runs on every PR; the workflow adds gofmt,
+# cross-architecture builds and tests, the kernel instruction checks, a
+# bench smoke and make chaos.
 ci: vet lint-ci race debugguard smoke fuzz

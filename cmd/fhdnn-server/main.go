@@ -11,8 +11,10 @@
 // forward), and -max-update-norm quarantines norm-exploded updates
 // (non-finite ones are always quarantined, HTTP 422). SIGINT/SIGTERM
 // triggers a graceful shutdown that folds any pending updates into the
-// model before exiting. The -fault-* flags inject server-side chaos
-// (latency and 503 bursts) for rehearsing client retry behavior.
+// model before exiting. Client retry behaviour is rehearsed from the
+// client side: fhdnn-client's -fault-* flags inject transport failures
+// (refused connections, truncated responses, latency) into its own
+// requests.
 //
 // Byzantine robustness: -aggregator selects the commit rule — "bundle"
 // (default, sum + 1/N), "fedavg" (sample-weighted mean), "median"
@@ -49,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"fhdnn/internal/faults"
 	"fhdnn/internal/fedcore"
 	"fhdnn/internal/flnet"
 )
@@ -94,9 +95,6 @@ func run() error {
 	maxNorm := flag.Float64("max-update-norm", 0, "quarantine updates with a larger L2 norm (0 = only non-finite)")
 	aggSpec := flag.String("aggregator", "bundle", "aggregation policy: bundle, fedavg, median, trimmed[:frac], clip:bound[:inner]")
 	checkpoint := flag.String("checkpoint", "", "write the final model to this file")
-	faultRate := flag.Float64("fault-rate", 0, "inject 503s for this fraction of requests (chaos rehearsal)")
-	faultLatency := flag.Duration("fault-latency", 0, "inject this much latency per request")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the injected fault sequence")
 	flag.Parse()
 
 	agg, err := fedcore.ParseAggregator(*aggSpec)
@@ -127,17 +125,7 @@ func run() error {
 	}
 	log.Printf("accepting wire envelopes: %s", strings.Join(codecNames, ", "))
 
-	handler := srv.Handler()
-	if *faultRate > 0 || *faultLatency > 0 {
-		handler = faults.NewMiddleware(faults.Config{
-			Error5xxRate: *faultRate,
-			Latency:      *faultLatency,
-			Seed:         *faultSeed,
-		}, handler)
-		log.Printf("chaos middleware armed: %.0f%% 503s, +%v latency, seed %d",
-			*faultRate*100, *faultLatency, *faultSeed)
-	}
-	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
 	// Serve until the configured rounds complete or a signal arrives.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

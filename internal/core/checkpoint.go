@@ -16,7 +16,7 @@ import (
 
 // Save writes the complete model state to w.
 func (f *FHDnn) Save(w io.Writer) error {
-	if err := nn.SaveParams(w, f.Extractor.(*NetworkExtractor).Net.Params()); err != nil {
+	if err := nn.SaveParams(w, f.Extractor.Net.Params()); err != nil {
 		return fmt.Errorf("core: save extractor: %w", err)
 	}
 	if _, err := f.Encoder.WriteTo(w); err != nil {
@@ -34,11 +34,7 @@ func (f *FHDnn) Save(w io.Writer) error {
 // temporaries first and committed only when all three succeed, so a
 // failed Load leaves the receiver unchanged.
 func (f *FHDnn) Load(r io.Reader) error {
-	ext, ok := f.Extractor.(*NetworkExtractor)
-	if !ok {
-		return fmt.Errorf("core: Load requires a NetworkExtractor, got %T", f.Extractor)
-	}
-	params := ext.Net.Params()
+	params := f.Extractor.Net.Params()
 	staged := make([]*nn.Param, len(params))
 	for i, p := range params {
 		staged[i] = &nn.Param{Name: p.Name, W: p.W.Clone()}

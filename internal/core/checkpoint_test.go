@@ -79,7 +79,7 @@ func TestFHDnnLoadFailureLeavesReceiverUnchanged(t *testing.T) {
 	f := testFHDnn(23)
 	f.TrainCentralized(train, 1)
 	var ext, enc, full bytes.Buffer
-	if err := nn.SaveParams(&ext, f.Extractor.(*NetworkExtractor).Net.Params()); err != nil {
+	if err := nn.SaveParams(&ext, f.Extractor.Net.Params()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Encoder.WriteTo(&enc); err != nil {
@@ -98,7 +98,7 @@ func TestFHDnnLoadFailureLeavesReceiverUnchanged(t *testing.T) {
 	} {
 		g := testFHDnn(98)
 		g.TrainCentralized(train, 1)
-		params := g.Extractor.(*NetworkExtractor).Net.Params()
+		params := g.Extractor.Net.Params()
 		wantW := nn.FlattenParams(params)
 		wantPred := g.Predict(test.X)
 		encoder, model := g.Encoder, g.Model

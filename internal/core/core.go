@@ -21,29 +21,21 @@ import (
 	"fhdnn/internal/tensor"
 )
 
-// FeatureExtractor maps image batches to feature vectors. Implementations
-// must be deterministic at call time (frozen weights, eval mode).
-type FeatureExtractor interface {
-	// Features maps [n, C, H, W] images to [n, Dim()] features.
-	Features(x *tensor.Tensor) *tensor.Tensor
-	// Dim returns the feature dimensionality.
-	Dim() int
-	// Name identifies the extractor in reports.
-	Name() string
-}
-
 // extractBatch is the chunk size used when running frozen extractors, to
 // bound peak memory on large datasets.
 const extractBatch = 64
 
-// NetworkExtractor freezes any nn network body as a feature extractor.
+// NetworkExtractor freezes an nn network body as a feature extractor: it
+// maps image batches to feature vectors deterministically (frozen
+// weights, eval mode).
 type NetworkExtractor struct {
 	Net   *nn.Sequential
 	D     int
 	Label string
 }
 
-// Features runs the frozen network in eval mode, in chunks.
+// Features maps [n, C, H, W] images to [n, Dim()] features, running the
+// frozen network in eval mode, in chunks.
 func (e *NetworkExtractor) Features(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	out := tensor.New(n, e.D)
@@ -61,10 +53,10 @@ func (e *NetworkExtractor) Features(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Dim implements FeatureExtractor.
+// Dim returns the feature dimensionality.
 func (e *NetworkExtractor) Dim() int { return e.D }
 
-// Name implements FeatureExtractor.
+// Name identifies the extractor in reports.
 func (e *NetworkExtractor) Name() string { return e.Label }
 
 // NewRandomConvExtractor builds a frozen, randomly-initialized
@@ -117,14 +109,14 @@ type Config struct {
 
 // FHDnn is the composed model: extractor -> HD encoder -> HD classifier.
 type FHDnn struct {
-	Extractor FeatureExtractor
+	Extractor *NetworkExtractor
 	Encoder   *hdc.Encoder
 	Model     *hdc.Model
 	Cfg       Config
 }
 
 // New assembles an FHDnn from an extractor and a configuration.
-func New(extractor FeatureExtractor, cfg Config) *FHDnn {
+func New(extractor *NetworkExtractor, cfg Config) *FHDnn {
 	if cfg.HDDim <= 0 || cfg.NumClasses <= 0 {
 		panic(fmt.Sprintf("core: invalid config %+v", cfg))
 	}

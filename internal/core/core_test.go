@@ -191,7 +191,7 @@ func TestFHDnnBeatsCNNUnderBitErrors(t *testing.T) {
 
 func TestSimCLRExtractorEndToEnd(t *testing.T) {
 	train, test, part := testData(t, 9, 3)
-	cfg := simclr.DefaultConfig(8)
+	cfg := simclr.DefaultConfig()
 	cfg.Epochs = 3
 	cfg.BatchSize = 15
 	cfg.Seed = 9

@@ -30,7 +30,7 @@ func TestFullPipeline(t *testing.T) {
 	train, test := dataset.GenerateImages(cfgData)
 
 	// 1. self-supervised pretraining (no labels touched)
-	simCfg := simclr.DefaultConfig(8)
+	simCfg := simclr.DefaultConfig()
 	simCfg.Epochs = 4
 	simCfg.BatchSize = 20
 	simCfg.Seed = seed

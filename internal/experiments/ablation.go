@@ -47,7 +47,7 @@ func AblationSign(s Scale) []AblationRow {
 	part := s.Partition(train, true, s.Seed+42)
 	rows := make([]AblationRow, 0, 2)
 	for _, binarize := range []bool{true, false} {
-		ext := core.NewRandomConvExtractor(s.Seed, train.X.Dim(1), s.ExtractWidth, s.ImgSize)
+		ext := core.NewRandomConvExtractor(s.Seed, train.X.Dim(1), extractWidth, s.ImgSize)
 		cfg := core.Config{HDDim: s.HDDim, NumClasses: train.NumClasses, Seed: s.Seed, Binarize: binarize}
 		f := core.New(ext, cfg)
 		res := f.TrainFederated(train, test, part, s.FLConfig(s.Seed+43))
@@ -122,7 +122,7 @@ func AblationAdaptive(s Scale) []AblationRow {
 	train, test := s.BuildDataset("cifar10")
 	part := s.Partition(train, true, s.Seed+50)
 	rows := make([]AblationRow, 0, 2)
-	for _, adaptive := range []bool{false, true} {
+	for _, lr := range []float32{0, 1} {
 		f := s.NewFHDnn(train)
 		trainer := &fl.HDTrainer{
 			Cfg:        s.FLConfig(s.Seed + 51),
@@ -132,11 +132,11 @@ func AblationAdaptive(s Scale) []AblationRow {
 			TestLabels: test.Labels,
 			NumClasses: train.NumClasses,
 			Part:       part,
-			Adaptive:   adaptive,
+			AdaptiveLR: lr,
 		}
 		hist, _ := trainer.Run()
 		name := "fixed rule"
-		if adaptive {
+		if lr != 0 {
 			name = "adaptive (OnlineHD)"
 		}
 		rows = append(rows, AblationRow{Setting: name, Accuracy: hist.FinalAccuracy()})
@@ -155,19 +155,19 @@ func AblationExtractor(s Scale, pretrainEpochs int) []AblationRow {
 	part := s.Partition(train, true, s.Seed+48)
 	rows := make([]AblationRow, 0, 2)
 
-	run := func(name string, ext core.FeatureExtractor) {
+	run := func(name string, ext *core.NetworkExtractor) {
 		cfg := core.Config{HDDim: s.HDDim, NumClasses: train.NumClasses, Seed: s.Seed, Binarize: true}
 		f := core.New(ext, cfg)
 		res := f.TrainFederated(train, test, part, s.FLConfig(s.Seed+49))
 		rows = append(rows, AblationRow{Setting: name, Accuracy: res.History.FinalAccuracy()})
 	}
 
-	run("random conv", core.NewRandomConvExtractor(s.Seed, train.X.Dim(1), s.ExtractWidth, s.ImgSize))
+	run("random conv", core.NewRandomConvExtractor(s.Seed, train.X.Dim(1), extractWidth, s.ImgSize))
 
-	simCfg := simclr.DefaultConfig(s.ImgSize)
+	simCfg := simclr.DefaultConfig()
 	simCfg.Epochs = pretrainEpochs
 	simCfg.Seed = s.Seed
-	run("simclr pretrained", core.NewSimCLRExtractor(train, s.ExtractWidth, simCfg))
+	run("simclr pretrained", core.NewSimCLRExtractor(train, extractWidth, simCfg))
 	return rows
 }
 

@@ -354,7 +354,7 @@ func TestScaleConstructors(t *testing.T) {
 		if s.ImgSize%4 != 0 {
 			t.Fatalf("%s: image size %d must suit the extractors", name, s.ImgSize)
 		}
-		if s.NumClients <= 0 || s.Rounds <= 0 || s.HDDim <= 0 || s.LR <= 0 {
+		if s.NumClients <= 0 || s.Rounds <= 0 || s.HDDim <= 0 {
 			t.Fatalf("%s: invalid scale %+v", name, s)
 		}
 		cfg := s.FLConfig(1)

@@ -17,6 +17,14 @@ import (
 	"fhdnn/internal/nn"
 )
 
+// The extractor width and the CNN comparator's SGD settings are the same
+// at every scale.
+const (
+	extractWidth = 8    // random-conv feature extractor width
+	cnnLR        = 0.05 // FedAvg comparator learning rate
+	cnnMomentum  = 0.9
+)
+
 // newSeededRand is a shorthand for building deterministic generators.
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
@@ -31,11 +39,8 @@ type Scale struct {
 	NumClients    int
 	Rounds        int
 	HDDim         int
-	ExtractWidth  int // random-conv feature extractor width
 	CNNBaseWidth  int // ResNet base width for the FedAvg comparator
 	CNNBlocks     []int
-	LR            float64
-	Momentum      float64
 	Seed          int64
 }
 
@@ -48,11 +53,8 @@ func Small() Scale {
 		NumClients:    10,
 		Rounds:        12,
 		HDDim:         2048,
-		ExtractWidth:  8,
 		CNNBaseWidth:  4,
 		CNNBlocks:     []int{1, 1},
-		LR:            0.05,
-		Momentum:      0.9,
 		Seed:          1,
 	}
 }
@@ -66,7 +68,6 @@ func Medium() Scale {
 	s.NumClients = 20
 	s.Rounds = 40
 	s.HDDim = 4096
-	s.ExtractWidth = 8
 	s.CNNBaseWidth = 8
 	s.CNNBlocks = []int{1, 1, 1}
 	return s
@@ -84,11 +85,8 @@ func Paper() Scale {
 		NumClients:    100,
 		Rounds:        100,
 		HDDim:         10000,
-		ExtractWidth:  8,
 		CNNBaseWidth:  64,
 		CNNBlocks:     []int{2, 2, 2, 2},
-		LR:            0.05,
-		Momentum:      0.9,
 		Seed:          1,
 	}
 }
@@ -123,7 +121,7 @@ func (s Scale) Partition(train *dataset.Dataset, iid bool, seed int64) dataset.P
 // NewFHDnn assembles an FHDnn instance for a dataset at this scale, with
 // the shared random-conv extractor (see DESIGN.md substitution #1).
 func (s Scale) NewFHDnn(train *dataset.Dataset) *core.FHDnn {
-	ext := core.NewRandomConvExtractor(s.Seed, train.X.Dim(1), s.ExtractWidth, s.ImgSize)
+	ext := core.NewRandomConvExtractor(s.Seed, train.X.Dim(1), extractWidth, s.ImgSize)
 	cfg := core.Config{HDDim: s.HDDim, NumClasses: train.NumClasses, Seed: s.Seed, Binarize: true}
 	return core.New(ext, cfg)
 }
@@ -135,12 +133,12 @@ func (s Scale) NewCNNBaseline(name string, train *dataset.Dataset) core.CNNBasel
 		return core.NewMNISTCNNBaseline(nn.MNISTCNNConfig{
 			InChannels: train.X.Dim(1), ImgSize: s.ImgSize, NumClasses: train.NumClasses,
 			C1: 2 * s.CNNBaseWidth, C2: 4 * s.CNNBaseWidth, Hidden: 8 * s.CNNBaseWidth,
-		}, s.LR, s.Momentum)
+		}, cnnLR, cnnMomentum)
 	}
 	return core.NewResNetBaseline(nn.ResNetConfig{
 		InChannels: train.X.Dim(1), NumClasses: train.NumClasses,
 		BaseWidth: s.CNNBaseWidth, Blocks: s.CNNBlocks,
-	}, s.LR, s.Momentum)
+	}, cnnLR, cnnMomentum)
 }
 
 // FLConfig returns the fl.Config at this scale for the paper's default

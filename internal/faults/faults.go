@@ -6,12 +6,10 @@
 // all randomness derived from a seed so a failing chaos run can be
 // replayed exactly.
 //
-// The three pieces:
+// The two pieces:
 //
 //   - Transport: an http.RoundTripper wrapper injecting client-observed
 //     faults (refused connections, latency, 5xx bursts, truncated bodies).
-//   - Middleware: an http.Handler wrapper injecting server-side faults
-//     (latency, 5xx bursts) in front of a healthy handler.
 //   - CrashSchedule: which clients die during which round, for simulating
 //     partial participation.
 package faults
@@ -46,7 +44,7 @@ type Config struct {
 	// (default 1).
 	BurstLen int
 	// TruncateRate is the probability a successful response body is cut
-	// off mid-stream (Transport only).
+	// off mid-stream.
 	TruncateRate float64
 	// Latency is added to every request before any other fault fires.
 	Latency time.Duration
@@ -64,7 +62,7 @@ type Stats struct {
 	Truncated  int64 `json:"truncated"`
 }
 
-// injector is the shared decision engine behind Transport and Middleware.
+// injector is the decision engine behind Transport.
 type injector struct {
 	cfg Config
 
@@ -214,40 +212,6 @@ func synthesized503(req *http.Request) *http.Response {
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}
-}
-
-// Middleware injects server-side faults (latency and 5xx bursts; the
-// truncate and fail rates do not apply on this side) in front of next.
-// It lets a healthy fhdnn-server rehearse overload behavior without a
-// cooperating client.
-type Middleware struct {
-	in   *injector
-	next http.Handler
-}
-
-// NewMiddleware wraps next with the configured failure mix.
-func NewMiddleware(cfg Config, next http.Handler) *Middleware {
-	return &Middleware{in: newInjector(cfg), next: next}
-}
-
-// Stats reports what the middleware injected so far.
-func (m *Middleware) Stats() Stats { return m.in.snapshot() }
-
-// ServeHTTP implements http.Handler.
-func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	v := m.in.decide()
-	if v.delay > 0 {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(v.delay):
-		}
-	}
-	if v.fail || v.serve5xx {
-		http.Error(w, "faults: injected 503 service unavailable", http.StatusServiceUnavailable)
-		return
-	}
-	m.next.ServeHTTP(w, r)
 }
 
 // CrashSchedule maps a client index to the round during which that client

@@ -171,40 +171,6 @@ func TestTransportDeterministicAcrossSeeds(t *testing.T) {
 	}
 }
 
-func TestMiddleware5xx(t *testing.T) {
-	mw := NewMiddleware(Config{Error5xxRate: 1, Seed: 1}, http.HandlerFunc(
-		func(w http.ResponseWriter, r *http.Request) { _, _ = io.WriteString(w, "ok") }))
-	ts := httptest.NewServer(mw)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	if st := mw.Stats(); st.Injected5x != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestMiddlewarePassThrough(t *testing.T) {
-	mw := NewMiddleware(Config{Seed: 1}, http.HandlerFunc(
-		func(w http.ResponseWriter, r *http.Request) { _, _ = io.WriteString(w, "ok") }))
-	ts := httptest.NewServer(mw)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK || string(body) != "ok" {
-		t.Fatalf("status %d body %q", resp.StatusCode, body)
-	}
-}
-
 func TestCrashSchedule(t *testing.T) {
 	cs := CrashSchedule{1: 2, 3: 1}
 	cases := []struct {

@@ -9,9 +9,9 @@ import (
 )
 
 // Engine is the shared synchronous round loop: it samples clients, runs
-// local training on a deterministic worker pool, simulates whole-update
-// dropout and uplink corruption, aggregates in client order through an
-// Aggregator, accounts wire traffic, and paces evaluation. fl.HDTrainer
+// local training on a deterministic worker pool, simulates uplink
+// corruption, aggregates in client order through an Aggregator, accounts
+// wire traffic, and evaluates the committed model. fl.HDTrainer
 // and fl.CNNTrainer are thin configurations of it; the flnet server runs
 // the same Aggregator under its own HTTP-driven loop.
 //
@@ -20,19 +20,15 @@ import (
 // order after all workers join, so results are bit-identical for any
 // Parallel value.
 type Engine struct {
-	Clients     int
-	Fraction    float64 // paper C
-	Rounds      int
-	Seed        int64
-	Parallel    int     // worker goroutines (<=1 means sequential)
-	DropoutProb float64 // whole-update loss probability per sampled client
+	Clients  int
+	Fraction float64 // paper C
+	Rounds   int
+	Seed     int64
+	Parallel int // worker goroutines (<=1 means sequential)
 	// Uplink corrupts each transmitted update; nil means perfect.
 	Uplink channel.Channel
 	// BytesPerParam is the raw wire size of one parameter (default 4).
 	BytesPerParam int
-	// EvalEvery paces Evaluate (every round if <=1); skipped rounds carry
-	// the previous accuracy forward, and the final round always evaluates.
-	EvalEvery int
 
 	// SampleRNG draws the per-round client sample. It is trainer-supplied
 	// (not derived from Seed here) so existing trainers keep their exact
@@ -61,7 +57,7 @@ type Engine struct {
 	// flat weights back into a network's parameter tensors, or recycling
 	// the round's Train buffers).
 	AfterCommit func(round int)
-	// Evaluate measures global test accuracy.
+	// Evaluate measures global test accuracy, once per round.
 	Evaluate func() float64
 	// OnRound receives each completed round's statistics.
 	OnRound func(RoundStats)
@@ -69,11 +65,11 @@ type Engine struct {
 
 // RoundStats records one completed communication round.
 type RoundStats struct {
-	Round        int
-	Participants int
-	Bytes        int64
-	MeanLoss     float64 // mean local loss of participants (0 if unused)
-	TestAccuracy float64
+	Round         int
+	Participants  int
+	BytesUplinked int64   // sum over participants this round
+	TrainLoss     float64 // mean local loss of participants (0 if unused)
+	TestAccuracy  float64
 }
 
 // Workers returns the effective worker count.
@@ -103,12 +99,6 @@ func (e *Engine) Run() {
 	if bpp == 0 {
 		bpp = 4
 	}
-	evalEvery := e.EvalEvery
-	if evalEvery < 1 {
-		evalEvery = 1
-	}
-
-	prevAcc := 0.0
 	for round := 1; round <= e.Rounds; round++ {
 		if e.BeginRound != nil {
 			e.BeginRound(round)
@@ -132,9 +122,6 @@ func (e *Engine) Run() {
 					u, ok := e.Train(worker, round, id, rng)
 					if !ok {
 						continue
-					}
-					if e.DropoutProb > 0 && rng.Float64() < e.DropoutProb {
-						continue // update lost in transit
 					}
 					if !perfect {
 						u.Params = uplink.Transmit(u.Params, rng)
@@ -174,16 +161,10 @@ func (e *Engine) Run() {
 			e.AfterCommit(round)
 		}
 
-		st := RoundStats{Round: round, Participants: participants, Bytes: bytes}
+		st := RoundStats{Round: round, Participants: participants, BytesUplinked: bytes, TestAccuracy: e.Evaluate()}
 		if participants > 0 {
-			st.MeanLoss = lossSum / float64(participants)
+			st.TrainLoss = lossSum / float64(participants)
 		}
-		if round%evalEvery == 0 || round == e.Rounds {
-			st.TestAccuracy = e.Evaluate()
-		} else {
-			st.TestAccuracy = prevAcc
-		}
-		prevAcc = st.TestAccuracy
 		e.OnRound(st)
 	}
 }

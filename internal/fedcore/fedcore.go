@@ -11,8 +11,8 @@
 //     the global with the round's aggregate; the asynchronous simulator
 //     (fl.AsyncHDTrainer) folds its staleness-discounted deltas itself.
 //   - Engine: the synchronous round loop (client sampling, parallel
-//     deterministic workers, dropout, uplink corruption, traffic
-//     accounting, evaluation cadence) that fl.HDTrainer and fl.CNNTrainer
+//     deterministic workers, uplink corruption, traffic accounting,
+//     per-round evaluation) that fl.HDTrainer and fl.CNNTrainer
 //     configure instead of reimplementing.
 //   - Envelope: a versioned, self-describing wire format (magic + version
 //   - codec id + element count + CRC32) that frames any compress.Codec,

@@ -86,12 +86,12 @@ func TestClientRNGDeterminism(t *testing.T) {
 
 // toyEngine builds an engine whose "training" returns a constant vector
 // per client, so aggregation results are fully predictable.
-func toyEngine(workers int, dropout float64, uplink channel.Channel) (*Engine, *[]RoundStats, []float32) {
+func toyEngine(workers int, uplink channel.Channel) (*Engine, *[]RoundStats, []float32) {
 	global := make([]float32, 4)
 	var stats []RoundStats
 	e := &Engine{
 		Clients: 8, Fraction: 0.5, Rounds: 4, Seed: 11,
-		Parallel: workers, DropoutProb: dropout, Uplink: uplink,
+		Parallel: workers, Uplink: uplink,
 		SampleRNG: ClientRNG(11, 0, -1),
 		Agg:       &Bundle{},
 		Global:    global,
@@ -133,7 +133,7 @@ func TestEngineUplinkBufferOwnership(t *testing.T) {
 		{"perfect", channel.Perfect{}, true},
 		{"awgn", channel.AWGN{SNRdB: 10}, false},
 	} {
-		e, _, _ := toyEngine(2, 0, tc.uplink)
+		e, _, _ := toyEngine(2, tc.uplink)
 		agg := &recordAgg{}
 		e.Agg = agg
 		var mu sync.Mutex
@@ -172,7 +172,7 @@ func TestEngineUplinkBufferOwnership(t *testing.T) {
 
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]RoundStats, []float32) {
-		e, stats, global := toyEngine(workers, 0.3, channel.AWGN{SNRdB: 20})
+		e, stats, global := toyEngine(workers, channel.AWGN{SNRdB: 20})
 		e.Run()
 		return *stats, global
 	}
@@ -200,7 +200,7 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 // may fall but must not rise.
 func TestEngineRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	e, stats, _ := toyEngine(4, 0, nil)
+	e, stats, _ := toyEngine(4, nil)
 	e.Clients, e.Fraction, e.Rounds = 16, 1, 2
 	e.Run()
 	if len(*stats) != 2 || (*stats)[1].Participants != 16 {
@@ -214,55 +214,24 @@ func TestEngineRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-func TestEngineDropoutReducesParticipants(t *testing.T) {
-	clean, cleanStats, _ := toyEngine(2, 0, nil)
-	lossy, lossyStats, _ := toyEngine(2, 0.6, nil)
-	clean.Run()
-	lossy.Run()
-	var pc, pl int
-	for i := range *cleanStats {
-		pc += (*cleanStats)[i].Participants
-		pl += (*lossyStats)[i].Participants
-	}
-	if pl >= pc {
-		t.Fatalf("dropout should reduce participants: %d vs %d", pl, pc)
-	}
-}
-
 func TestEngineTrafficAccounting(t *testing.T) {
-	e, stats, _ := toyEngine(1, 0, nil)
+	e, stats, _ := toyEngine(1, nil)
 	e.Run()
 	for _, st := range *stats {
-		if st.Bytes != int64(st.Participants*4*4) {
-			t.Fatalf("round %d: %d bytes for %d participants", st.Round, st.Bytes, st.Participants)
+		if st.BytesUplinked != int64(st.Participants*4*4) {
+			t.Fatalf("round %d: %d bytes for %d participants", st.Round, st.BytesUplinked, st.Participants)
 		}
 	}
 
 	// A codec uplink must be charged envelope-framed compressed size.
 	up := compress.Uplink{C: compress.Int8{}}
-	e2, stats2, _ := toyEngine(1, 0, up)
+	e2, stats2, _ := toyEngine(1, up)
 	e2.Run()
 	want := int64(WireBytes(compress.Int8{}, 4))
 	for _, st := range *stats2 {
-		if st.Bytes != want*int64(st.Participants) {
-			t.Fatalf("codec accounting: %d bytes, want %d per participant", st.Bytes, want)
+		if st.BytesUplinked != want*int64(st.Participants) {
+			t.Fatalf("codec accounting: %d bytes, want %d per participant", st.BytesUplinked, want)
 		}
-	}
-}
-
-func TestEngineEvalPacing(t *testing.T) {
-	e, stats, _ := toyEngine(1, 0, nil)
-	e.EvalEvery = 3
-	e.Run()
-	s := *stats
-	if s[0].TestAccuracy != 0 || s[1].TestAccuracy != 0 {
-		t.Fatal("rounds 1-2 should carry the (zero) initial accuracy")
-	}
-	if s[2].TestAccuracy == 0 {
-		t.Fatal("round 3 should evaluate")
-	}
-	if s[3].TestAccuracy == 0 {
-		t.Fatal("the final round must always evaluate")
 	}
 }
 
@@ -273,5 +242,16 @@ func TestUpdateWireBytes(t *testing.T) {
 	up := compress.Uplink{C: compress.Float16{}}
 	if got, want := UpdateWireBytes(up, 100, 4), int64(EnvelopeOverhead+200); got != want {
 		t.Fatalf("codec accounting = %d, want %d", got, want)
+	}
+}
+
+func TestEngineWorkersDefault(t *testing.T) {
+	e := &Engine{}
+	if e.Workers() != 1 {
+		t.Fatalf("Workers() = %d, want 1", e.Workers())
+	}
+	e.Parallel = 8
+	if e.Workers() != 8 {
+		t.Fatalf("Workers() = %d, want 8", e.Workers())
 	}
 }

@@ -243,8 +243,8 @@ func (s *ShardedAggregator) Add(u Update) {
 	i := s.ShardFor(u)
 	if i < 0 || i >= len(s.shards) {
 		// Cannot fire (ShardFor reduces modulo the shard count), but
-		// ClientID arrives off the wire; the return makes this a diverting
-		// bound check taintindex can prove.
+		// ClientID arrives off the wire, so the index is checked before
+		// it is used rather than trusted.
 		invariant.Fail("fedcore: ShardFor returned an index out of range")
 		return
 	}

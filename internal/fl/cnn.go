@@ -36,10 +36,6 @@ type CNNTrainer struct {
 
 	LR       float64
 	Momentum float64
-
-	// EvalEvery controls how often test accuracy is measured (every round
-	// if <= 1). Evaluation dominates runtime for big test sets.
-	EvalEvery int
 }
 
 // Run executes the configured number of rounds and returns the metric
@@ -51,26 +47,18 @@ func (t *CNNTrainer) Run() (*History, Network) {
 	global := t.Build(rand.New(rand.NewSource(t.Cfg.Seed + 1)))
 	globalFlat := nn.FlattenParams(global.Params())
 
-	locals := make([]Network, t.Cfg.Workers())
-	for w := range locals {
-		// all workers share the same (irrelevant) init; weights are
-		// overwritten from the global model before every client run
-		locals[w] = t.Build(rand.New(rand.NewSource(t.Cfg.Seed + 1)))
-	}
-
+	var locals []Network
 	hist := &History{}
 	eng := &fedcore.Engine{
-		Clients:     t.Cfg.NumClients,
-		Fraction:    t.Cfg.ClientFraction,
-		Rounds:      t.Cfg.Rounds,
-		Seed:        t.Cfg.Seed,
-		Parallel:    t.Cfg.Parallel,
-		DropoutProb: t.Cfg.DropoutProb,
-		Uplink:      t.Cfg.Uplink,
-		EvalEvery:   t.EvalEvery,
-		SampleRNG:   rand.New(rand.NewSource(t.Cfg.Seed)),
-		Agg:         &fedcore.FedAvg{},
-		Global:      globalFlat,
+		Clients:   t.Cfg.NumClients,
+		Fraction:  t.Cfg.ClientFraction,
+		Rounds:    t.Cfg.Rounds,
+		Seed:      t.Cfg.Seed,
+		Parallel:  t.Cfg.Parallel,
+		Uplink:    t.Cfg.Uplink,
+		SampleRNG: rand.New(rand.NewSource(t.Cfg.Seed)),
+		Agg:       &fedcore.FedAvg{},
+		Global:    globalFlat,
 		Train: func(worker, _, id int, rng *rand.Rand) (fedcore.Update, bool) {
 			idx := t.Part[id]
 			if len(idx) == 0 {
@@ -87,15 +75,13 @@ func (t *CNNTrainer) Run() (*History, Network) {
 		},
 		AfterCommit: func(int) { nn.SetFlatParams(global.Params(), globalFlat) },
 		Evaluate:    func() float64 { return EvalNetwork(global, t.Test, 64) },
-		OnRound: func(st fedcore.RoundStats) {
-			hist.Append(RoundMetrics{
-				Round:         st.Round,
-				TestAccuracy:  st.TestAccuracy,
-				TrainLoss:     st.MeanLoss,
-				Participants:  st.Participants,
-				BytesUplinked: st.Bytes,
-			})
-		},
+		OnRound:     hist.Append,
+	}
+	locals = make([]Network, eng.Workers())
+	for w := range locals {
+		// all workers share the same (irrelevant) init; weights are
+		// overwritten from the global model before every client run
+		locals[w] = t.Build(rand.New(rand.NewSource(t.Cfg.Seed + 1)))
 	}
 	eng.Run()
 	return hist, global

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"fhdnn/internal/channel"
+	"fhdnn/internal/fedcore"
 )
 
 // Config holds the federated hyperparameters common to both trainers,
@@ -29,19 +30,6 @@ type Config struct {
 	// from (Seed, round, client id) and updates are aggregated in client
 	// order.
 	Parallel int
-	// DropoutProb is the probability that a sampled client's update never
-	// reaches the server at all (device crash, total link outage) — the
-	// whole-update analogue of packet loss. The round proceeds with the
-	// survivors.
-	DropoutProb float64
-}
-
-// Workers returns the effective worker count.
-func (c *Config) Workers() int {
-	if c.Parallel < 1 {
-		return 1
-	}
-	return c.Parallel
 }
 
 // Validate checks the configuration and fills defaults.
@@ -61,31 +49,20 @@ func (c *Config) Validate() error {
 	if c.Rounds <= 0 {
 		return fmt.Errorf("fl: Rounds must be positive, got %d", c.Rounds)
 	}
-	if c.DropoutProb < 0 || c.DropoutProb >= 1 {
-		return fmt.Errorf("fl: DropoutProb must be in [0,1), got %g", c.DropoutProb)
-	}
 	if c.Uplink == nil {
 		c.Uplink = channel.Perfect{}
 	}
 	return nil
 }
 
-// RoundMetrics records one communication round.
-type RoundMetrics struct {
-	Round         int
-	TestAccuracy  float64
-	TrainLoss     float64 // mean local loss of participants (CNN only)
-	Participants  int
-	BytesUplinked int64 // sum over participants this round
-}
-
-// History is the metric trace of a federated run.
+// History is the metric trace of a federated run: one fedcore.RoundStats
+// per communication round (TrainLoss is 0 for HD runs).
 type History struct {
-	Rounds []RoundMetrics
+	Rounds []fedcore.RoundStats
 }
 
 // Append records one round.
-func (h *History) Append(m RoundMetrics) { h.Rounds = append(h.Rounds, m) }
+func (h *History) Append(st fedcore.RoundStats) { h.Rounds = append(h.Rounds, st) }
 
 // FinalAccuracy returns the last round's test accuracy (0 if empty).
 func (h *History) FinalAccuracy() float64 {

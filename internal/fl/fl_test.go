@@ -8,6 +8,7 @@ import (
 
 	"fhdnn/internal/channel"
 	"fhdnn/internal/dataset"
+	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
 	"fhdnn/internal/nn"
 	"fhdnn/internal/tensor"
@@ -38,9 +39,9 @@ func TestConfigValidate(t *testing.T) {
 
 func TestHistoryHelpers(t *testing.T) {
 	h := &History{}
-	h.Append(RoundMetrics{Round: 1, TestAccuracy: 0.3, BytesUplinked: 100})
-	h.Append(RoundMetrics{Round: 2, TestAccuracy: 0.8, BytesUplinked: 100})
-	h.Append(RoundMetrics{Round: 3, TestAccuracy: 0.7, BytesUplinked: 100})
+	h.Append(fedcore.RoundStats{Round: 1, TestAccuracy: 0.3, BytesUplinked: 100})
+	h.Append(fedcore.RoundStats{Round: 2, TestAccuracy: 0.8, BytesUplinked: 100})
+	h.Append(fedcore.RoundStats{Round: 3, TestAccuracy: 0.7, BytesUplinked: 100})
 	if h.FinalAccuracy() != 0.7 || h.BestAccuracy() != 0.8 {
 		t.Fatal("accuracy helpers wrong")
 	}
@@ -263,22 +264,6 @@ func TestHDTrainerRoundDoesNotAllocateModels(t *testing.T) {
 	}
 }
 
-func TestEvalEverySkipsEvaluations(t *testing.T) {
-	tr := hdSetup(t, 5, 46)
-	tr.EvalEvery = 3
-	hist, _ := tr.Run()
-	// rounds 1,2 copy the previous accuracy (0 for round 1 — no earlier value)
-	if hist.Rounds[0].TestAccuracy != 0 {
-		t.Fatalf("round 1 should be unevaluated, got %v", hist.Rounds[0].TestAccuracy)
-	}
-	if hist.Rounds[2].TestAccuracy == 0 {
-		t.Fatal("round 3 should be evaluated")
-	}
-	if hist.Rounds[len(hist.Rounds)-1].TestAccuracy == 0 {
-		t.Fatal("final round must always be evaluated")
-	}
-}
-
 func TestHDNonIIDStillLearns(t *testing.T) {
 	tr := hdSetup(t, 10, 47)
 	// overwrite the partition with a pathological shard split
@@ -293,7 +278,6 @@ func TestHDNonIIDStillLearns(t *testing.T) {
 
 func TestHDAdaptiveOptionRuns(t *testing.T) {
 	tr := hdSetup(t, 4, 91)
-	tr.Adaptive = true
 	tr.AdaptiveLR = 0.8
 	hist, _ := tr.Run()
 	if hist.FinalAccuracy() < 0.7 {

@@ -22,8 +22,8 @@ import (
 // scale-invariant, so the normalization changes no prediction; it only
 // keeps prototype magnitudes bounded across hundreds of rounds.
 //
-// The round loop itself — sampling, parallel workers, dropout, uplink
-// corruption, traffic accounting, evaluation pacing — is fedcore.Engine;
+// The round loop itself — sampling, parallel workers, uplink corruption,
+// traffic accounting, evaluation — is fedcore.Engine;
 // this type only supplies the HD-specific local update and the partial
 // transmission mask. Results are identical for any worker count.
 type HDTrainer struct {
@@ -35,12 +35,9 @@ type HDTrainer struct {
 	NumClasses int
 	Part       dataset.Partition
 
-	// EvalEvery controls evaluation frequency (every round if <= 1).
-	EvalEvery int
-	// Adaptive selects similarity-weighted refinement (hdc.Model.LocalUpdate
-	// at a nonzero rate) instead of the paper's fixed rule;
-	// AdaptiveLR is its learning rate (default 1).
-	Adaptive   bool
+	// AdaptiveLR, when nonzero, selects similarity-weighted refinement
+	// at this learning rate (hdc.Model.LocalUpdate) instead of the
+	// paper's fixed rule (0).
 	AdaptiveLR float32
 	// TransmitFrac in (0,1] enables coordinated partial updates: each
 	// round the server draws a shared random subset containing this
@@ -74,13 +71,6 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 	d := t.Encoded.Dim(1)
 	global := hdc.NewModel(t.NumClasses, d)
 	bundled := make([]bool, t.Cfg.NumClients) // has the client one-shot trained yet?
-	var lr float32                            // 0: the paper's fixed step rule
-	if t.Adaptive {
-		lr = t.AdaptiveLR
-		if lr == 0 {
-			lr = 1
-		}
-	}
 
 	// Client models are recycled: an update's Params is its replica's
 	// storage, which the aggregator may hold until the round commits, so
@@ -97,17 +87,15 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 	}
 	hist := &History{}
 	eng := &fedcore.Engine{
-		Clients:     t.Cfg.NumClients,
-		Fraction:    t.Cfg.ClientFraction,
-		Rounds:      t.Cfg.Rounds,
-		Seed:        t.Cfg.Seed,
-		Parallel:    t.Cfg.Parallel,
-		DropoutProb: t.Cfg.DropoutProb,
-		Uplink:      t.Cfg.Uplink,
-		EvalEvery:   t.EvalEvery,
-		SampleRNG:   fedcore.ClientRNG(t.Cfg.Seed, 0, -1),
-		Agg:         agg,
-		Global:      global.Flat(),
+		Clients:   t.Cfg.NumClients,
+		Fraction:  t.Cfg.ClientFraction,
+		Rounds:    t.Cfg.Rounds,
+		Seed:      t.Cfg.Seed,
+		Parallel:  t.Cfg.Parallel,
+		Uplink:    t.Cfg.Uplink,
+		SampleRNG: fedcore.ClientRNG(t.Cfg.Seed, 0, -1),
+		Agg:       agg,
+		Global:    global.Flat(),
 		// The client's examples are read in place, as rows idx of
 		// t.Encoded. bundled[id] is only ever touched by the one worker
 		// handling client id this round; ids within a round are distinct.
@@ -124,7 +112,7 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 			used++
 			mu.Unlock()
 			copy(local.Flat(), global.Flat())
-			local.LocalUpdate(t.Encoded, t.Labels, idx, &bundled[id], t.Cfg.LocalEpochs, lr)
+			local.LocalUpdate(t.Encoded, t.Labels, idx, &bundled[id], t.Cfg.LocalEpochs, t.AdaptiveLR)
 			u := fedcore.Update{Params: local.Flat(), Samples: len(idx)}
 			if t.TamperUpdate != nil {
 				t.TamperUpdate(round, id, u.Params, global.Flat())
@@ -134,14 +122,7 @@ func (t *HDTrainer) Run() (*History, *hdc.Model) {
 		// The workers have joined and the aggregator has been Reset.
 		AfterCommit: func(int) { used = 0 },
 		Evaluate:    func() float64 { return global.Accuracy(t.TestEnc, t.TestLabels) },
-		OnRound: func(st fedcore.RoundStats) {
-			hist.Append(RoundMetrics{
-				Round:         st.Round,
-				TestAccuracy:  st.TestAccuracy,
-				Participants:  st.Participants,
-				BytesUplinked: st.Bytes,
-			})
-		},
+		OnRound:     hist.Append,
 	}
 	if t.TransmitFrac > 0 && t.TransmitFrac < 1 {
 		b, ok := agg.(*fedcore.Bundle)

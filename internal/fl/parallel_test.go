@@ -52,14 +52,3 @@ func TestCNNParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestWorkersDefault(t *testing.T) {
-	c := Config{}
-	if c.Workers() != 1 {
-		t.Fatalf("Workers() = %d, want 1", c.Workers())
-	}
-	c.Parallel = 8
-	if c.Workers() != 8 {
-		t.Fatalf("Workers() = %d, want 8", c.Workers())
-	}
-}

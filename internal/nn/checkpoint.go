@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+
+	"fhdnn/internal/tensor"
 )
 
 // Checkpointing for network parameters: a little-endian stream of the
@@ -32,9 +33,7 @@ func SaveParams(w io.Writer, params []*Param) error {
 			return fmt.Errorf("nn: write param %d length: %w", i, err)
 		}
 		buf := make([]byte, 4*p.W.Len())
-		for j, v := range p.W.Data() {
-			binary.LittleEndian.PutUint32(buf[4*j:], math.Float32bits(v))
-		}
+		tensor.PutFloat32s(buf, p.W.Data())
 		if _, err := w.Write(buf); err != nil {
 			return fmt.Errorf("nn: write param %d payload: %w", i, err)
 		}
@@ -70,9 +69,7 @@ func LoadParams(r io.Reader, params []*Param) error {
 		}
 	}
 	for i, p := range params {
-		for j := range p.W.Data() {
-			p.W.Data()[j] = math.Float32frombits(binary.LittleEndian.Uint32(payloads[i][4*j:]))
-		}
+		tensor.GetFloat32s(p.W.Data(), payloads[i])
 	}
 	return nil
 }

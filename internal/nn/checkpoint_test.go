@@ -3,6 +3,8 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -170,4 +172,38 @@ func FuzzScanParams(f *testing.F) {
 			t.Fatalf("ScanParams accepted %d tensors, LoadParams refused them: %v", tensors, err)
 		}
 	})
+}
+
+// TestSaveParamsFormatGolden pins the FHDN layout byte for byte: magic,
+// little-endian uint32 count, then per parameter a uint32 length and its
+// float32 bits in order. The bytes were recorded when SaveParams still
+// converted one value at a time; LoadParams must read them back bit for
+// bit, negative zero included.
+func TestSaveParamsFormatGolden(t *testing.T) {
+	const golden = "4648444e02000000030000000000803f000020c0cdcccc3d02000000000000809ec97f7f"
+	params := []*Param{
+		{Name: "w", W: tensor.FromSlice([]float32{1, -2.5, 0.1}, 3)},
+		{Name: "b", W: tensor.FromSlice([]float32{float32(math.Copysign(0, -1)), 3.4e38}, 2)},
+	}
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("SaveParams wrote %s, want %s", got, golden)
+	}
+	back := []*Param{
+		{Name: "w", W: tensor.New(3)},
+		{Name: "b", W: tensor.New(2)},
+	}
+	if err := LoadParams(&buf, back); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range params {
+		for j, v := range p.W.Data() {
+			if got := back[i].W.Data()[j]; math.Float32bits(got) != math.Float32bits(v) {
+				t.Fatalf("param %d value %d read back as %v, want %v", i, j, got, v)
+			}
+		}
+	}
 }

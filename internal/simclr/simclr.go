@@ -82,24 +82,25 @@ func Augment(rng *rand.Rand, img []float32, channels, size int, cfg AugmentConfi
 	return out
 }
 
+// The optimizer and loss settings of every pretraining run. The views are
+// augmented by DefaultAugment at the dataset's image size.
+const (
+	learningRate = 0.05
+	momentum     = 0.9
+	temperature  = 0.5 // NT-Xent softmax temperature
+	projDim      = 16  // projection head output dimension
+)
+
 // Config parameterizes a pretraining run.
 type Config struct {
-	Epochs      int
-	BatchSize   int // number of images per step (2x views are formed)
-	LR          float64
-	Momentum    float64
-	Temperature float64
-	ProjDim     int // projection head output dimension
-	Augment     AugmentConfig
-	Seed        int64
+	Epochs    int
+	BatchSize int // number of images per step (2x views are formed)
+	Seed      int64
 }
 
 // DefaultConfig returns small-scale defaults suitable for CPU pretraining.
-func DefaultConfig(size int) Config {
-	return Config{
-		Epochs: 5, BatchSize: 16, LR: 0.05, Momentum: 0.9,
-		Temperature: 0.5, ProjDim: 16, Augment: DefaultAugment(size), Seed: 1,
-	}
+func DefaultConfig() Config {
+	return Config{Epochs: 5, BatchSize: 16, Seed: 1}
 }
 
 // Result bundles the pretrained encoder with its statistics.
@@ -117,13 +118,14 @@ func Pretrain(encoder *nn.Sequential, featureDim int, ds *dataset.Dataset, cfg C
 	head := nn.NewSequential(
 		nn.NewLinear(rng, featureDim, featureDim),
 		&nn.ReLU{},
-		nn.NewLinear(rng, featureDim, cfg.ProjDim),
+		nn.NewLinear(rng, featureDim, projDim),
 	)
 	params := append(encoder.Params(), head.Params()...)
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 1e-4)
+	opt := nn.NewSGD(learningRate, momentum, 1e-4)
 
 	channels := ds.X.Dim(1)
 	size := ds.X.Dim(2)
+	augment := DefaultAugment(size)
 	sampleLen := ds.SampleLen()
 	losses := make([]float64, 0, cfg.Epochs)
 
@@ -141,14 +143,14 @@ func Pretrain(encoder *nn.Sequential, featureDim int, ds *dataset.Dataset, cfg C
 			for i, idx := range b {
 				img := ds.X.Data()[idx*sampleLen : (idx+1)*sampleLen]
 				copy(views.Data()[i*sampleLen:(i+1)*sampleLen],
-					Augment(rng, img, channels, size, cfg.Augment))
+					Augment(rng, img, channels, size, augment))
 				copy(views.Data()[(n+i)*sampleLen:(n+i+1)*sampleLen],
-					Augment(rng, img, channels, size, cfg.Augment))
+					Augment(rng, img, channels, size, augment))
 			}
 			nn.ZeroGrad(params)
 			feats := encoder.Forward(views, true)
 			proj := head.Forward(feats, true)
-			loss, grad := nn.NTXent(proj, cfg.Temperature)
+			loss, grad := nn.NTXent(proj, temperature)
 			encoder.Backward(head.Backward(grad))
 			opt.Step(params)
 			epochLoss += loss

@@ -1,7 +1,6 @@
 package simclr
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -95,10 +94,9 @@ func TestPretrainReducesContrastiveLoss(t *testing.T) {
 	train, _ := dataset.GenerateImages(cfgData)
 	rng := rand.New(rand.NewSource(7))
 	enc, dim := NewSmallEncoder(rng, 1, 2, 8)
-	cfg := DefaultConfig(8)
+	cfg := DefaultConfig()
 	cfg.Epochs = 6
 	cfg.BatchSize = 12
-	cfg.LR = 0.05
 	res := Pretrain(enc, dim, train, cfg)
 	if len(res.Losses) != 6 {
 		t.Fatalf("got %d epoch losses", len(res.Losses))
@@ -120,7 +118,7 @@ func TestPretrainedFeaturesAreLinearlySeparable(t *testing.T) {
 	train, test := dataset.GenerateImages(cfgData)
 	rng := rand.New(rand.NewSource(9))
 	enc, dim := NewSmallEncoder(rng, 1, 2, 8)
-	cfg := DefaultConfig(8)
+	cfg := DefaultConfig()
 	cfg.Epochs = 8
 	cfg.BatchSize = 15
 	Pretrain(enc, dim, train, cfg)
@@ -140,11 +138,8 @@ func TestPretrainedFeaturesAreLinearlySeparable(t *testing.T) {
 }
 
 func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig(16)
-	if cfg.Temperature <= 0 || cfg.BatchSize < 2 || cfg.Epochs < 1 {
+	cfg := DefaultConfig()
+	if cfg.BatchSize < 2 || cfg.Epochs < 1 {
 		t.Fatalf("bad defaults: %+v", cfg)
-	}
-	if math.IsNaN(cfg.LR) || cfg.LR <= 0 {
-		t.Fatal("bad LR")
 	}
 }
