@@ -116,14 +116,20 @@ func run() error {
 		if fseed == 0 {
 			fseed = *seed<<16 + int64(*id)
 		}
-		cl.HTTPClient = &http.Client{Transport: faults.NewTransport(faults.Config{
+		ft := faults.NewTransport(faults.Config{
 			FailRate:     *faultRate,
 			TruncateRate: *faultTruncate,
 			Latency:      *faultLatency,
 			Seed:         fseed,
-		})}
+		})
+		cl.HTTPClient = &http.Client{Transport: ft}
 		log.Printf("client %d: fault injection armed (fail %.0f%%, truncate %.0f%%, +%v latency, seed %d)",
 			*id, *faultRate*100, *faultTruncate*100, *faultLatency, fseed)
+		defer func() {
+			st := ft.Stats()
+			log.Printf("client %d: fault injection: %d requests, %d failed, %d truncated",
+				*id, st.Requests, st.Failed, st.Truncated)
+		}()
 	}
 
 	lt := &flnet.LocalTrainer{

@@ -17,24 +17,32 @@ import (
 // real-valued hypervectors, non-IID shards) so that every round refines:
 // the runs below mispredict and move prototypes hundreds of times.
 func goldenSetup() *HDTrainer {
+	return goldenTrainer(5, 60, 512, Config{NumClients: 6, ClientFraction: 0.5, LocalEpochs: 2, BatchSize: 10, Rounds: 8})
+}
+
+// goldenTrainer builds goldenSetup's problem with the given class count,
+// training examples per class (a third as many test examples), hypervector
+// width and federation; it sets cfg's Seed and Parallel.
+func goldenTrainer(classes, perClass, d int, cfg Config) *HDTrainer {
 	const seed = 77
 	rng := rand.New(rand.NewSource(seed))
 	gen := func(perClass int, sampleSeed int64) *dataset.Dataset {
 		return dataset.GenerateVectors(dataset.VectorConfig{
-			Name: "golden", Classes: 5, Features: 16, PerClass: perClass,
+			Name: "golden", Classes: classes, Features: 16, PerClass: perClass,
 			ClassStd: 1, SampleStd: 1.6, Seed: sampleSeed})
 	}
-	train, test := gen(60, seed), gen(20, seed)
-	enc := hdc.NewEncoder(rng, 512, 16)
+	train, test := gen(perClass, seed), gen(perClass/3, seed)
+	enc := hdc.NewEncoder(rng, d, 16)
 	enc.Binarize = false
+	cfg.Seed, cfg.Parallel = seed, 2
 	return &HDTrainer{
-		Cfg:        Config{NumClients: 6, ClientFraction: 0.5, LocalEpochs: 2, BatchSize: 10, Rounds: 8, Seed: seed, Parallel: 2},
+		Cfg:        cfg,
 		Encoded:    enc.EncodeBatch(train.X),
 		Labels:     train.Labels,
 		TestEnc:    enc.EncodeBatch(test.X),
 		TestLabels: test.Labels,
-		NumClasses: 5,
-		Part:       dataset.PartitionDirichlet(train.Labels, 6, 0.5, rng),
+		NumClasses: classes,
+		Part:       dataset.PartitionDirichlet(train.Labels, cfg.NumClients, 0.5, rng),
 	}
 }
 
@@ -66,6 +74,31 @@ func TestHDTrainerGolden(t *testing.T) {
 		if tc.adaptive {
 			tr.AdaptiveLR = 0.5
 		}
+		hist, model := tr.Run()
+		if got := modelSum(model); got != tc.sum || !reflect.DeepEqual(hist.Accuracies(), tc.acc) {
+			t.Errorf("%s: final global %#x, accuracies %#v; recorded %#x, %#v",
+				tc.name, got, hist.Accuracies(), tc.sum, tc.acc)
+		}
+	}
+}
+
+// The paper's class count: K=10 fills every class lane of one sweep, and
+// each of the ten clients holds a few dozen rows, enough for whole row
+// blocks, a short tail and speculative work that a move discards. The
+// values were recorded on the commit before the row-blocked similarity
+// kernel (one hypervector per sweep).
+func TestHDTrainerGoldenTenClasses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lr   float32
+		sum  uint64
+		acc  []float64
+	}{
+		{"fixed", 0, 0x8d03c738e52709cb, []float64{0.7, 0.6583333333333333, 0.6916666666666667, 0.675}},
+		{"adaptive", 0.5, 0xccbbda75d4b11f3b, []float64{0.7083333333333334, 0.7083333333333334, 0.7, 0.6916666666666667}},
+	} {
+		tr := goldenTrainer(10, 36, 256, Config{NumClients: 10, ClientFraction: 0.5, LocalEpochs: 2, BatchSize: 10, Rounds: 4})
+		tr.AdaptiveLR = tc.lr
 		hist, model := tr.Run()
 		if got := modelSum(model); got != tc.sum || !reflect.DeepEqual(hist.Accuracies(), tc.acc) {
 			t.Errorf("%s: final global %#x, accuracies %#v; recorded %#x, %#v",

@@ -115,19 +115,29 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneSweep times one class-lane sweep of the paper-size model
-// over a different hypervector each iteration, the lanes built before the
-// timer starts; ns/elem is per entry of h.
+// BenchmarkLaneSweep times one row-block sweep of the paper-size model,
+// per row width this CPU runs, over a different block of hypervectors each
+// iteration, the lanes built before the timer starts; ns/elem is per entry
+// of one row.
 func BenchmarkLaneSweep(b *testing.B) {
 	m, enc, _ := similarityFixture(b, 64)
 	ln := m.lanes()
 	defer putLanes(ln)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := i % enc.Dim(0)
-		laneDots(ln.dots, ln.cs, enc.Data()[s*m.D:(s+1)*m.D], ln.kp)
+	data := enc.Data()
+	for _, w := range rowKernels() {
+		if w.skip != "" {
+			continue
+		}
+		b.Run(w.name, func(b *testing.B) {
+			var blk block
+			dots, _ := blk.scratch(ln.kp, m.K)
+			for i := 0; i < b.N; i++ {
+				m.fillBlock(&blk, data, nil, i*int(w.rowKernel)%enc.Dim(0), enc.Dim(0))
+				w.sweep(dots, &blk.hh, ln.cs, data, &blk.offs, m.D, ln.kp, ln.kp)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*int(w.rowKernel)*m.D), "ns/elem")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m.D), "ns/elem")
 }
 
 func BenchmarkAccuracyNaive(b *testing.B) {

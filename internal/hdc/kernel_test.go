@@ -205,8 +205,9 @@ func TestKernelMatchesCosineOracle(t *testing.T) {
 
 // TestSimilarityKernelMatchesPortable pins the class-lane kernels against
 // their portable twins, sweep by sweep: the lane copy and the prototype
-// norms of laneFill, and every dot product and h·h of laneSweep. On
-// architectures without assembly both sides are the twin.
+// norms of laneFill, and every dot product and h·h of the row-block sweep
+// this CPU dispatches to, against sweepRowsGo, block by block with a short
+// last block. On architectures without assembly both sides are the twin.
 func TestSimilarityKernelMatchesPortable(t *testing.T) {
 	forEachKernelShape(t, func(t *testing.T, m *Model, enc *tensor.Tensor, _ []int) {
 		ln := m.lanes()
@@ -227,19 +228,24 @@ func TestSimilarityKernelMatchesPortable(t *testing.T) {
 				}
 			}
 		}
-		for s := 0; s < enc.Dim(0); s++ {
-			h := enc.Data()[s*d : (s+1)*d]
+		data, n := enc.Data(), enc.Dim(0)
+		var b block
+		for s := 0; s < n; s += int(sweeper) {
+			cnt := m.fillBlock(&b, data, nil, s, n)
+			ln.sweep(&b, data, d)
+			got, _ := b.scratch(kp, k)
+			want, whh := make([]float64, kp*blockRows), new([blockRows]float64)
 			for lo := 0; lo < kp; lo += sweepClasses {
-				pairs := min(kp-lo, sweepClasses) / 2
-				got, want := make([]float64, 2*pairs), make([]float64, 2*pairs)
-				ghh, whh := laneSweep(got, ln.cs[lo:], h, kp, pairs), laneSweepGo(want, ln.cs[lo:], h, kp, pairs)
-				if !sameFloat(ghh, whh) {
-					t.Fatalf("row %d sweep %d: h·h = %v, portable %v", s, lo, ghh, whh)
+				sweepRowsGo(want[lo*blockRows:], whh, ln.cs[lo:], data, &b.offs, cnt, d, kp, min(kp-lo, sweepClasses))
+			}
+			for j := range cnt {
+				if !sameFloat(b.hh[j], whh[j]) {
+					t.Fatalf("row %d: h·h = %v, portable %v", s+j, b.hh[j], whh[j])
 				}
-				for j := range got {
-					if !sameFloat(got[j], want[j]) {
+				for c := range kp {
+					if g, w := got[c*blockRows+j], want[c*blockRows+j]; !sameFloat(g, w) {
 						t.Fatalf("row %d class %d: dot = %v (%#x), portable %v (%#x)",
-							s, lo+j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+							s+j, c, g, math.Float64bits(g), w, math.Float64bits(w))
 					}
 				}
 			}
@@ -368,17 +374,21 @@ func TestRefineDoesNotAllocateSerial(t *testing.T) {
 		t.Skip("the class lanes come from a sync.Pool, which drops Puts at random under the race detector; the 0 allocs/op contract is asserted in non-race runs")
 	}
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
-	m, enc, labels := kernelFixture(2, 10, 256, 40, false)
-	rows := rand.New(rand.NewSource(3)).Perm(40)[:25]
-	for name, fn := range map[string]func(){
-		"RefineEpoch":               func() { m.RefineEpoch(enc, labels) },
-		"LocalUpdate/fixed/rows":    func() { refineEpoch(m, enc, labels, rows, 0) },
-		"LocalUpdate/adaptive/all":  func() { refineEpoch(m, enc, labels, nil, 0.5) },
-		"LocalUpdate/adaptive/rows": func() { refineEpoch(m, enc, labels, rows, 0.5) },
-		"Predict":                   func() { m.Predict(enc.Data()[:256]) },
-	} {
-		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+	// K=26 is past what a block's fixed scratch holds: the larger buffer
+	// is kept in the pooled lanes.
+	for _, k := range []int{10, 26} {
+		m, enc, labels := kernelFixture(2, k, 256, 40, false)
+		rows := rand.New(rand.NewSource(3)).Perm(40)[:25]
+		for name, fn := range map[string]func(){
+			"RefineEpoch":               func() { m.RefineEpoch(enc, labels) },
+			"LocalUpdate/fixed/rows":    func() { refineEpoch(m, enc, labels, rows, 0) },
+			"LocalUpdate/adaptive/all":  func() { refineEpoch(m, enc, labels, nil, 0.5) },
+			"LocalUpdate/adaptive/rows": func() { refineEpoch(m, enc, labels, rows, 0.5) },
+			"Predict":                   func() { m.Predict(enc.Data()[:256]) },
+		} {
+			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+				t.Errorf("K=%d %s allocates %.1f times per call, want 0", k, name, allocs)
+			}
 		}
 	}
 }

@@ -2,28 +2,51 @@ package hdc
 
 import "fhdnn/internal/tensor"
 
-// laneSweep computes, for every j < 2*pairs,
-//
-//	dots[j] = sum_i cs[i*kp+j] * float64(h[i])
-//
-// and returns sum_i float64(h[i])^2, every sum its own chain in ascending
-// i; laneSweepGo is the portable form and the reference. pairs must be in
-// [1, 5], len(h) >= 1, len(dots) >= 2*pairs, and cs must hold
-// (len(h)-1)*kp + 2*pairs entries; nothing is bounds-checked. On a CPU
-// without AVX it runs laneSweepGo.
-func laneSweep(dots, cs []float64, h []float32, kp, pairs int) float64 {
-	if tensor.HasAVX() {
-		return laneSweepAVX(dots, cs, h, kp, pairs)
+// sweeper is the widest row-block kernel this CPU runs. A block is one
+// call, so a refinement step, which discards the rest of its block,
+// discards at most one call's work.
+var sweeper = func() rowKernel {
+	switch {
+	case tensor.HasAVX512():
+		return avx512Kernel
+	case tensor.HasAVX():
+		return avxKernel
 	}
-	return laneSweepGo(dots, cs, h, kp, pairs)
+	return portableKernel
+}()
+
+const (
+	avx512Kernel rowKernel = 8
+	avxKernel    rowKernel = 4
+)
+
+// sweep runs the kernel k names; the assembly kernels are called directly
+// so that no argument escapes.
+func (k rowKernel) sweep(dots []float64, hh *[blockRows]float64, cs []float64, data []float32, offs *[blockRows]int, d, kp, w int) {
+	switch k {
+	case avx512Kernel:
+		sweep8AVX512(dots, hh, cs, data, offs, d, kp, w)
+	case avxKernel:
+		sweep4AVX(dots, hh, cs, data, offs, d, kp, w)
+	default:
+		sweepRowsGo(dots, hh, cs, data, offs, 1, d, kp, w)
+	}
 }
 
-// laneSweepAVX is laneSweep in AVX: four classes per YMM register and an
-// odd last pair in XMM (VMULPD + VADDPD, never FMA), h·h in a scalar
-// VMULSD/VADDSD chain, so every result matches the scalar loop bit for bit.
+// sweep8AVX512 is the rowKernel of eight rows in AVX-512F: the eight
+// rows' element i in the lanes of one ZMM register, each class lane a
+// broadcast (VMULPD then VADDPD, never FMA) into its own ZMM accumulator,
+// so every lane matches the scalar chain bit for bit.
 //
 //go:noescape
-func laneSweepAVX(dots, cs []float64, h []float32, kp, pairs int) float64
+func sweep8AVX512(dots []float64, hh *[blockRows]float64, cs []float64, data []float32, offs *[blockRows]int, d, kp, w int)
+
+// sweep4AVX is the rowKernel of four rows in AVX, one per lane of a YMM
+// register; it reads offs[:4] and writes dots[k*blockRows+j] and hh[j]
+// for j < 4.
+//
+//go:noescape
+func sweep4AVX(dots []float64, hh *[blockRows]float64, cs []float64, data []float32, offs *[blockRows]int, d, kp, w int)
 
 // laneFill sets, for every j < 2*pairs and i < d,
 //

@@ -41,26 +41,34 @@ func (m *Model) BundleInto(k int, h []float32) {
 	Bundle(m.Class(k), h)
 }
 
-// similarities is the HD similarity kernel: it returns the cosine
-// similarity of h with every prototype, given ln = m.lanes(), written into
-// dots (kp entries, the first K returned). A zero prototype or a zero h has
-// similarity 0.
-//
-//fhdnn:hotpath
-func (m *Model) similarities(ln *classLanes, dots []float64, h []float32) []float64 {
+// sweepOne returns the cosine similarity of h with every prototype, in
+// b's scratch, sweeping h against ln = m.lanes() as a block of one row
+// (repeated). A zero prototype or a zero h has similarity 0.
+func (m *Model) sweepOne(ln *classLanes, b *block, h []float32) []float64 {
 	if len(h) != m.D {
 		panic(fmt.Sprintf("hdc: hypervector length %d, model dimension %d", len(h), m.D))
 	}
-	hn := math.Sqrt(laneDots(dots, ln.cs, h, ln.kp))
-	sims := dots[:m.K]
-	for k, n := range ln.norms {
-		if n == 0 || hn == 0 {
-			sims[k] = 0
-		} else {
-			sims[k] /= n * hn
+	b.offs, b.big = [blockRows]int{}, ln.big
+	ln.sweep(b, h, m.D)
+	ln.big = b.big
+	return ln.similarities(b, 0)
+}
+
+// fillBlock points b at the examples s, s+1, ... of data (the rows
+// rowAt(rows, ·) of width D), at most sweeper of them and none past n,
+// and repeats the last into the rest of b. It returns how many it took.
+func (m *Model) fillBlock(b *block, data []float32, rows []int, s, n int) int {
+	cnt := min(n-s, int(sweeper))
+	for j := range b.offs {
+		if j >= cnt {
+			b.offs[j] = b.offs[cnt-1]
+			continue
 		}
+		r := rowAt(rows, s+j)
+		_ = data[r*m.D : (r+1)*m.D] // the kernel does not check bounds
+		b.offs[j] = r * m.D
 	}
-	return sims
+	return cnt
 }
 
 // best returns the winning class of a similarity vector: the first
@@ -79,7 +87,8 @@ func best(sims []float64) (class int, sim float64) {
 // similarity with h, along with that similarity.
 func (m *Model) Predict(h []float32) (class int, sim float64) {
 	ln := m.lanes()
-	class, sim = best(m.similarities(ln, ln.dots, h))
+	var b block
+	class, sim = best(m.sweepOne(ln, &b, h))
 	putLanes(ln)
 	return class, sim
 }
@@ -87,14 +96,16 @@ func (m *Model) Predict(h []float32) (class int, sim float64) {
 // Similarities returns the cosine similarity of h against every prototype.
 func (m *Model) Similarities(h []float32) []float64 {
 	ln := m.lanes()
+	var b block
 	out := make([]float64, m.K)
-	copy(out, m.similarities(ln, ln.dots, h))
+	copy(out, m.sweepOne(ln, &b, h))
 	putLanes(ln)
 	return out
 }
 
 // PredictBatch classifies every row of encoded. The class lanes and norms
-// are built once and the rows are split over the tensor worker pool.
+// are built once, the rows are split over the tensor worker pool, and
+// each worker sweeps its rows a block at a time.
 func (m *Model) PredictBatch(encoded *tensor.Tensor) []int {
 	n := encoded.Dim(0)
 	if encoded.Len() != n*m.D {
@@ -102,14 +113,16 @@ func (m *Model) PredictBatch(encoded *tensor.Tensor) []int {
 	}
 	ln := m.lanes()
 	out := make([]int, n)
+	data := encoded.Data()
 	tensor.ParallelFor(n, func(lo, hi int) {
-		var buf [2 * sweepClasses]float64
-		dots := buf[:]
-		if ln.kp > len(buf) {
-			dots = make([]float64, ln.kp)
-		}
-		for s := lo; s < hi; s++ {
-			out[s], _ = best(m.similarities(ln, dots, encoded.Data()[s*m.D:(s+1)*m.D]))
+		var b block
+		for s := lo; s < hi; {
+			cnt := m.fillBlock(&b, data, nil, s, hi)
+			ln.sweep(&b, data, m.D)
+			for j := range cnt {
+				out[s+j], _ = best(ln.similarities(&b, j))
+			}
+			s += cnt
 		}
 	})
 	putLanes(ln)
@@ -160,28 +173,61 @@ func rowAt(rows []int, s int) int {
 func (m *Model) RefineEpoch(encoded *tensor.Tensor, labels []int) int {
 	n := m.checkRows("RefineEpoch", encoded, labels, nil)
 	ln := m.lanes()
-	wrong := m.refine(ln, encoded.Data(), labels, nil, n)
+	wrong := m.refine(ln, encoded.Data(), labels, nil, n, 0)
 	putLanes(ln)
 	return wrong
 }
 
-// refine is the RefineEpoch loop. ln holds the class lanes and norms on
-// entry and move keeps them current.
+// refine is one refinement epoch over the listed rows of data and returns
+// the number of mispredictions. lr 0 is the paper's fixed rule: every
+// mispredicted example adds h to its class and subtracts it from the
+// predicted one. Any other lr is similarity-weighted refinement (the
+// OnlineHD scheme of Hernandez-Cano et al., DATE'21, a natural extension
+// of the fixed rule), which moves the prototypes by a step proportional to
+// how wrong the model was,
+//
+//	c_correct += lr * (1 - sim_correct) * h
+//	c_pred    -= lr * (1 - sim_pred)    * h
+//
+// and converges faster on hard data without overshooting on easy data.
+//
+// ln holds the class lanes and norms on entry and move keeps them
+// current. refine sweeps a block of rows against the current lanes, then
+// walks it in order; at the first misprediction it moves the prototypes
+// and starts the next block at the following row, discarding the rest. So
+// every similarity it reads is the one a row-at-a-time loop would see, and
+// a step throws away at most one kernel call's rows (see sweeper).
 //
 //fhdnn:hotpath
-func (m *Model) refine(ln *classLanes, data []float32, labels, rows []int, n int) int {
+func (m *Model) refine(ln *classLanes, data []float32, labels, rows []int, n int, lr float32) int {
+	b := block{big: ln.big}
 	wrong := 0
-	for s := 0; s < n; s++ {
-		r := rowAt(rows, s)
-		h := data[r*m.D : (r+1)*m.D]
-		pred, _ := best(m.similarities(ln, ln.dots, h))
-		y := labels[r]
-		if pred == y {
-			continue
+	for s := 0; s < n; {
+		cnt := m.fillBlock(&b, data, rows, s, n)
+		ln.sweep(&b, data, m.D)
+		for j := range cnt {
+			y := labels[rowAt(rows, s)]
+			s++
+			sims := ln.similarities(&b, j)
+			pred, _ := best(sims)
+			if lr != 0 && sims[0] != sims[0] {
+				// The weighted rule's argmax starts from class 0's
+				// similarity, so a NaN there is never beaten.
+				pred = 0
+			}
+			if pred == y {
+				continue
+			}
+			wrong++
+			up, down := float32(1), float32(1)
+			if lr != 0 {
+				up, down = lr*float32(1-sims[y]), lr*float32(1-sims[pred])
+			}
+			m.move(ln, y, pred, up, down, data[b.offs[j]:b.offs[j]+m.D])
+			break
 		}
-		wrong++
-		m.move(ln, y, pred, 1, 1, h)
 	}
+	ln.big = b.big
 	return wrong
 }
 
@@ -205,48 +251,13 @@ func (m *Model) move(ln *classLanes, y, pred int, up, down float32, h []float32)
 	ln.norms[y], ln.norms[pred] = math.Sqrt(cc), math.Sqrt(bb)
 }
 
-// refineAdaptive is one pass of similarity-weighted refinement (the
-// OnlineHD scheme of Hernandez-Cano et al., DATE'21, a natural extension
-// of the paper's fixed-step rule): every mispredicted example moves the
-// prototypes by a step proportional to how wrong the model was,
-//
-//	c_correct += lr * (1 - sim_correct) * h
-//	c_pred    -= lr * (1 - sim_pred)    * h
-//
-// which converges faster than the fixed rule on hard data and never
-// overshoots on easy data. Returns the number of mispredictions; ln as in
-// refine.
-//
-//fhdnn:hotpath
-func (m *Model) refineAdaptive(ln *classLanes, data []float32, labels, rows []int, n int, lr float32) int {
-	wrong := 0
-	for s := 0; s < n; s++ {
-		r := rowAt(rows, s)
-		h := data[r*m.D : (r+1)*m.D]
-		sims := m.similarities(ln, ln.dots, h)
-		pred, top := 0, sims[0]
-		for k, sim := range sims {
-			if sim > top {
-				pred, top = k, sim
-			}
-		}
-		y := labels[r]
-		if pred == y {
-			continue
-		}
-		wrong++
-		m.move(ln, y, pred, lr*float32(1-sims[y]), lr*float32(1-sims[pred]), h)
-	}
-	return wrong
-}
-
 // LocalUpdate is one FHDnn client's local update for a round (paper Sec.
 // 3.4.1), over the listed rows of encoded (nil means every row). On the
 // client's first participation (*bundled false) it bundles the rows into
 // their class prototypes and sets *bundled; then it runs up to epochs
 // refinement epochs, stopping after the first one with no mispredictions.
 // lr picks the step rule: 0 is the paper's fixed rule (RefineEpoch's),
-// anything else the similarity-weighted rule at rate lr (refineAdaptive).
+// anything else the similarity-weighted rule at rate lr (see refine).
 // It returns the last epoch's mispredictions, 0 when no epoch ran. Batch
 // size plays no role: HD training is per example, which is why the paper
 // finds B has no influence on FHDnn.
@@ -265,12 +276,7 @@ func (m *Model) LocalUpdate(encoded *tensor.Tensor, labels, rows []int, bundled 
 	ln := m.lanes()
 	wrong := 0
 	for e := 0; e < epochs; e++ {
-		if lr == 0 {
-			wrong = m.refine(ln, encoded.Data(), labels, rows, n)
-		} else {
-			wrong = m.refineAdaptive(ln, encoded.Data(), labels, rows, n, lr)
-		}
-		if wrong == 0 {
+		if wrong = m.refine(ln, encoded.Data(), labels, rows, n, lr); wrong == 0 {
 			break
 		}
 	}

@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package hdc
+
+// archKernels is empty: without assembly the portable kernel is the only
+// row-block kernel.
+var archKernels []namedKernel

@@ -9,16 +9,22 @@ package tensor
 //go:noescape
 func tile4x16AVX(c []float32, ldc int, a, b []float32, k int, accum bool)
 
-// avxEnabled reports whether the CPU has AVX and the OS saves YMM state.
-func avxEnabled() bool
+// cpuFeatures reports whether the CPU has AVX and the OS saves YMM state,
+// and whether it also has AVX-512F and the OS saves the opmask and ZMM
+// state.
+func cpuFeatures() (avx, avx512 bool)
 
-var useAVX = avxEnabled()
+var useAVX, useAVX512 = cpuFeatures()
 
 // HasAVX reports whether the AVX kernels may run: the CPU has AVX and the
-// OS saves YMM state. It is the one AVX check of the module; kernels in
-// other packages dispatch on it too, and fall back to their portable twin
-// without it.
+// OS saves YMM state. It and HasAVX512 are the module's one CPU check;
+// kernels in other packages dispatch on them too, and fall back to a
+// narrower kernel or their portable twin without them.
 func HasAVX() bool { return useAVX }
+
+// HasAVX512 reports whether the AVX-512F kernels may run: HasAVX, the CPU
+// has AVX-512F, and the OS saves the opmask and ZMM state.
+func HasAVX512() bool { return useAVX512 }
 
 func tile4x16(c []float32, ldc int, a, b []float32, k int, accum bool) {
 	if useAVX {

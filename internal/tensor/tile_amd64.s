@@ -78,22 +78,37 @@ store:
 	VZEROUPPER
 	RET
 
-// func avxEnabled() bool
-TEXT ·avxEnabled(SB), NOSPLIT, $0-1
+// func cpuFeatures() (avx, avx512 bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB  $0, avx+0(FP)
+	MOVB  $0, avx512+1(FP)
+	XORL  AX, AX
+	CPUID
+	MOVL  AX, SI              // highest basic leaf
 	MOVL  $1, AX
 	XORL  CX, CX
 	CPUID
 	ANDL  $0x18000000, CX     // OSXSAVE (bit 27) and AVX (bit 28)
 	CMPL  CX, $0x18000000
-	JNE   no
+	JNE   done
 	XORL  CX, CX
 	XGETBV                    // XCR0
+	MOVL  AX, DI
 	ANDL  $6, AX              // XMM and YMM state saved by the OS
 	CMPL  AX, $6
-	JNE   no
-	MOVB  $1, ret+0(FP)
-	RET
+	JNE   done
+	MOVB  $1, avx+0(FP)
+	ANDL  $0xe6, DI           // and the opmask, ZMM_Hi256 and Hi16_ZMM state
+	CMPL  DI, $0xe6
+	JNE   done
+	CMPL  SI, $7
+	JLT   done
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	BTL   $16, BX             // AVX512F
+	JCC   done
+	MOVB  $1, avx512+1(FP)
 
-no:
-	MOVB $0, ret+0(FP)
+done:
 	RET
