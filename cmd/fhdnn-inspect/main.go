@@ -55,7 +55,7 @@ func inspect(path string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  encoder: d=%d n=%d binarize=%v\n", e.D, e.N, e.Binarize)
+		fmt.Printf("  encoder: FHDE v%d, d=%d n=%d s=%d binarize=%v\n", hdc.EncoderFormat, e.D, e.N, e.S, e.Binarize)
 		m, err := hdc.ReadModel(r)
 		if err != nil {
 			return err
@@ -72,8 +72,8 @@ func inspect(path string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: HD encoder, d=%d n=%d binarize=%v (%d bytes)\n",
-			path, e.D, e.N, e.Binarize, len(data))
+		fmt.Printf("%s: HD encoder, FHDE v%d, d=%d n=%d s=%d binarize=%v (%d bytes)\n",
+			path, hdc.EncoderFormat, e.D, e.N, e.S, e.Binarize, len(data))
 	default:
 		return fmt.Errorf("unknown magic %q (want FHDN, FHDM or FHDE)", data[:4])
 	}

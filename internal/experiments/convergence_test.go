@@ -6,34 +6,35 @@ import (
 )
 
 func TestConvergenceDiagnostics(t *testing.T) {
-	s := tiny()
-	s.Rounds = 8
-	rows := Convergence(s, 0.1)
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	hd, cnn := rows[0], rows[1]
-	if hd.Model != "FHDnn" || cnn.Model != "CNN" {
-		t.Fatal("row order")
-	}
-	// FHDnn plateaus quickly
-	if hd.RoundsToPlateau == -1 || hd.RoundsToPlateau > 6 {
-		t.Fatalf("FHDnn plateau at %d rounds, want fast", hd.RoundsToPlateau)
-	}
-	// FHDnn must end up far more accurate; plateau speed is only
-	// comparable between models that actually learn (a chance-level CNN
-	// "plateaus" at round 1).
-	if hd.BestAccuracy < cnn.BestAccuracy+0.2 {
-		t.Fatalf("FHDnn best %v should dominate CNN best %v", hd.BestAccuracy, cnn.BestAccuracy)
-	}
-	if cnn.BestAccuracy > 0.5*hd.BestAccuracy && cnn.RoundsToPlateau != -1 &&
-		hd.RoundsToPlateau > cnn.RoundsToPlateau {
-		t.Fatalf("FHDnn (%d) slower than a learning CNN (%d)", hd.RoundsToPlateau, cnn.RoundsToPlateau)
-	}
-	if hd.Monotonicity < 0.5 {
-		t.Fatalf("FHDnn monotonicity %v suspiciously low", hd.Monotonicity)
-	}
-	_ = ConvergenceTable(rows).String()
+	forSeeds(t, tiny(), func(t *testing.T, s Scale) {
+		s.Rounds = 8
+		rows := Convergence(s, 0.1)
+		if len(rows) != 2 {
+			t.Fatalf("got %d rows", len(rows))
+		}
+		hd, cnn := rows[0], rows[1]
+		if hd.Model != "FHDnn" || cnn.Model != "CNN" {
+			t.Fatal("row order")
+		}
+		// FHDnn plateaus quickly
+		if hd.RoundsToPlateau == -1 || hd.RoundsToPlateau > 6 {
+			t.Fatalf("FHDnn plateau at %d rounds, want fast", hd.RoundsToPlateau)
+		}
+		// FHDnn must end up far more accurate; plateau speed is only
+		// comparable between models that actually learn (a chance-level CNN
+		// "plateaus" at round 1).
+		if hd.BestAccuracy < cnn.BestAccuracy+0.2 {
+			t.Fatalf("FHDnn best %v should dominate CNN best %v", hd.BestAccuracy, cnn.BestAccuracy)
+		}
+		if cnn.BestAccuracy > 0.5*hd.BestAccuracy && cnn.RoundsToPlateau != -1 &&
+			hd.RoundsToPlateau > cnn.RoundsToPlateau {
+			t.Fatalf("FHDnn (%d) slower than a learning CNN (%d)", hd.RoundsToPlateau, cnn.RoundsToPlateau)
+		}
+		if hd.Monotonicity < 0.5 {
+			t.Fatalf("FHDnn monotonicity %v suspiciously low", hd.Monotonicity)
+		}
+		_ = ConvergenceTable(rows).String()
+	})
 }
 
 func TestAnalyzeConvergenceSynthetic(t *testing.T) {

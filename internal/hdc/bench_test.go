@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -22,44 +23,40 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-func encodeBatchFixture(b *testing.B) (*Encoder, *tensor.Tensor) {
+func encodeBatchFixture(b *testing.B, rows int) (*Encoder, *tensor.Tensor) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	e := NewEncoder(rng, 10000, 512)
-	z := tensor.Randn(rng, 1, 64, 512)
-	// operand bytes per pass: features + projection + hypervectors
-	b.SetBytes((64*512 + 10000*512 + 64*10000) * 4)
+	z := tensor.Randn(rng, 1, rows, 512)
+	// operand bytes per pass: features + kernel plan + hypervectors
+	b.SetBytes(int64(rows*512+len(e.offs)+rows*10000) * 4)
 	return e, z
 }
 
 func BenchmarkEncodeBatchNaive(b *testing.B) {
-	e, z := encodeBatchFixture(b)
+	e, z := encodeBatchFixture(b, 64)
+	phi := ternary(e)
 	out := tensor.New(64, e.D)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		oracleEncodeBatch(e, z, out)
+		oracleEncodeBatch(e, phi, z, out)
 	}
 }
 
+// BenchmarkEncodeBatch times the paper-size encode (n = 512, d = 10 000)
+// of a 64-row batch and of train_noniid's 5 000-row split, reporting
+// µs per sample.
 func BenchmarkEncodeBatch(b *testing.B) {
-	e, z := encodeBatchFixture(b)
-	out := tensor.New(64, e.D)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.EncodeBatchInto(out, z)
-	}
-}
-
-// BenchmarkSign times the sign step of EncodeBatchInto on a 64 x 10000
-// batch of real-valued projections with random signs. Sign is idempotent
-// and keeps every sign, so each iteration sees the same sign pattern.
-func BenchmarkSign(b *testing.B) {
-	const rows, d = 64, 10000
-	h := tensor.Randn(rand.New(rand.NewSource(8)), 1, rows, d).Data()
-	b.SetBytes(rows * d * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		signRows(h, d)
+	for _, rows := range []int{64, 5000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			e, z := encodeBatchFixture(b, rows)
+			out := tensor.New(rows, e.D)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.EncodeBatchInto(out, z)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*rows), "µs/sample")
+		})
 	}
 }
 

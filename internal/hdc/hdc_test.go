@@ -9,16 +9,47 @@ import (
 	"fhdnn/internal/tensor"
 )
 
-func TestEncoderRowsUnitNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	e := NewEncoder(rng, 50, 10)
-	row := make([]float32, e.N)
-	for i := 0; i < e.D; i++ {
-		for j := range row {
-			row[j] = e.phiT.Data()[j*e.D+i]
+// TestEncoderRowsSparseTernary checks the drawn Phi: every row holds
+// exactly S = nonZeros(N) distinct features in ascending order, each
+// +-1/sqrt(S), so every row has unit norm; the floor of 32 makes small-N
+// rows dense; and both signs occur about equally often.
+func TestEncoderRowsSparseTernary(t *testing.T) {
+	for _, c := range []struct{ n, s int }{{4, 4}, {10, 10}, {32, 32}, {33, 32}, {320, 32}, {321, 33}, {512, 52}, {617, 62}} {
+		if got := nonZeros(c.n); got != c.s {
+			t.Fatalf("nonZeros(%d) = %d, want %d", c.n, got, c.s)
 		}
-		if n := Norm(row); math.Abs(n-1) > 1e-5 {
-			t.Fatalf("row %d norm %v, want 1", i, n)
+		e := NewEncoder(rand.New(rand.NewSource(1)), 300, c.n)
+		if e.S != c.s {
+			t.Fatalf("n=%d: S = %d, want %d", c.n, e.S, c.s)
+		}
+		phi := ternary(e)
+		negs := 0
+		for i := 0; i < e.D; i++ {
+			prev := -1
+			for k := 0; k < e.S; k++ {
+				j, neg := e.entry(i, k)
+				if j <= prev || j >= e.N {
+					t.Fatalf("n=%d row %d: entry %d index %d after %d", c.n, i, k, j, prev)
+				}
+				prev = j
+				if neg {
+					negs++
+				}
+			}
+			var nz int
+			var norm float64
+			for _, v := range phi[i] {
+				if v != 0 {
+					nz++
+					norm += 1 / float64(e.S)
+				}
+			}
+			if nz != e.S || math.Abs(norm-1) > 1e-12 {
+				t.Fatalf("n=%d row %d: %d non-zeros, norm^2 %v", c.n, i, nz, norm)
+			}
+		}
+		if frac := float64(negs) / float64(e.D*e.S); math.Abs(frac-0.5) > 0.05 {
+			t.Fatalf("n=%d: %.3f of the entries are negative", c.n, frac)
 		}
 	}
 }
@@ -154,31 +185,6 @@ func TestHammingDistance(t *testing.T) {
 	b := []float32{1, -1, -1, 1}
 	if d := HammingDistance(a, b); d != 2 {
 		t.Fatalf("Hamming = %d", d)
-	}
-}
-
-// TestSignBinarizes pins Sign on the values where a sign test can differ
-// from x >= 0: zeros of both signs, NaN, infinities, subnormals and the
-// largest finite values.
-func TestSignBinarizes(t *testing.T) {
-	negZero := float32(math.Copysign(0, -1))
-	nan := float32(math.NaN())
-	sub := float32(math.SmallestNonzeroFloat32)
-	for _, c := range []struct {
-		x, want float32
-	}{
-		{0.5, 1}, {-0.1, -1},
-		{0, 1}, {negZero, 1},
-		{nan, -1}, {-nan, -1},
-		{float32(math.Inf(1)), 1}, {float32(math.Inf(-1)), -1},
-		{sub, 1}, {-sub, -1},
-		{math.MaxFloat32, 1}, {-math.MaxFloat32, -1},
-	} {
-		v := []float32{c.x}
-		Sign(v)
-		if math.Float32bits(v[0]) != math.Float32bits(c.want) {
-			t.Errorf("Sign(%v) = %v (%#x), want %v", c.x, v[0], math.Float32bits(v[0]), c.want)
-		}
 	}
 }
 

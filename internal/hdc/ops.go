@@ -46,21 +46,6 @@ func Bundle(a, b []float32) {
 	}
 }
 
-// Sign binarizes v in place to +-1: +1 where x >= 0, so ties and -0 map
-// to +1, and -1 elsewhere, NaN included. The comparison only picks the
-// sign bit of 1.0, which gc compiles to a conditional move on amd64 and
-// arm64 (CMOV, CSEL) rather than a branch, so random signs cost no
-// mispredictions.
-func Sign(v []float32) {
-	for i, x := range v {
-		var neg uint32
-		if !(x >= 0) {
-			neg = 1 << 31
-		}
-		v[i] = math.Float32frombits(neg | 0x3f800000) // 0x3f800000 is 1.0
-	}
-}
-
 // HammingDistance counts positions where bipolar vectors differ.
 func HammingDistance(a, b []float32) int {
 	if len(a) != len(b) {

@@ -5,15 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"fhdnn/internal/tensor"
 )
 
 // Binary serialization for HD models and encoders, so federated servers
 // can checkpoint global state and clients can persist their shared encoder.
-// The format is little-endian: a 4-byte magic, two int32 dimensions, then
-// the float32 payload.
+// The model format is little-endian: a 4-byte magic, two int32
+// dimensions, then the float32 payload. The encoder format is documented
+// at encoderVersion.
 
 var (
 	modelMagic   = [4]byte{'F', 'H', 'D', 'M'}
@@ -74,66 +74,121 @@ func ReadModel(r io.Reader) (*Model, error) {
 	return &hm.m, nil
 }
 
-// WriteTo serializes the encoder (projection matrix and flags). It
-// implements io.WriterTo. The wire payload is Phi (d x n) row-major,
-// gathered from the stored transpose into one buffer and one Write.
+// The encoder format, FHDE v2, little-endian:
+//
+//	"FHDE"  magic
+//	uint32  encoderVersion: the high bit marks a versioned header, since a
+//	        dense v1 file held its positive int32 d here
+//	int32   d, n, s
+//	byte    flags: bit 0 is Binarize
+//	uint16  d*s feature indices, row by row, each row strictly ascending
+//	bytes   ceil(d*s/8) sign bits in the same order, least significant
+//	        bit first: 1 is -1/sqrt(s), 0 is +1/sqrt(s); unused bits are 0
+//
+// s must be the non-zero count NewEncoder draws for n, so a file carries
+// no density that the code would not pick itself.
+const encoderVersion = 1<<31 | 2
+
+// EncoderFormat is the version of the encoder format WriteTo writes and
+// ReadEncoder reads.
+const EncoderFormat = encoderVersion &^ (1 << 31)
+
+// Typed encoder-format failures, matchable with errors.Is.
+var (
+	// ErrEncoderVersion marks an encoder file of another format version,
+	// such as the dense v1 layout (d x n float32 rows), which is no
+	// longer read.
+	ErrEncoderVersion = errors.New("hdc: unsupported encoder format version")
+	// ErrEncoderLayout marks a v2 file whose shape or entries no encoder
+	// could have: implausible dims, a non-zero count other than the one
+	// NewEncoder draws, an index >= n, or a row that is not strictly
+	// ascending.
+	ErrEncoderLayout = errors.New("hdc: malformed encoder")
+)
+
+// WriteTo serializes the encoder in FHDE v2. It implements io.WriterTo.
 func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
-	if _, err := w.Write(encoderMagic[:]); err != nil {
+	var hdr [21]byte
+	copy(hdr[:], encoderMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:], encoderVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(e.D))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(e.N))
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(e.S))
+	if e.Binarize {
+		hdr[20] = 1
+	}
+	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, fmt.Errorf("hdc: write encoder header: %w", err)
 	}
-	n := int64(4)
-	if err := writeDims(w, e.D, e.N); err != nil {
-		return n, err
-	}
-	n += 8
-	flag := byte(0)
-	if e.Binarize {
-		flag = 1
-	}
-	if _, err := w.Write([]byte{flag}); err != nil {
-		return n, fmt.Errorf("hdc: write encoder flags: %w", err)
-	}
-	n++
-	buf := make([]byte, 4*e.D*e.N)
-	pt := e.phiT.Data()
-	for j := 0; j < e.N; j++ {
-		for i, v := range pt[j*e.D : (j+1)*e.D] {
-			binary.LittleEndian.PutUint32(buf[4*(i*e.N+j):], math.Float32bits(v))
+	entries := e.D * e.S
+	buf := make([]byte, 2*entries+(entries+7)/8)
+	signs := buf[2*entries:]
+	for i := 0; i < e.D; i++ {
+		for k := 0; k < e.S; k++ {
+			j, neg := e.entry(i, k)
+			at := i*e.S + k
+			binary.LittleEndian.PutUint16(buf[2*at:], uint16(j))
+			if neg {
+				signs[at/8] |= 1 << (at % 8)
+			}
 		}
 	}
 	nn, err := w.Write(buf)
 	if err != nil {
-		return n + int64(nn), fmt.Errorf("hdc: write payload: %w", err)
+		return 21 + int64(nn), fmt.Errorf("hdc: write payload: %w", err)
 	}
-	return n + int64(nn), nil
+	return 21 + int64(nn), nil
 }
 
-// ReadEncoder deserializes an encoder written by WriteTo.
+// ReadEncoder deserializes an encoder written by WriteTo. It refuses
+// another format version with ErrEncoderVersion and a malformed v2 file
+// with ErrEncoderLayout.
 func ReadEncoder(r io.Reader) (*Encoder, error) {
 	var hdr [12]byte
-	d, n, err := readHeader(r, &hdr, encoderMagic, "encoder", nil)
+	version, d, err := readHeader(r, &hdr, encoderMagic, "encoder", nil)
 	if err != nil {
 		return nil, err
 	}
-	// int64 product: on 32-bit platforms d=n=2^16 wraps d*n to zero.
-	if d <= 0 || n <= 0 || int64(d)*int64(n) > maxModelElems {
-		return nil, fmt.Errorf("hdc: implausible encoder dims %dx%d", d, n)
-	}
-	var flag [1]byte
-	if _, err := io.ReadFull(r, flag[:]); err != nil {
-		return nil, fmt.Errorf("hdc: read encoder flags: %w", err)
-	}
-	// Phi arrives row-major; scatter one row at a time into the stored
-	// transpose so a load never holds two copies of the projection.
-	e := &Encoder{D: d, N: n, phiT: tensor.New(n, d), Binarize: flag[0] == 1}
-	pt := e.phiT.Data()
-	buf := make([]byte, 4*n)
-	for i := 0; i < d; i++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("hdc: read payload: %w", err)
+	if uint32(version) != encoderVersion {
+		if version > 0 {
+			return nil, fmt.Errorf("%w: dense v1 layout (d=%d)", ErrEncoderVersion, version)
 		}
-		for j := 0; j < n; j++ {
-			pt[j*d+i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
+		return nil, fmt.Errorf("%w: %#x", ErrEncoderVersion, uint32(version))
+	}
+	var rest [9]byte
+	if _, err := io.ReadFull(r, rest[:]); err != nil {
+		return nil, fmt.Errorf("hdc: read encoder header: %w", err)
+	}
+	n := int(int32(binary.LittleEndian.Uint32(rest[0:])))
+	s := int(int32(binary.LittleEndian.Uint32(rest[4:])))
+	// int64 products: on 32-bit platforms d*s can wrap.
+	if d <= 0 || n <= 0 || n > maxFeatures || int64(d)*int64(n) > maxModelElems {
+		return nil, fmt.Errorf("%w: dims %dx%d", ErrEncoderLayout, d, n)
+	}
+	if s != nonZeros(n) {
+		return nil, fmt.Errorf("%w: %d non-zeros per row, want %d for n=%d", ErrEncoderLayout, s, nonZeros(n), n)
+	}
+	entries := d * s
+	buf := make([]byte, 2*entries+(entries+7)/8)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("hdc: read payload: %w", err)
+	}
+	signs := buf[2*entries:]
+	if rest[8] > 1 || entries%8 != 0 && signs[len(signs)-1]>>(entries%8) != 0 {
+		return nil, fmt.Errorf("%w: flags %#x or unused sign bits set", ErrEncoderLayout, rest[8])
+	}
+	e := newPlan(d, n, s)
+	e.Binarize = rest[8] == 1
+	for i := 0; i < d; i++ {
+		prev := -1
+		for k := 0; k < s; k++ {
+			at := i*s + k
+			j := int(binary.LittleEndian.Uint16(buf[2*at:]))
+			if j >= n || j <= prev {
+				return nil, fmt.Errorf("%w: row %d entry %d index %d (previous %d, n=%d)", ErrEncoderLayout, i, k, j, prev, n)
+			}
+			prev = j
+			e.setEntry(i, k, j, signs[at/8]>>(at%8)&1 == 1)
 		}
 	}
 	return e, nil

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fhdnn/internal/tensor"
@@ -53,7 +54,7 @@ func TestEncoderSerializationRoundTrip(t *testing.T) {
 	if got.D != e.D || got.N != e.N || got.Binarize != e.Binarize {
 		t.Fatalf("metadata mismatch: %+v", got)
 	}
-	if !got.phiT.Equal(e.phiT, 0) {
+	if got.S != e.S || !slices.Equal(got.offs, e.offs) {
 		t.Fatal("projection corrupted in round trip")
 	}
 	// behavioural check: identical encodings
@@ -80,24 +81,25 @@ func hashFloats(v []float32) uint64 {
 	return h.Sum64()
 }
 
-// TestEncoderFormatGolden pins the FHDE format and what an encoder read
-// back from it computes. The hashes were recorded when the encoder still
-// stored Phi row-major and encoded through matrix-vector kernels: the
-// bytes of WriteTo (d x n row-major on the wire) must not change, and an
-// encoder restored from them must encode and decode bit-identically.
+// TestEncoderFormatGolden pins the FHDE v2 format and what an encoder read
+// back from it computes: the bytes of WriteTo (header, d*s uint16 indices,
+// packed signs) must not change, and an encoder restored from them must
+// encode and decode bit-identically on every kernel. The hashes were
+// recorded once, when Phi became sparse ternary, on amd64 (AVX) and
+// 386 (the portable kernel) alike.
 func TestEncoderFormatGolden(t *testing.T) {
 	const (
-		wireLen    = 4 + 8 + 1 + 4*257*33
-		decodeHash = 0xacc86fe3b2ae4570
+		wireLen    = 21 + 2*257*32 + 257*32/8 // n = 40: s = 32
+		decodeHash = 0x9e14d91c718b86a0
 	)
 	for _, c := range []struct {
 		binarize     bool
 		wire, encode uint64
 	}{
-		{true, 0xb316fdc71c7b6f97, 0x5a0c36151878f458},
-		{false, 0x59993f60c5a00d20, 0xeccef7bdc93d8578},
+		{true, 0xc99897c9671ba8ac, 0x8b6d85bb0281ee58},
+		{false, 0x9856a65a2d89d74b, 0xf24548b6784d1a35},
 	} {
-		e := NewEncoder(rand.New(rand.NewSource(21)), 257, 33)
+		e := NewEncoder(rand.New(rand.NewSource(21)), 257, 40)
 		e.Binarize = c.binarize
 		var buf bytes.Buffer
 		if _, err := e.WriteTo(&buf); err != nil {
@@ -176,10 +178,61 @@ func TestDimProductOverflow(t *testing.T) {
 	if _, err := ReadModel(bytes.NewReader(model)); !errors.Is(err, ErrModelDims) {
 		t.Fatalf("ReadModel overflowing dims: err %v", err)
 	}
-	enc := append(append([]byte(nil), encoderMagic[:]...), dims.Bytes()...)
+	enc := binary.LittleEndian.AppendUint32(append([]byte(nil), encoderMagic[:]...), encoderVersion)
+	enc = append(enc, dims.Bytes()...)
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(nonZeros(1<<16)))
 	enc = append(enc, 0) // flag byte
-	if _, err := ReadEncoder(bytes.NewReader(enc)); err == nil {
-		t.Fatal("ReadEncoder accepted overflowing dims")
+	if _, err := ReadEncoder(bytes.NewReader(enc)); !errors.Is(err, ErrEncoderLayout) {
+		t.Fatalf("ReadEncoder overflowing dims: err %v", err)
+	}
+}
+
+// TestReadEncoderRefusesMalformed pins ReadEncoder's typed refusals: the
+// dense v1 layout, an unknown version, a non-zero count other than
+// NewEncoder's, an index >= n, a row out of order or with a repeat, and
+// stray flag or padding bits. Every one must say why.
+func TestReadEncoderRefusesMalformed(t *testing.T) {
+	e := NewEncoder(rand.New(rand.NewSource(3)), 5, 40) // s = 32: 160 entries, no padding
+	var buf bytes.Buffer
+	if _, err := e.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := bytes.Clone(buf.Bytes())
+	if got, err := ReadEncoder(bytes.NewReader(valid)); err != nil || !slices.Equal(got.offs, e.offs) {
+		t.Fatalf("valid file: %v", err)
+	}
+	odd := NewEncoder(rand.New(rand.NewSource(3)), 3, 331) // s = 34: 102 entries
+	buf.Reset()
+	if _, err := odd.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pad := append([]byte(nil), buf.Bytes()...)
+	pad[len(pad)-1] |= 0x80
+
+	mut := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), valid...)
+		f(b)
+		return b
+	}
+	v1 := binary.LittleEndian.AppendUint32(append([]byte(nil), encoderMagic[:]...), 5)
+	v1 = append(binary.LittleEndian.AppendUint32(v1, 40), 1)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"dense v1", v1, ErrEncoderVersion},
+		{"version 3", mut(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 1<<31|3) }), ErrEncoderVersion},
+		{"count", mut(func(b []byte) { binary.LittleEndian.PutUint32(b[16:], 15) }), ErrEncoderLayout},
+		{"index n", mut(func(b []byte) { binary.LittleEndian.PutUint16(b[21+2*31:], 40) }), ErrEncoderLayout},
+		{"descending", mut(func(b []byte) { b[21], b[23] = b[23], b[21] }), ErrEncoderLayout},
+		{"repeat", mut(func(b []byte) { copy(b[23:25], b[21:23]) }), ErrEncoderLayout},
+		{"flags", mut(func(b []byte) { b[20] = 2 }), ErrEncoderLayout},
+		{"padding", pad, ErrEncoderLayout},
+	} {
+		if _, err := ReadEncoder(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+			t.Errorf("%s: error %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 

@@ -14,3 +14,8 @@ func skipUnless(ok bool, why string) string {
 	}
 	return why
 }
+
+// archProjectors are the amd64 projection kernels.
+var archProjectors = []namedProjector{
+	{"AVX", avxProjector, skipUnless(tensor.HasAVX(), "no AVX, or the OS does not save the YMM state")},
+}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"fhdnn/internal/tensor"
 )
@@ -11,26 +12,40 @@ type ReLU struct {
 	mask []bool
 }
 
-// Forward applies the rectifier.
+// Forward applies the rectifier: v where v > 0, else +0 (so -0 and NaN
+// give +0). In inference it is one branch-free pass with no mask.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
-	if train {
-		if cap(r.mask) < x.Len() {
-			r.mask = make([]bool, x.Len())
-		}
-		r.mask = r.mask[:x.Len()]
+	if !train {
+		relu(out.Data(), x.Data())
+		return out
 	}
+	if cap(r.mask) < x.Len() {
+		r.mask = make([]bool, x.Len())
+	}
+	r.mask = r.mask[:x.Len()]
 	for i, v := range x.Data() {
 		if v > 0 {
 			out.Data()[i] = v
-			if train {
-				r.mask[i] = true
-			}
-		} else if train {
+			r.mask[i] = true
+		} else {
 			r.mask[i] = false
 		}
 	}
 	return out
+}
+
+// relu sets dst[i] to src[i] where src[i] > 0 and to +0 elsewhere. v > 0
+// holds exactly when v's bits b satisfy 0 < b <= 0x7f800000 (sign clear,
+// not zero, at most +Inf), that is when b-1 < 0x7f800000 as uint32; the
+// borrow of that comparison, done in 64 bits, is the keep mask.
+func relu(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		b := math.Float32bits(v)
+		keep := uint32((uint64(b-1) - 0x7f800000) >> 63)
+		dst[i] = math.Float32frombits(b & -keep)
+	}
 }
 
 // Backward zeroes the gradient where the input was non-positive.

@@ -18,7 +18,8 @@ const gradBlock = 8
 
 // Conv2D is a 2-D convolution over NCHW batches with square stride and
 // zero padding. Weights are stored as [outC, inC*KH*KW] so the forward pass
-// is a single matrix multiply against the im2col lowering of each image.
+// is a single matrix multiply against the im2row lowering of each image
+// (the backward pass uses its transpose, im2col).
 // Batches are split across the shared tensor worker pool
 // (tensor.SetWorkers / FHDNN_WORKERS); outputs and all gradients are
 // bit-identical for every pool size.
@@ -83,14 +84,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outLen := c.OutC * outH * outW
 	colRows := g.ColRows()
 	tensor.ParallelFor(n, func(lo, hi int) {
-		col := getScratch(colLen)
-		defer putScratch(col)
-		colT := tensor.FromSlice(col, colRows, g.ColCols())
+		rows := getScratch(colLen)
+		defer putScratch(rows)
+		rowsT := tensor.FromSlice(rows, g.ColCols(), colRows)
 		for s := lo; s < hi; s++ {
-			g.Im2Col(x.Data()[s*imgLen:(s+1)*imgLen], col)
-			// out_s = W * col^T : [outC, colCols] x [colCols, colRows]
+			g.Im2Row(x.Data()[s*imgLen:(s+1)*imgLen], rows)
+			// out_s = W * rows : [outC, colCols] x [colCols, colRows], the
+			// products and ascending-tap chains of W * col^T
 			outMat := tensor.FromSlice(out.Data()[s*outLen:(s+1)*outLen], c.OutC, colRows)
-			tensor.MatMulTransBInto(outMat, c.weight.W, colT)
+			tensor.MatMulInto(outMat, c.weight.W, rowsT)
 			if c.UseBias {
 				plane := outH * outW
 				base := s * outLen

@@ -54,7 +54,6 @@ func TestGuardNoAliasTransAndAccum(t *testing.T) {
 		{"MatMulAccum", func(dst *Tensor) { MatMulAccum(dst, a, b) }},
 		{"MatMulTransAInto", func(dst *Tensor) { MatMulTransAInto(dst, a, b) }},
 		{"MatMulTransAAccum", func(dst *Tensor) { MatMulTransAAccum(dst, a, b) }},
-		{"MatMulTransBInto", func(dst *Tensor) { MatMulTransBInto(dst, a, b) }},
 	}
 	for _, c := range cases {
 		mustPanicWith(t, c.op+" dst overlaps first input", func() { c.fn(a) })
@@ -90,7 +89,7 @@ func TestGuardPackScratchDisjoint(t *testing.T) {
 	dst := New(64, 64)
 	MatMulInto(dst, a, b)
 	MatMulTransAInto(dst, a, b)
-	MatMulTransBInto(dst, a, b)
+	MatMulTransB(a, b)
 }
 
 // TestOverlapsRanges pins the raw range arithmetic, including the empty

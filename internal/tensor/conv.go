@@ -67,6 +67,55 @@ func (g ConvGeom) Im2Col(img []float32, col []float32) {
 	}
 }
 
+// Im2Row lowers one image (C x H x W, flat slice) into the transpose of
+// Im2Col's matrix, (C*KH*KW) x (OutH*OutW) written into rows: one row per
+// kernel tap (c, ky, kx), one column per output position, padding taps
+// zero. A convolution is then W x rows, a GEMM that reads both operands
+// contiguously. rows must have length ColLen().
+func (g ConvGeom) Im2Row(img []float32, rows []float32) {
+	if len(img) != g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: Im2Row image length %d, want %d", len(img), g.InC*g.InH*g.InW))
+	}
+	outH, outW := g.OutH(), g.OutW()
+	if len(rows) != outH*outW*g.ColCols() {
+		panic(fmt.Sprintf("tensor: Im2Row buffer length %d, want %d", len(rows), outH*outW*g.ColCols()))
+	}
+	idx := 0
+	for c := 0; c < g.InC; c++ {
+		plane := img[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				// Output columns [lo, hi) read inside the image row:
+				// 0 <= ox*Stride - Pad + kx < InW.
+				lo := min(outW, max(0, (g.Pad-kx+g.Stride-1)/g.Stride))
+				hi := lo
+				if last := g.InW - 1 + g.Pad - kx; last >= 0 {
+					hi = max(lo, min(outW, last/g.Stride+1))
+				}
+				for oy := 0; oy < outH; oy++ {
+					dst := rows[idx : idx+outW]
+					idx += outW
+					iy := oy*g.Stride - g.Pad + ky
+					if iy < 0 || iy >= g.InH {
+						clear(dst)
+						continue
+					}
+					src := plane[iy*g.InW:]
+					clear(dst[:lo])
+					if g.Stride == 1 && lo < hi {
+						copy(dst[lo:hi], src[lo-g.Pad+kx:])
+					} else {
+						for ox := lo; ox < hi; ox++ {
+							dst[ox] = src[ox*g.Stride-g.Pad+kx]
+						}
+					}
+					clear(dst[hi:])
+				}
+			}
+		}
+	}
+}
+
 // Col2Im scatters the columns matrix back into an image, accumulating
 // overlapping taps. It is the adjoint of Im2Col and is used for input
 // gradients. img is zeroed first.

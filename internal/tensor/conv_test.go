@@ -159,3 +159,37 @@ func TestGlobalAvgPool(t *testing.T) {
 		t.Fatalf("GAP = %v", out)
 	}
 }
+
+// TestIm2RowIsIm2ColTransposed holds Im2Row to the transpose of Im2Col,
+// element for element, over strides 1-3, paddings 0-2, kernels from 1 x 1
+// up to wider than the image, and images down to 1 x 1, where whole tap
+// rows fall in the padding.
+func TestIm2RowIsIm2ColTransposed(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tried := 0
+	for tried < 300 {
+		g := ConvGeom{
+			InC: 1 + rng.Intn(3), InH: 1 + rng.Intn(7), InW: 1 + rng.Intn(7),
+			KH: 1 + rng.Intn(5), KW: 1 + rng.Intn(5), Stride: 1 + rng.Intn(3), Pad: rng.Intn(3),
+		}
+		if g.OutH() < 1 || g.OutW() < 1 {
+			continue
+		}
+		tried++
+		img := Randn(rng, 1, g.InC*g.InH*g.InW).Data()
+		col := make([]float32, g.ColLen())
+		rows := make([]float32, g.ColLen())
+		for i := range rows {
+			rows[i] = float32(math.NaN()) // every element must be written
+		}
+		g.Im2Col(img, col)
+		g.Im2Row(img, rows)
+		for r := 0; r < g.ColRows(); r++ {
+			for c := 0; c < g.ColCols(); c++ {
+				if math.Float32bits(rows[c*g.ColRows()+r]) != math.Float32bits(col[r*g.ColCols()+c]) {
+					t.Fatalf("%+v: rows[%d][%d] = %v, col[%d][%d] = %v", g, c, r, rows[c*g.ColRows()+r], r, c, col[r*g.ColCols()+c])
+				}
+			}
+		}
+	}
+}

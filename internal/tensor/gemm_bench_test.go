@@ -51,17 +51,6 @@ func BenchmarkMatMulInto256(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulTransBInto256(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	dst, x := New(256, 256), Randn(rng, 1, 256, 256)
-	y := Randn(rng, 1, 256, 256)
-	b.SetBytes(3 * 256 * 256 * 4) // operand bytes per pass
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulTransBInto(dst, x, y)
-	}
-}
-
 func BenchmarkMatMulTransAInto256(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	dst, x := New(256, 256), Randn(rng, 1, 256, 256)

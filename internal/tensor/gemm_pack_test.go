@@ -63,9 +63,9 @@ func TestGEMMShapesBitIdenticalAcrossWorkers(t *testing.T) {
 			{"MatMulTransA", at, b, 1, m, n, 1,
 				func(d *Tensor) { MatMulTransAInto(d, at, b) },
 				func(d *Tensor) { MatMulTransAAccum(d, at, b) }},
-			// TransB has no exported Accum; its chain is gemm's with accum set.
+			// TransB has no exported Into or Accum; both run gemm directly.
 			{"MatMulTransB", a, bt, k, 1, 1, k,
-				func(d *Tensor) { MatMulTransBInto(d, a, bt) },
+				func(d *Tensor) { gemm(d.data, a.data, bt.data, m, k, n, k, 1, 1, k, false) },
 				func(d *Tensor) { gemm(d.data, a.data, bt.data, m, k, n, k, 1, 1, k, true) }},
 		}
 		for _, l := range layouts {
@@ -142,7 +142,7 @@ func TestPackedGEMMZeroAllocsSerial(t *testing.T) {
 		for name, fn := range map[string]func(){
 			"MatMulTransAInto":  func() { MatMulTransAInto(dst, at, b) },
 			"MatMulTransAAccum": func() { MatMulTransAAccum(dst, at, b) },
-			"MatMulTransBInto":  func() { MatMulTransBInto(dst, a, bt) },
+			"gemm TransB":       func() { gemm(dst.data, a.data, bt.data, m, k, n, k, 1, 1, k, false) },
 		} {
 			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 				t.Errorf("%s %v: %v allocs/op, want 0", name, sh, allocs)

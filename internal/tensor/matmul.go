@@ -102,22 +102,10 @@ func checkMatMulTransB(a, b *Tensor) (m, k, n int) {
 }
 
 // MatMulTransB computes C = A * B^T where A is m x k and B is n x k,
-// producing m x n. Used for input gradients, dot-product-shaped forwards
-// (Linear, Conv2D-over-im2col) and the contrastive loss.
+// producing m x n. Used by Linear's forward and the contrastive loss.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulTransB(a, b)
 	c := New(m, n)
 	gemm(c.data, a.data, b.data, m, k, n, k, 1, 1, k, false)
 	return c
-}
-
-// MatMulTransBInto computes C = A * B^T into dst (m x n), overwriting it.
-// It performs no allocation when the pool has a single worker.
-//
-//fhdnn:hotpath dot-product kernel behind Linear and Conv2D
-func MatMulTransBInto(dst, a, b *Tensor) {
-	m, k, n := checkMatMulTransB(a, b)
-	checkDst("MatMulTransBInto", dst, m, n)
-	guardNoAlias("MatMulTransBInto", dst.data, a.data, b.data)
-	gemm(dst.data, a.data, b.data, m, k, n, k, 1, 1, k, false)
 }
