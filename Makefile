@@ -47,14 +47,17 @@ lint-ci:
 # format, and the upload handler in front of them, for 20s per target on
 # amd64 and again on 386, where int is 32 bits and a uint32 count can wrap
 # negative (386 fuzzing runs without coverage guidance, and still finds
-# such wraps in under a second). Every target gets its turn; a crasher
+# such wraps in under a second). One commit kernel rides along:
+# FuzzRobustCommit checks the robust commits against their sort oracles,
+# through the AVX-512 block select on amd64 and the portable path on 386.
+# Every target gets its turn; a crasher
 # lands in its package's testdata/fuzz/<target>/ and fails the run, and
 # CI uploads those directories. A new exported Decode*/Read* in a wire
 # package lands with a target here.
 fuzz:
 	@st=0; \
 	for arch in amd64 386; do \
-		for t in fedcore.FuzzEnvelopeDecode hdc.FuzzReadModel hdc.FuzzReadEncoder nn.FuzzScanParams flnet.FuzzRoundQuery flnet.FuzzUpload; do \
+		for t in fedcore.FuzzEnvelopeDecode fedcore.FuzzRobustCommit hdc.FuzzReadModel hdc.FuzzReadEncoder nn.FuzzScanParams flnet.FuzzRoundQuery flnet.FuzzUpload; do \
 			echo "fuzz: GOARCH=$$arch $$t"; \
 			GOARCH=$$arch $(GO) test -run='^$$' -fuzz="^$${t#*.}\$$" -fuzztime=20s ./internal/$${t%.*} || st=1; \
 		done; \

@@ -318,8 +318,11 @@ func TestAblationQuantizerProtects(t *testing.T) {
 		if with.Setting != "with quantizer" {
 			with, without = without, with
 		}
-		if with.Accuracy < without.Accuracy-0.05 {
-			t.Fatalf("quantizer (%v) should not trail raw float32 (%v) under bit errors",
+		// Raw float32 collapses at BER 1e-3 (0.10-0.25 at seeds 1-5)
+		// while the quantizer keeps 0.63-0.75; a quantizer that sends
+		// nothing (every code 0) lands within 0.05 of raw at every seed.
+		if with.Accuracy < without.Accuracy+0.25 {
+			t.Fatalf("quantizer (%v) should beat raw float32 (%v) under bit errors by 0.25",
 				with.Accuracy, without.Accuracy)
 		}
 	})

@@ -108,9 +108,11 @@ func (c *columns) Reset() {
 
 // commit sets global[j] = pick(col, tmp) for every coordinate j, where col
 // holds the orderKey of coordinate j in every row and tmp is scratch of
-// the same length; pick may clobber both. An empty round leaves global
-// untouched.
-func (c *columns) commit(global []float32, kind string, pick func(col, tmp []uint32) float32) {
+// the same length; pick may clobber both. When block is not nil, it is
+// offered each whole block of colBlock coordinates first, with the rows
+// and colBlock*len(rows) keys of scratch; where it reports true it has
+// committed the block itself. An empty round leaves global untouched.
+func (c *columns) commit(global []float32, kind string, block func(dst []float32, rows [][]float32, j0 int, blk []uint32) bool, pick func(col, tmp []uint32) float32) {
 	n := len(c.rows)
 	if n == 0 {
 		return
@@ -133,6 +135,9 @@ func (c *columns) commit(global []float32, kind string, pick func(col, tmp []uin
 			for b := s * blocks / stripes; b < (s+1)*blocks/stripes; b++ {
 				j0 := b * colBlock
 				w := min(colBlock, len(global)-j0)
+				if w == colBlock && block != nil && block(global[j0:j0+w], rows, j0, blk) {
+					continue
+				}
 				for i, row := range rows {
 					for jj, v := range row[j0 : j0+w] {
 						blk[jj*n+i] = orderKey(v)
@@ -177,16 +182,21 @@ func (a *Median) Add(u Update) { a.add(u, "Median") }
 // Commit implements Aggregator.
 //
 //fhdnn:hotpath applies the round aggregate in place
-func (a *Median) Commit(global []float32) { a.commit(global, "Median", medianOf) }
+func (a *Median) Commit(global []float32) { a.commit(global, "Median", medianBlock, medianOf) }
 
 // medianOf is the median of one coordinate's keys.
 func medianOf(col, tmp []uint32) float32 {
-	n := len(col)
-	lo, hi := tensor.Select(col, tmp, n/2)
+	below, at := tensor.Select(col, tmp, len(col)/2)
+	return medianOfRanks(below, at, len(col))
+}
+
+// medianOfRanks is the median of n values whose keys of ranks n/2-1 and
+// n/2 are below and at; below is read only for even n.
+func medianOfRanks(below, at uint32, n int) float32 {
 	if n%2 == 1 {
-		return fromOrderKey(hi)
+		return fromOrderKey(at)
 	}
-	return float32((float64(fromOrderKey(lo)) + float64(fromOrderKey(hi))) / 2)
+	return float32((float64(fromOrderKey(below)) + float64(fromOrderKey(at))) / 2)
 }
 
 // Name returns the policy spec string.
@@ -229,7 +239,7 @@ func (a *TrimmedMean) Commit(global []float32) {
 	n := len(a.rows)
 	k := a.Trim(n)
 	inv := 1 / float64(n-2*k)
-	a.commit(global, "TrimmedMean", func(col, _ []uint32) float32 {
+	a.commit(global, "TrimmedMean", nil, func(col, _ []uint32) float32 {
 		slices.Sort(col)
 		var sum float64
 		for _, key := range col[k : n-k] {

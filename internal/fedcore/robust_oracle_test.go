@@ -1,6 +1,7 @@
 package fedcore
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -158,6 +159,9 @@ func TestRobustCommitMatchesSortOracle(t *testing.T) {
 func FuzzRobustCommit(f *testing.F) {
 	f.Add([]byte{0, 0, 0x80, 0x3f, 0, 0, 0, 0x40, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff}, uint8(2), uint8(25))
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0x80, 0x7f, 9, 9, 9, 9, 0, 0, 0x40, 0x40}, uint8(3), uint8(40))
+	// 10 rows of 17 columns: one whole block for the lane kernel, with an
+	// even n for its rank n/2-1 pass, and a partial block after it.
+	f.Add(bytes.Repeat([]byte{0, 0, 0x80, 0x3f, 0, 0, 0x20, 0xc0, 1, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x7f, 0x10, 0, 0, 0x80}, 34), uint8(9), uint8(10))
 	f.Fuzz(func(t *testing.T, data []byte, rowsIn, pct uint8) {
 		n := 1 + int(rowsIn)%32
 		d := len(data) / 4 / n

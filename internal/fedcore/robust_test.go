@@ -352,3 +352,32 @@ func TestParseAggregatorRejectsTyped(t *testing.T) {
 		}
 	}
 }
+
+// A warm robust commit allocates only what tensor.ParallelFor does: the
+// stripe closure, and at 2 workers the helper goroutine; the block
+// kernel's key array stays on the stack. The counts are the row-arena
+// commit's, before the block select.
+func TestRobustCommitAllocs(t *testing.T) {
+	defer tensor.SetWorkers(tensor.Workers())
+	rows := robustRows(rand.New(rand.NewSource(5)), "fleet", 197, 20*colBlock+5)
+	for _, c := range []struct {
+		agg     Aggregator
+		workers int
+		max     float64
+	}{
+		{&Median{}, 1, 1},
+		{&Median{}, 2, 4},
+		{&TrimmedMean{Frac: 0.2}, 1, 2},
+		{&TrimmedMean{Frac: 0.2}, 2, 5},
+	} {
+		tensor.SetWorkers(c.workers)
+		for _, row := range rows {
+			c.agg.Add(Update{Params: row, Samples: 1})
+		}
+		global := make([]float32, len(rows[0]))
+		c.agg.Commit(global) // sizes the key scratch
+		if allocs := testing.AllocsPerRun(20, func() { c.agg.Commit(global) }); allocs > c.max {
+			t.Errorf("%s at %d workers: %v allocs per commit, want <= %v", AggregatorName(c.agg), c.workers, allocs, c.max)
+		}
+	}
+}

@@ -211,13 +211,38 @@ func TestServerClosesAfterMaxRounds(t *testing.T) {
 // problem.
 func encodedClusters(t *testing.T, numClients int) (shards []*tensor.Tensor, labels [][]int, testEnc *tensor.Tensor, testLabels []int, k, d int) {
 	t.Helper()
-	k, d = 4, 1024
-	rng := rand.New(rand.NewSource(7))
 	train := dataset.GenerateVectors(dataset.VectorConfig{
-		Name: "c", Classes: k, Features: 16, PerClass: 20, ClassStd: 2, SampleStd: 0.8, Seed: 3})
+		Name: "c", Classes: 4, Features: 16, PerClass: 20, ClassStd: 2, SampleStd: 0.8, Seed: 3})
 	test := dataset.GenerateVectors(dataset.VectorConfig{
-		Name: "c", Classes: k, Features: 16, PerClass: 6, ClassStd: 2, SampleStd: 0.8, Seed: 3})
-	enc := hdc.NewEncoder(rng, d, 16)
+		Name: "c", Classes: 4, Features: 16, PerClass: 6, ClassStd: 2, SampleStd: 0.8, Seed: 3})
+	return encodeShards(rand.New(rand.NewSource(7)), train, test, numClients)
+}
+
+// heldOutClusters is encodedClusters' task drawn at one fixture seed,
+// with 50 samples of every class held out: one draw of 70 samples per
+// class, the first 20 for training and the rest for the test set. seed
+// also draws the encoder and the partition.
+func heldOutClusters(t *testing.T, numClients int, seed int64) (shards []*tensor.Tensor, labels [][]int, testEnc *tensor.Tensor, testLabels []int, k, d int) {
+	t.Helper()
+	const trainPerClass, testPerClass = 20, 50
+	all := dataset.GenerateVectors(dataset.VectorConfig{
+		Name: "c", Classes: 4, Features: 16, PerClass: trainPerClass + testPerClass, ClassStd: 2, SampleStd: 0.8, Seed: seed})
+	var trainIdx, testIdx []int
+	for i := range all.Len() {
+		if i%(trainPerClass+testPerClass) < trainPerClass {
+			trainIdx = append(trainIdx, i)
+		} else {
+			testIdx = append(testIdx, i)
+		}
+	}
+	return encodeShards(rand.New(rand.NewSource(seed)), all.Subset(trainIdx), all.Subset(testIdx), numClients)
+}
+
+// encodeShards encodes train and test with a d = 1024 encoder drawn from
+// rng and splits the encoded training set IID over numClients.
+func encodeShards(rng *rand.Rand, train, test *dataset.Dataset, numClients int) (shards []*tensor.Tensor, labels [][]int, testEnc *tensor.Tensor, testLabels []int, k, d int) {
+	k, d = train.NumClasses, 1024
+	enc := hdc.NewEncoder(rng, d, train.SampleLen())
 	encAll := enc.EncodeBatch(train.X)
 	part := dataset.PartitionIID(train.Len(), numClients, rng)
 	for _, idx := range part {

@@ -22,11 +22,12 @@ import (
 // Clients cycle through the nil-Codec default and the dense codecs so the
 // robust aggregators are exercised against lossless and lossy envelopes.
 // Colluding clients train honestly and then corrupt their upload's delta
-// against the downloaded global. Returns the final model's accuracy.
-func runRobustFederation(t *testing.T, agg fedcore.Aggregator, attacker *faults.Poisoner, colluders map[int]bool) float64 {
+// against the downloaded global. The data is heldOutClusters' at seed.
+// Returns the final model's accuracy.
+func runRobustFederation(t *testing.T, seed int64, agg fedcore.Aggregator, attacker *faults.Poisoner, colluders map[int]bool) float64 {
 	t.Helper()
 	const numClients, rounds = 10, 5
-	shards, labels, testEnc, testLabels, k, d := encodedClusters(t, numClients)
+	shards, labels, testEnc, testLabels, k, d := heldOutClusters(t, numClients, seed)
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses: k,
 		Dim:        d,
@@ -96,78 +97,64 @@ func runRobustFederation(t *testing.T, agg fedcore.Aggregator, attacker *faults.
 // robust-aggregation layer: 10 networked clients, 4 of them colluding
 // poisoners running the scaled sign-flip attack (delta x -2: finite,
 // norm-plausible, undetectable by the quarantine gate). Under the default
-// mean-based bundle policy the poison drags the global model to chance;
-// coordinate-wise median keeps accuracy within a small epsilon of the
-// poison-free baseline, and so does the trimmed mean once its trim
-// fraction covers the Byzantine fraction (trimmed:0.4 excludes all 4
-// attackers per coordinate). trimmed:0.25 sits past its breakdown point —
-// it trims 3 values per side, so one attacker survives every trim — and
-// must degrade only gracefully: far above the collapsed mean, below the
-// covered policies. That ordering is the Yin et al. trimmed-mean theory
-// reproduced over a real wire. Mixed wire codecs prove the robust
-// policies compose with every envelope. Seeded end to end; run under
-// -race -shuffle=on by make chaos.
+// mean-based bundle policy the poison drags the global model to chance.
+// Coordinate-wise median, the trimmed mean whose trim fraction covers the
+// Byzantine fraction (trimmed:0.4 excludes all 4 attackers per
+// coordinate), and trimmed:0.25, past its breakdown point (it trims 3
+// values per side, so one attacker survives every trim), must all keep
+// the model far above the collapsed mean. That ordering is the Yin et al.
+// trimmed-mean theory reproduced over a real wire. Mixed wire codecs
+// prove the robust policies compose with every envelope.
+//
+// It asserts at fixture seeds 1-5, each drawing the data, encoder,
+// partition, colluders and attack, with 50 held-out test samples per
+// class. The median does not hold within 0.05 of its clean run at every
+// seed: at seed 2 it reads 0.75-0.79 against 1.000 at every test-set
+// size tried (EXPERIMENTS.md, "The median under attack across fixture seeds"), so
+// that claim is retracted for this 16-feature task (DESIGN.md Sec. 10).
+// Seeded end to end; run under -race -shuffle=on by make chaos.
 func TestByzantineRobustAggregation(t *testing.T) {
-	const attackSeed = 7
-	colluders := faults.Colluders(attackSeed, 10, 0.4)
-	if len(colluders) != 4 {
-		t.Fatalf("colluder set %v, want 4 of 10", colluders)
-	}
-	attack := func() *faults.Poisoner {
-		return &faults.Poisoner{Kind: faults.AttackScale, Lambda: -2, Seed: attackSeed}
-	}
-
-	type result struct {
-		name            string
-		clean, poisoned float64
-	}
-	results := make(map[string]result)
 	order := []string{"bundle", "median", "trimmed:0.25", "trimmed:0.4"}
-	for _, spec := range order {
-		build := func() fedcore.Aggregator {
-			agg, err := fedcore.ParseAggregator(spec)
-			if err != nil {
-				t.Fatal(err)
+	for seed := int64(1); seed <= 5; seed++ {
+		colluders := faults.Colluders(seed, 10, 0.4)
+		if len(colluders) != 4 {
+			t.Fatalf("seed %d: colluder set %v, want 4 of 10", seed, colluders)
+		}
+		clean := make(map[string]float64)
+		poisoned := make(map[string]float64)
+		for _, spec := range order {
+			build := func() fedcore.Aggregator {
+				agg, err := fedcore.ParseAggregator(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return agg
 			}
-			return agg
+			attack := &faults.Poisoner{Kind: faults.AttackScale, Lambda: -2, Seed: seed}
+			clean[spec] = runRobustFederation(t, seed, build(), nil, nil)
+			poisoned[spec] = runRobustFederation(t, seed, build(), attack, colluders)
+			t.Logf("seed %d %-14s clean %.3f  poisoned(40%% scale:-2) %.3f", seed, spec, clean[spec], poisoned[spec])
 		}
-		clean := runRobustFederation(t, build(), nil, nil)
-		poisoned := runRobustFederation(t, build(), attack(), colluders)
-		results[spec] = result{spec, clean, poisoned}
-	}
 
-	t.Log("aggregator      clean  poisoned(40% scale:-2)")
-	for _, spec := range order {
-		r := results[spec]
-		t.Logf("%-14s %.3f  %.3f", r.name, r.clean, r.poisoned)
-	}
-
-	const eps = 0.05 // covered robust policies stay within eps of their clean run
-	for _, spec := range order {
-		r := results[spec]
-		if r.clean < 0.85 {
-			t.Errorf("%s: clean accuracy %.3f, want >= 0.85 (baseline too weak to test against)", r.name, r.clean)
+		for _, spec := range order {
+			if clean[spec] < 0.85 {
+				t.Errorf("seed %d %s: clean accuracy %.3f, want >= 0.85 (baseline too weak to test against)", seed, spec, clean[spec])
+			}
 		}
-	}
-	bundle, median := results["bundle"], results["median"]
-	partial, covered := results["trimmed:0.25"], results["trimmed:0.4"]
-	// The mean-based policy must measurably degrade — that is what makes
-	// the robust rows meaningful.
-	if bundle.poisoned > bundle.clean-0.30 {
-		t.Errorf("bundle under poison %.3f vs clean %.3f: attack too weak to demonstrate anything",
-			bundle.poisoned, bundle.clean)
-	}
-	for _, r := range []result{median, covered} {
-		if r.poisoned < r.clean-eps {
-			t.Errorf("%s under poison %.3f vs clean %.3f: robust policy failed to hold within %.2f",
-				r.name, r.poisoned, r.clean, eps)
+		// The mean-based policy must measurably degrade — that is what
+		// makes the robust rows meaningful.
+		if poisoned["bundle"] > clean["bundle"]-0.30 {
+			t.Errorf("seed %d: bundle under poison %.3f vs clean %.3f: attack too weak to demonstrate anything",
+				seed, poisoned["bundle"], clean["bundle"])
 		}
-	}
-	// Past its breakdown point, the trimmed mean loses accuracy but not
-	// the model: it must stay far above the collapsed mean.
-	if partial.poisoned < bundle.poisoned+0.40 {
-		t.Errorf("trimmed:0.25 under poison %.3f vs bundle %.3f: graceful-degradation margin lost",
-			partial.poisoned, bundle.poisoned)
+		// Every robust policy, the one past its breakdown point too, loses
+		// at most some accuracy but not the model.
+		for _, spec := range order[1:] {
+			if poisoned[spec] < poisoned["bundle"]+0.40 {
+				t.Errorf("seed %d: %s under poison %.3f vs bundle %.3f: robust policy did not hold the model",
+					seed, spec, poisoned[spec], poisoned["bundle"])
+			}
+		}
 	}
 }
 
