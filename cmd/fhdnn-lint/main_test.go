@@ -106,7 +106,7 @@ func TestEveryRuleHasAnExitBit(t *testing.T) {
 			t.Errorf("rule %s has no exit bit", r)
 			continue
 		}
-		if bit != 128 && (bit <= 0 || bit&(bit-1) != 0 || bit > 32) {
+		if bit <= 0 || bit&(bit-1) != 0 || bit > 32 {
 			t.Errorf("rule %s has non-power-of-two bit %d", r, bit)
 		}
 	}

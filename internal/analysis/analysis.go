@@ -1,11 +1,10 @@
 // Package analysis is fhdnn-lint: a from-scratch static analyzer, built
 // only on the standard library's go/parser, go/ast and go/types, that
-// machine-checks the invariants this repo's correctness claims rest on —
-// bit-identical parallel kernels, deterministic federated rounds, and a
-// lossy-channel-safe wire path. The compiler cannot see any of these;
-// until now they lived only in tests (the worker-count bit-equality
-// suite, the envelope fuzzer). Each rule below turns one of them into a
-// diagnostic with a file:line position.
+// machine-checks the invariants no test run can see: deterministic
+// federated rounds, one bounded worker pool, and a wire path that drops
+// no error and never writes to stdout or panics on hostile input. Each
+// rule below turns one of them into a diagnostic with a file:line
+// position.
 //
 // Rules:
 //
@@ -28,26 +27,15 @@
 //	             log package, and the wire packages must not panic —
 //	             malformed network input must surface as typed errors
 //	             (programmer-error checks go through invariant.Failf).
-//	float64      no float64 intermediates introduced into float32
-//	             kernels (internal/tensor): a float64 partial product
-//	             changes rounding and silently breaks the bit-equality
-//	             contract between serial and parallel execution.
 //
-// The *Into/*Accum kernels' non-overlap contract is not a rule here: the
-// exact runtime guard (internal/tensor, -tags fhdnndebug) checks it at
-// every call.
-//
-// The call-graph rule below runs on a module-wide static call graph
-// (callgraph.go):
-//
-//	hotalloc     functions annotated //fhdnn:hotpath, and everything
-//	             reachable from them in the call graph, must not
-//	             allocate (make/new/append/boxing conversions/fmt);
-//	             panic and invariant.Fail* arguments are exempt.
-//
-// The wire decoders' hostile-frame contract is not a rule here either:
-// the decode surface's fuzz targets check it (make fuzz, on amd64 and
-// 386).
+// Three contracts are checked at run time instead, by the tests that
+// would fail on a violation (DESIGN.md Sec. 9 tables each hazard and the
+// test that catches it): the *Into/*Accum kernels' non-overlap contract
+// (the exact guard under -tags fhdnndebug), the wire decoders'
+// hostile-frame contract (the decode surface's fuzz targets, make fuzz),
+// and the allocation-free per-sample and per-update loops and float32
+// kernel chains (the AllocsPerRun pins and the kernel bit-equality
+// tests, on amd64 and 386).
 //
 // A finding is suppressed by a directive comment on the same line or the
 // line directly above:
@@ -63,7 +51,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-	"time"
 	"unicode"
 )
 
@@ -73,8 +60,10 @@ import (
 // wire-taint rules (taintalloc, taintindex, taintloop); v5 retired
 // goleak, chandisc, wgproto, atomicmix, lockheld and ctxflow; v6 retired
 // aliasing and its reaching-definitions layer; v7 retired the wire-taint
-// rules and the CFG layer under them (make fuzz covers the decoders).
-const Version = "7.0.0"
+// rules and the CFG layer under them (make fuzz covers the decoders); v8
+// retired hotalloc, its module call graph and float64 (the allocation
+// pins and the kernel bit-equality tests catch what they guarded).
+const Version = "8.0.0"
 
 // Rule names, in exit-code bit order (see cmd/fhdnn-lint).
 const (
@@ -82,18 +71,20 @@ const (
 	RuleGoroutine   = "goroutine"
 	RuleWireError   = "wire-error"
 	RulePrintPanic  = "print-panic"
-	RuleFloat64     = "float64"
 	// RuleAllow reports malformed or unused suppression directives.
 	RuleAllow = "allow"
-	// Call-graph rule (exit-code bit 128, see cmd/fhdnn-lint).
-	RuleHotAlloc = "hotalloc"
 )
 
 // AllRules lists every diagnostic rule in canonical order.
-var AllRules = []string{
-	RuleDeterminism, RuleGoroutine, RuleWireError, RulePrintPanic, RuleFloat64,
-	RuleHotAlloc,
-}
+var AllRules = []string{RuleDeterminism, RuleGoroutine, RuleWireError, RulePrintPanic}
+
+// retiredRules are rules that no longer run but whose directives the
+// audit still accepts as well formed and never reports as stale, the way
+// a -rules subset treats the rules it skips. It exists for the one
+// hotalloc directive left in bench/train.go, which only a change to the
+// benchmark may remove; ROADMAP item 4(a) deletes this set together with
+// that line. Every other retired rule's directive is malformed.
+var retiredRules = map[string]bool{"hotalloc": true}
 
 // Diagnostic is one finding, positioned for editors and CI annotations.
 type Diagnostic struct {
@@ -108,12 +99,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
 }
 
-// RuleTiming is the wall time one rule (or shared engine stage) took.
-type RuleTiming struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-}
-
 // Result is a completed analysis run.
 type Result struct {
 	// Diags are the active findings, sorted by file, line, column.
@@ -123,25 +108,6 @@ type Result struct {
 	Suppressed []Diagnostic
 	// Packages is the number of packages linted.
 	Packages int
-	// Timing records per-rule wall time plus the shared stages ("load",
-	// "callgraph"), in execution order (see the -timing flag).
-	Timing []RuleTiming
-}
-
-// moduleGraph builds the call graph hotalloc walks over every loaded
-// package, sorted by import path, so a closure never stops at a package
-// boundary.
-func moduleGraph(l *loader) *callGraph {
-	paths := make([]string, 0, len(l.pkgs))
-	for path := range l.pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	all := make([]*pkg, 0, len(paths))
-	for _, path := range paths {
-		all = append(all, l.pkgs[path])
-	}
-	return buildCallGraph(all)
 }
 
 // Run lints the module rooted at root. Patterns are package directory
@@ -159,13 +125,6 @@ func Run(root string, patterns []string, rules []string) (*Result, error) {
 		enabled[r] = true
 	}
 
-	res := &Result{}
-	timed := func(name string, fn func()) {
-		t0 := time.Now()
-		fn()
-		res.Timing = append(res.Timing, RuleTiming{Name: name, Seconds: time.Since(t0).Seconds()})
-	}
-
 	l, err := newLoader(root)
 	if err != nil {
 		return nil, err
@@ -175,56 +134,19 @@ func Run(root string, patterns []string, rules []string) (*Result, error) {
 		return nil, err
 	}
 
-	// Load everything first: the per-package rules only need their own
-	// package, but the module-wide rules walk the call graph and need the
-	// whole pattern set (plus its dependencies) type-checked.
-	loaded := make([]*pkg, 0, len(paths))
-	var loadErr error
-	timed("load", func() {
-		for _, path := range paths {
-			p, err := l.load(path)
-			if err != nil {
-				loadErr = err
-				return
-			}
-			loaded = append(loaded, p)
+	res := &Result{Packages: len(paths)}
+	for _, path := range paths {
+		p, err := l.load(path)
+		if err != nil {
+			return nil, err
 		}
-	})
-	if loadErr != nil {
-		return nil, loadErr
-	}
-
-	// Rule-major iteration so -timing attributes wall time per rule; the
-	// final output order is fixed by sortDiags, and suppression matching
-	// is keyed by (file, line, rule), so the collection order is free.
-	found := make(map[*pkg][]Diagnostic, len(loaded))
-	for _, rule := range ruleFuncs {
-		if !enabled[rule.name] {
-			continue
+		var found []Diagnostic
+		for _, rule := range ruleFuncs {
+			if enabled[rule.name] {
+				found = append(found, rule.run(l, p)...)
+			}
 		}
-		rule := rule
-		timed(rule.name, func() {
-			for _, p := range loaded {
-				found[p] = append(found[p], rule.run(l, p)...)
-			}
-		})
-	}
-
-	// hotalloc is module-wide: it walks the call graph, whose build is
-	// the dominant fixed cost and gets its own -timing row.
-	if enabled[RuleHotAlloc] {
-		var g *callGraph
-		timed("callgraph", func() { g = moduleGraph(l) })
-		timed(RuleHotAlloc, func() {
-			for p, ds := range checkHotAlloc(l, g, loaded) {
-				found[p] = append(found[p], ds...)
-			}
-		})
-	}
-
-	res.Packages = len(loaded)
-	for _, p := range loaded {
-		active, suppressed, bad := applySuppressions(l.fset, p, found[p], enabled)
+		active, suppressed, bad := applySuppressions(l.fset, p, found, enabled)
 		res.Diags = append(res.Diags, active...)
 		res.Diags = append(res.Diags, bad...)
 		res.Suppressed = append(res.Suppressed, suppressed...)
@@ -263,9 +185,6 @@ var ruleFuncs = []namedRule{
 	{RuleGoroutine, checkGoroutines},
 	{RuleWireError, checkWireErrors},
 	{RulePrintPanic, checkPrintPanic},
-	{RuleFloat64, checkFloat64},
-	// hotalloc is module-wide (call-graph closures) and runs separately
-	// in Run, not per package.
 }
 
 // AllowPrefix starts a suppression directive comment.
@@ -318,7 +237,8 @@ func parseAllows(fset *token.FileSet, f *ast.File) []*allowDirective {
 // directly below (so it can trail the offending statement or sit on its
 // own line above it). Malformed directives — unknown rule or missing
 // reason — become findings themselves, as do directives that suppress
-// nothing: a stale exception must not outlive the code it excused.
+// nothing: a stale exception must not outlive the code it excused. A
+// directive naming a retired rule with a reason is neither.
 func applySuppressions(fset *token.FileSet, p *pkg, found []Diagnostic, enabled map[string]bool) (active, suppressed, bad []Diagnostic) {
 	var directives []*allowDirective
 	for _, f := range p.Files {
@@ -333,6 +253,9 @@ func applySuppressions(fset *token.FileSet, p *pkg, found []Diagnostic, enabled 
 		return fmt.Sprintf("%s:%d:%s", file, line, rule)
 	}
 	for _, d := range directives {
+		if retiredRules[d.rule] && d.reason != "" {
+			continue
+		}
 		if !known[d.rule] || d.reason == "" {
 			bad = append(bad, Diagnostic{
 				Rule: RuleAllow, File: d.pos.Filename, Line: d.line, Col: d.pos.Column,

@@ -102,10 +102,6 @@ func calleeName(call *ast.CallExpr) string {
 	return "call"
 }
 
-// isFloat32 and isFloat64 classify basic types.
-func isFloat32(t types.Type) bool { return basicKind(t) == types.Float32 }
-func isFloat64(t types.Type) bool { return basicKind(t) == types.Float64 }
-
 func basicKind(t types.Type) types.BasicKind {
 	if t == nil {
 		return types.Invalid

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fhdnn/internal/compress"
+	"fhdnn/internal/tensor"
 )
 
 // encodeEnvelopeOracle is EncodeEnvelope as it was before the one-buffer
@@ -114,10 +115,14 @@ func TestWireBytesIsEnvelopeLength(t *testing.T) {
 	}
 }
 
-// A warm Bundle or FedAvg — one that has run a round and been Reset —
-// allocates nothing for a round of Add, Commit and Reset, and commits the
-// bits a fresh aggregator commits, also for a round shorter than the last.
+// A warm aggregator — one that has run a round and been Reset — commits
+// the bits a fresh one commits, also for a round shorter than the last,
+// and a warm round of Add, Commit and Reset allocates at most its row's
+// count: nothing for the sums and the clip, what tensor.ParallelFor costs
+// for the robust commits, and the fresh commit root for the sharded tree.
+// An allocation in any policy's Add would add one per update.
 func TestWarmAccumulatorReused(t *testing.T) {
+	defer tensor.SetWorkers(tensor.Workers())
 	rng := rand.New(rand.NewSource(4))
 	round := func(n int) []Update {
 		ups := make([]Update, 3)
@@ -126,7 +131,7 @@ func TestWarmAccumulatorReused(t *testing.T) {
 			for j := range p {
 				p[j] = float32(rng.NormFloat64())
 			}
-			ups[i] = Update{Params: p, Samples: 1 + i}
+			ups[i] = Update{Params: p, Samples: 1 + i, Client: i}
 		}
 		return ups
 	}
@@ -139,32 +144,50 @@ func TestWarmAccumulatorReused(t *testing.T) {
 		a.Reset()
 		return g
 	}
-	for name, mk := range map[string]func() Aggregator{
-		"bundle": func() Aggregator { return &Bundle{} },
-		"fedavg": func() Aggregator { return &FedAvg{} },
+	sharded := func() Aggregator {
+		s, err := NewSharded(2, func() Aggregator { return &Bundle{} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		mk   func() Aggregator
+		most [2]float64 // allocations per warm round at 1 and 2 workers
+	}{
+		{"bundle", func() Aggregator { return &Bundle{} }, [2]float64{0, 0}},
+		{"fedavg", func() Aggregator { return &FedAvg{} }, [2]float64{0, 0}},
+		{"median", func() Aggregator { return &Median{} }, [2]float64{1, 4}},
+		{"trimmed", func() Aggregator { return &TrimmedMean{Frac: 0.2} }, [2]float64{2, 5}},
+		{"normclip", func() Aggregator { return &NormClip{Inner: &Bundle{}, Bound: 10} }, [2]float64{0, 0}},
+		{"sharded", sharded, [2]float64{2, 2}},
 	} {
-		warm := mk()
-		commit(warm, round(1000))
-		for _, n := range []int{1000, 10, 1000} {
-			ups := round(n)
-			got, want := commit(warm, ups), commit(mk(), ups)
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%s, %d values: warm commit entry %d = %v, fresh %v", name, n, i, got[i], want[i])
+		for w, most := range c.most {
+			tensor.SetWorkers(w + 1)
+			warm := c.mk()
+			commit(warm, round(1000))
+			for _, n := range []int{1000, 10, 1000} {
+				ups := round(n)
+				got, want := commit(warm, ups), commit(c.mk(), ups)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s, %d values: warm commit entry %d = %v, fresh %v", c.name, n, i, got[i], want[i])
+					}
 				}
 			}
-		}
-		ups := round(1000)
-		g := make([]float32, 1000)
-		allocs := testing.AllocsPerRun(10, func() {
-			for _, u := range ups {
-				warm.Add(u)
+			ups := round(1000)
+			g := make([]float32, 1000)
+			allocs := testing.AllocsPerRun(10, func() {
+				for _, u := range ups {
+					warm.Add(u)
+				}
+				warm.Commit(g)
+				warm.Reset()
+			})
+			if allocs > most {
+				t.Errorf("%s at %d workers: a warm round made %.1f allocations, want <= %v", c.name, w+1, allocs, most)
 			}
-			warm.Commit(g)
-			warm.Reset()
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: a warm round made %.1f allocations, want 0", name, allocs)
 		}
 	}
 }

@@ -75,9 +75,8 @@ type FedAvg struct {
 	n      int
 }
 
-// Add implements Aggregator.
-//
-//fhdnn:hotpath called once per client update inside the round loop
+// Add implements Aggregator. Once the accumulator is sized it allocates
+// nothing (TestWarmAccumulatorReused).
 func (a *FedAvg) Add(u Update) {
 	if a.n == 0 {
 		a.sum = sizeAccumulator(a.sum, len(u.Params))
@@ -93,9 +92,8 @@ func (a *FedAvg) Add(u Update) {
 // Len implements Aggregator.
 func (a *FedAvg) Len() int { return a.n }
 
-// Commit implements Aggregator.
-//
-//fhdnn:hotpath applies the round aggregate in place
+// Commit implements Aggregator, in place and allocating nothing
+// (TestWarmAccumulatorReused).
 func (a *FedAvg) Commit(global []float32) {
 	if a.totalW <= 0 {
 		return
@@ -122,7 +120,6 @@ func sizeAccumulator(acc []float64, n int) []float64 {
 	if cap(acc) >= n {
 		return acc[:n]
 	}
-	//fhdnn:allow hotalloc the first round, or a larger update than any before, sizes the accumulator
 	return make([]float64, n)
 }
 
@@ -141,9 +138,8 @@ type Bundle struct {
 	n   int
 }
 
-// Add implements Aggregator.
-//
-//fhdnn:hotpath called once per client update inside the round loop
+// Add implements Aggregator. Once the accumulator is sized it allocates
+// nothing (TestWarmAccumulatorReused).
 func (a *Bundle) Add(u Update) {
 	if a.n == 0 {
 		a.sum = sizeAccumulator(a.sum, len(u.Params))
@@ -155,9 +151,8 @@ func (a *Bundle) Add(u Update) {
 // Len implements Aggregator.
 func (a *Bundle) Len() int { return a.n }
 
-// Commit implements Aggregator.
-//
-//fhdnn:hotpath applies the round aggregate in place
+// Commit implements Aggregator, in place and allocating nothing
+// (TestWarmAccumulatorReused).
 func (a *Bundle) Commit(global []float32) {
 	if a.n == 0 {
 		return

@@ -60,12 +60,10 @@ type rowArena struct {
 // hold copies p into the arena's next row and returns the copy.
 func (a *rowArena) hold(p []float32) []float32 {
 	if a.n == len(a.rows) {
-		//fhdnn:allow hotalloc one slot per row of the largest round so far; Reset keeps them
 		a.rows = append(a.rows, nil)
 	}
 	row := a.rows[a.n]
 	if cap(row) < len(p) {
-		//fhdnn:allow hotalloc a slot's row is allocated once, then reused by every later round
 		row = make([]float32, len(p))
 	}
 	row = row[:len(p)]
@@ -92,7 +90,6 @@ type columns struct {
 
 func (c *columns) add(u Update, kind string) {
 	checkRowLen(c.rows, u.Params, kind)
-	//fhdnn:allow hotalloc rows reuses its backing array across Reset; growth amortizes out
 	c.rows = append(c.rows, c.arena.hold(u.Params))
 }
 
@@ -124,7 +121,6 @@ func (c *columns) commit(global []float32, kind string, block func(dst []float32
 	stripes := min(tensor.Workers(), blocks)
 	per := (colBlock + 1) * n
 	if cap(c.keys) < stripes*per {
-		//fhdnn:allow hotalloc key scratch sized once per round, reused across commits
 		c.keys = make([]uint32, stripes*per)
 	}
 	rows, keys := c.rows, c.keys
@@ -174,14 +170,12 @@ type Median struct {
 	columns
 }
 
-// Add implements Aggregator.
-//
-//fhdnn:hotpath called once per client update inside the round loop
+// Add implements Aggregator. After the largest round so far it allocates
+// nothing (TestWarmAccumulatorReused).
 func (a *Median) Add(u Update) { a.add(u, "Median") }
 
-// Commit implements Aggregator.
-//
-//fhdnn:hotpath applies the round aggregate in place
+// Commit implements Aggregator, in place. It allocates only what
+// tensor.ParallelFor does (TestRobustCommitAllocs).
 func (a *Median) Commit(global []float32) { a.commit(global, "Median", medianBlock, medianOf) }
 
 // medianOf is the median of one coordinate's keys.
@@ -227,14 +221,12 @@ func (a *TrimmedMean) Trim(n int) int {
 	return k
 }
 
-// Add implements Aggregator.
-//
-//fhdnn:hotpath called once per client update inside the round loop
+// Add implements Aggregator. After the largest round so far it allocates
+// nothing (TestWarmAccumulatorReused).
 func (a *TrimmedMean) Add(u Update) { a.add(u, "TrimmedMean") }
 
-// Commit implements Aggregator.
-//
-//fhdnn:hotpath applies the round aggregate in place
+// Commit implements Aggregator, in place. It allocates only what
+// tensor.ParallelFor does (TestRobustCommitAllocs).
 func (a *TrimmedMean) Commit(global []float32) {
 	n := len(a.rows)
 	k := a.Trim(n)
@@ -272,9 +264,8 @@ type NormClip struct {
 	clipped atomic.Int64
 }
 
-// Add implements Aggregator.
-//
-//fhdnn:hotpath called once per client update inside the round loop
+// Add implements Aggregator. Once the clip scratch is sized it adds no
+// allocation to Inner's (TestWarmAccumulatorReused).
 func (a *NormClip) Add(u Update) {
 	if a.Bound > 0 {
 		var sum float64
@@ -285,7 +276,6 @@ func (a *NormClip) Add(u Update) {
 		if norm := math.Sqrt(sum); norm > a.Bound {
 			scale := a.Bound / norm
 			if cap(a.scaled) < len(u.Params) {
-				//fhdnn:allow hotalloc clip scratch sized by the first clipped update, reused by the rest
 				a.scaled = make([]float32, len(u.Params))
 			}
 			scaled := a.scaled[:len(u.Params)]

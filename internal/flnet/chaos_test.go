@@ -31,7 +31,7 @@ func TestChaosFederatedRound(t *testing.T) {
 		seedBase   = 1000
 	)
 	crash := faults.CrashSchedule{2: 2, 5: 2} // die during round 2
-	shards, labels, testEnc, testLabels, k, d := encodedClusters(t, numClients)
+	shards, labels, testEnc, testLabels, k, d := heldOutClusters(t, numClients, 3)
 
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses:    k,

@@ -148,7 +148,7 @@ func TestEnvelopeQuarantinedNonFinite(t *testing.T) {
 func runCodecTraining(t *testing.T, codec compress.Codec) (float64, int64) {
 	t.Helper()
 	const numClients, rounds = 3, 3
-	shards, labels, testEnc, testLabels, k, d := encodedClusters(t, numClients)
+	shards, labels, testEnc, testLabels, k, d := heldOutClusters(t, numClients, 3)
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses: k, Dim: d, MinUpdates: numClients, MaxRounds: rounds})
 

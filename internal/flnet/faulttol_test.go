@@ -281,7 +281,7 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // upload bounces 409 and it must refetch, retrain, and land in the next
 // round.
 func TestParticipateStaleRoundRetry(t *testing.T) {
-	shards, labels, _, _, k, d := encodedClusters(t, 1)
+	shards, labels, _, _, k, d := heldOutClusters(t, 1, 3)
 	srv, ts := newTestServer(t, ServerConfig{NumClasses: k, Dim: d, MinUpdates: 1, MaxRounds: 2})
 
 	var raced atomic.Bool
@@ -330,7 +330,7 @@ func TestParticipateStaleRoundRetry(t *testing.T) {
 // rejoined from its new epoch, not deadlock the client waiting for a
 // round number the new server will never reach.
 func TestParticipateSurvivesServerRestart(t *testing.T) {
-	shards, labels, _, _, k, d := encodedClusters(t, 1)
+	shards, labels, _, _, k, d := heldOutClusters(t, 1, 3)
 	first, err := NewServer(ServerConfig{NumClasses: k, Dim: d, MinUpdates: 2})
 	if err != nil {
 		t.Fatal(err)

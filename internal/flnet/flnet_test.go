@@ -207,21 +207,11 @@ func TestServerClosesAfterMaxRounds(t *testing.T) {
 	}
 }
 
-// encodedClusters builds per-client hypervector shards of a separable
-// problem.
-func encodedClusters(t *testing.T, numClients int) (shards []*tensor.Tensor, labels [][]int, testEnc *tensor.Tensor, testLabels []int, k, d int) {
-	t.Helper()
-	train := dataset.GenerateVectors(dataset.VectorConfig{
-		Name: "c", Classes: 4, Features: 16, PerClass: 20, ClassStd: 2, SampleStd: 0.8, Seed: 3})
-	test := dataset.GenerateVectors(dataset.VectorConfig{
-		Name: "c", Classes: 4, Features: 16, PerClass: 6, ClassStd: 2, SampleStd: 0.8, Seed: 3})
-	return encodeShards(rand.New(rand.NewSource(7)), train, test, numClients)
-}
-
-// heldOutClusters is encodedClusters' task drawn at one fixture seed,
-// with 50 samples of every class held out: one draw of 70 samples per
-// class, the first 20 for training and the rest for the test set. seed
-// also draws the encoder and the partition.
+// heldOutClusters builds per-client hypervector shards of a separable
+// 4-class task drawn at one fixture seed, with 50 samples of every class
+// held out: one draw of 70 samples per class, the first 20 for training
+// and the rest for the test set. seed also draws the encoder and the
+// partition.
 func heldOutClusters(t *testing.T, numClients int, seed int64) (shards []*tensor.Tensor, labels [][]int, testEnc *tensor.Tensor, testLabels []int, k, d int) {
 	t.Helper()
 	const trainPerClass, testPerClass = 20, 50
@@ -262,7 +252,7 @@ func encodeShards(rng *rand.Rand, train, test *dataset.Dataset, numClients int) 
 // it classifies held-out data.
 func TestFederatedTrainingOverHTTP(t *testing.T) {
 	const numClients, rounds = 3, 4
-	shards, labels, testEnc, testLabels, k, d := encodedClusters(t, numClients)
+	shards, labels, testEnc, testLabels, k, d := heldOutClusters(t, numClients, 3)
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses: k, Dim: d, MinUpdates: numClients, MaxRounds: rounds})
 
@@ -308,7 +298,7 @@ func TestFederatedTrainingOverHTTP(t *testing.T) {
 // protocol.
 func TestFederatedTrainingOverHTTPWithLossyUplink(t *testing.T) {
 	const numClients, rounds = 3, 4
-	shards, labels, testEnc, testLabels, k, d := encodedClusters(t, numClients)
+	shards, labels, testEnc, testLabels, k, d := heldOutClusters(t, numClients, 3)
 	srv, ts := newTestServer(t, ServerConfig{
 		NumClasses: k, Dim: d, MinUpdates: numClients, MaxRounds: rounds})
 

@@ -75,9 +75,8 @@ const (
 // upload's HTTP status (202, also for an idempotent duplicate; 409 stale;
 // 410 closed), the server's current round, and whether this was the
 // MinUpdates-th update of the round — the caller must then commit it,
-// after returning the token.
-//
-//fhdnn:hotpath per-update aggregation step on the handler goroutine
+// after returning the token. The gates allocate nothing
+// (TestHandlerAllocs, whose repeated upload stops at the duplicate gate).
 func (s *Server) aggregate(wantRound int, clientID, codec string, params []float32) (status, round int, closes bool) {
 	if s.closed.Load() {
 		s.stats.updatesRejected.Add(1)

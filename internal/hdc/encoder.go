@@ -156,9 +156,8 @@ func (e *Encoder) EncodeBatch(z *tensor.Tensor) *tensor.Tensor {
 // bit-identical to encoding it alone, for every kernel and worker count,
 // except that a raw NaN output is some NaN: when two NaNs meet, the
 // operand order of the add picks one, and gc may commute a float add.
-// Blocks of 16 samples split over the tensor pool.
-//
-//fhdnn:hotpath batch encode on the client training loop
+// Blocks of 16 samples split over the tensor pool. At one worker it
+// allocates nothing (TestEncodeBatchIntoDoesNotAllocateSerial).
 func (e *Encoder) EncodeBatchInto(dst, z *tensor.Tensor) {
 	if z.NumDims() != 2 || z.Dim(1) != e.N {
 		panic(fmt.Sprintf("hdc: EncodeBatch expects [batch %d] features, got %v", e.N, z.Shape()))
@@ -209,7 +208,6 @@ var projectPool = sync.Pool{New: func() any { return new(projectScratch) }}
 func (e *Encoder) encodeBlocks(k projectKernel, h, z []float32, lo, hi int) {
 	sc := projectPool.Get().(*projectScratch)
 	if need := blockLanes*tileCols + 2*e.N*blockLanes; cap(sc.buf) < need {
-		//fhdnn:allow hotalloc block scratch sized once per pool entry and feature width, then reused by every call
 		sc.buf = make([]float32, need)
 	}
 	tile := sc.buf[:blockLanes*tileCols]

@@ -117,7 +117,8 @@ func (b *block) scratch(kp, k int) (dots, sims []float64) {
 	s := b.buf[:]
 	if n := kp*blockRows + k; n > len(s) {
 		if len(b.big) < n {
-			//fhdnn:allow hotalloc only K > 2*sweepClasses (the 26-class ISOLET stand-in) allocates; refine and Predict keep the buffer in the pooled lanes
+			// Only K > 2*sweepClasses (the 26-class ISOLET stand-in)
+			// gets here; refine and Predict keep big in the pooled lanes.
 			b.big = make([]float64, n)
 		}
 		s = b.big

@@ -196,9 +196,8 @@ func (m *Model) RefineEpoch(encoded *tensor.Tensor, labels []int) int {
 // walks it in order; at the first misprediction it moves the prototypes
 // and starts the next block at the following row, discarding the rest. So
 // every similarity it reads is the one a row-at-a-time loop would see, and
-// a step throws away at most one kernel call's rows (see sweeper).
-//
-//fhdnn:hotpath
+// a step throws away at most one kernel call's rows (see sweeper). It
+// allocates nothing (TestRefineDoesNotAllocateSerial).
 func (m *Model) refine(ln *classLanes, data []float32, labels, rows []int, n int, lr float32) int {
 	b := block{big: ln.big}
 	wrong := 0

@@ -20,9 +20,8 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes C = A*B, storing the result into dst (which must be
 // m x n). Existing contents of dst are overwritten. It performs no
-// allocation when the pool has a single worker.
-//
-//fhdnn:hotpath inner loop of every forward/backward pass
+// allocation when the pool has a single worker
+// (TestIntoKernelsDoNotAllocateSerial).
 func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b)
 	checkDst("MatMulInto", dst, m, n)
@@ -30,9 +29,8 @@ func MatMulInto(dst, a, b *Tensor) {
 	gemm(dst.data, a.data, b.data, m, k, n, k, 1, n, 1, false)
 }
 
-// MatMulAccum computes C += A*B into dst.
-//
-//fhdnn:hotpath inner loop of every forward/backward pass
+// MatMulAccum computes C += A*B into dst. It performs no allocation when
+// the pool has a single worker (TestIntoKernelsDoNotAllocateSerial).
 func MatMulAccum(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b)
 	checkDst("MatMulAccum", dst, m, n)
@@ -70,9 +68,8 @@ func checkMatMulTransA(a, b *Tensor) (m, k, n int) {
 
 // MatMulTransAInto computes C = A^T * B into dst (m x n), overwriting it,
 // where A is k x m and B is k x n. Used for weight gradients. It performs
-// no allocation when the pool has a single worker.
-//
-//fhdnn:hotpath weight-gradient kernel on the backward pass
+// no allocation when the pool has a single worker
+// (TestIntoKernelsDoNotAllocateSerial).
 func MatMulTransAInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMulTransA(a, b)
 	checkDst("MatMulTransAInto", dst, m, n)
@@ -80,9 +77,9 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	gemm(dst.data, a.data, b.data, m, k, n, 1, m, n, 1, false)
 }
 
-// MatMulTransAAccum computes C += A^T * B into dst (m x n).
-//
-//fhdnn:hotpath weight-gradient kernel on the backward pass
+// MatMulTransAAccum computes C += A^T * B into dst (m x n). It performs
+// no allocation when the pool has a single worker
+// (TestIntoKernelsDoNotAllocateSerial).
 func MatMulTransAAccum(dst, a, b *Tensor) {
 	m, k, n := checkMatMulTransA(a, b)
 	checkDst("MatMulTransAAccum", dst, m, n)

@@ -59,11 +59,9 @@ var panelPool sync.Pool
 func getPanelBuf(n int) *panelBuf {
 	pb, _ := panelPool.Get().(*panelBuf)
 	if pb == nil {
-		//fhdnn:allow hotalloc one-time pool miss; the wrapper is recycled for the life of the process
 		pb = new(panelBuf)
 	}
 	if cap(pb.data) < n {
-		//fhdnn:allow hotalloc panel scratch reuses its backing array across calls; growth amortizes out
 		pb.data = make([]float32, n)
 	}
 	pb.data = pb.data[:n]

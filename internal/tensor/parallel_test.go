@@ -292,12 +292,13 @@ func TestIntoKernelsDoNotAllocateSerial(t *testing.T) {
 		"MatMulInto":        func() { MatMulInto(dst, a, b) },
 		"MatMulAccum":       func() { MatMulAccum(dst, a, b) },
 		"MatMulTransAInto":  func() { MatMulTransAInto(dst, at, b) },
+		"MatMulTransAAccum": func() { MatMulTransAAccum(dst, at, b) },
 		"MaxPool2DInto":     maxPoolIntoCase(rng),
 		"GlobalAvgPoolInto": gapIntoCase(rng),
 	}
 	// The GEMM kernels recycle panel scratch through a sync.Pool, and
 	// Pool.Put drops items at random under the race detector.
-	pooled := map[string]bool{"MatMulInto": true, "MatMulAccum": true, "MatMulTransAInto": true}
+	pooled := map[string]bool{"MatMulInto": true, "MatMulAccum": true, "MatMulTransAInto": true, "MatMulTransAAccum": true}
 	for name, fn := range cases {
 		if raceEnabled && pooled[name] {
 			continue

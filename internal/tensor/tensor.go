@@ -167,7 +167,6 @@ func (t *Tensor) Scale(s float32) {
 func (t *Tensor) Sum() float64 {
 	s := 0.0
 	for _, v := range t.data {
-		//fhdnn:allow float64 deliberate high-precision reduction; Sum is a diagnostic, not part of the bit-identical kernel contract
 		s += float64(v)
 	}
 	return s
@@ -185,7 +184,6 @@ func (t *Tensor) Mean() float64 {
 func (t *Tensor) Norm() float64 {
 	s := 0.0
 	for _, v := range t.data {
-		//fhdnn:allow float64 deliberate high-precision reduction; Norm is a diagnostic, not part of the bit-identical kernel contract
 		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
@@ -203,7 +201,6 @@ func (t *Tensor) Equal(o *Tensor, tol float64) bool {
 		}
 	}
 	for i := range t.data {
-		//fhdnn:allow float64 tolerance comparison happens in float64 by design; Equal is test support, not a kernel
 		if math.Abs(float64(t.data[i]-o.data[i])) > tol {
 			return false
 		}
