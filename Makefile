@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race debugguard vet lint lint-ci fuzz bench chaos smoke ci
+.PHONY: build test race debugguard vet fuzz bench chaos smoke ci
 
 build:
 	$(GO) build ./...
@@ -26,20 +26,6 @@ race:
 # hdc executes under it, not just tensor's own tests.
 debugguard:
 	$(GO) test -race -tags fhdnndebug -count=1 ./internal/tensor ./internal/nn ./internal/hdc ./internal/core ./internal/fl
-
-# Repo-specific static analysis: determinism, goroutine discipline, wire
-# error handling and print/panic hygiene. The allocation-free loops and
-# float32 kernel chains are held by tests instead. See DESIGN.md "Static
-# analysis & enforced invariants".
-lint:
-	$(GO) run ./cmd/fhdnn-lint ./...
-
-# The lint invocation CI runs (in the test matrix job only): the rules of
-# `make lint`, with machine-readable findings (including suppressed ones)
-# to fhdnn-lint.json, which CI uploads as an artifact.
-lint-ci:
-	@$(GO) run ./cmd/fhdnn-lint -json -suppressed ./... > fhdnn-lint.json; \
-	st=$$?; cat fhdnn-lint.json; exit $$st
 
 # Decode-surface fuzzing: every exported decoder of a wire or checkpoint
 # format, and the upload handler in front of them, for 20s per target on
@@ -114,5 +100,7 @@ bench:
 
 # The make targets CI runs on every PR; the workflow adds gofmt,
 # cross-architecture builds and tests, the kernel instruction checks, a
-# bench smoke and make chaos.
-ci: vet lint-ci race debugguard smoke fuzz
+# bench smoke and make chaos. The repo's static analysis needs no target
+# of its own: internal/analysis's TestModuleIsClean sweeps the module in
+# every go test run, race included.
+ci: vet race debugguard smoke fuzz

@@ -131,7 +131,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	//fhdnn:allow goroutine long-running HTTP serve loop, not data-parallel work; its error is joined through errc
+	// The long-running HTTP serve loop; its error is joined through errc.
 	go func() { errc <- httpSrv.Serve(ln) }()
 
 	wait := func() error {

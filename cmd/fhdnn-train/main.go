@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -87,32 +88,29 @@ func run() error {
 	return nil
 }
 
-func loadData(csvPath, idxImages, idxLabels string, classes, channels, size int, seed int64) (*dataset.Dataset, error) {
+func loadData(csvPath, idxImages, idxLabels string, classes, channels, size int, seed int64) (_ *dataset.Dataset, err error) {
 	switch {
 	case csvPath != "":
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
+		f, openErr := os.Open(csvPath)
+		if openErr != nil {
+			return nil, openErr
 		}
-		//fhdnn:allow wire-error read-only file; a Close error cannot lose data
-		defer f.Close()
+		defer func() { err = errors.Join(err, f.Close()) }()
 		return dataset.ReadCSVImages(f, csvPath, classes, channels, size)
 	case idxImages != "" || idxLabels != "":
 		if idxImages == "" || idxLabels == "" {
 			return nil, fmt.Errorf("need both -idx-images and -idx-labels")
 		}
-		imgF, err := os.Open(idxImages)
-		if err != nil {
-			return nil, err
+		imgF, openErr := os.Open(idxImages)
+		if openErr != nil {
+			return nil, openErr
 		}
-		//fhdnn:allow wire-error read-only file; a Close error cannot lose data
-		defer imgF.Close()
-		labF, err := os.Open(idxLabels)
-		if err != nil {
-			return nil, err
+		defer func() { err = errors.Join(err, imgF.Close()) }()
+		labF, openErr := os.Open(idxLabels)
+		if openErr != nil {
+			return nil, openErr
 		}
-		//fhdnn:allow wire-error read-only file; a Close error cannot lose data
-		defer labF.Close()
+		defer func() { err = errors.Join(err, labF.Close()) }()
 		return dataset.LoadIDX(imgF, labF, idxImages, classes)
 	default:
 		train, _ := dataset.GenerateImages(dataset.CIFAR10Like(size, 50, 1, seed))

@@ -107,7 +107,7 @@ func main() {
 		log.Fatal(err)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	//fhdnn:allow goroutine long-running HTTP serve loop for the demo, not data-parallel work
+	// The demo's long-running HTTP serve loop.
 	go func() {
 		if err := httpSrv.Serve(ln); err != http.ErrServerClosed {
 			log.Println("server:", err)
@@ -142,7 +142,7 @@ func main() {
 			labels[bi] = train.Labels[j]
 		}
 		wg.Add(1)
-		//fhdnn:allow goroutine concurrent client actor for the network demo, joined through wg; not data-parallel compute
+		// One concurrent client actor per shard, joined through wg.
 		go func(i int, shard *tensor.Tensor, labels []int) {
 			defer wg.Done()
 			// Every request from this client runs the gauntlet: injected
@@ -165,7 +165,7 @@ func main() {
 				var die context.CancelFunc
 				clientCtx, die = context.WithCancel(ctx)
 				defer die()
-				//fhdnn:allow goroutine crash-trigger watcher for the demo; exits with its client context
+				// Crash-trigger watcher; it exits with its client context.
 				go func() {
 					c := &flnet.Client{BaseURL: baseURL}
 					for {
@@ -210,7 +210,7 @@ func main() {
 	// A poisoner pushes a NaN update every round; the quarantine gate
 	// must keep every one of them out of the global model.
 	wg.Add(1)
-	//fhdnn:allow goroutine adversarial poisoner actor for the demo, joined through wg
+	// The poisoner actor, joined through wg.
 	go func() {
 		defer wg.Done()
 		cl := &flnet.Client{BaseURL: baseURL, ID: "poisoner"}
@@ -234,9 +234,8 @@ func main() {
 		}
 	}()
 
-	// Progress monitor.
+	// Progress monitor; it signals completion through done.
 	done := make(chan struct{})
-	//fhdnn:allow goroutine progress monitor for the demo; signals completion through done
 	go func() {
 		defer close(done)
 		c := &flnet.Client{BaseURL: baseURL}

@@ -11,8 +11,7 @@ import (
 // The fixture corpus under testdata/src is a self-contained module
 // ("fixture") whose files carry expectation comments:
 //
-//	// want <rule> "<message regexp>"       an active finding on this line
-//	// wantsup <rule> "<message regexp>"    a finding suppressed by //fhdnn:allow
+//	// want <rule> "<message regexp>"       a finding on this line
 //
 // The corpus test runs the full analyzer over the corpus and requires an
 // exact one-to-one match between expectations and diagnostics — no
@@ -23,12 +22,11 @@ const fixtureRoot = "testdata/src"
 type expectation struct {
 	file string // relative to fixtureRoot, slash-separated
 	line int
-	kind string // "want" or "wantsup"
 	rule string
 	re   *regexp.Regexp
 }
 
-var expectRx = regexp.MustCompile(`// (want|wantsup) ([a-z0-9-]+) "((?:[^"\\]|\\.)*)"`)
+var expectRx = regexp.MustCompile(`// want ([a-z0-9-]+) "((?:[^"\\]|\\.)*)"`)
 
 func loadExpectations(t *testing.T) []*expectation {
 	t.Helper()
@@ -47,12 +45,12 @@ func loadExpectations(t *testing.T) []*expectation {
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range expectRx.FindAllStringSubmatch(line, -1) {
-				re, err := regexp.Compile(m[3])
+				re, err := regexp.Compile(m[2])
 				if err != nil {
-					t.Fatalf("%s:%d: bad expectation regexp %q: %v", rel, i+1, m[3], err)
+					t.Fatalf("%s:%d: bad expectation regexp %q: %v", rel, i+1, m[2], err)
 				}
 				out = append(out, &expectation{
-					file: filepath.ToSlash(rel), line: i + 1, kind: m[1], rule: m[2], re: re,
+					file: filepath.ToSlash(rel), line: i + 1, rule: m[1], re: re,
 				})
 			}
 		}
@@ -82,7 +80,7 @@ func relFile(t *testing.T, file string) string {
 	return filepath.ToSlash(rel)
 }
 
-func matchDiags(t *testing.T, kind string, diags []Diagnostic, expects []*expectation) {
+func matchDiags(t *testing.T, diags []Diagnostic, expects []*expectation) {
 	t.Helper()
 	used := make([]bool, len(expects))
 	for _, d := range diags {
@@ -92,7 +90,7 @@ func matchDiags(t *testing.T, kind string, diags []Diagnostic, expects []*expect
 		file := relFile(t, d.File)
 		found := false
 		for i, e := range expects {
-			if used[i] || e.kind != kind || e.file != file || e.line != d.Line || e.rule != d.Rule {
+			if used[i] || e.file != file || e.line != d.Line || e.rule != d.Rule {
 				continue
 			}
 			if !e.re.MatchString(d.Message) {
@@ -104,83 +102,26 @@ func matchDiags(t *testing.T, kind string, diags []Diagnostic, expects []*expect
 			break
 		}
 		if !found {
-			t.Errorf("unexpected %s diagnostic %s:%d:%d: %s: %s", kind, file, d.Line, d.Col, d.Rule, d.Message)
+			t.Errorf("unexpected diagnostic %s:%d:%d: %s: %s", file, d.Line, d.Col, d.Rule, d.Message)
 		}
 	}
 	for i, e := range expects {
-		if e.kind == kind && !used[i] {
-			t.Errorf("%s:%d: expected %s %s diagnostic matching %q, got none", e.file, e.line, e.kind, e.rule, e.re)
+		if !used[i] {
+			t.Errorf("%s:%d: expected %s diagnostic matching %q, got none", e.file, e.line, e.rule, e.re)
 		}
 	}
 }
 
 func TestFixtureCorpus(t *testing.T) {
-	res, err := Run(fixtureRoot, []string{"./..."}, nil)
+	res, err := Run(fixtureRoot, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	expects := loadExpectations(t)
-	matchDiags(t, "want", res.Diags, expects)
-	matchDiags(t, "wantsup", res.Suppressed, expects)
+	matchDiags(t, res.Diags, loadExpectations(t))
 }
 
-// TestAllowSuppressesPreciselyOne pins the suppression granularity: in
-// the SuppressOne fixture two identical violations sit on consecutive
-// lines under one directive — exactly the first is silenced, the second
-// still fires.
-func TestAllowSuppressesPreciselyOne(t *testing.T) {
-	res, err := Run(fixtureRoot, []string{"./internal/tensor"}, []string{RuleDeterminism})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := func(ds []Diagnostic) int {
-		n := 0
-		for _, d := range ds {
-			if strings.HasSuffix(filepath.ToSlash(d.File), "internal/tensor/det.go") &&
-				strings.Contains(d.Message, "rand.Intn") {
-				n++
-			}
-		}
-		return n
-	}
-	if got := count(res.Suppressed); got != 1 {
-		t.Errorf("suppressed rand.Intn findings = %d, want exactly 1", got)
-	}
-	if got := count(res.Diags); got != 2 {
-		// one in Seed, one in SuppressOne (the line below the directive)
-		t.Errorf("active rand.Intn findings = %d, want 2", got)
-	}
-}
-
-// TestRuleSubset checks that -rules style filtering runs only the
-// requested rules and does not report directives of disabled rules as
-// stale.
-func TestRuleSubset(t *testing.T) {
-	res, err := Run(fixtureRoot, []string{"./..."}, []string{RuleDeterminism})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range res.Diags {
-		if d.Rule != RuleDeterminism && d.Rule != RuleAllow {
-			t.Errorf("rule subset leaked a %s finding: %s", d.Rule, d)
-		}
-		if d.Rule == RuleAllow && strings.Contains(d.Message, "suppresses no") {
-			// only malformed directives may surface; stale checks for
-			// disabled rules must stay quiet
-			if !strings.Contains(d.Message, "suppresses no determinism") {
-				t.Errorf("stale-directive finding for a disabled rule: %s", d)
-			}
-		}
-	}
-	for _, d := range res.Suppressed {
-		if d.Rule != RuleDeterminism {
-			t.Errorf("rule subset produced a suppressed %s finding: %s", d.Rule, d)
-		}
-	}
-}
-
-// TestDiagnosticString pins the human output format relied on by CI log
-// matchers and editors (file:line:col: rule: message).
+// TestDiagnosticString pins the output format TestModuleIsClean reports
+// in, the one editors jump from (file:line:col: rule: message).
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{Rule: "wire-error", File: "x.go", Line: 3, Col: 7, Message: "boom"}
 	if got, want := d.String(), "x.go:3:7: wire-error: boom"; got != want {
@@ -192,11 +133,27 @@ func TestDiagnosticString(t *testing.T) {
 // findings in sanctioned code: the fixture's tensor pool file and the
 // invariant helper are clean by construction.
 func TestCleanPackageHasNoFindings(t *testing.T) {
-	res, err := Run(fixtureRoot, []string{"./internal/invariant"}, nil)
+	res, err := Run(fixtureRoot, "./internal/invariant")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Diags) != 0 || len(res.Suppressed) != 0 {
-		t.Errorf("invariant package should be clean, got %v / %v", res.Diags, res.Suppressed)
+	if len(res.Diags) != 0 {
+		t.Errorf("invariant package should be clean, got %v", res.Diags)
+	}
+}
+
+// TestModuleIsClean is the analyzer's sweep of this module: every
+// non-test file of every package, under every rule. A finding fails the
+// test, printed where an editor can jump to it.
+func TestModuleIsClean(t *testing.T) {
+	res, err := Run("../..", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Packages == 0 {
+		t.Fatal("the sweep found no packages")
+	}
+	for _, d := range res.Diags {
+		t.Error(d)
 	}
 }

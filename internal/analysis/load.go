@@ -23,13 +23,10 @@ import (
 
 // pkg is one loaded, type-checked package.
 type pkg struct {
-	// ImportPath is the full import path ("fhdnn/internal/tensor").
-	ImportPath string
 	// Rel is the module-relative path ("internal/tensor", "" for the
 	// module root package). Rules are scoped by Rel so fixtures under any
 	// module name exercise the same path logic as the real repo.
 	Rel   string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -123,10 +120,8 @@ func (l *loader) load(path string) (*pkg, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	var typeErr error
 	conf := types.Config{
@@ -144,7 +139,7 @@ func (l *loader) load(path string) (*pkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-check %s: %w", path, err)
 	}
-	p := &pkg{ImportPath: path, Rel: rel, Dir: dir, Files: files, Types: tpkg, Info: info}
+	p := &pkg{Rel: rel, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -156,14 +151,12 @@ func (l *loader) expand(patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
 	add := func(dir string) error {
-		bp, err := l.ctxt.ImportDir(dir, 0)
-		if err != nil {
+		if _, err := l.ctxt.ImportDir(dir, 0); err != nil {
 			if _, nogo := err.(*build.NoGoError); nogo {
 				return nil
 			}
 			return err
 		}
-		_ = bp
 		rel, err := filepath.Rel(l.root, dir)
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -23,7 +24,7 @@ func checkPrintPanic(l *loader, p *pkg) []Diagnostic {
 	if !strings.HasPrefix(p.Rel, "internal/") || p.Rel == invariantPkg {
 		return nil
 	}
-	inWirePkg := relIn(p, wirePkgs...)
+	inWirePkg := slices.Contains(wirePkgs, p.Rel)
 	var out []Diagnostic
 	inspectAll(p, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -40,7 +41,7 @@ var wireCalleeRelPkgs = []string{
 }
 
 func checkWireErrors(l *loader, p *pkg) []Diagnostic {
-	inWirePkg := relIn(p, wirePkgs...)
+	inWirePkg := slices.Contains(wirePkgs, p.Rel)
 	var out []Diagnostic
 	flag := func(call *ast.CallExpr, how string) {
 		if !dropsTrailingError(p.Info, call) || neverFails(p.Info, call) {

@@ -102,69 +102,9 @@ func calleeName(call *ast.CallExpr) string {
 	return "call"
 }
 
-func basicKind(t types.Type) types.BasicKind {
-	if t == nil {
-		return types.Invalid
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return types.Invalid
-	}
-	return b.Kind()
-}
-
-// isFloat reports whether t is any floating-point basic type.
-func isFloat(t types.Type) bool {
-	k := basicKind(t)
-	return k == types.Float32 || k == types.Float64
-}
-
-// rootIdent returns the leftmost identifier of an lvalue expression
-// (s, s[i], s.f, (*p).f all root at s / p).
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// declaredOutside reports whether the identifier's object is declared
-// outside the given node's source span — i.e. the assignment target
-// survives across iterations of a loop rooted at n.
-func declaredOutside(info *types.Info, id *ast.Ident, n ast.Node) bool {
-	obj := info.Uses[id]
-	if obj == nil {
-		obj = info.Defs[id]
-	}
-	if obj == nil {
-		return false
-	}
-	return obj.Pos() < n.Pos() || obj.Pos() > n.End()
-}
-
 // inspectAll walks every file of the package.
 func inspectAll(p *pkg, fn func(ast.Node) bool) {
 	for _, f := range p.Files {
 		ast.Inspect(f, fn)
 	}
-}
-
-// relIn reports whether the package's module-relative path is in the set.
-func relIn(p *pkg, set ...string) bool {
-	for _, s := range set {
-		if p.Rel == s {
-			return true
-		}
-	}
-	return false
 }

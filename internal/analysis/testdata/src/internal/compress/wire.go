@@ -15,7 +15,7 @@ import (
 func Flush(w io.WriteCloser, data []byte) {
 	w.Write(data)   // want wire-error "error from w.Write is dropped on a wire path"
 	defer w.Close() // want wire-error "deferred error from w.Close is dropped on a wire path"
-	go w.Close()    // want goroutine "naked go statement" // want wire-error "goroutine-spawned error from w.Close is dropped on a wire path"
+	go w.Close()    // want goroutine "go statement in library code" // want wire-error "goroutine-spawned error from w.Close is dropped on a wire path"
 }
 
 // FlushChecked handles or visibly discards every error: no findings.
@@ -25,12 +25,6 @@ func FlushChecked(w io.WriteCloser, data []byte) error {
 	}
 	_ = w.Close() // explicit discard is a reviewable acknowledgement
 	return nil
-}
-
-// FlushAllowed records why a dropped error is acceptable.
-func FlushAllowed(w io.WriteCloser) {
-	//fhdnn:allow wire-error fixture: close error is unreachable on this mock
-	w.Close() // wantsup wire-error "error from w.Close is dropped on a wire path"
 }
 
 // BufferWrites exercises the never-fails exemption: no findings.
@@ -45,25 +39,10 @@ func Debug(v any) {
 	println("decoded")         // want print-panic "builtin println in a library package writes to stderr"
 }
 
-// DebugAllowed is the annotated variant.
-func DebugAllowed(v any) {
-	//fhdnn:allow print-panic fixture: trace hook behind a debug build tag
-	fmt.Println("decoded:", v) // wantsup print-panic "fmt.Println in a library package writes to stdout"
-}
-
 // Decode panics on malformed input instead of returning an error.
 func Decode(data []byte) []float32 {
 	if len(data) == 0 {
 		panic("compress: empty payload") // want print-panic "panic in a wire package"
-	}
-	return nil
-}
-
-// DecodeAllowed carries an annotated panic.
-func DecodeAllowed(data []byte) []float32 {
-	if len(data) == 0 {
-		//fhdnn:allow print-panic fixture: prototype path, removed before release
-		panic("compress: empty payload") // wantsup print-panic "panic in a wire package"
 	}
 	return nil
 }

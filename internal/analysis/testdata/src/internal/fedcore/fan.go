@@ -1,5 +1,5 @@
-// Fixture: goroutine rule — naked go statements outside the sanctioned
-// packages.
+// Fixture: goroutine rule — go statements in library code outside the
+// sanctioned spawners. Only engine.go beside this file is exempt.
 package fedcore
 
 import "sync"
@@ -10,21 +10,10 @@ func FanOutBad(jobs []func()) {
 	var wg sync.WaitGroup
 	for _, j := range jobs {
 		wg.Add(1)
-		go func(f func()) { // want goroutine "naked go statement outside the worker pool"
+		go func(f func()) { // want goroutine "go statement in library code outside the worker pools"
 			defer wg.Done()
 			f()
 		}(j)
 	}
 	wg.Wait()
-}
-
-// RoundLoop is a deliberate exception with a recorded reason.
-func RoundLoop(run func()) {
-	done := make(chan struct{})
-	//fhdnn:allow goroutine fixture: round engine joins workers before aggregating
-	go func() { // wantsup goroutine "naked go statement outside the worker pool"
-		defer close(done)
-		run()
-	}()
-	<-done
 }

@@ -4,5 +4,5 @@ package flnet
 
 // Notify fires a callback on a goroutine of its own.
 func Notify(f func()) {
-	go f() // want goroutine "naked go statement outside the worker pool"
+	go f() // want goroutine "go statement in library code outside the worker pools"
 }

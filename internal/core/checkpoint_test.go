@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"testing"
 
@@ -117,6 +119,56 @@ func TestFHDnnLoadFailureLeavesReceiverUnchanged(t *testing.T) {
 		for i, p := range g.Predict(test.X) {
 			if p != wantPred[i] {
 				t.Errorf("%s cut: prediction %d changed by a failed Load", c.section, i)
+				break
+			}
+		}
+	}
+}
+
+// failingWriter takes the first n bytes written to it and fails the Write
+// that would go past them. It fails only once and takes every later Write
+// whole, as a transient fault would, so a serializer that drops the error
+// runs on to a nil return.
+type failingWriter struct {
+	n      int
+	failed bool
+}
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.failed {
+		return len(p), nil
+	}
+	if len(p) > w.n {
+		w.failed = true
+		return w.n, errWriteFailed
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// Every model and checkpoint writer returns its writer's error, wherever
+// in the stream the writer fails: for every n below the full length, a
+// writer that fails after n bytes makes the call fail with that error.
+func TestWritersReturnWriteErrors(t *testing.T) {
+	f := New(NewRandomConvExtractor(24, 1, 4, 8), Config{HDDim: 64, NumClasses: 3, Seed: 24, Binarize: true})
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"hdc.Model.WriteTo", func(w io.Writer) error { _, err := f.Model.WriteTo(w); return err }},
+		{"hdc.Encoder.WriteTo", func(w io.Writer) error { _, err := f.Encoder.WriteTo(w); return err }},
+		{"nn.SaveParams", func(w io.Writer) error { return nn.SaveParams(w, f.Extractor.Net.Params()) }},
+		{"core.FHDnn.Save", f.Save},
+	} {
+		var full bytes.Buffer
+		if err := c.write(&full); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for n := 0; n < full.Len(); n++ {
+			if err := c.write(&failingWriter{n: n}); !errors.Is(err, errWriteFailed) {
+				t.Errorf("%s: writer fails after %d of %d bytes: got error %v, want %v", c.name, n, full.Len(), err, errWriteFailed)
 				break
 			}
 		}

@@ -113,7 +113,9 @@ func (e *Engine) Run() {
 		var wg sync.WaitGroup
 		for w := 0; w < e.Workers(); w++ {
 			wg.Add(1)
-			//fhdnn:allow goroutine deterministic worker pool: Parallel is a fixed slot count, workers need stable ids for model replicas, all join before client-order aggregation
+			// A fixed pool of Parallel workers: each keeps a stable id for its
+			// model replica, and all join before the round aggregates in
+			// client order.
 			go func(worker int) {
 				defer wg.Done()
 				for ji := range jobs {

@@ -1,6 +1,7 @@
 package fedcore
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -84,21 +85,22 @@ func TestClientRNGDeterminism(t *testing.T) {
 	}
 }
 
-// toyEngine builds an engine whose "training" returns a constant vector
-// per client, so aggregation results are fully predictable.
+// toyEngine builds an engine whose "training" returns toyParam and
+// toyLoss for each client, so aggregation results are fully predictable.
+// Its 32 clients at fraction 0.5 give 16 participants in each of 6 rounds.
 func toyEngine(workers int, uplink channel.Channel) (*Engine, *[]RoundStats, []float32) {
 	global := make([]float32, 4)
 	var stats []RoundStats
 	e := &Engine{
-		Clients: 8, Fraction: 0.5, Rounds: 4, Seed: 11,
+		Clients: 32, Fraction: 0.5, Rounds: 6, Seed: 11,
 		Parallel: workers, Uplink: uplink,
 		SampleRNG: ClientRNG(11, 0, -1),
 		Agg:       &Bundle{},
 		Global:    global,
 		Train: func(worker, round, id int, rng *rand.Rand) (Update, bool) {
-			u := Update{Params: make([]float32, 4), Samples: 1}
+			u := Update{Params: make([]float32, 4), Samples: 1, Loss: toyLoss(round, id)}
 			for i := range u.Params {
-				u.Params[i] = float32(id + round)
+				u.Params[i] = toyParam(round, id, i)
 			}
 			return u, true
 		},
@@ -106,6 +108,18 @@ func toyEngine(workers int, uplink channel.Channel) (*Engine, *[]RoundStats, []f
 		OnRound:  func(st RoundStats) { stats = append(stats, st) },
 	}
 	return e, &stats, global
+}
+
+// toyParam and toyLoss spread a round's values over some 80 binary orders
+// of magnitude, so neither a float64 sum of the updates nor one of the
+// losses is exact: either comes out with other bits when the adds come in
+// another order.
+func toyParam(round, id, i int) float32 {
+	return float32(math.Ldexp(1+float64(id%7)/7, (id*11+round*5+i*3)%81-40))
+}
+
+func toyLoss(round, id int) float64 {
+	return math.Ldexp(1+1/float64(id+round+2), (id*7+round)%81-40)
 }
 
 // recordAgg bundles like Bundle and keeps every update it was given,
@@ -154,8 +168,8 @@ func TestEngineUplinkBufferOwnership(t *testing.T) {
 					t.Errorf("%s: round %d client %d: Add got Train's buffer = %v, want %v", tc.name, round, u.Client, same, tc.alias)
 				}
 				for i, v := range buf {
-					if v != float32(u.Client+round) {
-						t.Errorf("%s: round %d client %d: Train's buffer[%d] = %v after the uplink, want %d", tc.name, round, u.Client, i, v, u.Client+round)
+					if want := toyParam(round, u.Client, i); v != want {
+						t.Errorf("%s: round %d client %d: Train's buffer[%d] = %v after the uplink, want %v", tc.name, round, u.Client, i, v, want)
 					}
 				}
 				checked++
@@ -170,16 +184,46 @@ func TestEngineUplinkBufferOwnership(t *testing.T) {
 	}
 }
 
+// A round adds its updates in the ascending client order SampleClients
+// returns, after every worker has joined, and sums the mean loss in that
+// order too; so the stats and the global are bit-identical for any worker
+// count. toyEngine's values make any other order (map order, say) move
+// bits, and with 16 participants in each of 6 rounds a shuffled order
+// cannot pass for the ascending one by chance.
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) ([]RoundStats, []float32) {
 		e, stats, global := toyEngine(workers, channel.AWGN{SNRdB: 20})
+		agg := &recordAgg{}
+		e.Agg = agg
+		sampler := ClientRNG(e.Seed, 0, -1) // replays e.SampleRNG's draws
+		var wantLoss []float64
+		e.AfterCommit = func(round int) {
+			ids := SampleClients(sampler, e.Clients, e.Fraction)
+			if len(agg.adds) != len(ids) {
+				t.Fatalf("workers %d, round %d: %d adds for %d sampled clients", workers, round, len(agg.adds), len(ids))
+			}
+			var sum float64
+			for i, id := range ids {
+				if got := agg.adds[i].Client; got != id {
+					t.Fatalf("workers %d, round %d: add %d came from client %d, want %d (the order of %v)", workers, round, i, got, id, ids)
+				}
+				sum += toyLoss(round, id)
+			}
+			wantLoss = append(wantLoss, sum/float64(len(ids)))
+			agg.adds = agg.adds[:0]
+		}
 		e.Run()
+		for i, st := range *stats {
+			if math.Float64bits(st.TrainLoss) != math.Float64bits(wantLoss[i]) {
+				t.Fatalf("workers %d, round %d: TrainLoss %v, want the ascending-order mean %v", workers, st.Round, st.TrainLoss, wantLoss[i])
+			}
+		}
 		return *stats, global
 	}
 	s1, g1 := run(1)
 	s4, g4 := run(4)
-	if len(s1) != 4 || len(s4) != 4 {
-		t.Fatalf("round counts %d/%d", len(s1), len(s4))
+	if len(s1) != 6 || len(s4) != 6 {
+		t.Fatalf("round counts %d/%d, want 6", len(s1), len(s4))
 	}
 	for i := range s1 {
 		if s1[i] != s4[i] {

@@ -3,6 +3,7 @@ package flnet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -66,7 +67,9 @@ func parseQueryRound(q string) string {
 // The handlers themselves allocate nothing per model fetch and at most
 // net/http's MaxBytesReader per upload: the model's header values are
 // built once per commit, the round is read from the raw query, and the
-// header names need no canonical copy.
+// header names need no canonical copy. Each measured upload comes from a
+// client of its own, so every one passes the duplicate gate and reaches
+// the aggregator's Add.
 func TestHandlerAllocs(t *testing.T) {
 	srv, err := NewServer(ServerConfig{NumClasses: 10, Dim: 2048, MinUpdates: 1 << 20})
 	if err != nil {
@@ -86,17 +89,26 @@ func TestHandlerAllocs(t *testing.T) {
 		t.Skip("the upload's pooled buffers: sync.Pool drops items at random under the race detector")
 	}
 
+	const runs = 50
 	body := rawUpload(t, 10, 2048)
 	rd := bytes.NewReader(body)
-	push := httptest.NewRequest(http.MethodPost, "/v1/update?round=1", io.NopCloser(rd))
-	push.ContentLength = int64(len(body))
-	push.Header.Set(ClientHeader, "c1")
-	allocs := testing.AllocsPerRun(50, func() {
+	pushes := make([]*http.Request, runs+1) // AllocsPerRun warms up with one more call
+	for i := range pushes {
+		pushes[i] = httptest.NewRequest(http.MethodPost, "/v1/update?round=1", io.NopCloser(rd))
+		pushes[i].ContentLength = int64(len(body))
+		pushes[i].Header.Set(ClientHeader, fmt.Sprintf("c%d", i))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
 		rd.Reset(body)
-		h.ServeHTTP(w, push)
+		h.ServeHTTP(w, pushes[next])
+		next++
 	})
 	if w.code != http.StatusAccepted {
 		t.Fatalf("POST /v1/update: status %d", w.code)
+	}
+	if st := srv.Stats(); st.UpdatesAccepted != runs+1 || st.DuplicateUpdates != 0 {
+		t.Fatalf("POST /v1/update: %d accepted, %d duplicates; want %d and 0", st.UpdatesAccepted, st.DuplicateUpdates, runs+1)
 	}
 	if allocs > 1 {
 		t.Fatalf("POST /v1/update: %.1f allocations, want <= 1", allocs)

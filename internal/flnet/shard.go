@@ -75,8 +75,9 @@ const (
 // upload's HTTP status (202, also for an idempotent duplicate; 409 stale;
 // 410 closed), the server's current round, and whether this was the
 // MinUpdates-th update of the round — the caller must then commit it,
-// after returning the token. The gates allocate nothing
-// (TestHandlerAllocs, whose repeated upload stops at the duplicate gate).
+// after returning the token. The gates and a warm Add allocate nothing
+// but the seen set's amortized growth (TestHandlerAllocs, whose every
+// upload comes from a new client).
 func (s *Server) aggregate(wantRound int, clientID, codec string, params []float32) (status, round int, closes bool) {
 	if s.closed.Load() {
 		s.stats.updatesRejected.Add(1)

@@ -3,7 +3,8 @@
 // The wire packages (internal/compress, internal/fedcore, internal/flnet,
 // internal/link) must never panic on data that arrived over the network —
 // malformed input surfaces as typed errors that the quarantine path can
-// refuse. fhdnn-lint enforces that with the print-panic rule; the one
+// refuse. The print-panic rule of internal/analysis enforces that (its
+// TestModuleIsClean sweeps the module in go test ./...); the one
 // legitimate crash left is a broken *programmer* invariant (impossible
 // dimensions, a constructor misused), and those route through Failf so
 // that every intentional crash site in a wire package is greppable and
